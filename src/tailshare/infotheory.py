@@ -231,14 +231,30 @@ def taskwise_risk(
     or raw product-Bernoulli variant.
     """
     eval_points = np.asarray(eval_points, dtype=np.float64)
-    post = gen.posterior(eval_points)
-    s_a, s_b = logits_fn(eval_points)
-    total = 0.0
-    for classes, s in ((split.head_classes, s_a), (split.tail_classes, s_b)):
+    targets = _risk_targets(gen.posterior(eval_points), split)
+    return _taskwise_risk(targets, logits_fn(eval_points), restrict)
+
+
+def _risk_targets(post: np.ndarray, split: TaskSplit) -> tuple:
+    """Per task group, the true projected posterior q (group classes plus
+    the all-zero outcome) and q * log q's log factor, from the posterior
+    rows at the evaluation points. Studies that score many models on one
+    evaluation sample build these once."""
+    targets = []
+    for classes in (split.head_classes, split.tail_classes):
         group = post[:, list(classes)]
         other = np.clip(1.0 - group.sum(axis=1, keepdims=True), 0.0, 1.0)
         q = np.concatenate([group, other], axis=1)
+        targets.append((q, np.log(np.maximum(q, _FLOOR))))
+    return tuple(targets)
+
+
+def _taskwise_risk(targets: tuple, logits: tuple, restrict: bool) -> float:
+    """taskwise_risk from _risk_targets and the branch logits (s_a, s_b) at
+    the same points."""
+    total = 0.0
+    for (q, log_q), s in zip(targets, logits):
         logp = group_outcome_log_probs(np.asarray(s, dtype=np.float64), restrict)
-        terms = np.where(q > 0, q * (np.log(np.maximum(q, _FLOOR)) - logp), 0.0)
+        terms = np.where(q > 0, q * (log_q - logp), 0.0)
         total += float(terms.sum(axis=1).mean())
     return total

@@ -12,6 +12,7 @@ block laid out as weights followed by biases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,13 +201,6 @@ class Batch:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def take(self, idx: np.ndarray) -> "Batch":
-        sw = None if self.sample_weight is None else self.sample_weight[idx]
-        return Batch(self.features[idx], self.z_a[idx], self.z_b[idx], sw)
-
-    def labels(self, task: str) -> np.ndarray:
-        return self.z_a if _task_index(task) == 0 else self.z_b
-
 
 @dataclass(frozen=True)
 class OptConfig:
@@ -268,15 +262,6 @@ def _layer_views(params: ParamVector, spec: ModelSpec):
     return trunk, heads
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _forward_cache(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: str):
     """Forward pass keeping pre-activations and activations for backprop."""
     x = np.asarray(features, dtype=np.float64)
@@ -306,8 +291,15 @@ def forward(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: st
     Bernoulli factor.
     """
     _check_params(params, spec)
-    _task_index(task)
-    return _forward_cache(params, spec, features, task)[4]
+    t = _task_index(task)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise StructuralError(f"features must be (n, {spec.input_dim}), got {x.shape}")
+    blocks = _block_views(params.values[None, :], spec)
+    w_h, b_h = blocks[spec.depth + t]
+    logits = _trunk_forward(blocks[:spec.depth], x, spec.activation)[-1] @ w_h
+    logits += b_h
+    return logits[0]
 
 
 def _act_deriv(spec: ModelSpec, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -316,15 +308,241 @@ def _act_deriv(spec: ModelSpec, pre: np.ndarray, post: np.ndarray) -> np.ndarray
     return 1.0 - post * post
 
 
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function from e = exp(-|x|), exact on both tails:
+    1 / (1 + e) for x >= 0 and e / (1 + e) below. The numerator
+    max(e, [x >= 0]) is 1 for x >= 0 (e <= 1) and e below."""
+    if e is None:
+        e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)
+    out /= 1.0 + e
+    return out
+
+
+def _bce_terms(u: np.ndarray, labels: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Elementwise Bernoulli cross-entropy from logits u and e = exp(-|u|):
+    softplus(u) - z * u, with softplus(u) = max(u, 0) + log1p(e)."""
+    out = np.maximum(u, 0.0)
+    out -= labels * u
+    out += np.log1p(e)
+    return out
+
+
 def bce_losses(logits: np.ndarray, labels: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
     """Per-sample summed Bernoulli cross-entropy, numerically stable.
 
-    Uses log(sigmoid(u)) = -logaddexp(0, -u), so the result is finite for
-    every finite logit.
+    Uses -log(sigmoid(u)) = max(-u, 0) + log1p(exp(-|u|)), so the result is
+    finite for every finite logit.
     """
     u = logits if offsets is None else logits + offsets
-    elem = labels * np.logaddexp(0.0, -u) + (1.0 - labels) * np.logaddexp(0.0, u)
-    return elem.sum(axis=1)
+    return _bce_terms(u, labels, np.exp(-np.abs(u))).sum(axis=1)
+
+
+def _check_weights(task_weights) -> tuple:
+    w_a, w_b = float(task_weights[0]), float(task_weights[1])
+    if w_a < 0 or w_b < 0:
+        raise ConfigError("task weights must be nonnegative")
+    if w_a == 0 and w_b == 0:
+        raise ConfigError("at least one task weight must be positive")
+    if w_a > 0 and w_b > 0 and abs(w_a + w_b - 1.0) > 1e-12:
+        raise ConfigError("joint training requires w_a + w_b = 1")
+    return w_a, w_b
+
+
+def _check_inputs(spec: ModelSpec, batch: Batch, tasks, offsets: tuple) -> tuple:
+    """Validate the features, the labels and the offsets of the tasks in use;
+    returns the offsets as float arrays (None where absent)."""
+    if batch.features.shape[1] != spec.input_dim:
+        raise StructuralError(f"features must be (n, {spec.input_dim}), got {batch.features.shape}")
+    checked = [None, None]
+    for t in tasks:
+        z = (batch.z_a, batch.z_b)[t]
+        if z.shape[1] != spec.head_dims[t]:
+            raise StructuralError(
+                f"labels {z.shape} do not match logits {(batch.n, spec.head_dims[t])}")
+        if offsets[t] is not None:
+            checked[t] = np.asarray(offsets[t], dtype=np.float64)
+            if checked[t].shape != (spec.head_dims[t],):
+                raise StructuralError("offsets must provide one real per branch class")
+    return tuple(checked)
+
+
+def _trainable_mask(spec: ModelSpec, table: tuple, trainable) -> np.ndarray | None:
+    """Flat mask of the trainable blocks; None means everything."""
+    if trainable is None:
+        return None
+    if callable(trainable):
+        names = {name for name, _, _ in table if trainable(name)}
+    else:
+        names = set(trainable)
+    unknown = names - set(spec.block_names())
+    if unknown:
+        raise StructuralError(f"unknown trainable blocks: {sorted(unknown)}")
+    mask = np.zeros(spec.param_count, dtype=bool)
+    for name, offset, length in table:
+        if name in names:
+            mask[offset:offset + length] = True
+    return mask
+
+
+def _sum_batch(a: np.ndarray, out: np.ndarray) -> None:
+    """Sum a (K, B, C) stack over its batch axis into `out`, (K, 1, C),
+    adding the rows in the order a (B, C) matrix's sum(axis=0) does: one
+    row after another when C > 1, pairwise when C == 1. For C > 1 the sum
+    runs on a (B, K, C) copy, where it is one long inner loop per row."""
+    if a.shape[2] == 1:
+        np.add.reduce(a, axis=1, keepdims=True, out=out)
+    else:
+        np.add.reduce(np.ascontiguousarray(a.transpose(1, 0, 2)), axis=0, out=out[:, 0, :])
+
+
+def _trunk_forward(trunk: list, x: np.ndarray, activation: str, derivs: list | None = None) -> list:
+    """Activations [x, h_1, ..., h_L] of a stack's trunk, from its (W, b)
+    views; with `derivs`, also appends each layer's activation derivative.
+
+    In-place updates of fresh arrays keep the allocator quiet; each computes
+    what its out-of-place form would, in the same order.
+    """
+    acts = [x]
+    h = x
+    for w, b in trunk:
+        h = h @ w
+        h += b
+        if activation == "relu":
+            if derivs is not None:
+                derivs.append((h > 0.0).astype(np.float64))
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
+            if derivs is not None:
+                d = h * h
+                derivs.append(np.subtract(1.0, d, out=d))
+        acts.append(h)
+    return acts
+
+
+def _block_views(values: np.ndarray, spec: ModelSpec) -> list:
+    """(W, b) views of every block of a (K, P) stack, in block order:
+    W as (K, fan_in, fan_out), b as (K, 1, fan_out)."""
+    k = values.shape[0]
+    views = []
+    for name, offset, length in spec.block_table():
+        fan_in, fan_out = spec.block_shape(name)
+        split = offset + fan_in * fan_out
+        views.append((values[:, offset:split].reshape(k, fan_in, fan_out),
+                      values[:, split:offset + length].reshape(k, 1, fan_out)))
+    return views
+
+
+class _TaskLanes(NamedTuple):
+    """One task's slice of a stack: the members with a positive weight on
+    it, their weights (k, 1), their gradient buffer (k, P) with its block
+    views, and views of their head and transposed weights."""
+
+    task: int
+    lanes: slice
+    weight: np.ndarray
+    grad: np.ndarray
+    grad_blocks: list
+    head_w: np.ndarray
+    head_b: np.ndarray
+    head_w_t: np.ndarray
+    trunk_w_t: list
+
+
+class _Stack:
+    """K networks of one spec trained together: parameters and momentum as
+    (K, P) arrays, one task-weight pair and one trainable mask per member.
+
+    Members are kept in the order task-B only, both tasks, task-A only, so
+    the members of each task form one contiguous lane range and every
+    per-task array is a view, never a gather. Block views and per-task
+    gradient buffers are built once and rebuilt only when members leave.
+    """
+
+    def __init__(self, spec, values, weights, offsets, mask=None, members=None):
+        self.spec = spec
+        self.offsets = offsets
+        self._bind(values, weights, mask, members, np.zeros_like(values))
+
+    def _bind(self, values, weights, mask, members, velocity):
+        k, p = values.shape
+        self.values, self.weights, self.mask = values, weights, mask
+        self.members, self.velocity = members, velocity
+        self.blocks = _block_views(values, self.spec)
+        depth = self.spec.depth
+        b_only = int((weights[:, 0] == 0).sum())
+        a_only = int((weights[:, 1] == 0).sum())
+        self.tasks = []
+        for t, lanes in ((0, slice(b_only, k)), (1, slice(0, k - a_only))):
+            if lanes.start < lanes.stop:
+                grad = np.zeros((lanes.stop - lanes.start, p))
+                w_h, b_h = self.blocks[depth + t]
+                self.tasks.append(_TaskLanes(
+                    t, lanes, weights[lanes, t:t + 1], grad, _block_views(grad, self.spec),
+                    w_h[lanes], b_h[lanes], w_h[lanes].swapaxes(1, 2),
+                    [w[lanes].swapaxes(1, 2) for w, _ in self.blocks[:depth]]))
+
+    def keep(self, alive: np.ndarray) -> None:
+        """Drop the members where `alive` is False; the others keep their
+        parameters and momentum."""
+        mask = None if self.mask is None else self.mask[alive]
+        self._bind(self.values[alive], self.weights[alive], mask, self.members[alive],
+                   self.velocity[alive])
+
+    def step(self, features, label_sets: tuple, sample_weight, rows) -> tuple:
+        """Loss of every member on the minibatch `rows`, (K,), and its
+        gradient 0 + w_A g_A + w_B g_B, (K, P).
+
+        The trunk forward pass runs once for both tasks; each task's
+        backward pass runs only over the members with a positive weight on
+        it. Stacked matmuls make the same BLAS call on every member's slice,
+        and every other operation is elementwise or a reduction in the same
+        order, so each member's numbers are bit-identical to a stack of one.
+        That rests on each slice keeping the memory layout of a lone
+        network's array: BLAS results can change with operand strides.
+        """
+        spec = self.spec
+        depth = spec.depth
+        x = features[rows]
+        sw = None if sample_weight is None else sample_weight[rows]
+        n = x.shape[0]
+        derivs = []
+        acts = _trunk_forward(self.blocks[:depth], x, spec.activation, derivs)
+        loss = np.zeros(self.values.shape[0])
+        grad = np.zeros_like(self.values)
+        for t, lanes, w_t, g_t, g_blocks, w_h, b_h, w_h_t, w_trunk_t in self.tasks:
+            top = acts[-1][lanes]
+            u = top @ w_h
+            u += b_h
+            if self.offsets[t] is not None:
+                u += self.offsets[t]
+            z = label_sets[t][rows]
+            e = np.abs(u)
+            np.exp(np.negative(e, out=e), out=e)
+            terms = _bce_terms(u, z, e)
+            ds = _sigmoid(u, e)
+            ds -= z
+            ds /= n
+            if sw is not None:
+                terms *= sw[:, None]
+                ds *= sw[:, None]
+            loss[lanes] += w_t[:, 0] * (np.add.reduce(terms.reshape(len(w_t), -1), axis=1) / n)
+            g_w, g_b = g_blocks[depth + t]
+            np.matmul(top.swapaxes(1, 2), ds, out=g_w)
+            _sum_batch(ds, g_b)
+            dh = ds @ w_h_t
+            for layer in range(depth - 1, -1, -1):
+                da = dh
+                da *= derivs[layer][lanes]
+                a = x if layer == 0 else acts[layer][lanes]
+                g_w, g_b = g_blocks[layer]
+                np.matmul(a.swapaxes(-1, -2), da, out=g_w)
+                _sum_batch(da, g_b)
+                if layer:
+                    dh = da @ w_trunk_t[layer]
+            grad[lanes] += w_t * g_t
+        return loss, grad
 
 
 def bce_loss_grad(
@@ -339,69 +557,115 @@ def bce_loss_grad(
     loss = -(1/n) sum_i sum_k [z_ik log s(u_ik) + (1 - z_ik) log(1 - s(u_ik))]
     with u = logits + offsets (per-class additive offsets, e.g. log priors).
     The returned gradient is a full ParamVector; blocks of the unused head
-    are exactly zero.
+    are exactly zero. This is one training step over a stack of one.
     """
     _check_params(params, spec)
-    z = batch.labels(task)
-    trunk, heads, pres, acts, logits = _forward_cache(params, spec, batch.features, task)
-    if z.shape != logits.shape:
-        raise StructuralError(f"labels {z.shape} do not match logits {logits.shape}")
-    if offsets is not None:
-        offsets = np.asarray(offsets, dtype=np.float64)
-        if offsets.shape != (logits.shape[1],):
-            raise StructuralError("offsets must provide one real per branch class")
+    t = _task_index(task)
+    offs = [None, None]
+    offs[t] = offsets
+    weights = np.zeros((1, 2))
+    weights[0, t] = 1.0
+    stack = _Stack(spec, params.values[None, :], weights, _check_inputs(spec, batch, (t,), offs))
+    loss, grad = stack.step(batch.features, (batch.z_a, batch.z_b), batch.sample_weight, slice(None))
+    return float(loss[0]), ParamVector(grad[0], params.block_index)
+
+
+def train_stack(
+    starts: list,
+    spec: ModelSpec,
+    batch: Batch,
+    task_weights: list,
+    opt: OptConfig,
+    trainable: list | None = None,
+    offsets: tuple = (None, None),
+) -> list:
+    """SGD with momentum on w_a * BCE_A + w_b * BCE_B for a stack of networks.
+
+    The members share the batch and the optimizer settings, so also the
+    seeded per-epoch minibatch order; each has its own start parameters,
+    task weights and trainable blocks (`trainable` gives one entry per
+    member: block names, a predicate on names, or None for every block).
+    Every sample contributes to both task terms (all-zero label rows just
+    drop the positive part). A member with zero weight on a task never
+    reads that task's labels or head, and parameters outside its trainable
+    blocks stay bit-for-bit untouched. Each member's trajectory is
+    bit-identical to training it alone.
+
+    Returns one entry per member, in order: its TrainResult, or the
+    TrainingDivergenceError of the epoch where its loss went non-finite.
+    A diverged member stops updating; the others are unaffected.
+    """
+    k = len(starts)
+    if k == 0:
+        raise ConfigError("need at least one network to train")
+    if len(task_weights) != k:
+        raise ConfigError("need one task-weight pair per network")
+    trainable = [None] * k if trainable is None else list(trainable)
+    if len(trainable) != k:
+        raise ConfigError("need one trainable entry per network")
+    table = spec.block_table()
+    for params in starts:
+        if params.block_index != table:
+            raise StructuralError("parameter block layout does not match the model spec")
+    weights = np.array([_check_weights(tw) for tw in task_weights])
+    # Lane order: task-B only (0), both tasks (1), task-A only (2).
+    members = np.argsort((weights[:, 0] > 0).astype(int) + (weights[:, 1] == 0), kind="stable")
+    weights = weights[members]
+    offs = _check_inputs(spec, batch, [t for t in (0, 1) if weights[:, t].any()], offsets)
+    masks = [_trainable_mask(spec, table, trainable[m]) for m in members]
+    mask = None
+    if any(m is not None for m in masks):
+        mask = np.stack([np.ones(spec.param_count, dtype=bool) if m is None else m for m in masks])
+    stack = _Stack(spec, np.stack([starts[m].values for m in members]), weights, offs, mask, members)
+
+    results = [None] * k
+    losses = [[] for _ in range(k)]
+
+    def drop_diverged(epoch, loss):
+        """Record and drop the members whose loss is not finite; returns
+        the survivors' mask, or None when every member survived."""
+        alive = np.isfinite(loss)
+        if alive.all():
+            return None
+        for i in np.flatnonzero(~alive):
+            results[stack.members[i]] = TrainingDivergenceError(epoch, float(loss[i]))
+        stack.keep(alive)
+        return alive
+
+    label_sets = (batch.z_a, batch.z_b)
+    rng = np.random.default_rng(opt.seed)
     n = batch.n
-    u = logits if offsets is None else logits + offsets
-
-    rows = bce_losses(logits, z, offsets)
-    if batch.sample_weight is not None:
-        rows = rows * batch.sample_weight
-    loss = float(rows.sum() / n)
-
-    # d loss / d logits; sample weights scale their rows.
-    ds = (_sigmoid(u) - z) / n
-    if batch.sample_weight is not None:
-        ds = ds * batch.sample_weight[:, None]
-
-    grad = np.zeros_like(params.values)
-    gvec = ParamVector(grad, params.block_index)
-    head_name = "head_a" if _task_index(task) == 0 else "head_b"
-    w_h, _ = heads[task]
-    fan_in, fan_out = spec.head_shape(task)
-    gh = gvec.block(head_name)
-    gh[:fan_in * fan_out] = (acts[-1].T @ ds).ravel()
-    gh[fan_in * fan_out:] = ds.sum(axis=0)
-    dh = ds @ w_h.T
-    for layer in range(spec.depth, 0, -1):
-        da = dh * _act_deriv(spec, pres[layer - 1], acts[layer])
-        w, _ = trunk[layer - 1]
-        fi, fo = spec.trunk_shape(layer)
-        gt = gvec.block(f"trunk{layer}")
-        gt[:fi * fo] = (acts[layer - 1].T @ da).ravel()
-        gt[fi * fo:] = da.sum(axis=0)
-        dh = da @ w.T
-    return loss, gvec
-
-
-def _trainable_indices(spec: ModelSpec, table: tuple, trainable) -> np.ndarray | None:
-    """Flat indices covered by the trainable blocks; None means everything."""
-    if trainable is None:
-        return None
-    if callable(trainable):
-        names = {name for name, _, _ in table if trainable(name)}
-    else:
-        names = set(trainable)
-    known = set(spec.block_names())
-    unknown = names - known
-    if unknown:
-        raise StructuralError(f"unknown trainable blocks: {sorted(unknown)}")
-    idx = []
-    for name, offset, length in table:
-        if name in names:
-            idx.append(np.arange(offset, offset + length))
-    if not idx:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(idx)
+    # Overflow on the way to a divergence is reported as that member's
+    # TrainingDivergenceError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(opt.epochs):
+            if not stack.members.size:
+                break
+            order = rng.permutation(n)
+            total = np.zeros(stack.members.size)
+            for start in range(0, n, opt.batch_size):
+                rows = order[start:start + opt.batch_size]
+                loss, grad = stack.step(batch.features, label_sets, batch.sample_weight, rows)
+                alive = drop_diverged(epoch, loss)
+                if alive is not None:
+                    loss, grad, total = loss[alive], grad[alive], total[alive]
+                    if not alive.any():
+                        break
+                stack.velocity = opt.momentum * stack.velocity - opt.learning_rate * grad
+                if stack.mask is None:
+                    stack.values += stack.velocity
+                else:
+                    np.add(stack.values, stack.velocity, out=stack.values, where=stack.mask)
+                total += loss * rows.size
+            epoch_loss = total / n
+            alive = drop_diverged(epoch, epoch_loss)
+            if alive is not None:
+                epoch_loss = epoch_loss[alive]
+            for i, m in enumerate(stack.members):
+                losses[m].append(float(epoch_loss[i]))
+    for i, m in enumerate(stack.members):
+        results[m] = TrainResult(ParamVector(stack.values[i].copy(), table), losses[m])
+    return results
 
 
 def train(
@@ -413,57 +677,12 @@ def train(
     trainable=None,
     offsets: tuple = (None, None),
 ) -> TrainResult:
-    """SGD-with-momentum on w_a * BCE_A + w_b * BCE_B.
-
-    Every sample contributes to both task terms (all-zero label rows just
-    drop the positive part). Only parameters inside `trainable` blocks move;
-    everything else is left bit-for-bit untouched. Mini-batch order is a
-    seeded shuffle per epoch, so a fixed (config, seed) pair reproduces the
-    trained parameters exactly.
+    """SGD-with-momentum on w_a * BCE_A + w_b * BCE_B: train_stack for one
+    network. Mini-batch order is a seeded shuffle per epoch, so a fixed
+    (config, seed) pair reproduces the trained parameters exactly. Raises
+    TrainingDivergenceError when the loss goes non-finite.
     """
-    _check_params(params, spec)
-    w_a, w_b = float(task_weights[0]), float(task_weights[1])
-    if w_a < 0 or w_b < 0:
-        raise ConfigError("task weights must be nonnegative")
-    if w_a == 0 and w_b == 0:
-        raise ConfigError("at least one task weight must be positive")
-    if w_a > 0 and w_b > 0 and abs(w_a + w_b - 1.0) > 1e-12:
-        raise ConfigError("joint training requires w_a + w_b = 1")
-
-    values = params.values.copy()
-    current = ParamVector(values, params.block_index)
-    idx = _trainable_indices(spec, params.block_index, trainable)
-    velocity = np.zeros(values.size if idx is None else idx.size, dtype=np.float64)
-    rng = np.random.default_rng(opt.seed)
-    n = batch.n
-    epoch_losses = []
-    for epoch in range(opt.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, opt.batch_size):
-            rows = order[start:start + opt.batch_size]
-            sub = batch.take(rows)
-            loss = 0.0
-            grad = np.zeros_like(values)
-            if w_a > 0:
-                la, ga = bce_loss_grad(current, spec, sub, "A", offsets[0])
-                loss += w_a * la
-                grad += w_a * ga.values
-            if w_b > 0:
-                lb, gb = bce_loss_grad(current, spec, sub, "B", offsets[1])
-                loss += w_b * lb
-                grad += w_b * gb.values
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(epoch, loss)
-            g = grad if idx is None else grad[idx]
-            velocity = opt.momentum * velocity - opt.learning_rate * g
-            if idx is None:
-                values += velocity
-            else:
-                values[idx] += velocity
-            total += loss * rows.size
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergenceError(epoch, epoch_loss)
-        epoch_losses.append(epoch_loss)
-    return TrainResult(current, epoch_losses)
+    (result,) = train_stack([params], spec, batch, [task_weights], opt, [trainable], offsets)
+    if isinstance(result, TrainingDivergenceError):
+        raise result
+    return result

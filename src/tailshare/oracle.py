@@ -22,11 +22,10 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import ConfigError, TrainingDivergenceError
 from .datagen import MixtureGenerator, sample_iid, split_classes
-from .infotheory import taskwise_risk
+from .infotheory import _risk_targets, _taskwise_risk
 from .pipeline import (
     RunConfig,
     assemble,
@@ -35,7 +34,7 @@ from .pipeline import (
     refine_decoders,
     select_structure,
     stage1,
-    stage2,
+    stage2_stack,
 )
 
 _RESAMPLE_SEED_OFFSET = 1000
@@ -53,7 +52,9 @@ def spearman(x, y) -> float | None:
         raise ConfigError("rank correlation needs equally long vectors")
     if x.size < 2 or np.unique(x).size < 2 or np.unique(y).size < 2:
         return None
-    return float(_scipy_stats.spearmanr(x, y).statistic)
+    # Imported here: scipy.stats dominates the package's import time.
+    from scipy import stats
+    return float(stats.spearmanr(x, y).statistic)
 
 
 def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
@@ -69,13 +70,15 @@ def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
 
 
 def _run_resample(args) -> tuple:
-    """One resample: fresh data, shared Stage 1, per-w Stage 2, per-c assembly.
+    """One resample: fresh data, shared Stage 1, all Stage-2 weights as one
+    stack, per-c assembly.
 
-    Returns (m, risks[nc, nw], acc[nc, nw, 3]); failed cells are NaN.
-    With refine=True each assembled model gets the decoder-only fine-tune
-    before being measured.
+    Returns (m, risks[nc, nw], acc[nc, nw, 3], stage1); failed cells are
+    NaN. stage1 is resample 0's Stage1Result, or its TrainingDivergenceError,
+    and None for the other resamples. With refine=True each assembled model
+    gets the decoder-only fine-tune before being measured.
     """
-    (gen, run_cfg, split, priors, eval_points, bal_features, bal_labels,
+    (gen, run_cfg, split, priors, eval_points, targets, bal_features, bal_labels,
      c_values, w_values, n_train, seed, m, restrict, refine) = args
     nc, nw = len(c_values), len(w_values)
     risks = np.full((nc, nw), np.nan)
@@ -85,12 +88,10 @@ def _run_resample(args) -> tuple:
     cfg_m = _per_resample_config(run_cfg, m)
     try:
         s1 = stage1(cfg_m, td)
-    except TrainingDivergenceError:
-        return m, risks, accs
-    for wi, w in enumerate(w_values):
-        try:
-            s2 = stage2(cfg_m, td, w, s1)
-        except TrainingDivergenceError:
+    except TrainingDivergenceError as err:
+        return m, risks, accs, err if m == 0 else None
+    for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values, s1)):
+        if isinstance(s2, TrainingDivergenceError):
             continue
         for ci, c in enumerate(c_values):
             model = assemble(run_cfg.spec, c, s2.params, s1, split, priors)
@@ -100,11 +101,11 @@ def _run_resample(args) -> tuple:
                                             cfg_m.tau, cfg_m.logit_adjust)
                 except TrainingDivergenceError:
                     continue
-            risks[ci, wi] = taskwise_risk(gen, split, model.branch_logits, eval_points, restrict)
+            risks[ci, wi] = _taskwise_risk(targets, model.branch_logits(eval_points), restrict)
             if bal_features is not None:
                 rep = evaluate(model, bal_features, bal_labels)
                 accs[ci, wi] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
-    return m, risks, accs
+    return m, risks, accs, s1 if m == 0 else None
 
 
 def _collect_resamples(
@@ -112,8 +113,15 @@ def _collect_resamples(
     c_values, w_values, m_resamples, n_train, seed, restrict, jobs,
     refine: bool = False,
 ) -> tuple:
+    """Run every resample; returns (risks[M, nc, nw], accs[M, nc, nw, 3],
+    resample 0's Stage1Result or TrainingDivergenceError). The true
+    posterior at the evaluation points, and the risk targets built from
+    it, are computed once for the study."""
+    if m_resamples < 1:
+        raise ConfigError(f"m_resamples must be >= 1, got {m_resamples}")
+    targets = _risk_targets(gen.posterior(eval_points), split)
     tasks = [
-        (gen, run_cfg, split, priors, eval_points, bal_features, bal_labels,
+        (gen, run_cfg, split, priors, eval_points, targets, bal_features, bal_labels,
          c_values, w_values, n_train, seed, m, restrict, refine)
         for m in range(m_resamples)
     ]
@@ -125,15 +133,25 @@ def _collect_resamples(
     results.sort(key=lambda r: r[0])
     risks = np.stack([r[1] for r in results])     # (M, nc, nw)
     accs = np.stack([r[2] for r in results])      # (M, nc, nw, 3)
-    return risks, accs
+    return risks, accs, results[0][3]
 
 
 def _mean_stderr(values: np.ndarray, axis: int = 0) -> tuple:
+    """Mean and standard error of the finite values along `axis`; NaN where
+    fewer than one (mean) or two (stderr) values are finite. Slices without
+    enough values are filled with zeros before the reductions and masked
+    after, so numpy never sees an empty slice or a non-positive degree of
+    freedom."""
     ok = np.isfinite(values)
     n_ok = ok.sum(axis=axis)
-    with np.errstate(invalid="ignore"):
-        mean = np.where(n_ok > 0, np.nanmean(np.where(ok, values, np.nan), axis=axis), np.nan)
-        std = np.where(n_ok > 1, np.nanstd(np.where(ok, values, np.nan), axis=axis, ddof=1), np.nan)
+    spread = np.expand_dims(n_ok, axis)
+    finite = np.where(ok, values, np.nan)
+    mean = np.full(n_ok.shape, np.nan)
+    stderr = np.full(n_ok.shape, np.nan)
+    if values.shape[axis] > 0:
+        mean = np.where(n_ok > 0, np.nanmean(np.where(spread > 0, finite, 0.0), axis=axis), np.nan)
+    if values.shape[axis] > 1:
+        std = np.nanstd(np.where(spread > 1, finite, 0.0), axis=axis, ddof=1)
         stderr = np.where(n_ok > 1, std / np.sqrt(np.maximum(n_ok, 1)), np.nan)
     return mean, stderr, n_ok
 
@@ -171,7 +189,7 @@ def mc_gen_error(
     rng = np.random.default_rng(seed)
     eval_points = gen.sample_features(n_eval, rng)
     split = split_classes(gen.priors)
-    risks, _ = _collect_resamples(
+    risks, _, _ = _collect_resamples(
         gen, run_cfg, split, gen.priors, eval_points, None, None,
         (c,), (w_a,), m_resamples, n_train, seed, restrict, jobs,
     )
@@ -266,8 +284,8 @@ def grid_compare(
     restrict: bool = True,
     jobs: int = 1,
 ) -> OracleReport:
-    """Fill the oracle grid by resampling, recompute the proxy grid from one
-    representative Stage-1 run, and report Spearman rank agreement.
+    """Fill the oracle grid by resampling, compute the proxy grid from the
+    first resample's Stage-1 run, and report Spearman rank agreement.
 
     Cells with under 80% successful resamples are excluded from the
     correlation and from the oracle argmin.
@@ -279,17 +297,16 @@ def grid_compare(
     rng = np.random.default_rng(seed)
     eval_points = gen.sample_features(n_eval, rng)
     split = split_classes(gen.priors)
-    risks, _ = _collect_resamples(
+    risks, _, first_s1 = _collect_resamples(
         gen, run_cfg, split, gen.priors, eval_points, None, None,
         c_values, w_values, m_resamples, n_train, seed, restrict, jobs,
     )
     risk_mean, risk_stderr, n_ok = _mean_stderr(risks)
 
-    # Proxy grid from the first resample's Stage-1 statistics.
-    rep_dataset = sample_iid(gen, n_train, seed + _RESAMPLE_SEED_OFFSET)
-    rep_td = build_task_data(rep_dataset, split, gen.priors)
-    rep_s1 = stage1(_per_resample_config(run_cfg, 0), rep_td)
-    grid = select_structure(rep_s1, n_train, run_cfg.spec, c_values, w_values)
+    # Proxy grid from the first resample's own Stage-1 statistics.
+    if isinstance(first_s1, TrainingDivergenceError):
+        raise first_s1
+    grid = select_structure(first_s1, n_train, run_cfg.spec, c_values, w_values)
     proxy_total = np.array(
         [[grid.cell(c, w).total for w in w_values] for c in c_values], dtype=np.float64
     )
@@ -408,7 +425,7 @@ def weight_sweep(
     bal_labels = np.zeros((k * eval_per_class, k))
     bal_labels[np.arange(k * eval_per_class), np.repeat(np.arange(k), eval_per_class)] = 1.0
     split = split_classes(gen.priors)
-    risks, accs = _collect_resamples(
+    risks, accs, _ = _collect_resamples(
         gen, run_cfg, split, gen.priors, eval_points, bal_features, bal_labels,
         (c,), w_values, m_resamples, n_train, seed, restrict, jobs, refine,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError, TrainingDivergenceError
 from .datagen import LongTailDataset, TaskSplit, project_labels, split_classes
 from .nn import (
     Batch,
@@ -27,7 +27,7 @@ from .nn import (
     bce_losses,
     forward,
     init_params,
-    train,
+    train_stack,
 )
 from .proxy import DiagFisher, GridSearchResult, encoder_mismatch, estimate_diag_fisher, grid_search
 
@@ -126,18 +126,25 @@ class Stage1Result:
     losses_b: list
 
 
+def _all_trained(results: list) -> list:
+    """The members' TrainResults, or the first member's divergence raised."""
+    for res in results:
+        if isinstance(res, TrainingDivergenceError):
+            raise res
+    return results
+
+
 def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
     """Train each task independently from the shared init seed, then
     estimate the diagonal Fisher at each task's trained parameters.
 
-    Task-A training never reads z_b and vice versa (a zero task weight
-    skips the other branch entirely).
+    Both tasks train as one stack of two. Task-A training never reads z_b
+    and vice versa (a zero task weight skips the other branch entirely).
     """
     init = init_params(cfg.spec, cfg.init_seed)
     offs = _offsets_for(cfg, td)
-    batch = td.batch()
-    res_a = train(init, cfg.spec, batch, (1.0, 0.0), cfg.stage1_opt, offsets=offs)
-    res_b = train(init, cfg.spec, batch, (0.0, 1.0), cfg.stage1_opt, offsets=offs)
+    res_a, res_b = _all_trained(train_stack(
+        [init, init], cfg.spec, td.batch(), [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=offs))
     fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
     fisher_b = estimate_diag_fisher(res_b.params, cfg.spec, td.features, td.z_b, "B", offsets=offs[1])
     return Stage1Result(res_a.params, res_b.params, fisher_a, fisher_b,
@@ -156,14 +163,18 @@ def select_structure(
     return grid_search(s1.fisher_a, s1.fisher_b, mismatch, n_train, spec, c_values, w_values)
 
 
-def stage2(cfg: RunConfig, td: TaskData, w_a: float, s1: Stage1Result | None = None) -> TrainResult:
-    """Weighted joint training of the full two-head network.
+def stage2_stack(cfg: RunConfig, td: TaskData, w_values, s1: Stage1Result | None = None) -> list:
+    """Weighted joint training of the full two-head network at every head
+    weight in `w_values`, as one stack.
 
     Starts fresh from the shared init seed by default; with
     warm_start_stage2 the trunk and task-A head come from the Stage-1
-    task-A solution and the task-B head from the task-B solution.
+    task-A solution and the task-B head from the task-B solution. Returns
+    one TrainResult per weight, or the TrainingDivergenceError of a weight
+    whose run diverged.
     """
-    if not 0.0 <= w_a <= 1.0:
+    w_values = [float(w) for w in w_values]
+    if not all(0.0 <= w <= 1.0 for w in w_values):
         raise ConfigError("w_a must lie in [0, 1]")
     if cfg.warm_start_stage2:
         if s1 is None:
@@ -173,7 +184,14 @@ def stage2(cfg: RunConfig, td: TaskData, w_a: float, s1: Stage1Result | None = N
     else:
         start = init_params(cfg.spec, cfg.init_seed)
     offs = _offsets_for(cfg, td)
-    return train(start, cfg.spec, td.batch(), (w_a, 1.0 - w_a), cfg.stage2_opt, offsets=offs)
+    return train_stack([start] * len(w_values), cfg.spec, td.batch(),
+                       [(w, 1.0 - w) for w in w_values], cfg.stage2_opt, offsets=offs)
+
+
+def stage2(cfg: RunConfig, td: TaskData, w_a: float, s1: Stage1Result | None = None) -> TrainResult:
+    """stage2_stack at one head weight; raises TrainingDivergenceError."""
+    (res,) = _all_trained(stage2_stack(cfg, td, (w_a,), s1))
+    return res
 
 
 @dataclass
@@ -259,14 +277,16 @@ def refine_decoders(
     logit_adjust: bool = True,
 ) -> AssembledModel:
     """Fine-tune each branch's decoder blocks on its own task with the
-    shared encoder frozen (bitwise unchanged)."""
+    shared encoder frozen (bitwise unchanged); both branches train as one
+    stack of two."""
     offs = task_offsets(td.priors, tau, td.split) if logit_adjust else (None, None)
     batch = td.batch()
     spec = model.spec
     dec_a = spec.decoder_block_names(model.c, "A")
     dec_b = spec.decoder_block_names(model.c, "B")
-    res_a = train(model.branch_a, spec, batch, (1.0, 0.0), opt, trainable=dec_a, offsets=offs)
-    res_b = train(model.branch_b, spec, batch, (0.0, 1.0), opt, trainable=dec_b, offsets=offs)
+    res_a, res_b = _all_trained(train_stack(
+        [model.branch_a, model.branch_b], spec, batch, [(1.0, 0.0), (0.0, 1.0)], opt,
+        trainable=[dec_a, dec_b], offsets=offs))
     return AssembledModel(spec, model.c, model.split, model.priors, res_a.params, res_b.params)
 
 

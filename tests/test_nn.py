@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tailshare.errors import ConfigError, StructuralError, TrainingDivergenceError
 from tailshare.nn import (
@@ -10,6 +11,7 @@ from tailshare.nn import (
     forward,
     init_params,
     train,
+    train_stack,
 )
 
 
@@ -315,3 +317,184 @@ class TestTrain:
                     OptConfig(0.1, epochs=0, batch_size=80, seed=0))
         assert np.array_equal(res.params.values, start.values)
         assert res.params.values is not start.values
+
+
+def _reference_loss_grad(values, spec, x, z, task, offsets, sw):
+    """One task's mean BCE and gradient for one network in plain 2-D numpy,
+    with the masked two-branch sigmoid and the logaddexp loss."""
+    blocks = {}
+    for name, off, length in spec.block_table():
+        fi, fo = spec.block_shape(name)
+        blocks[name] = (values[off:off + fi * fo].reshape(fi, fo), values[off + fi * fo:off + length],
+                        off, fi * fo, length)
+    acts, pres = [x], []
+    for layer in range(1, spec.depth + 1):
+        w, b = blocks[f"trunk{layer}"][:2]
+        pre = acts[-1] @ w + b
+        pres.append(pre)
+        acts.append(np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre))
+    head = ("head_a", "head_b")[task]
+    u = acts[-1] @ blocks[head][0] + blocks[head][1]
+    if offsets is not None:
+        u = u + offsets
+    n = x.shape[0]
+    rows = (z * np.logaddexp(0.0, -u) + (1.0 - z) * np.logaddexp(0.0, u)).sum(axis=1)
+    sig = np.empty_like(u)
+    pos = u >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    neg = np.exp(u[~pos])
+    sig[~pos] = neg / (1.0 + neg)
+    ds = (sig - z) / n
+    if sw is not None:
+        rows = rows * sw
+        ds = ds * sw[:, None]
+    grad = np.zeros_like(values)
+    names = [f"trunk{i}" for i in range(1, spec.depth + 1)] + [head]
+    delta = ds
+    for i in range(len(names) - 1, -1, -1):
+        w, _, off, nw, length = blocks[names[i]]
+        grad[off:off + nw] = (acts[i].T @ delta).ravel()
+        grad[off + nw:off + length] = delta.sum(axis=0)
+        if i:
+            act_deriv = (pres[i - 1] > 0.0).astype(float) if spec.activation == "relu" \
+                else 1.0 - acts[i] * acts[i]
+            delta = (delta @ w.T) * act_deriv
+    return float(rows.sum() / n), grad
+
+
+def _reference_train(params, spec, batch, task_weights, opt, trainable, offsets):
+    """The per-network SGD-with-momentum loop, one task at a time."""
+    values = params.values.copy()
+    mask = np.ones(values.size, dtype=bool)
+    if trainable is not None:
+        mask[:] = False
+        for name, off, length in spec.block_table():
+            mask[off:off + length] = name in trainable
+    velocity = np.zeros(int(mask.sum()))
+    rng = np.random.default_rng(opt.seed)
+    losses = []
+    for _ in range(opt.epochs):
+        order = rng.permutation(batch.n)
+        total = 0.0
+        for start in range(0, batch.n, opt.batch_size):
+            rows = order[start:start + opt.batch_size]
+            sw = None if batch.sample_weight is None else batch.sample_weight[rows]
+            loss, grad = 0.0, np.zeros_like(values)
+            for t, (w, z) in enumerate(zip(task_weights, (batch.z_a, batch.z_b))):
+                if w > 0:
+                    lt, gt = _reference_loss_grad(values, spec, batch.features[rows], z[rows], t,
+                                                  offsets[t], sw)
+                    loss += w * lt
+                    grad += w * gt
+            velocity = opt.momentum * velocity - opt.learning_rate * grad[mask]
+            values[mask] += velocity
+            total += loss * rows.size
+        losses.append(total / batch.n)
+    return values, losses
+
+
+def _stack_case(data):
+    """A random spec, batch and stack of members for the engine property."""
+    activation = data.draw(st.sampled_from(["relu", "tanh"]))
+    spec = ModelSpec(data.draw(st.integers(1, 4)),
+                     tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))),
+                     (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))),
+                     activation=activation)
+    seed = data.draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(3, 40))
+    batch = random_batch(rng, n, spec)
+    if data.draw(st.booleans()):
+        batch = Batch(batch.features, batch.z_a, batch.z_b, sample_weight=rng.uniform(0.2, 2.0, n))
+    offsets = tuple(rng.normal(size=d) if data.draw(st.booleans()) else None for d in spec.head_dims)
+    opt = OptConfig(data.draw(st.sampled_from([0.05, 0.3, 1.0])), epochs=data.draw(st.integers(1, 3)),
+                    batch_size=data.draw(st.integers(1, n + 2)), seed=seed)
+    k = data.draw(st.integers(1, 5))
+    weights = [data.draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.7), (0.9, 0.1)]))
+               for _ in range(k)]
+    names = spec.block_names()
+    trainable = [data.draw(st.one_of(st.none(), st.sets(st.sampled_from(names)).map(tuple)))
+                 for _ in range(k)]
+    starts = [init_params(spec, seed + i) for i in range(k)]
+    return spec, batch, offsets, opt, weights, trainable, starts
+
+
+class TestTrainStack:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_members_equal_solo_and_reference_runs_bitwise(self, data):
+        spec, batch, offsets, opt, weights, trainable, starts = _stack_case(data)
+        stacked = train_stack(starts, spec, batch, weights, opt, trainable, offsets)
+        for start, w, names, got in zip(starts, weights, trainable, stacked):
+            solo = train(start, spec, batch, w, opt, names, offsets)
+            assert got.params.values.tobytes() == solo.params.values.tobytes()
+            assert got.epoch_losses == solo.epoch_losses
+            # ... and to the plain per-network loop; only the loss formula
+            # differs from it, in the last bits.
+            ref_values, ref_losses = _reference_train(start, spec, batch, w, opt, names, offsets)
+            assert got.params.values.tobytes() == ref_values.tobytes()
+            assert np.allclose(got.epoch_losses, ref_losses, rtol=1e-12, atol=0.0)
+            frozen = [b for b in spec.block_names() if names is not None and b not in names]
+            for block in frozen:
+                assert got.params.block(block).tobytes() == start.block(block).tobytes()
+
+        # A member with zero weight on a task never reads that task's labels:
+        # reversing that task's label columns changes nothing for it.
+        for t in (0, 1):
+            z = [batch.z_a, batch.z_b]
+            z[t] = z[t][:, ::-1]
+            swapped = Batch(batch.features, z[0], z[1], batch.sample_weight)
+            again = train_stack(starts, spec, swapped, weights, opt, trainable, offsets)
+            for w, before, after in zip(weights, stacked, again):
+                if w[t] == 0.0:
+                    assert before.params.values.tobytes() == after.params.values.tobytes()
+                    assert before.epoch_losses == after.epoch_losses
+
+    def test_divergence_stays_with_its_member(self):
+        spec = ModelSpec(2, (6,), (1, 1), activation="relu")
+        batch = TestTrain().separable_batch()
+        opt = OptConfig(1e4, epochs=40, batch_size=16, seed=0)
+        starts = [init_params(spec, 1), init_params(spec, 2), init_params(spec, 3)]
+        weights = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
+        # Head-only training keeps its logits linear in the step count, so
+        # only the fully trainable member blows up.
+        trainable = [None, ("head_b",), ("head_a", "head_b")]
+        out = train_stack(starts, spec, batch, weights, opt, trainable)
+        assert isinstance(out[0], TrainingDivergenceError)
+        with pytest.raises(TrainingDivergenceError) as solo_err:
+            train(starts[0], spec, batch, weights[0], opt, trainable[0])
+        assert out[0].epoch == solo_err.value.epoch > 0
+        assert repr(out[0].loss) == repr(solo_err.value.loss)
+        for i in (1, 2):
+            solo = train(starts[i], spec, batch, weights[i], opt, trainable[i])
+            assert out[i].params.values.tobytes() == solo.params.values.tobytes()
+            assert out[i].epoch_losses == solo.epoch_losses
+
+    def test_bce_loss_grad_is_one_engine_step(self):
+        spec = small_spec("relu")
+        params = init_params(spec, 3)
+        batch = random_batch(np.random.default_rng(8), 7, spec)
+        opt = OptConfig(0.1, momentum=0.0, epochs=1, batch_size=7, seed=4)
+        one = train(params, spec, batch, (0.0, 1.0), opt)
+        # One full-batch step sees the rows in the epoch's shuffled order.
+        order = np.random.default_rng(opt.seed).permutation(7)
+        shuffled = Batch(batch.features[order], batch.z_a[order], batch.z_b[order])
+        loss, grad = bce_loss_grad(params, spec, shuffled, "B")
+        assert np.array_equal(one.params.values, params.values - 0.1 * grad.values)
+        assert one.epoch_losses == [loss]
+
+    def test_validation(self):
+        spec = small_spec()
+        batch = random_batch(np.random.default_rng(9), 5, spec)
+        opt = OptConfig(0.1, epochs=1)
+        start = init_params(spec, 0)
+        with pytest.raises(ConfigError):
+            train_stack([], spec, batch, [], opt)
+        with pytest.raises(ConfigError):
+            train_stack([start], spec, batch, [(1.0, 0.0), (0.0, 1.0)], opt)
+        with pytest.raises(ConfigError):
+            train_stack([start], spec, batch, [(1.0, 0.0)], opt, trainable=[None, None])
+        with pytest.raises(StructuralError):
+            train_stack([start], spec, batch, [(1.0, 0.0)], opt, trainable=[("trunk9",)])
+        with pytest.raises(StructuralError):
+            train_stack([start], spec, batch, [(1.0, 0.0)], opt, offsets=(np.zeros(5), None))

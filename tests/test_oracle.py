@@ -1,11 +1,20 @@
+from dataclasses import replace
+import os
+from pathlib import Path
+import pickle
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from tailshare.errors import ConfigError
+from tailshare.errors import ConfigError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, build_generator
 from tailshare.nn import ModelSpec, OptConfig
 from tailshare.oracle import (
     OracleReport,
+    _mean_stderr,
     bernoulli_logit_anchor,
     grid_compare,
     mc_gen_error,
@@ -178,3 +187,102 @@ class TestWeightSweep:
         assert payload["c"] == 1
         assert payload["w_values"] == [0.3, 0.7]
         assert len(payload["overall_mean"]) == 2
+
+
+class TestResampleEngine:
+    """grid_compare against a rebuild through the public stage functions,
+    following the documented resample seed layout."""
+
+    C_VALUES = (0, 1, 2)
+    W_VALUES = (0.0, 0.5, 1.0)
+
+    def test_cells_match_public_rebuild(self, monkeypatch):
+        import tailshare.oracle as oracle_mod
+        from tailshare.datagen import MixtureGenerator, sample_iid, split_classes
+        from tailshare.infotheory import taskwise_risk
+        from tailshare.pipeline import assemble, build_task_data, select_structure, stage1, stage2
+
+        counts = {"stage1": 0, "posterior": 0}
+        real_stage1, real_posterior = oracle_mod.stage1, MixtureGenerator.posterior
+
+        def counted_stage1(*args, **kwargs):
+            counts["stage1"] += 1
+            return real_stage1(*args, **kwargs)
+
+        def counted_posterior(self, *args, **kwargs):
+            counts["posterior"] += 1
+            return real_posterior(self, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "stage1", counted_stage1)
+        monkeypatch.setattr(MixtureGenerator, "posterior", counted_posterior)
+        cfg = run_config()
+        rep = grid_compare(GEN, cfg, self.C_VALUES, self.W_VALUES, m_resamples=2,
+                           n_train=300, seed=3, n_eval=300)
+        assert counts == {"stage1": 2, "posterior": 1}
+        monkeypatch.undo()
+
+        eval_points = GEN.sample_features(300, np.random.default_rng(3))
+        split = split_classes(GEN.priors)
+        risks = np.zeros((2, 3, 3))
+        first_s1 = None
+        for m in range(2):
+            td = build_task_data(sample_iid(GEN, 300, 3 + 1000 + m), split, GEN.priors)
+            cfg_m = replace(cfg, stage1_opt=replace(cfg.stage1_opt, seed=cfg.stage1_opt.seed + m),
+                            stage2_opt=replace(cfg.stage2_opt, seed=cfg.stage2_opt.seed + m))
+            s1 = stage1(cfg_m, td)
+            first_s1 = first_s1 or s1
+            for wi, w in enumerate(self.W_VALUES):
+                s2 = stage2(cfg_m, td, w, s1)
+                for ci, c in enumerate(self.C_VALUES):
+                    model = assemble(SPEC, c, s2.params, s1, split, GEN.priors)
+                    risks[m, ci, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
+        assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
+        grid = select_structure(first_s1, 300, SPEC, self.C_VALUES, self.W_VALUES)
+        want = [[grid.cell(c, w).total for w in self.W_VALUES] for c in self.C_VALUES]
+        assert np.array_equal(rep.proxy_total, np.array(want))
+        assert rep.proxy_best == (grid.c_star, grid.w_star)
+
+    def test_single_resample_emits_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = grid_compare(GEN, run_config(), (0, 1), (0.5,), m_resamples=1,
+                               n_train=300, seed=0, n_eval=200)
+        assert np.all(np.isfinite(rep.risk_mean))
+        assert np.all(np.isnan(rep.risk_stderr))
+        assert np.all(rep.n_ok == 1)
+
+    def test_mean_stderr_of_empty_and_single_cells(self):
+        values = np.array([[np.nan, 1.0, 2.0], [np.nan, np.nan, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr, n_ok = _mean_stderr(values)
+        assert np.isnan(mean[0]) and mean[1] == 1.0 and mean[2] == 3.0
+        assert np.isnan(stderr[0]) and np.isnan(stderr[1]) and stderr[2] == 1.0
+        assert n_ok.tolist() == [0, 1, 2]
+
+    def test_zero_resamples_rejected(self):
+        with pytest.raises(ConfigError, match="m_resamples"):
+            grid_compare(GEN, run_config(), (0,), (0.5,), m_resamples=0, n_train=300, n_eval=100)
+        with pytest.raises(ConfigError, match="m_resamples"):
+            weight_sweep(GEN, run_config(), 1, (0.5,), m_resamples=0, n_train=300, n_eval=100,
+                         eval_per_class=5)
+
+    def test_stage1_divergence_of_first_resample_raises(self):
+        bad = replace(run_config(), spec=ModelSpec(4, (8, 8), (3, 3), activation="relu"),
+                      stage1_opt=OptConfig(1e100, epochs=3, batch_size=64, seed=1))
+        with pytest.raises(TrainingDivergenceError):
+            grid_compare(GEN, bad, (0, 1), (0.5,), m_resamples=2, n_train=300, n_eval=100)
+
+    def test_divergence_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(TrainingDivergenceError(3, float("inf"))))
+        assert (err.epoch, err.loss) == (3, float("inf"))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import tailshare
+    src = str(Path(tailshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tailshare.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
