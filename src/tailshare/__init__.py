@@ -20,7 +20,6 @@ from .datagen import (
     sample_iid,
     save_csv,
     split_classes,
-    true_posterior,
 )
 from .errors import (
     ConfigError,

@@ -21,7 +21,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import datagen, infotheory, oracle, pipeline, presets, store
+from . import datagen, infotheory, oracle, pipeline, presets, proxy, store
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -31,7 +31,7 @@ from .errors import (
     SupportError,
     TrainingDivergenceError,
 )
-from .nn import ModelSpec, OptConfig
+from .nn import ModelSpec, OptConfig, TrainResult
 
 _EXIT_CODES = (
     ((ConfigError, DomainError, StructuralError, SupportError), 2, "config"),
@@ -59,6 +59,9 @@ _DEFAULTS = presets.toy_config_dict()
 
 
 def _load_config(config_path, **overrides) -> dict:
+    """The defaults, then the JSON file, then the flag overrides (dotted
+    keys reach into sections); writes the resolved snapshot into the run
+    directory."""
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
     if config_path:
         path = Path(config_path)
@@ -86,6 +89,7 @@ def _load_config(config_path, **overrides) -> dict:
         for part in parts[:-1]:
             node = node[part]
         node[parts[-1]] = value
+    store.write_config_snapshot(cfg["out"], cfg)
     return cfg
 
 
@@ -140,10 +144,6 @@ def _run_config(cfg: dict, n_classes: int, input_dim: int, refine: bool) -> pipe
     )
 
 
-def _snapshot(cfg: dict) -> Path:
-    return store.write_config_snapshot(cfg["out"], cfg)
-
-
 def _load_dataset(cfg: dict, data: str | None) -> datagen.LongTailDataset:
     if data:
         return datagen.load_csv(data)
@@ -158,6 +158,67 @@ def _parse_grid(text: str | None, cast):
         return tuple(cast(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
+
+
+def _write_dataset(cfg: dict) -> tuple:
+    """Generate the dataset; write its CSV and generator sidecar."""
+    dataset = datagen.generate(_gen_config(cfg))
+    path = store.next_version_path(cfg["out"], "dataset", ".csv")
+    datagen.save_csv(dataset, path)
+    return dataset, path
+
+
+def _write_stage1(cfg: dict, spec: ModelSpec, td: pipeline.TaskData, s1: pipeline.Stage1Result) -> Path:
+    path = store.next_version_path(cfg["out"], "stage1", ".bin")
+    store.save_stage1(path, spec, s1, td.split, td.priors, {"n_train": td.n})
+    return path
+
+
+def _write_search(cfg: dict, grid: proxy.GridSearchResult) -> Path:
+    """The proxy grid CSV and the selection JSON; returns the CSV path.
+    The selection holds no wall-clock value, so reruns match byte for byte."""
+    csv_path = store.next_version_path(cfg["out"], "proxy_grid", ".csv")
+    grid.to_csv(csv_path)
+    store.next_version_path(cfg["out"], "selection", ".json").write_text(json.dumps({
+        "format": "tailshare-selection-v1",
+        "c_star": grid.c_star,
+        "w_star": grid.w_star,
+        "c_values": list(grid.c_values),
+        "w_values": list(grid.w_values),
+    }, sort_keys=True, indent=1))
+    return csv_path
+
+
+def _write_stage2(cfg: dict, spec: ModelSpec, res: TrainResult, c_star: int, w_star: float) -> Path:
+    path = store.next_version_path(cfg["out"], "stage2", ".bin")
+    store.save_params(path, spec, res.params,
+                      {"w_star": w_star, "c_star": c_star, "final_loss": res.epoch_losses[-1]})
+    return path
+
+
+def _write_model(cfg: dict, model: pipeline.AssembledModel, refined: bool, w_star) -> Path:
+    path = store.next_version_path(cfg["out"], "model", ".bin")
+    store.save_model(path, model, {"refined": refined, "w_star": w_star})
+    return path
+
+
+def _write_metrics(cfg: dict, model: pipeline.AssembledModel, dataset: datagen.LongTailDataset) -> Path:
+    """Score the model on the holdout split and, when the generator is
+    known, on a balanced draw; write the metrics CSV and echo each set."""
+    rows = []
+    _, test_ds = datagen.holdout_split(dataset, float(cfg["holdout_fraction"]), int(cfg["seed"]) + 5)
+    if test_ds.n > 0:
+        rows.append(("holdout", pipeline.evaluate(model, test_ds.features, test_ds.labels).as_dict()))
+    if dataset.generator is not None:
+        rng = np.random.default_rng(int(cfg["seed"]) + 6)
+        feats, labels = dataset.generator.sample_balanced(int(cfg["eval_per_class"]), rng)
+        rows.append(("balanced", pipeline.evaluate(model, feats, labels).as_dict()))
+    path = store.next_version_path(cfg["out"], "metrics", ".csv")
+    store.write_metrics_csv(path, rows)
+    for name, rep in rows:
+        click.echo(f"{name}: overall={rep['overall_accuracy']:.4f} "
+                   f"head={rep['head_accuracy']:.4f} tail={rep['tail_accuracy']:.4f}")
+    return path
 
 
 config_opt = click.option("--config", "config_path", type=click.Path(), default=None,
@@ -184,10 +245,7 @@ def main():
 def gen_data_cmd(config_path, out, seed):
     """Generate the long-tailed dataset and its generator sidecar."""
     cfg = _load_config(config_path, out=out, seed=seed)
-    _snapshot(cfg)
-    dataset = datagen.generate(_gen_config(cfg))
-    path = store.next_version_path(cfg["out"], "dataset", ".csv")
-    datagen.save_csv(dataset, path)
+    dataset, path = _write_dataset(cfg)
     click.echo(f"wrote {path} (N={dataset.n}, K={dataset.n_classes})")
 
 
@@ -201,14 +259,12 @@ def gen_data_cmd(config_path, out, seed):
 def stage1_cmd(config_path, out, seed, data, tau):
     """Train both tasks independently and estimate their Fishers."""
     cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    _snapshot(cfg)
     dataset = _load_dataset(cfg, data)
     rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=False)
     td = pipeline.build_task_data(dataset)
     t0 = time.perf_counter()
     s1 = pipeline.stage1(rc, td)
-    path = store.next_version_path(cfg["out"], "stage1", ".bin")
-    store.save_stage1(path, rc.spec, s1, td.split, td.priors, {"n_train": td.n})
+    path = _write_stage1(cfg, rc.spec, td, s1)
     click.echo(f"wrote {path} ({time.perf_counter() - t0:.2f}s, "
                f"final losses A={s1.losses_a[-1]:.4f} B={s1.losses_b[-1]:.4f})")
 
@@ -223,7 +279,6 @@ def stage1_cmd(config_path, out, seed, data, tau):
 def search_cmd(config_path, out, seed, grid_c, grid_w):
     """Proxy grid search over saved Stage-1 statistics."""
     cfg = _load_config(config_path, out=out, seed=seed)
-    _snapshot(cfg)
     spec, s1, split, priors, meta = store.load_stage1(
         store.latest_version_path(cfg["out"], "stage1", ".bin"))
     c_values = _parse_grid(grid_c, int) or (cfg.get("select") or {}).get("c_values")
@@ -231,17 +286,7 @@ def search_cmd(config_path, out, seed, grid_c, grid_w):
     t0 = time.perf_counter()
     grid = pipeline.select_structure(s1, meta["n_train"], spec, c_values, w_values)
     elapsed = time.perf_counter() - t0
-    csv_path = store.next_version_path(cfg["out"], "proxy_grid", ".csv")
-    grid.to_csv(csv_path)
-    sel_path = store.next_version_path(cfg["out"], "selection", ".json")
-    sel_path.write_text(json.dumps({
-        "format": "tailshare-selection-v1",
-        "c_star": grid.c_star,
-        "w_star": grid.w_star,
-        "c_values": list(grid.c_values),
-        "w_values": list(grid.w_values),
-        "search_seconds": elapsed,
-    }, sort_keys=True, indent=1))
+    csv_path = _write_search(cfg, grid)
     click.echo(f"selected C*={grid.c_star} w_A*={grid.w_star} in {elapsed:.3f}s; wrote {csv_path}")
 
 
@@ -257,7 +302,6 @@ def search_cmd(config_path, out, seed, grid_c, grid_w):
 def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
     """Weighted joint training at the selected (C*, w_A*)."""
     cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    _snapshot(cfg)
     dataset = _load_dataset(cfg, data)
     rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=False)
     if w_star is None or c_star is None:
@@ -266,9 +310,7 @@ def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
         c_star = sel["c_star"] if c_star is None else c_star
     td = pipeline.build_task_data(dataset)
     res = pipeline.stage2(rc, td, w_star)
-    path = store.next_version_path(cfg["out"], "stage2", ".bin")
-    store.save_params(path, rc.spec, res.params,
-                      {"w_star": w_star, "c_star": c_star, "final_loss": res.epoch_losses[-1]})
+    path = _write_stage2(cfg, rc.spec, res, c_star, w_star)
     click.echo(f"wrote {path} (final joint loss {res.epoch_losses[-1]:.4f})")
 
 
@@ -280,14 +322,12 @@ def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
 def assemble_cmd(config_path, out, seed):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
     cfg = _load_config(config_path, out=out, seed=seed)
-    _snapshot(cfg)
     spec, s1, split, priors, _ = store.load_stage1(
         store.latest_version_path(cfg["out"], "stage1", ".bin"))
     _, s2_params, s2_meta = store.load_params(
         store.latest_version_path(cfg["out"], "stage2", ".bin"))
     model = pipeline.assemble(spec, s2_meta["c_star"], s2_params, s1, split, priors)
-    path = store.next_version_path(cfg["out"], "model", ".bin")
-    store.save_model(path, model, {"refined": False, "w_star": s2_meta["w_star"]})
+    path = _write_model(cfg, model, False, s2_meta["w_star"])
     click.echo(f"wrote {path} (C={model.c})")
 
 
@@ -301,32 +341,13 @@ def assemble_cmd(config_path, out, seed):
 def refine_cmd(config_path, out, seed, data, tau):
     """Fine-tune only the decoders of the latest model, encoder frozen."""
     cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    _snapshot(cfg)
     dataset = _load_dataset(cfg, data)
     model, meta = store.load_model(store.latest_version_path(cfg["out"], "model", ".bin"))
     td = pipeline.build_task_data(dataset, model.split)
     opt = _opt(cfg, "refine", int(cfg["seed"]) + 4)
     refined = pipeline.refine_decoders(model, td, opt, float(cfg["tau"]), bool(cfg["logit_adjust"]))
-    path = store.next_version_path(cfg["out"], "model", ".bin")
-    store.save_model(path, refined, {"refined": True, "w_star": meta.get("w_star")})
+    path = _write_model(cfg, refined, True, meta.get("w_star"))
     click.echo(f"wrote {path} (refined {opt.epochs} epochs)")
-
-
-def _evaluate_model(cfg, model, dataset) -> list:
-    rows = []
-    train_ds, test_ds = datagen.holdout_split(dataset, float(cfg["holdout_fraction"]),
-                                              int(cfg["seed"]) + 5)
-    if test_ds.n > 0:
-        rows.append(("holdout", pipeline.evaluate(model, test_ds.features, test_ds.labels).as_dict()))
-    if dataset.generator is not None:
-        gen = dataset.generator
-        rng = np.random.default_rng(int(cfg["seed"]) + 6)
-        per = int(cfg["eval_per_class"])
-        feats = np.vstack([gen.sample_class_features(k, per, rng) for k in range(gen.n_classes)])
-        labels = np.zeros((gen.n_classes * per, gen.n_classes))
-        labels[np.arange(gen.n_classes * per), np.repeat(np.arange(gen.n_classes), per)] = 1.0
-        rows.append(("balanced", pipeline.evaluate(model, feats, labels).as_dict()))
-    return rows
 
 
 @main.command("eval")
@@ -338,16 +359,9 @@ def _evaluate_model(cfg, model, dataset) -> list:
 def eval_cmd(config_path, out, seed, data):
     """Metrics of the latest model: overall/head/tail accuracy, task BCE."""
     cfg = _load_config(config_path, out=out, seed=seed)
-    _snapshot(cfg)
     dataset = _load_dataset(cfg, data)
     model, _ = store.load_model(store.latest_version_path(cfg["out"], "model", ".bin"))
-    rows = _evaluate_model(cfg, model, dataset)
-    path = store.next_version_path(cfg["out"], "metrics", ".csv")
-    store.write_metrics_csv(path, rows)
-    for name, rep in rows:
-        click.echo(f"{name}: overall={rep['overall_accuracy']:.4f} "
-                   f"head={rep['head_accuracy']:.4f} tail={rep['tail_accuracy']:.4f}")
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {_write_metrics(cfg, model, dataset)}")
 
 
 @main.command("full-run")
@@ -362,40 +376,17 @@ def full_run_cmd(config_path, out, seed, data, tau, no_refine):
     """The whole pipeline: data, Stage 1, search, Stage 2, assembly,
     optional refinement, and metrics."""
     cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    _snapshot(cfg)
-    if data:
-        dataset = datagen.load_csv(data)
-    else:
-        dataset = datagen.generate(_gen_config(cfg))
-        datagen.save_csv(dataset, store.next_version_path(cfg["out"], "dataset", ".csv"))
+    dataset = datagen.load_csv(data) if data else _write_dataset(cfg)[0]
     refine = (not no_refine) and int(cfg["refine"]["epochs"]) > 0
     rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=refine)
     result = pipeline.full_run(rc, dataset)
-    td = result.task_data
-
-    store.save_stage1(store.next_version_path(cfg["out"], "stage1", ".bin"),
-                      rc.spec, result.stage1, td.split, td.priors, {"n_train": td.n})
-    result.selection.to_csv(store.next_version_path(cfg["out"], "proxy_grid", ".csv"))
-    sel_path = store.next_version_path(cfg["out"], "selection", ".json")
-    sel_path.write_text(json.dumps({
-        "format": "tailshare-selection-v1",
-        "c_star": result.selection.c_star,
-        "w_star": result.selection.w_star,
-        "c_values": list(result.selection.c_values),
-        "w_values": list(result.selection.w_values),
-    }, sort_keys=True, indent=1))
-    store.save_params(store.next_version_path(cfg["out"], "stage2", ".bin"), rc.spec,
-                      result.stage2.params,
-                      {"w_star": result.selection.w_star, "c_star": result.selection.c_star,
-                       "final_loss": result.stage2.epoch_losses[-1]})
-    store.save_model(store.next_version_path(cfg["out"], "model", ".bin"), result.model,
-                     {"refined": result.refined, "w_star": result.selection.w_star})
-    rows = _evaluate_model(cfg, result.model, dataset)
-    store.write_metrics_csv(store.next_version_path(cfg["out"], "metrics", ".csv"), rows)
-    click.echo(f"C*={result.selection.c_star} w_A*={result.selection.w_star} refined={result.refined}")
-    for name, rep in rows:
-        click.echo(f"{name}: overall={rep['overall_accuracy']:.4f} "
-                   f"head={rep['head_accuracy']:.4f} tail={rep['tail_accuracy']:.4f}")
+    sel = result.selection
+    _write_stage1(cfg, rc.spec, result.task_data, result.stage1)
+    _write_search(cfg, sel)
+    _write_stage2(cfg, rc.spec, result.stage2, sel.c_star, sel.w_star)
+    _write_model(cfg, result.model, result.refined, sel.w_star)
+    click.echo(f"C*={sel.c_star} w_A*={sel.w_star} refined={result.refined}")
+    _write_metrics(cfg, result.model, dataset)
 
 
 @main.command("verify-lemma")
@@ -415,6 +406,14 @@ def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
     click.echo("PASS")
 
 
+def _study_setup(config_path, out, seed, tau, resamples, train_size) -> tuple:
+    """Config, generator and run config of an oracle or sweep study."""
+    cfg = _load_config(config_path, out=out, seed=seed, tau=tau,
+                       **{"oracle.resamples": resamples, "oracle.train_size": train_size})
+    gen = datagen.build_generator(_gen_config(cfg))
+    return cfg, gen, _run_config(cfg, gen.n_classes, gen.input_dim, refine=False)
+
+
 @main.command("oracle")
 @config_opt
 @out_opt
@@ -428,16 +427,9 @@ def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
 @_guarded
 def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jobs, tau):
     """MC risk over the (C, w_A) grid compared against the proxy by rank."""
-    cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    if resamples is not None:
-        cfg["oracle"]["resamples"] = resamples
-    if train_size is not None:
-        cfg["oracle"]["train_size"] = train_size
-    _snapshot(cfg)
-    gen = datagen.build_generator(_gen_config(cfg))
-    rc = _run_config(cfg, gen.n_classes, gen.input_dim, refine=False)
+    cfg, gen, rc = _study_setup(config_path, out, seed, tau, resamples, train_size)
     c_values = _parse_grid(grid_c, int) or tuple(range(rc.spec.depth + 1))
-    w_values = _parse_grid(grid_w, float) or tuple(i / 10 for i in range(11))
+    w_values = _parse_grid(grid_w, float) or proxy.DEFAULT_W_GRID
     report = oracle.grid_compare(
         gen, rc, c_values, w_values,
         m_resamples=int(cfg["oracle"]["resamples"]),
@@ -468,16 +460,9 @@ def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jo
 @_guarded
 def sweep_cmd(config_path, out, seed, c_fixed, grid_w, resamples, train_size, jobs, tau):
     """Accuracy/risk versus head weight at a fixed shared depth."""
-    cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    if resamples is not None:
-        cfg["oracle"]["resamples"] = resamples
-    if train_size is not None:
-        cfg["oracle"]["train_size"] = train_size
-    _snapshot(cfg)
-    gen = datagen.build_generator(_gen_config(cfg))
-    rc = _run_config(cfg, gen.n_classes, gen.input_dim, refine=False)
+    cfg, gen, rc = _study_setup(config_path, out, seed, tau, resamples, train_size)
     c = rc.spec.depth if c_fixed is None else c_fixed
-    w_values = _parse_grid(grid_w, float) or tuple(i / 10 for i in range(11))
+    w_values = _parse_grid(grid_w, float) or proxy.DEFAULT_W_GRID
     report = oracle.weight_sweep(
         gen, rc, c, w_values,
         m_resamples=int(cfg["oracle"]["resamples"]),

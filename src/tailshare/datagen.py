@@ -8,7 +8,7 @@ computable for any point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import json
 from pathlib import Path
 
@@ -94,18 +94,19 @@ class MixtureGenerator:
 
     def sample_features(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Unlabeled draws from the feature marginal of the mixture."""
-        classes = rng.choice(self.n_classes, size=n, p=self.priors)
-        return self.means[classes] + rng.normal(0.0, self.noise_sigma, size=(n, self.input_dim))
+        return self.sample_labeled(n, rng)[0]
 
     def sample_labeled(self, n: int, rng: np.random.Generator) -> tuple:
         classes = rng.choice(self.n_classes, size=n, p=self.priors)
         feats = self.means[classes] + rng.normal(0.0, self.noise_sigma, size=(n, self.input_dim))
-        labels = np.zeros((n, self.n_classes))
-        labels[np.arange(n), classes] = 1.0
-        return feats, labels
+        return feats, np.eye(self.n_classes)[classes]
 
-    def sample_class_features(self, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.means[k] + rng.normal(0.0, self.noise_sigma, size=(n, self.input_dim))
+    def sample_balanced(self, per_class: int, rng: np.random.Generator) -> tuple:
+        """A balanced evaluation set: per_class draws from each class in
+        class order, with one-hot labels."""
+        feats = [self.means[k] + rng.normal(0.0, self.noise_sigma, size=(per_class, self.input_dim))
+                 for k in range(self.n_classes)]
+        return np.vstack(feats), np.repeat(np.eye(self.n_classes), per_class, axis=0)
 
 
 @dataclass
@@ -232,10 +233,6 @@ def project_labels(labels: np.ndarray, split: TaskSplit) -> tuple:
     return labels[:, list(split.head_classes)], labels[:, list(split.tail_classes)]
 
 
-def true_posterior(gen: MixtureGenerator, features: np.ndarray) -> np.ndarray:
-    return gen.posterior(features)
-
-
 def holdout_split(dataset: LongTailDataset, fraction: float, seed: int) -> tuple:
     """Seeded stratified split: round(fraction * n_k) test rows per class."""
     if not 0.0 <= fraction <= 1.0:
@@ -284,15 +281,7 @@ def save_csv(dataset: LongTailDataset, path, sidecar: bool = True) -> None:
             "priors": gen.priors.tolist(),
         }
         if gen.config is not None:
-            payload["config"] = {
-                "n_classes": gen.config.n_classes,
-                "input_dim": gen.config.input_dim,
-                "imbalance_ratio": gen.config.imbalance_ratio,
-                "n_max": gen.config.n_max,
-                "class_mean_scale": gen.config.class_mean_scale,
-                "noise_sigma": gen.config.noise_sigma,
-                "seed": gen.config.seed,
-            }
+            payload["config"] = asdict(gen.config)
         _sidecar_path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
@@ -321,7 +310,7 @@ def load_csv(path, n_classes: int | None = None) -> LongTailDataset:
     classes = []
     linenos = []
     width = None
-    with path.open() as fh:
+    with path.open(encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -346,8 +335,21 @@ def load_csv(path, n_classes: int | None = None) -> LongTailDataset:
             linenos.append(lineno)
     if not features:
         raise DataFormatError(f"{path}: no data rows")
+    features = np.asarray(features)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}: line {linenos[int(bad[0])]}: non-finite feature value")
     classes = np.asarray(classes)
-    k = int(classes.max()) + 1 if n_classes is None else int(n_classes)
+    if n_classes is None:
+        # n rows fill at most n classes; a larger label is a typo, and its
+        # one-hot matrix could exhaust memory.
+        k = int(classes.max()) + 1
+        if k > classes.size:
+            raise DataFormatError(
+                f"{path}: line {linenos[int(classes.argmax())]}: class label {k - 1} "
+                f"but only {classes.size} rows")
+    else:
+        k = int(n_classes)
     bad = np.flatnonzero(classes >= k)
     if bad.size:
         raise DataFormatError(
@@ -361,4 +363,4 @@ def load_csv(path, n_classes: int | None = None) -> LongTailDataset:
     if sidecar.exists():
         generator = load_generator_sidecar(sidecar)
     counts = labels.sum(axis=0).astype(np.int64)
-    return LongTailDataset(np.asarray(features), labels, counts, generator)
+    return LongTailDataset(features, labels, counts, generator)

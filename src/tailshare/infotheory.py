@@ -102,9 +102,6 @@ class DiscreteJoint:
     def sizes(self) -> tuple:
         return self.table.shape
 
-    def marginal_y(self) -> np.ndarray:
-        return self.table.sum(axis=(1, 2))
-
 
 @dataclass
 class FactorizedConditional:
@@ -136,10 +133,9 @@ class DecompositionTerms(NamedTuple):
 
 def _coerce_instance(q, p) -> tuple:
     q_table = q.table if isinstance(q, DiscreteJoint) else DiscreteJoint(np.asarray(q)).table
-    if isinstance(p, FactorizedConditional):
-        p_a, p_b = p.p_a, p.p_b
-    else:
-        p_a, p_b = FactorizedConditional(p[0], p[1]).p_a, FactorizedConditional(p[0], p[1]).p_b
+    if not isinstance(p, FactorizedConditional):
+        p = FactorizedConditional(p[0], p[1])
+    p_a, p_b = p.p_a, p.p_b
     if q_table.shape[1] != p_a.shape[1] or q_table.shape[2] != p_b.shape[1]:
         raise StructuralError("conditional tables do not match the joint's label alphabets")
     if q_table.shape[0] != p_a.shape[0] or q_table.shape[0] != p_b.shape[0]:

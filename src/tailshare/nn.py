@@ -114,11 +114,6 @@ class ModelSpec:
         """Total parameter count of the single-task network (trunk + one head)."""
         return self.encoder_params(self.depth) + self.decoder_params(self.depth, task)
 
-    def encoder_block_names(self, c: int) -> tuple:
-        if not 0 <= c <= self.depth:
-            raise StructuralError(f"shared depth {c} out of range 0..{self.depth}")
-        return tuple(f"trunk{i}" for i in range(1, c + 1))
-
     def decoder_block_names(self, c: int, task: str) -> tuple:
         head = "head_a" if _task_index(task) == 0 else "head_b"
         return tuple(f"trunk{i}" for i in range(c + 1, self.depth + 1)) + (head,)
@@ -247,29 +242,16 @@ def _check_params(params: ParamVector, spec: ModelSpec) -> None:
         raise StructuralError("parameter block layout does not match the model spec")
 
 
-def _layer_views(params: ParamVector, spec: ModelSpec):
-    """(W, b) views for every trunk layer plus each head."""
-    trunk = []
-    for layer in range(1, spec.depth + 1):
-        fan_in, fan_out = spec.trunk_shape(layer)
-        flat = params.block(f"trunk{layer}")
-        trunk.append((flat[:fan_in * fan_out].reshape(fan_in, fan_out), flat[fan_in * fan_out:]))
-    heads = {}
-    for task, name in (("A", "head_a"), ("B", "head_b")):
-        fan_in, fan_out = spec.head_shape(task)
-        flat = params.block(name)
-        heads[task] = (flat[:fan_in * fan_out].reshape(fan_in, fan_out), flat[fan_in * fan_out:])
-    return trunk, heads
-
-
 def _forward_cache(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: str):
-    """Forward pass keeping pre-activations and activations for backprop."""
+    """Forward pass keeping pre-activations and activations: (trunk (W, b)
+    views, head views by task, pre-activations, activations, logits)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise StructuralError(
             f"features must be (n, {spec.input_dim}), got {x.shape}"
         )
-    trunk, heads = _layer_views(params, spec)
+    views = [(w[0], b[0, 0]) for w, b in _block_views(params.values[None, :], spec)]
+    trunk, heads = views[:spec.depth], dict(zip(TASKS, views[spec.depth:]))
     pres = []
     acts = [x]
     h = x
@@ -278,8 +260,7 @@ def _forward_cache(params: ParamVector, spec: ModelSpec, features: np.ndarray, t
         h = np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre)
         pres.append(pre)
         acts.append(h)
-    _task_index(task)
-    w_h, b_h = heads[task]
+    w_h, b_h = heads[TASKS[_task_index(task)]]
     logits = h @ w_h + b_h
     return trunk, heads, pres, acts, logits
 
@@ -300,12 +281,6 @@ def forward(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: st
     logits = _trunk_forward(blocks[:spec.depth], x, spec.activation)[-1] @ w_h
     logits += b_h
     return logits[0]
-
-
-def _act_deriv(spec: ModelSpec, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return (pre > 0.0).astype(np.float64)
-    return 1.0 - post * post
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -434,6 +409,33 @@ def _block_views(values: np.ndarray, spec: ModelSpec) -> list:
     return views
 
 
+def _reduce_grad(a: np.ndarray, delta: np.ndarray, g_w: np.ndarray, g_b: np.ndarray) -> None:
+    """One layer's gradient: a^T delta into g_w, the batch sum of delta into g_b."""
+    np.matmul(a.swapaxes(-1, -2), delta, out=g_w)
+    _sum_batch(delta, g_b)
+
+
+def _backward(acts: list, derivs: list, lanes, ds: np.ndarray, head_w_t: np.ndarray,
+              trunk_w_t: list, out_blocks: list, head_block: int, reduce=_reduce_grad) -> None:
+    """The backward walk of one task over the stack members `lanes`.
+
+    From _trunk_forward's activations and derivatives, the loss delta ds at
+    the logits and the members' transposed weights, it hands each layer's
+    (input a, delta) pair to `reduce` with that layer's (W, b) views of
+    `out_blocks`: the head first (block `head_block`), then trunk layers
+    L..1. Training reduces a pair to the gradient (_reduce_grad); the
+    diagonal Fisher reduces the same pairs squared.
+    """
+    reduce(acts[-1][lanes], ds, *out_blocks[head_block])
+    dh = ds @ head_w_t
+    for layer in range(len(trunk_w_t) - 1, -1, -1):
+        da = dh
+        da *= derivs[layer][lanes]
+        reduce(acts[0] if layer == 0 else acts[layer][lanes], da, *out_blocks[layer])
+        if layer:
+            dh = da @ trunk_w_t[layer]
+
+
 class _TaskLanes(NamedTuple):
     """One task's slice of a stack: the members with a positive weight on
     it, their weights (k, 1), their gradient buffer (k, P) with its block
@@ -512,8 +514,7 @@ class _Stack:
         loss = np.zeros(self.values.shape[0])
         grad = np.zeros_like(self.values)
         for t, lanes, w_t, g_t, g_blocks, w_h, b_h, w_h_t, w_trunk_t in self.tasks:
-            top = acts[-1][lanes]
-            u = top @ w_h
+            u = acts[-1][lanes] @ w_h
             u += b_h
             if self.offsets[t] is not None:
                 u += self.offsets[t]
@@ -528,19 +529,7 @@ class _Stack:
                 terms *= sw[:, None]
                 ds *= sw[:, None]
             loss[lanes] += w_t[:, 0] * (np.add.reduce(terms.reshape(len(w_t), -1), axis=1) / n)
-            g_w, g_b = g_blocks[depth + t]
-            np.matmul(top.swapaxes(1, 2), ds, out=g_w)
-            _sum_batch(ds, g_b)
-            dh = ds @ w_h_t
-            for layer in range(depth - 1, -1, -1):
-                da = dh
-                da *= derivs[layer][lanes]
-                a = x if layer == 0 else acts[layer][lanes]
-                g_w, g_b = g_blocks[layer]
-                np.matmul(a.swapaxes(-1, -2), da, out=g_w)
-                _sum_batch(da, g_b)
-                if layer:
-                    dh = da @ w_trunk_t[layer]
+            _backward(acts, derivs, lanes, ds, w_h_t, w_trunk_t, g_blocks, depth + t)
             grad[lanes] += w_t * g_t
         return loss, grad
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +34,7 @@ from .pipeline import (
     stage1,
     stage2_stack,
 )
+from .tables import Record, write_csv
 
 _RESAMPLE_SEED_OFFSET = 1000
 
@@ -78,13 +77,13 @@ def _run_resample(args) -> tuple:
     and None for the other resamples. With refine=True each assembled model
     gets the decoder-only fine-tune before being measured.
     """
-    (gen, run_cfg, split, priors, eval_points, targets, bal_features, bal_labels,
+    (gen, run_cfg, split, eval_points, targets, balanced,
      c_values, w_values, n_train, seed, m, restrict, refine) = args
     nc, nw = len(c_values), len(w_values)
     risks = np.full((nc, nw), np.nan)
     accs = np.full((nc, nw, 3), np.nan)
     dataset = sample_iid(gen, n_train, seed + _RESAMPLE_SEED_OFFSET + m)
-    td = build_task_data(dataset, split, priors)
+    td = build_task_data(dataset, split, gen.priors)
     cfg_m = _per_resample_config(run_cfg, m)
     try:
         s1 = stage1(cfg_m, td)
@@ -94,7 +93,7 @@ def _run_resample(args) -> tuple:
         if isinstance(s2, TrainingDivergenceError):
             continue
         for ci, c in enumerate(c_values):
-            model = assemble(run_cfg.spec, c, s2.params, s1, split, priors)
+            model = assemble(run_cfg.spec, c, s2.params, s1, split, gen.priors)
             if refine:
                 try:
                     model = refine_decoders(model, td, cfg_m.refine_opt,
@@ -102,26 +101,31 @@ def _run_resample(args) -> tuple:
                 except TrainingDivergenceError:
                     continue
             risks[ci, wi] = _taskwise_risk(targets, model.branch_logits(eval_points), restrict)
-            if bal_features is not None:
-                rep = evaluate(model, bal_features, bal_labels)
+            if balanced is not None:
+                rep = evaluate(model, *balanced)
                 accs[ci, wi] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
     return m, risks, accs, s1 if m == 0 else None
 
 
 def _collect_resamples(
-    gen, run_cfg, split, priors, eval_points, bal_features, bal_labels,
-    c_values, w_values, m_resamples, n_train, seed, restrict, jobs,
-    refine: bool = False,
+    gen, run_cfg, c_values, w_values, m_resamples, n_train, seed, n_eval, restrict, jobs,
+    eval_per_class: int | None = None, refine: bool = False,
 ) -> tuple:
-    """Run every resample; returns (risks[M, nc, nw], accs[M, nc, nw, 3],
+    """Run every resample against one evaluation sample drawn from the
+    study seed: n_eval feature points, then, given eval_per_class, a
+    balanced labeled set. Returns (risks[M, nc, nw], accs[M, nc, nw, 3],
     resample 0's Stage1Result or TrainingDivergenceError). The true
     posterior at the evaluation points, and the risk targets built from
     it, are computed once for the study."""
     if m_resamples < 1:
         raise ConfigError(f"m_resamples must be >= 1, got {m_resamples}")
+    rng = np.random.default_rng(seed)
+    eval_points = gen.sample_features(n_eval, rng)
+    balanced = None if eval_per_class is None else gen.sample_balanced(eval_per_class, rng)
+    split = split_classes(gen.priors)
     targets = _risk_targets(gen.posterior(eval_points), split)
     tasks = [
-        (gen, run_cfg, split, priors, eval_points, targets, bal_features, bal_labels,
+        (gen, run_cfg, split, eval_points, targets, balanced,
          c_values, w_values, n_train, seed, m, restrict, refine)
         for m in range(m_resamples)
     ]
@@ -186,21 +190,18 @@ def mc_gen_error(
     """Mean and standard error of the task-wise KL risk at one (c, w_a)."""
     if m_resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    rng = np.random.default_rng(seed)
-    eval_points = gen.sample_features(n_eval, rng)
-    split = split_classes(gen.priors)
-    risks, _, _ = _collect_resamples(
-        gen, run_cfg, split, gen.priors, eval_points, None, None,
-        (c,), (w_a,), m_resamples, n_train, seed, restrict, jobs,
-    )
+    risks, _, _ = _collect_resamples(gen, run_cfg, (c,), (w_a,), m_resamples, n_train, seed,
+                                     n_eval, restrict, jobs)
     flat = risks[:, 0, 0]
     mean, stderr, n_ok = _mean_stderr(flat)
     return CellStats(float(mean), float(stderr), int(n_ok), m_resamples, flat)
 
 
 @dataclass
-class OracleReport:
+class OracleReport(Record):
     """Full-grid MC risks next to proxy totals, plus their rank agreement."""
+
+    FORMAT = "tailshare-oracle-report-v1"
 
     c_values: tuple
     w_values: tuple
@@ -220,56 +221,11 @@ class OracleReport:
     def valid(self) -> np.ndarray:
         return self.n_ok >= 0.8 * self.m_resamples
 
-    def to_json(self) -> str:
-        payload = {
-            "format": "tailshare-oracle-report-v1",
-            "c_values": list(self.c_values),
-            "w_values": list(self.w_values),
-            "risk_mean": self.risk_mean.tolist(),
-            "risk_stderr": self.risk_stderr.tolist(),
-            "n_ok": self.n_ok.tolist(),
-            "m_resamples": self.m_resamples,
-            "proxy_total": self.proxy_total.tolist(),
-            "spearman_rho": self.spearman_rho,
-            "oracle_best": list(self.oracle_best) if self.oracle_best is not None else None,
-            "proxy_best": list(self.proxy_best),
-            "n_train": self.n_train,
-            "n_eval": self.n_eval,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OracleReport":
-        d = json.loads(text)
-        return cls(
-            c_values=tuple(d["c_values"]),
-            w_values=tuple(d["w_values"]),
-            risk_mean=np.asarray(d["risk_mean"], dtype=np.float64),
-            risk_stderr=np.asarray(d["risk_stderr"], dtype=np.float64),
-            n_ok=np.asarray(d["n_ok"], dtype=np.int64),
-            m_resamples=d["m_resamples"],
-            proxy_total=np.asarray(d["proxy_total"], dtype=np.float64),
-            spearman_rho=d["spearman_rho"],
-            oracle_best=tuple(d["oracle_best"]) if d["oracle_best"] is not None else None,
-            proxy_best=tuple(d["proxy_best"]),
-            n_train=d["n_train"],
-            n_eval=d["n_eval"],
-            seed=d["seed"],
-        )
-
     def to_csv(self, path) -> None:
-        path = Path(path)
-        valid = self.valid
-        with path.open("w") as fh:
-            fh.write("C,w_A,risk_mean,risk_stderr,proxy_total,n_ok,valid\n")
-            for ci, c in enumerate(self.c_values):
-                for wi, w in enumerate(self.w_values):
-                    fh.write(
-                        f"{c},{w!r},{self.risk_mean[ci, wi]!r},{self.risk_stderr[ci, wi]!r},"
-                        f"{self.proxy_total[ci, wi]!r},{int(self.n_ok[ci, wi])},"
-                        f"{int(valid[ci, wi])}\n"
-                    )
+        write_csv(path, ("C", "w_A", "risk_mean", "risk_stderr", "proxy_total", "n_ok", "valid"),
+                  zip(np.repeat(self.c_values, len(self.w_values)),
+                      np.tile(self.w_values, len(self.c_values)), self.risk_mean.flat,
+                      self.risk_stderr.flat, self.proxy_total.flat, self.n_ok.flat, self.valid.flat))
 
 
 def grid_compare(
@@ -294,13 +250,8 @@ def grid_compare(
     w_values = tuple(float(w) for w in w_values)
     if not c_values or not w_values:
         raise ConfigError("candidate grids must be nonempty")
-    rng = np.random.default_rng(seed)
-    eval_points = gen.sample_features(n_eval, rng)
-    split = split_classes(gen.priors)
-    risks, _, first_s1 = _collect_resamples(
-        gen, run_cfg, split, gen.priors, eval_points, None, None,
-        c_values, w_values, m_resamples, n_train, seed, restrict, jobs,
-    )
+    risks, _, first_s1 = _collect_resamples(gen, run_cfg, c_values, w_values, m_resamples,
+                                            n_train, seed, n_eval, restrict, jobs)
     risk_mean, risk_stderr, n_ok = _mean_stderr(risks)
 
     # Proxy grid from the first resample's own Stage-1 statistics.
@@ -338,8 +289,10 @@ def grid_compare(
 
 
 @dataclass
-class SweepReport:
+class SweepReport(Record):
     """Per-weight accuracy and risk at a fixed shared depth."""
+
+    FORMAT = "tailshare-sweep-report-v1"
 
     c: int
     w_values: tuple
@@ -357,39 +310,10 @@ class SweepReport:
     seed: int
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write(
-                "w_A,overall_mean,overall_stderr,head_mean,head_stderr,"
-                "tail_mean,tail_stderr,risk_mean,risk_stderr,n_ok\n"
-            )
-            for wi, w in enumerate(self.w_values):
-                fh.write(
-                    f"{w!r},{self.overall_mean[wi]!r},{self.overall_stderr[wi]!r},"
-                    f"{self.head_mean[wi]!r},{self.head_stderr[wi]!r},"
-                    f"{self.tail_mean[wi]!r},{self.tail_stderr[wi]!r},"
-                    f"{self.risk_mean[wi]!r},{self.risk_stderr[wi]!r},{int(self.n_ok[wi])}\n"
-                )
-
-    def to_json(self) -> str:
-        payload = {
-            "format": "tailshare-sweep-report-v1",
-            "c": self.c,
-            "w_values": list(self.w_values),
-            "overall_mean": self.overall_mean.tolist(),
-            "overall_stderr": self.overall_stderr.tolist(),
-            "head_mean": self.head_mean.tolist(),
-            "head_stderr": self.head_stderr.tolist(),
-            "tail_mean": self.tail_mean.tolist(),
-            "tail_stderr": self.tail_stderr.tolist(),
-            "risk_mean": self.risk_mean.tolist(),
-            "risk_stderr": self.risk_stderr.tolist(),
-            "n_ok": self.n_ok.tolist(),
-            "m_resamples": self.m_resamples,
-            "n_train": self.n_train,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        columns = ("overall_mean", "overall_stderr", "head_mean", "head_stderr", "tail_mean",
+                   "tail_stderr", "risk_mean", "risk_stderr", "n_ok")
+        write_csv(path, ("w_A",) + columns,
+                  zip(self.w_values, *(getattr(self, name) for name in columns)))
 
 
 def weight_sweep(
@@ -418,17 +342,8 @@ def weight_sweep(
     w_values = tuple(float(w) for w in w_values)
     if refine and run_cfg.refine_opt is None:
         raise ConfigError("refine=True requires run_cfg.refine_opt")
-    rng = np.random.default_rng(seed)
-    eval_points = gen.sample_features(n_eval, rng)
-    k = gen.n_classes
-    bal_features = np.vstack([gen.sample_class_features(i, eval_per_class, rng) for i in range(k)])
-    bal_labels = np.zeros((k * eval_per_class, k))
-    bal_labels[np.arange(k * eval_per_class), np.repeat(np.arange(k), eval_per_class)] = 1.0
-    split = split_classes(gen.priors)
-    risks, accs, _ = _collect_resamples(
-        gen, run_cfg, split, gen.priors, eval_points, bal_features, bal_labels,
-        (c,), w_values, m_resamples, n_train, seed, restrict, jobs, refine,
-    )
+    risks, accs, _ = _collect_resamples(gen, run_cfg, (c,), w_values, m_resamples, n_train,
+                                        seed, n_eval, restrict, jobs, eval_per_class, refine)
     risk_mean, risk_stderr, n_ok = _mean_stderr(risks[:, 0, :])
     o_mean, o_stderr, _ = _mean_stderr(accs[:, 0, :, 0])
     h_mean, h_stderr, _ = _mean_stderr(accs[:, 0, :, 1])

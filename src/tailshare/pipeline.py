@@ -30,6 +30,7 @@ from .nn import (
     train_stack,
 )
 from .proxy import DiagFisher, GridSearchResult, encoder_mismatch, estimate_diag_fisher, grid_search
+from .tables import Record
 
 
 @dataclass
@@ -291,23 +292,13 @@ def refine_decoders(
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(Record):
     overall_accuracy: float
     head_accuracy: float
     tail_accuracy: float
     bce_a: float
     bce_b: float
     n_eval: int
-
-    def as_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "head_accuracy": self.head_accuracy,
-            "tail_accuracy": self.tail_accuracy,
-            "bce_a": self.bce_a,
-            "bce_b": self.bce_b,
-            "n_eval": self.n_eval,
-        }
 
 
 def evaluate(model: AssembledModel, features: np.ndarray, labels: np.ndarray) -> MetricsReport:

@@ -18,13 +18,14 @@ at small encoder dimension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, DomainError, StructuralError
-from .nn import ModelSpec, ParamVector, _check_params, _forward_cache, _sigmoid, _act_deriv, _task_index
+from .nn import (ModelSpec, ParamVector, _backward, _block_views, _check_params, _sigmoid,
+                 _sum_batch, _task_index, _trunk_forward)
+from .tables import write_csv
 
 # Coordinates whose weighted Fisher combination falls below this are treated
 # as dead parameters and skipped in the variance quotient.
@@ -92,14 +93,8 @@ class GridSearchResult:
         return min(rows, key=_selection_key)
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write("C,w_A,encoder_variance,encoder_bias,decoder_variance,total\n")
-            for row in self.table:
-                fh.write(
-                    f"{row.c},{row.w_a!r},{row.encoder_variance!r},{row.encoder_bias!r},"
-                    f"{row.decoder_variance!r},{row.total!r}\n"
-                )
+        write_csv(path, ("C", "w_A", "encoder_variance", "encoder_bias", "decoder_variance", "total"),
+                  map(astuple, self.table))
 
 
 def estimate_diag_fisher(
@@ -116,41 +111,52 @@ def estimate_diag_fisher(
     For sample i the score w.r.t. the branch logits is z_i - sigmoid(u_i);
     per-sample weight gradients are rank-one (outer(h, delta)), so their
     squares accumulate as (h^2)^T (delta^2) without materializing per-sample
-    gradients. Blocks of the unused head stay zero.
+    gradients. The walk is the training step's (nn._backward on a stack of
+    one) from the loss delta sigmoid(u) - z, the negated score, reduced
+    squared; rows run in chunks of chunk_size. Blocks of the unused head
+    stay zero.
     """
     _check_params(params, spec)
+    t = _task_index(task)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     n = features.shape[0]
     if n == 0:
         raise DataFormatError("cannot estimate Fisher from empty data")
+    if features.ndim != 2 or features.shape[1] != spec.input_dim:
+        raise StructuralError(f"features must be (n, {spec.input_dim}), got {features.shape}")
     if labels.shape[0] != n:
         raise StructuralError("label rows must match feature rows")
     if offsets is not None:
         offsets = np.asarray(offsets, dtype=np.float64)
-    acc = np.zeros(spec.param_count, dtype=np.float64)
-    avec = ParamVector(acc, params.block_index)
-    head_name = "head_a" if _task_index(task) == 0 else "head_b"
+    depth = spec.depth
+    blocks = _block_views(params.values[None, :], spec)
+    w_h, b_h = blocks[depth + t]
+    trunk_w_t = [w.swapaxes(1, 2) for w, _ in blocks[:depth]]
+    acc = np.zeros((1, spec.param_count))
+    acc_blocks = _block_views(acc, spec)
     for start in range(0, n, chunk_size):
-        rows = slice(start, min(start + chunk_size, n))
-        trunk, heads, pres, acts, logits = _forward_cache(params, spec, features[rows], task)
-        u = logits if offsets is None else logits + offsets
-        score = labels[rows] - _sigmoid(u)
-        fan_in, fan_out = spec.head_shape(task)
-        blk = avec.block(head_name)
-        blk[:fan_in * fan_out] += ((acts[-1] ** 2).T @ (score ** 2)).ravel()
-        blk[fan_in * fan_out:] += (score ** 2).sum(axis=0)
-        w_h, _ = heads[task]
-        dh = score @ w_h.T
-        for layer in range(spec.depth, 0, -1):
-            da = dh * _act_deriv(spec, pres[layer - 1], acts[layer])
-            fi, fo = spec.trunk_shape(layer)
-            blk = avec.block(f"trunk{layer}")
-            blk[:fi * fo] += ((acts[layer - 1] ** 2).T @ (da ** 2)).ravel()
-            blk[fi * fo:] += (da ** 2).sum(axis=0)
-            w, _ = trunk[layer - 1]
-            dh = da @ w.T
-    return DiagFisher(acc / n, n)
+        rows = slice(start, start + chunk_size)
+        derivs = []
+        acts = _trunk_forward(blocks[:depth], features[rows], spec.activation, derivs)
+        u = acts[-1] @ w_h
+        u += b_h
+        if offsets is not None:
+            u += offsets
+        ds = _sigmoid(u) - labels[rows]
+        _backward(acts, derivs, slice(None), ds, w_h.swapaxes(1, 2), trunk_w_t, acc_blocks,
+                  depth + t, _reduce_fisher)
+    return DiagFisher(acc[0] / n, n)
+
+
+def _reduce_fisher(a: np.ndarray, delta: np.ndarray, f_w: np.ndarray, f_b: np.ndarray) -> None:
+    """Add one layer's squared-score sums: (a^2)^T (delta^2) to f_w and the
+    batch sum of delta^2 to f_b."""
+    delta = np.square(delta)
+    f_w += np.square(a).swapaxes(-1, -2) @ delta
+    bias = np.empty_like(f_b)
+    _sum_batch(delta, bias)
+    f_b += bias
 
 
 def encoder_mismatch(params_a: ParamVector, params_b: ParamVector, c: int) -> MismatchVector:
@@ -181,28 +187,14 @@ def proxy_eval(
     n_train: int,
     spec: ModelSpec,
 ) -> ProxyBreakdown:
-    """Evaluate the three proxy terms at one (c, w_a) grid point."""
-    c = mismatch.c
-    if not 0.0 <= w_a <= 1.0:
-        raise DomainError("w_a must lie in [0, 1]")
-    if n_train < 1:
-        raise DomainError("n_train must be >= 1")
-    d_enc = spec.encoder_params(c)
+    """The three proxy terms at one (c, w_a) grid point: the one cell of
+    grid_search on a 1 x 1 grid, with c taken from the mismatch."""
+    d_enc = spec.encoder_params(mismatch.c)
     if mismatch.delta.size != d_enc:
         raise StructuralError(
             f"mismatch has {mismatch.delta.size} entries, encoder slice needs {d_enc}"
         )
-    for f in (fisher_a, fisher_b):
-        if f.values.size != spec.param_count:
-            raise StructuralError("Fisher vector does not cover the full parameter count")
-    a = fisher_a.values[:d_enc]
-    b = fisher_b.values[:d_enc]
-    if np.any(a < 0) or np.any(b < 0):
-        raise DomainError("Fisher entries must be nonnegative")
-    enc_var = float(_variance_quotient(a, b, w_a).sum() / (2.0 * n_train))
-    enc_bias = float(0.5 * _bias_terms(a, b, mismatch.delta, w_a).sum())
-    dec_var = (spec.decoder_params(c, "A") + spec.decoder_params(c, "B")) / (2.0 * n_train)
-    return ProxyBreakdown(c, w_a, enc_var, enc_bias, dec_var, enc_var + enc_bias + dec_var)
+    return grid_search(fisher_a, fisher_b, mismatch, n_train, spec, (mismatch.c,), (w_a,)).table[0]
 
 
 def _selection_key(row: ProxyBreakdown) -> tuple:
@@ -231,6 +223,8 @@ def grid_search(
     w_values = DEFAULT_W_GRID if w_values is None else tuple(float(w) for w in w_values)
     if not c_values or not w_values:
         raise DomainError("candidate grids must be nonempty")
+    if n_train < 1:
+        raise DomainError(f"n_train must be >= 1, got {n_train}")
     for c in c_values:
         spec.encoder_params(c)  # range check
     for w in w_values:
@@ -247,13 +241,17 @@ def grid_search(
             raise StructuralError("Fisher vector does not cover the full parameter count")
     a = fisher_a.values[:d_max]
     b = fisher_b.values[:d_max]
+    delta = delta_full[:d_max]
+    for name, values in (("fisher_a", a), ("fisher_b", b), ("trunk_mismatch", delta)):
+        if not np.isfinite(values).all():
+            raise DomainError(f"{name} has non-finite entries in the encoder slice")
     if np.any(a < 0) or np.any(b < 0):
         raise DomainError("Fisher entries must be nonnegative")
 
     cells = {}
     for w in w_values:
         quot = _variance_quotient(a, b, w)
-        bias = _bias_terms(a, b, delta_full[:d_max], w)
+        bias = _bias_terms(a, b, delta, w)
         for c in c_values:
             d = spec.encoder_params(c)
             enc_var = float(quot[:d].sum() / (2.0 * n_train))

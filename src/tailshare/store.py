@@ -12,6 +12,8 @@ suffix for its stem, and readers resolve the highest version.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import asdict
 import json
 import re
 import struct
@@ -24,6 +26,7 @@ from .datagen import TaskSplit
 from .nn import ModelSpec, ParamVector
 from .pipeline import AssembledModel, Stage1Result
 from .proxy import DiagFisher
+from .tables import write_csv
 
 _MAGIC = b"TSCONT01"
 _VERSION = 1
@@ -43,67 +46,71 @@ def save_container(path, meta: dict, arrays: dict) -> None:
 
 
 def load_container(path) -> tuple:
+    """(meta, arrays) of a container; any damage to the file, truncation
+    included, raises DataFormatError."""
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(str(path))
     raw = path.read_bytes()
     if raw[:8] != _MAGIC:
         raise DataFormatError(f"{path}: not a tailshare container")
-    (version,) = struct.unpack("<I", raw[8:12])
+    if len(raw) < 20:
+        raise DataFormatError(f"{path}: truncated header ({len(raw)} of 20 bytes)")
+    version, meta_len = struct.unpack("<IQ", raw[8:20])
     if version != _VERSION:
         raise DataFormatError(f"{path}: unsupported container version {version}")
-    (meta_len,) = struct.unpack("<Q", raw[12:20])
-    meta = json.loads(raw[20:20 + meta_len].decode("utf-8"))
     offset = 20 + meta_len
+    if offset > len(raw):
+        raise DataFormatError(f"{path}: metadata of {meta_len} bytes runs past the end of the file")
+    try:
+        meta = json.loads(raw[20:offset].decode("utf-8"))
+        entries = [(e["name"], e["length"]) for e in meta["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: unreadable metadata ({type(exc).__name__}: {exc})") from None
     arrays = {}
-    for entry in meta["arrays"]:
-        n = entry["length"]
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).astype(np.float64)
+    for name, n in entries:
+        if not isinstance(name, str) or type(n) is not int or n < 0:
+            raise DataFormatError(f"{path}: bad array entry {name!r} of length {n!r}")
+        if offset + 8 * n > len(raw):
+            raise DataFormatError(f"{path}: array {name!r} of {n} values runs past the end of the file")
+        arrays[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).astype(np.float64)
         offset += 8 * n
     if offset != len(raw):
         raise DataFormatError(f"{path}: trailing bytes after declared arrays")
     return meta, arrays
 
 
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "input_dim": spec.input_dim,
-        "trunk_widths": list(spec.trunk_widths),
-        "head_dims": list(spec.head_dims),
-        "activation": spec.activation,
-    }
-
-
-def spec_from_dict(d: dict) -> ModelSpec:
-    return ModelSpec(d["input_dim"], tuple(d["trunk_widths"]), tuple(d["head_dims"]), d["activation"])
-
-
-def split_to_dict(split: TaskSplit) -> dict:
-    return {"head_classes": list(split.head_classes), "tail_classes": list(split.tail_classes)}
-
-
-def split_from_dict(d: dict) -> TaskSplit:
-    return TaskSplit(tuple(d["head_classes"]), tuple(d["tail_classes"]))
-
-
 def save_params(path, spec: ModelSpec, params: ParamVector, extra: dict | None = None) -> None:
-    meta = {"kind": "params", "spec": spec_to_dict(spec)}
+    meta = {"kind": "params", "spec": asdict(spec)}
     meta.update(extra or {})
     save_container(path, meta, {"params": params.values})
 
 
+@contextmanager
+def _artifact(path):
+    """Metadata a container's kind needs but lacks, or values that do not
+    fit together, raise DataFormatError naming the file."""
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise DataFormatError(f"{path}: inconsistent artifact ({type(exc).__name__}: {exc})") from None
+
+
 def load_params(path) -> tuple:
     meta, arrays = load_container(path)
-    spec = spec_from_dict(meta["spec"])
-    return spec, ParamVector(arrays["params"], spec.block_table()), meta
+    with _artifact(path):
+        spec = ModelSpec(**meta["spec"])
+        return spec, ParamVector(arrays["params"], spec.block_table()), meta
 
 
 def save_stage1(path, spec: ModelSpec, s1: Stage1Result, split: TaskSplit,
                 priors: np.ndarray, extra: dict | None = None) -> None:
     meta = {
         "kind": "stage1",
-        "spec": spec_to_dict(spec),
-        "split": split_to_dict(split),
+        "spec": asdict(spec),
+        "split": asdict(split),
         "sample_count": s1.fisher_a.sample_count,
         "losses_a": list(s1.losses_a),
         "losses_b": list(s1.losses_b),
@@ -120,24 +127,25 @@ def save_stage1(path, spec: ModelSpec, s1: Stage1Result, split: TaskSplit,
 
 def load_stage1(path) -> tuple:
     meta, arrays = load_container(path)
-    spec = spec_from_dict(meta["spec"])
-    table = spec.block_table()
-    s1 = Stage1Result(
-        params_a=ParamVector(arrays["params_a"], table),
-        params_b=ParamVector(arrays["params_b"], table),
-        fisher_a=DiagFisher(arrays["fisher_a"], meta["sample_count"]),
-        fisher_b=DiagFisher(arrays["fisher_b"], meta["sample_count"]),
-        losses_a=meta["losses_a"],
-        losses_b=meta["losses_b"],
-    )
-    return spec, s1, split_from_dict(meta["split"]), arrays["priors"], meta
+    with _artifact(path):
+        spec = ModelSpec(**meta["spec"])
+        table = spec.block_table()
+        s1 = Stage1Result(
+            params_a=ParamVector(arrays["params_a"], table),
+            params_b=ParamVector(arrays["params_b"], table),
+            fisher_a=DiagFisher(arrays["fisher_a"], meta["sample_count"]),
+            fisher_b=DiagFisher(arrays["fisher_b"], meta["sample_count"]),
+            losses_a=meta["losses_a"],
+            losses_b=meta["losses_b"],
+        )
+        return spec, s1, TaskSplit(**meta["split"]), arrays["priors"], meta
 
 
 def save_model(path, model: AssembledModel, extra: dict | None = None) -> None:
     meta = {
         "kind": "model",
-        "spec": spec_to_dict(model.spec),
-        "split": split_to_dict(model.split),
+        "spec": asdict(model.spec),
+        "split": asdict(model.split),
         "c": model.c,
     }
     meta.update(extra or {})
@@ -150,47 +158,47 @@ def save_model(path, model: AssembledModel, extra: dict | None = None) -> None:
 
 def load_model(path) -> tuple:
     meta, arrays = load_container(path)
-    spec = spec_from_dict(meta["spec"])
-    table = spec.block_table()
-    model = AssembledModel(
-        spec=spec,
-        c=meta["c"],
-        split=split_from_dict(meta["split"]),
-        priors=arrays["priors"],
-        branch_a=ParamVector(arrays["branch_a"], table),
-        branch_b=ParamVector(arrays["branch_b"], table),
-    )
-    return model, meta
+    with _artifact(path):
+        spec = ModelSpec(**meta["spec"])
+        table = spec.block_table()
+        model = AssembledModel(
+            spec=spec,
+            c=meta["c"],
+            split=TaskSplit(**meta["split"]),
+            priors=arrays["priors"],
+            branch_a=ParamVector(arrays["branch_a"], table),
+            branch_b=ParamVector(arrays["branch_b"], table),
+        )
+        return model, meta
 
 
 _VERSION_RE = re.compile(r"_v(\d{3,})$")
+
+
+def _latest_version(run_dir: Path, stem: str, ext: str) -> tuple:
+    """(version, path) of the highest `<stem>_vNNN<ext>` in run_dir, or
+    (-1, None) when there is none."""
+    found = []
+    for p in run_dir.glob(f"{stem}_v*{ext}"):
+        m = _VERSION_RE.search(p.name[: -len(ext)] if ext else p.name)
+        if m:
+            found.append((int(m.group(1)), p))
+    return max(found, default=(-1, None))
 
 
 def next_version_path(run_dir, stem: str, ext: str) -> Path:
     """Allocate the next free `<stem>_vNNN<ext>` path inside run_dir."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    best = 0
-    for p in run_dir.glob(f"{stem}_v*{ext}"):
-        m = _VERSION_RE.search(p.name[: -len(ext)] if ext else p.name)
-        if m:
-            best = max(best, int(m.group(1)))
-    return run_dir / f"{stem}_v{best + 1:03d}{ext}"
+    version = max(_latest_version(run_dir, stem, ext)[0], 0)
+    return run_dir / f"{stem}_v{version + 1:03d}{ext}"
 
 
 def latest_version_path(run_dir, stem: str, ext: str) -> Path:
-    run_dir = Path(run_dir)
-    best = None
-    best_v = -1
-    if run_dir.is_dir():
-        for p in run_dir.glob(f"{stem}_v*{ext}"):
-            m = _VERSION_RE.search(p.name[: -len(ext)] if ext else p.name)
-            if m and int(m.group(1)) > best_v:
-                best_v = int(m.group(1))
-                best = p
-    if best is None:
+    path = _latest_version(Path(run_dir), stem, ext)[1]
+    if path is None:
         raise MissingArtifactError(f"no {stem}_vNNN{ext} artifact in {run_dir}")
-    return best
+    return path
 
 
 def write_config_snapshot(run_dir, config: dict) -> Path:
@@ -201,8 +209,5 @@ def write_config_snapshot(run_dir, config: dict) -> Path:
 
 def write_metrics_csv(path, rows: list) -> None:
     """rows: list of (eval_set_name, MetricsReport-like dict)."""
-    cols = ["overall_accuracy", "head_accuracy", "tail_accuracy", "bce_a", "bce_b", "n_eval"]
-    with Path(path).open("w") as fh:
-        fh.write("eval_set," + ",".join(cols) + "\n")
-        for name, rep in rows:
-            fh.write(name + "," + ",".join(repr(rep[c]) if isinstance(rep[c], float) else str(rep[c]) for c in cols) + "\n")
+    cols = ("overall_accuracy", "head_accuracy", "tail_accuracy", "bce_a", "bce_b", "n_eval")
+    write_csv(path, ("eval_set",) + cols, ([name] + [rep[c] for c in cols] for name, rep in rows))

@@ -1,0 +1,70 @@
+"""The one CSV table writer and the one JSON serializer of the package's
+reports and artifacts.
+
+CSV cells: strings as they are, ints (numpy ints and bools included) with
+str, every other number with repr(float(v)), so numpy scalars print as
+plain floats that any CSV reader parses.
+"""
+from __future__ import annotations
+
+from dataclasses import fields
+import json
+from pathlib import Path
+
+import numpy as np
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row of cells."""
+    with Path(path).open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _typed(annotation, value):
+    annotation = str(annotation)
+    if value is None:
+        return None
+    if "ndarray" in annotation:
+        return np.asarray(value)
+    if "tuple" in annotation:
+        return tuple(value)
+    return value
+
+
+class Record:
+    """Base of the dataclass reports: fields to a dict and to JSON (arrays
+    and tuples as lists), and back per each field's annotation. FORMAT
+    names the JSON document's format."""
+
+    FORMAT = None
+
+    def as_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    def to_json(self) -> str:
+        return json.dumps({"format": self.FORMAT, **self.as_dict()}, sort_keys=True, indent=1)
+
+    @classmethod
+    def from_json(cls, text: str):
+        d = json.loads(text)
+        return cls(**{f.name: _typed(f.type, d[f.name]) for f in fields(cls)})

@@ -1,10 +1,13 @@
+import csv
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from tailshare.cli import main
 from tailshare.presets import toy_config_dict
+from tailshare.store import save_container
 
 
 @pytest.fixture()
@@ -91,6 +94,26 @@ class TestFullRun:
             assert first == second, f"{stem}{ext} differs between reruns"
 
 
+class TestStagedMatchesFullRun:
+    def test_staged_chain_and_full_run_write_identical_artifacts(self, runner, tmp_path):
+        """On the reference config, the staged chain (versions 1) and
+        full-run (versions 2; refinement makes the staged model_v002) write
+        the same bytes for every artifact they share."""
+        config = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+        common = ["--config", str(config), "--out", str(tmp_path), "--seed", "3"]
+        for command in ("gen-data", "stage1", "search", "stage2", "assemble", "refine", "eval",
+                        "full-run"):
+            result = runner.invoke(main, [command] + common)
+            assert result.exit_code == 0, (command, result.output)
+        pairs = [(f"{stem}_v001{ext}", f"{stem}_v002{ext}") for stem, ext in (
+            ("stage1", ".bin"), ("proxy_grid", ".csv"), ("selection", ".json"),
+            ("stage2", ".bin"), ("metrics", ".csv"))]
+        pairs.append(("model_v002.bin", "model_v003.bin"))
+        for staged, full in pairs:
+            assert (tmp_path / staged).read_bytes() == (tmp_path / full).read_bytes(), (staged, full)
+        assert "search_seconds" not in json.loads((tmp_path / "selection_v001.json").read_text())
+
+
 class TestErrorPaths:
     def test_missing_artifact_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
@@ -118,6 +141,25 @@ class TestErrorPaths:
         result = runner.invoke(main, ["stage1", "--config", str(config), "--data", str(bad)])
         assert result.exit_code == 5
 
+    def test_truncated_stage1_container_exit_code(self, runner, tmp_path):
+        config, _ = write_config(tmp_path)
+        for command in ("gen-data", "stage1"):
+            assert runner.invoke(main, [command, "--config", str(config)]).exit_code == 0
+        path = tmp_path / "run" / "stage1_v001.bin"
+        path.write_bytes(path.read_bytes()[:-100])
+        result = runner.invoke(main, ["search", "--config", str(config)])
+        assert result.exit_code == 5, result.output
+        assert "error[data]" in result.output
+        assert not (tmp_path / "run" / "selection_v001.json").exists()
+
+    def test_stage1_container_without_spec_exit_code(self, runner, tmp_path):
+        config, _ = write_config(tmp_path)
+        (tmp_path / "run").mkdir()
+        save_container(tmp_path / "run" / "stage1_v001.bin", {"kind": "stage1"}, {})
+        result = runner.invoke(main, ["search", "--config", str(config)])
+        assert result.exit_code == 5, result.output
+        assert "error[data]" in result.output
+
     def test_seed_override_changes_dataset(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
         assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
@@ -144,3 +186,18 @@ class TestOracleCommands:
                                       "--train-size", "250"])
         assert result.exit_code == 0, result.output
         assert (run_dir / "sweep_v001.csv").exists()
+
+    def test_oracle_and_sweep_csv_cells_parse_as_numbers(self, runner, tmp_path):
+        config, _ = write_config(tmp_path)
+        common = ["--config", str(config), "--resamples", "2", "--train-size", "200"]
+        assert runner.invoke(main, ["oracle", "--grid-c", "0,2", "--grid-w", "0.3,0.5"]
+                             + common).exit_code == 0
+        assert runner.invoke(main, ["sweep", "--grid-w", "0.3,0.5"] + common).exit_code == 0
+        for name, n_rows in (("oracle_grid_v001.csv", 4), ("sweep_v001.csv", 2)):
+            with (tmp_path / "run" / name).open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) == 1 + n_rows
+            for row in rows[1:]:
+                assert len(row) == len(rows[0])
+                for cell in row:
+                    float(cell)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tailshare.errors import ConfigError, DataFormatError, StructuralError
 from tailshare.datagen import (
@@ -14,7 +15,6 @@ from tailshare.datagen import (
     sample_iid,
     save_csv,
     split_classes,
-    true_posterior,
 )
 
 
@@ -143,7 +143,7 @@ class TestPosterior:
     def test_far_means_concentrate(self):
         cfg = GenConfig(3, 2, 2.0, 30, class_mean_scale=30.0, noise_sigma=1.0, seed=0)
         gen = build_generator(cfg)
-        post = true_posterior(gen, gen.means[1])
+        post = gen.posterior(gen.means[1])
         assert post[0, 1] > 0.999
 
     def test_two_class_equidistant_symmetry(self):
@@ -179,6 +179,38 @@ class TestCsv:
         path.write_text("0.5,1.5,0\n-1.0,2.0,7\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_csv(path, n_classes=2)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_feature_names_line(self, tmp_path, token):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"0.5,1.5,0\n0.25,-1.0,1\n-1.0,{token},1\n")
+        with pytest.raises(DataFormatError, match="line 3: non-finite"):
+            load_csv(path)
+
+    def test_label_beyond_the_row_count_rejected(self, tmp_path):
+        path = tmp_path / "typo.csv"
+        path.write_text("0.5,1.5,0\n-1.0,2.0,1000000000000\n0.0,0.0,1\n")
+        with pytest.raises(DataFormatError, match="line 2: class label 1000000000000"):
+            load_csv(path)
+
+    def test_undecodable_bytes_name_line(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"0.5,1.5,0\n\xff\xfe,2.0,1\n")
+        with pytest.raises(DataFormatError, match="line 2"):
+            load_csv(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text(alphabet="0123456789.,-+eEinfaINF \n\t\r", max_size=80)
+           | st.binary(max_size=60).map(lambda b: b.decode("latin-1")))
+    def test_any_text_loads_or_raises_data_format_error(self, tmp_path, text):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(text.encode("latin-1"))
+        try:
+            ds = load_csv(path)
+        except DataFormatError:
+            return
+        assert np.isfinite(ds.features).all()
+        assert ds.n >= ds.n_classes
 
     def test_round_trip_with_generator_sidecar(self, tmp_path):
         ds = generate(GenConfig(4, 3, 5.0, 30, seed=6))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailshare.errors import DataFormatError, DomainError, StructuralError
-from tailshare.nn import Batch, ModelSpec, bce_loss_grad, init_params
+from tailshare.nn import Batch, ModelSpec, _forward_cache, _sigmoid, bce_loss_grad, init_params
 from tailshare.proxy import (
     DiagFisher,
     MismatchVector,
@@ -28,6 +28,33 @@ def labeled_data(rng, n, spec):
     return feats, z_a, z_b
 
 
+def plain_loop_fisher(params, spec, feats, z, task, offsets, chunk):
+    """Reference diagonal Fisher: a 2-D forward pass and a hand-written
+    per-layer backward loop from the score z - sigmoid(u), (a^2)^T (delta^2)
+    per layer and chunk."""
+    acc = np.zeros(spec.param_count)
+    blocks = {name: (off, length) for name, off, length in spec.block_table()}
+    for start in range(0, feats.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        trunk, heads, pres, acts, logits = _forward_cache(params, spec, feats[rows], task)
+        score = z[rows] - _sigmoid(logits + offsets)
+        walk = [("head_a" if task == "A" else "head_b", acts[-1], score)]
+        dh = score @ heads[task][0].T
+        for layer in range(spec.depth, 0, -1):
+            if spec.activation == "relu":
+                da = dh * (pres[layer - 1] > 0.0)
+            else:
+                da = dh * (1.0 - acts[layer] ** 2)
+            walk.append((f"trunk{layer}", acts[layer - 1], da))
+            dh = da @ trunk[layer - 1][0].T
+        for name, a, delta in walk:
+            off, length = blocks[name]
+            n_w = a.shape[1] * delta.shape[1]
+            acc[off:off + n_w] += ((a ** 2).T @ (delta ** 2)).ravel()
+            acc[off + n_w:off + length] += (delta ** 2).sum(axis=0)
+    return acc / feats.shape[0]
+
+
 class TestEstimateDiagFisher:
     def test_matches_per_sample_gradient_oracle(self):
         rng = np.random.default_rng(4)
@@ -45,6 +72,22 @@ class TestEstimateDiagFisher:
         brute /= 40
         assert np.abs(fisher.values - brute).max() < 1e-12
         assert fisher.sample_count == 40
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("task", ["A", "B"])
+    def test_equals_a_plain_per_layer_loop_bit_for_bit(self, activation, task):
+        """The stack-of-one walk against a 2-D per-layer loop over
+        _forward_cache: same operations, so the same bits."""
+        rng = np.random.default_rng(6)
+        spec = ModelSpec(4, (6, 1, 5), (3, 2), activation=activation)
+        params = init_params(spec, 9)
+        params.values[:] += rng.normal(size=params.values.size) * 0.3
+        feats, z_a, z_b = labeled_data(rng, 45, spec)
+        z = z_a if task == "A" else z_b
+        offsets = rng.normal(size=z.shape[1])
+        for chunk in (1, 7, 45, 100):
+            got = estimate_diag_fisher(params, spec, feats, z, task, offsets, chunk_size=chunk)
+            assert np.array_equal(got.values, plain_loop_fisher(params, spec, feats, z, task, offsets, chunk))
 
     def test_bernoulli_logit_at_half_gives_quarter(self):
         # zero trunk weights push the head input to tanh(0)=0, so the logit is
@@ -292,3 +335,30 @@ class TestGridSearch:
         fa, fb = fisher_pair(spec, np.ones(12), np.ones(12))
         with pytest.raises(DomainError):
             grid_search(fa, fb, np.zeros(12), 100, spec, c_values=())
+
+    def test_nonpositive_n_train_rejected(self):
+        spec = ModelSpec(3, (3,), (2, 2))
+        fa, fb = fisher_pair(spec, np.ones(12), np.ones(12))
+        for n_train in (0, -5):
+            with pytest.raises(DomainError, match="n_train"):
+                grid_search(fa, fb, np.zeros(12), n_train, spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["fisher_a", "fisher_b", "trunk_mismatch"])
+    def test_non_finite_inputs_rejected_by_name(self, which, bad):
+        spec = ModelSpec(3, (3,), (2, 2))
+        values = {"fisher_a": np.ones(12), "fisher_b": np.ones(12), "trunk_mismatch": np.zeros(12)}
+        values[which][4] = bad
+        fa, fb = fisher_pair(spec, values["fisher_a"], values["fisher_b"])
+        with pytest.raises(DomainError, match=which):
+            grid_search(fa, fb, values["trunk_mismatch"], 100, spec)
+
+    def test_non_finite_entries_past_the_deepest_slice_are_not_read(self):
+        spec = ModelSpec(3, (3, 3), (2, 2))
+        enc = spec.encoder_params(2)
+        fa, fb = fisher_pair(spec, np.ones(enc), np.ones(enc))
+        fa.values[-1] = np.nan  # a head entry
+        delta = np.zeros(enc)
+        delta[-1] = np.inf  # layer 2, outside the c <= 1 slice
+        res = grid_search(fa, fb, delta, 100, spec, c_values=(0, 1))
+        assert all(np.isfinite(row.total) for row in res.table)
