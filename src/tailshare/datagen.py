@@ -286,17 +286,25 @@ def save_csv(dataset: LongTailDataset, path, sidecar: bool = True) -> None:
 
 
 def load_generator_sidecar(path) -> MixtureGenerator:
+    """The generator a sidecar describes; undecodable JSON, missing or
+    non-finite fields, bad config keys and shapes that do not fit raise
+    DataFormatError naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"generator sidecar not found: {path}")
-    payload = json.loads(path.read_text())
-    cfg = None
-    if "config" in payload:
-        cfg = GenConfig(**payload["config"])
-    return MixtureGenerator(
-        np.asarray(payload["means"]), float(payload["noise_sigma"]),
-        np.asarray(payload["priors"]), cfg,
-    )
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        cfg = GenConfig(**payload["config"]) if "config" in payload else None
+        gen = MixtureGenerator(
+            np.asarray(payload["means"], dtype=np.float64), float(payload["noise_sigma"]),
+            np.asarray(payload["priors"], dtype=np.float64), cfg,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: bad generator sidecar ({type(exc).__name__}: {exc})") from None
+    if not (np.isfinite(gen.means).all() and np.isfinite(gen.priors).all()
+            and np.isfinite(gen.noise_sigma) and gen.noise_sigma > 0):
+        raise DataFormatError(f"{path}: means, priors and a positive noise_sigma must be finite")
+    return gen
 
 
 def load_csv(path, n_classes: int | None = None) -> LongTailDataset:
@@ -358,9 +366,19 @@ def load_csv(path, n_classes: int | None = None) -> LongTailDataset:
         )
     labels = np.zeros((classes.size, k))
     labels[np.arange(classes.size), classes] = 1.0
+    counts = labels.sum(axis=0).astype(np.int64)
+    if n_classes is None and not counts.all():
+        # The class count comes from the largest label, so every smaller
+        # label must have rows; an empty class has no prior to adjust by.
+        raise DataFormatError(
+            f"{path}: no rows for class label(s) {', '.join(map(str, np.flatnonzero(counts == 0)))} "
+            f"of 0..{k - 1}")
     generator = None
     sidecar = _sidecar_path(path)
     if sidecar.exists():
         generator = load_generator_sidecar(sidecar)
-    counts = labels.sum(axis=0).astype(np.int64)
+        if generator.means.shape != (k, features.shape[1]):
+            raise DataFormatError(
+                f"{sidecar}: generator has {generator.n_classes} classes of dimension "
+                f"{generator.input_dim}, the data {k} of dimension {features.shape[1]}")
     return LongTailDataset(features, labels, counts, generator)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergenceError
+from .errors import ConfigError, DomainError, TrainingDivergenceError
 from .datagen import MixtureGenerator, sample_iid, split_classes
 from .infotheory import _risk_targets, _taskwise_risk
 from .pipeline import (
@@ -39,21 +39,36 @@ from .tables import Record, write_csv
 _RESAMPLE_SEED_OFFSET = 1000
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v; each run of tied values gets the mean of the
+    ranks it spans, an exact integer or half-integer."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(new) - 1]
+    return ranks
+
+
 def spearman(x, y) -> float | None:
-    """Spearman rank correlation with average ranks on ties.
+    """Spearman rank correlation: the Pearson correlation of the average
+    ranks (ties share the mean of their ranks).
 
     Returns None (not 0) when either input is constant or too short for a
-    correlation to be defined.
+    correlation to be defined; non-finite input raises DomainError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != y.size:
         raise ConfigError("rank correlation needs equally long vectors")
+    for name, v in (("x", x), ("y", y)):
+        if not np.isfinite(v).all():
+            raise DomainError(f"rank correlation input {name} has non-finite values")
     if x.size < 2 or np.unique(x).size < 2 or np.unique(y).size < 2:
         return None
-    # Imported here: scipy.stats dominates the package's import time.
-    from scipy import stats
-    return float(stats.spearmanr(x, y).statistic)
+    return float(np.corrcoef(np.stack([_average_ranks(x), _average_ranks(y)]))[1, 0])
 
 
 def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:

@@ -342,7 +342,7 @@ def full_run(
     """All pipeline stages end to end on one dataset.
 
     Metrics are computed on the provided eval set when given, otherwise on
-    the training data.
+    the training data; an eval set without rows gives no metrics.
     """
     td = build_task_data(dataset)
     s1 = stage1(cfg, td)
@@ -355,5 +355,5 @@ def full_run(
         refined = True
     if eval_features is None:
         eval_features, eval_labels = dataset.features, dataset.labels
-    metrics = evaluate(model, eval_features, eval_labels)
+    metrics = evaluate(model, eval_features, eval_labels) if len(eval_features) else None
     return PipelineResult(td, s1, selection, s2, model, refined, metrics)

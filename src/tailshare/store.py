@@ -15,6 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import asdict
 import json
+import os
 import re
 import struct
 from pathlib import Path
@@ -187,11 +188,21 @@ def _latest_version(run_dir: Path, stem: str, ext: str) -> tuple:
 
 
 def next_version_path(run_dir, stem: str, ext: str) -> Path:
-    """Allocate the next free `<stem>_vNNN<ext>` path inside run_dir."""
+    """Claim the next free `<stem>_vNNN<ext>` path inside run_dir.
+
+    The path is created empty with O_CREAT | O_EXCL, so concurrent writers
+    never receive the same version; the caller must write it."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     version = max(_latest_version(run_dir, stem, ext)[0], 0)
-    return run_dir / f"{stem}_v{version + 1:03d}{ext}"
+    while True:
+        version += 1
+        path = run_dir / f"{stem}_v{version:03d}{ext}"
+        try:
+            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
+        except FileExistsError:
+            continue
+        return path
 
 
 def latest_version_path(run_dir, stem: str, ext: str) -> Path:

@@ -93,6 +93,26 @@ class TestFullRun:
             second = (run_dir / f"{stem}_v002{ext}").read_bytes()
             assert first == second, f"{stem}{ext} differs between reruns"
 
+    @pytest.mark.parametrize("fraction, eval_sets", [(0.25, ["holdout", "balanced"]),
+                                                     (0.0, ["balanced"])])
+    def test_scores_each_eval_set_once(self, runner, tmp_path, monkeypatch, fraction, eval_sets):
+        """One evaluation per metrics row; the training rows are not scored."""
+        from tailshare import pipeline
+        calls = []
+        evaluate = pipeline.evaluate
+
+        def counted(model, features, labels):
+            calls.append(len(features))
+            return evaluate(model, features, labels)
+
+        monkeypatch.setattr(pipeline, "evaluate", counted)
+        config, cfg = write_config(tmp_path, holdout_fraction=fraction)
+        assert runner.invoke(main, ["full-run", "--config", str(config)]).exit_code == 0
+        with (tmp_path / "run" / "metrics_v001.csv").open(newline="") as fh:
+            assert [row["eval_set"] for row in csv.DictReader(fh)] == eval_sets
+        assert len(calls) == len(eval_sets), calls
+        assert calls[-1] == cfg["generator"]["n_classes"] * cfg["eval_per_class"]
+
 
 class TestStagedMatchesFullRun:
     def test_staged_chain_and_full_run_write_identical_artifacts(self, runner, tmp_path):
@@ -159,6 +179,31 @@ class TestErrorPaths:
         result = runner.invoke(main, ["search", "--config", str(config)])
         assert result.exit_code == 5, result.output
         assert "error[data]" in result.output
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"means": [[0',
+        '{"noise_sigma": 1.0, "priors": [1.0]}',
+        '{"means": [[0.0]], "noise_sigma": 1.0, "priors": [0.5, 0.5]}',
+        '{"means": [[0.0]], "noise_sigma": 1.0, "priors": [1.0], "config": {"colour": 1}}',
+    ])
+    def test_bad_generator_sidecar_exit_code(self, runner, tmp_path, sidecar):
+        config, _ = write_config(tmp_path)
+        assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
+        data = tmp_path / "run" / "dataset_v001.csv"
+        (tmp_path / "run" / "dataset_v001.generator.json").write_text(sidecar)
+        result = runner.invoke(main, ["stage1", "--config", str(config), "--data", str(data)])
+        assert result.exit_code == 5, result.output
+        assert "error[data]" in result.output
+        assert "dataset_v001.generator.json" in result.output
+
+    def test_dataset_with_an_empty_class_exit_code(self, runner, tmp_path):
+        config, _ = write_config(tmp_path)
+        data = tmp_path / "gap.csv"
+        data.write_text("".join(f"{i * 0.1},{-i * 0.2},{0 if i % 3 else 3}\n" for i in range(30)))
+        result = runner.invoke(main, ["stage1", "--config", str(config), "--data", str(data)])
+        assert result.exit_code == 5, result.output
+        assert "gap.csv" in result.output
+        assert "class label(s) 1, 2" in result.output
 
     def test_seed_override_changes_dataset(self, runner, tmp_path):
         config, _ = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -212,6 +214,13 @@ class TestCsv:
         assert np.isfinite(ds.features).all()
         assert ds.n >= ds.n_classes
 
+    def test_empty_class_named_when_the_count_is_inferred(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("0.5,1.5,0\n-1.0,2.0,3\n0.0,0.0,0\n1.0,1.0,3\n")
+        with pytest.raises(DataFormatError, match=r"gap.csv: no rows for class label\(s\) 1, 2 of 0..3"):
+            load_csv(path)
+        assert np.array_equal(load_csv(path, n_classes=5).class_counts, [2, 0, 0, 2, 0])
+
     def test_round_trip_with_generator_sidecar(self, tmp_path):
         ds = generate(GenConfig(4, 3, 5.0, 30, seed=6))
         path = tmp_path / "data.csv"
@@ -221,6 +230,44 @@ class TestCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert back.generator is not None
         assert np.array_equal(back.generator.means, ds.generator.means)
+
+
+class TestGeneratorSidecar:
+    GOOD = {"means": [[0.0, 1.0], [1.0, 0.0]], "noise_sigma": 1.0, "priors": [0.75, 0.25]}
+
+    def write(self, tmp_path, sidecar: str):
+        (tmp_path / "d.csv").write_text("0.5,1.5,0\n-1.0,2.0,1\n0.0,0.0,0\n")
+        (tmp_path / "d.generator.json").write_text(sidecar)
+        return tmp_path / "d.csv"
+
+    def test_good_sidecar_attaches(self, tmp_path):
+        gen = load_csv(self.write(tmp_path, json.dumps(self.GOOD))).generator
+        assert np.array_equal(gen.priors, [0.75, 0.25])
+
+    @pytest.mark.parametrize("change", [
+        {"means": None}, {"noise_sigma": None}, {"priors": None},          # missing
+        {"means": [[0.0, 1.0], [1.0]]},                                     # ragged
+        {"means": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]},                      # width not the data's
+        {"means": [[0.0, 1.0]], "priors": [1.0]},                           # one class, data has two
+        {"priors": [0.5, 0.25, 0.25]},                                      # priors not one per class
+        {"priors": [float("nan"), 0.25]}, {"noise_sigma": float("inf")},
+        {"noise_sigma": -1.0}, {"means": [[0.0, "a"], [1.0, 0.0]]},
+        {"config": {"colour": 1}}, {"config": [1]},
+    ])
+    def test_bad_sidecar_names_the_file(self, tmp_path, change):
+        payload = {k: v for k, v in {**self.GOOD, **change}.items() if v is not None}
+        with pytest.raises(DataFormatError, match="d.generator.json"):
+            load_csv(self.write(tmp_path, json.dumps(payload)))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text(max_size=60)
+           | st.sampled_from([json.dumps(GOOD)]).flatmap(
+               lambda good: st.integers(0, len(good)).map(lambda cut: good[:cut])))
+    def test_any_sidecar_text_loads_or_raises_data_format_error(self, tmp_path, text):
+        try:
+            load_csv(self.write(tmp_path, text))
+        except DataFormatError:
+            pass
 
 
 class TestHoldout:

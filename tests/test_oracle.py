@@ -1,4 +1,5 @@
 from dataclasses import replace
+import json
 import os
 from pathlib import Path
 import pickle
@@ -8,8 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tailshare.errors import ConfigError, TrainingDivergenceError
+from tailshare.errors import ConfigError, DomainError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, build_generator
 from tailshare.nn import ModelSpec, OptConfig
 from tailshare.oracle import (
@@ -55,6 +57,41 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             spearman([1, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_non_finite_input_names_its_vector(self, bad, name):
+        vectors = {"x": [1.0, 2.0, 3.0], "y": [3.0, 1.0, 2.0]}
+        vectors[name][1] = bad
+        with pytest.raises(DomainError, match=f"input {name} has non-finite"):
+            spearman(vectors["x"], vectors["y"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 60))
+    def test_equals_scipy_bit_for_bit(self, data, n):
+        """Heavy ties from small integer pools, signed zeros and mixed
+        magnitudes; None exactly when an input is constant, otherwise the
+        bits of scipy's spearmanr."""
+        from scipy import stats
+
+        def vector():
+            pool = data.draw(st.sampled_from([
+                st.integers(0, data.draw(st.integers(1, 4))).map(float),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([1e-300, -2.5, 3.0, 1e300, 5e-324]),
+            ]))
+            return data.draw(st.lists(pool, min_size=n, max_size=n))
+
+        x, y = vector(), vector()
+        rho = spearman(x, y)
+        if len(set(x)) == 1 or len(set(y)) == 1:
+            assert rho is None
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's p-value divides by zero at n = 2
+            want = float(stats.spearmanr(x, y).statistic)
+        assert np.float64(rho).tobytes() == np.float64(want).tobytes(), (rho, want)
 
 
 class TestAnchor:
@@ -286,3 +323,30 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", "import sys, tailshare.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_oracle_and_sweep_run_with_scipy_blocked(tmp_path):
+    """A toy `tailshare oracle` and `tailshare sweep` in a process where
+    importing scipy fails: both exit 0 and no scipy module gets loaded."""
+    import tailshare
+    root = Path(tailshare.__file__).resolve().parents[2]
+    config = root / "configs" / "toy.json"
+    common = ["--config", str(config), "--out", str(tmp_path), "--resamples", "2",
+              "--train-size", "200", "--grid-w", "0.3,0.7"]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from tailshare.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    main.main(args=args, prog_name='tailshare', standalone_mode=False)\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))\n"
+    )
+    commands = [["oracle", "--grid-c", "0,2"] + common, ["sweep"] + common]
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert "spearman=" in out.stdout
+    for name in ("oracle_grid_v001.csv", "oracle_summary_v001.json", "sweep_v001.csv"):
+        assert (tmp_path / name).stat().st_size > 0

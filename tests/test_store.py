@@ -1,5 +1,9 @@
 import json
+import os
+from pathlib import Path
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from tailshare.errors import DataFormatError, MissingArtifactError
 from tailshare.datagen import GenConfig, generate
 from tailshare.nn import ModelSpec, OptConfig, init_params
 from tailshare.pipeline import RunConfig, assemble, build_task_data, stage1, stage2
+from tailshare import store
 from tailshare.store import (
     latest_version_path,
     load_container,
@@ -218,6 +223,23 @@ class TestVersioning:
         p2.write_text("b")
         assert latest_version_path(tmp_path, "thing", ".csv") == p2
         assert p1.read_text() == "a"  # old artifact untouched
+
+    def test_each_call_claims_a_new_version(self, tmp_path):
+        paths = [next_version_path(tmp_path, "thing", ".csv") for _ in range(2)]
+        assert [p.name for p in paths] == ["thing_v001.csv", "thing_v002.csv"]
+        assert all(p.exists() and p.stat().st_size == 0 for p in paths)
+
+    def test_concurrent_processes_claim_distinct_paths(self, tmp_path):
+        script = ("import sys\n"
+                  "from tailshare.store import next_version_path\n"
+                  "for _ in range(10):\n"
+                  "    print(next_version_path(sys.argv[1], 'thing', '.csv').name)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(store.__file__).resolve().parents[1]))
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                  stdout=subprocess.PIPE, text=True) for _ in range(4)]
+        names = [name for proc in procs for name in proc.communicate(timeout=60)[0].split()]
+        assert all(proc.returncode == 0 for proc in procs)
+        assert sorted(names) == [f"thing_v{v:03d}.csv" for v in range(1, 41)]
 
     def test_latest_missing_raises(self, tmp_path):
         with pytest.raises(MissingArtifactError):
