@@ -242,14 +242,18 @@ def _check_params(params: ParamVector, spec: ModelSpec) -> None:
         raise StructuralError("parameter block layout does not match the model spec")
 
 
+def _features(spec: ModelSpec, features: np.ndarray) -> np.ndarray:
+    """The feature matrix as float64, checked to be (n, input_dim)."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise StructuralError(f"features must be (n, {spec.input_dim}), got {x.shape}")
+    return x
+
+
 def _forward_cache(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: str):
     """Forward pass keeping pre-activations and activations: (trunk (W, b)
     views, head views by task, pre-activations, activations, logits)."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise StructuralError(
-            f"features must be (n, {spec.input_dim}), got {x.shape}"
-        )
+    x = _features(spec, features)
     views = [(w[0], b[0, 0]) for w, b in _block_views(params.values[None, :], spec)]
     trunk, heads = views[:spec.depth], dict(zip(TASKS, views[spec.depth:]))
     pres = []
@@ -265,6 +269,27 @@ def _forward_cache(params: ParamVector, spec: ModelSpec, features: np.ndarray, t
     return trunk, heads, pres, acts, logits
 
 
+def trunk_activations(params: ParamVector, spec: ModelSpec, features: np.ndarray) -> list:
+    """Activations [x, h_1, ..., h_L] of the network's trunk at `features`:
+    x as a float matrix, each h_c as a (1, n, width) stack of one.
+    forward_from continues from any of them with forward's own operations."""
+    _check_params(params, spec)
+    x = _features(spec, features)
+    return _trunk_forward(_block_views(params.values[None, :], spec)[:spec.depth], x, spec.activation)
+
+
+def forward_from(params: ParamVector, spec: ModelSpec, h: np.ndarray, layer: int, task: str) -> np.ndarray:
+    """Logits of the requested branch from h, the activations of trunk
+    layer `layer` as trunk_activations gives them (layer 0: the features):
+    trunk layers layer+1..L, then the head. Any network whose first `layer`
+    trunk blocks equal those that made h gets forward's logits bit for bit."""
+    blocks = _block_views(params.values[None, :], spec)
+    w_h, b_h = blocks[spec.depth + _task_index(task)]
+    logits = _trunk_forward(blocks[layer:spec.depth], h, spec.activation)[-1] @ w_h
+    logits += b_h
+    return logits[0]
+
+
 def forward(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: str) -> np.ndarray:
     """Per-class logits of the requested branch, one row per sample.
 
@@ -272,15 +297,7 @@ def forward(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: st
     Bernoulli factor.
     """
     _check_params(params, spec)
-    t = _task_index(task)
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise StructuralError(f"features must be (n, {spec.input_dim}), got {x.shape}")
-    blocks = _block_views(params.values[None, :], spec)
-    w_h, b_h = blocks[spec.depth + t]
-    logits = _trunk_forward(blocks[:spec.depth], x, spec.activation)[-1] @ w_h
-    logits += b_h
-    return logits[0]
+    return forward_from(params, spec, _features(spec, features), 0, task)
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -363,12 +380,11 @@ def _trainable_mask(spec: ModelSpec, table: tuple, trainable) -> np.ndarray | No
 def _sum_batch(a: np.ndarray, out: np.ndarray) -> None:
     """Sum a (K, B, C) stack over its batch axis into `out`, (K, 1, C),
     adding the rows in the order a (B, C) matrix's sum(axis=0) does: one
-    row after another when C > 1, pairwise when C == 1. For C > 1 the sum
-    runs on a (B, K, C) copy, where it is one long inner loop per row."""
+    row after another when C > 1 (einsum's loop), pairwise when C == 1."""
     if a.shape[2] == 1:
         np.add.reduce(a, axis=1, keepdims=True, out=out)
     else:
-        np.add.reduce(np.ascontiguousarray(a.transpose(1, 0, 2)), axis=0, out=out[:, 0, :])
+        np.einsum("kbc->kc", a, out=out[:, 0, :])
 
 
 def _trunk_forward(trunk: list, x: np.ndarray, activation: str, derivs: list | None = None) -> list:
@@ -415,41 +431,36 @@ def _reduce_grad(a: np.ndarray, delta: np.ndarray, g_w: np.ndarray, g_b: np.ndar
     _sum_batch(delta, g_b)
 
 
-def _backward(acts: list, derivs: list, lanes, ds: np.ndarray, head_w_t: np.ndarray,
-              trunk_w_t: list, out_blocks: list, head_block: int, reduce=_reduce_grad) -> None:
-    """The backward walk of one task over the stack members `lanes`.
+def _backward(acts: list, derivs: list, dh: np.ndarray, trunk_w_t: list, out_blocks: list,
+              reduce=_reduce_grad) -> None:
+    """The backward walk through a stack's trunk from the loss delta dh at
+    its top, (K, B, width).
 
-    From _trunk_forward's activations and derivatives, the loss delta ds at
-    the logits and the members' transposed weights, it hands each layer's
-    (input a, delta) pair to `reduce` with that layer's (W, b) views of
-    `out_blocks`: the head first (block `head_block`), then trunk layers
-    L..1. Training reduces a pair to the gradient (_reduce_grad); the
-    diagonal Fisher reduces the same pairs squared.
+    From _trunk_forward's activations and derivatives and the members'
+    transposed trunk weights, it hands each layer's (input a, delta) pair
+    to `reduce` with that layer's (W, b) views of `out_blocks`, layers L..1.
+    Training reduces a pair to the gradient (_reduce_grad); the diagonal
+    Fisher reduces the same pairs squared. The head's pair is the caller's.
     """
-    reduce(acts[-1][lanes], ds, *out_blocks[head_block])
-    dh = ds @ head_w_t
     for layer in range(len(trunk_w_t) - 1, -1, -1):
-        da = dh
-        da *= derivs[layer][lanes]
-        reduce(acts[0] if layer == 0 else acts[layer][lanes], da, *out_blocks[layer])
+        dh *= derivs[layer]
+        reduce(acts[layer], dh, *out_blocks[layer])
         if layer:
-            dh = da @ trunk_w_t[layer]
+            dh = dh @ trunk_w_t[layer]
 
 
 class _TaskLanes(NamedTuple):
     """One task's slice of a stack: the members with a positive weight on
-    it, their weights (k, 1), their gradient buffer (k, P) with its block
-    views, and views of their head and transposed weights."""
+    it, their weights (k, 1, 1), views of their head and transposed head
+    weights, and how many of its leading lanes no earlier task covers."""
 
     task: int
     lanes: slice
     weight: np.ndarray
-    grad: np.ndarray
-    grad_blocks: list
     head_w: np.ndarray
     head_b: np.ndarray
     head_w_t: np.ndarray
-    trunk_w_t: list
+    fresh: int
 
 
 class _Stack:
@@ -458,8 +469,8 @@ class _Stack:
 
     Members are kept in the order task-B only, both tasks, task-A only, so
     the members of each task form one contiguous lane range and every
-    per-task array is a view, never a gather. Block views and per-task
-    gradient buffers are built once and rebuilt only when members leave.
+    per-task array is a view, never a gather. Block views and the (K, P)
+    gradient buffer are built once and rebuilt only when members leave.
     """
 
     def __init__(self, spec, values, weights, offsets, mask=None, members=None):
@@ -468,22 +479,27 @@ class _Stack:
         self._bind(values, weights, mask, members, np.zeros_like(values))
 
     def _bind(self, values, weights, mask, members, velocity):
-        k, p = values.shape
+        k = values.shape[0]
         self.values, self.weights, self.mask = values, weights, mask
         self.members, self.velocity = members, velocity
         self.blocks = _block_views(values, self.spec)
         depth = self.spec.depth
+        self.trunk_w_t = [w.swapaxes(1, 2) for w, _ in self.blocks[:depth]]
+        # Each step overwrites every block a member trains through; a
+        # member's unused head block stays zero.
+        self.grad = np.zeros_like(values)
+        self.grad_blocks = _block_views(self.grad, self.spec)
         b_only = int((weights[:, 0] == 0).sum())
         a_only = int((weights[:, 1] == 0).sum())
         self.tasks = []
-        for t, lanes in ((0, slice(b_only, k)), (1, slice(0, k - a_only))):
+        # Task A first: its lanes are all fresh, task B's are fresh only
+        # for the task-B-only members.
+        for t, lanes, fresh in ((0, slice(b_only, k), k - b_only), (1, slice(0, k - a_only), b_only)):
             if lanes.start < lanes.stop:
-                grad = np.zeros((lanes.stop - lanes.start, p))
                 w_h, b_h = self.blocks[depth + t]
                 self.tasks.append(_TaskLanes(
-                    t, lanes, weights[lanes, t:t + 1], grad, _block_views(grad, self.spec),
-                    w_h[lanes], b_h[lanes], w_h[lanes].swapaxes(1, 2),
-                    [w[lanes].swapaxes(1, 2) for w, _ in self.blocks[:depth]]))
+                    t, lanes, weights[lanes, t, None, None], w_h[lanes], b_h[lanes],
+                    w_h[lanes].swapaxes(1, 2), fresh))
 
     def keep(self, alive: np.ndarray) -> None:
         """Drop the members where `alive` is False; the others keep their
@@ -494,15 +510,19 @@ class _Stack:
 
     def step(self, features, label_sets: tuple, sample_weight, rows) -> tuple:
         """Loss of every member on the minibatch `rows`, (K,), and its
-        gradient 0 + w_A g_A + w_B g_B, (K, P).
+        gradient, (K, P): the buffer the next step overwrites.
 
-        The trunk forward pass runs once for both tasks; each task's
-        backward pass runs only over the members with a positive weight on
-        it. Stacked matmuls make the same BLAS call on every member's slice,
-        and every other operation is elementwise or a reduction in the same
-        order, so each member's numbers are bit-identical to a stack of one.
-        That rests on each slice keeping the memory layout of a lone
-        network's array: BLAS results can change with operand strides.
+        The trunk forward pass runs once for both tasks. Each task scales
+        its logit delta by its weight (exact for weight 1), reduces it to
+        its head's gradient over the members with a positive weight on it,
+        and carries it to the trunk top, where a member training both tasks
+        adds task B's delta to task A's. The trunk is then walked backward
+        once over all members. Stacked matmuls make the same BLAS call on
+        every member's slice, and every other operation is elementwise or
+        a reduction in the same order, so each member's numbers are
+        bit-identical to a stack of one. That rests on each slice keeping
+        the memory layout of a lone network's array: BLAS results can
+        change with operand strides.
         """
         spec = self.spec
         depth = spec.depth
@@ -512,8 +532,8 @@ class _Stack:
         derivs = []
         acts = _trunk_forward(self.blocks[:depth], x, spec.activation, derivs)
         loss = np.zeros(self.values.shape[0])
-        grad = np.zeros_like(self.values)
-        for t, lanes, w_t, g_t, g_blocks, w_h, b_h, w_h_t, w_trunk_t in self.tasks:
+        top = np.empty((self.values.shape[0], n, spec.trunk_widths[-1]))
+        for t, lanes, w_t, w_h, b_h, w_h_t, fresh in self.tasks:
             u = acts[-1][lanes] @ w_h
             u += b_h
             if self.offsets[t] is not None:
@@ -528,10 +548,15 @@ class _Stack:
             if sw is not None:
                 terms *= sw[:, None]
                 ds *= sw[:, None]
-            loss[lanes] += w_t[:, 0] * (np.add.reduce(terms.reshape(len(w_t), -1), axis=1) / n)
-            _backward(acts, derivs, lanes, ds, w_h_t, w_trunk_t, g_blocks, depth + t)
-            grad[lanes] += w_t * g_t
-        return loss, grad
+            loss[lanes] += w_t[:, 0, 0] * (np.add.reduce(terms.reshape(len(w_t), -1), axis=1) / n)
+            ds *= w_t
+            _reduce_grad(acts[-1][lanes], ds, *(v[lanes] for v in self.grad_blocks[depth + t]))
+            top_t = top[lanes]
+            np.matmul(ds[:fresh], w_h_t[:fresh], out=top_t[:fresh])
+            if fresh < len(w_t):
+                top_t[fresh:] += ds[fresh:] @ w_h_t[fresh:]
+        _backward(acts, derivs, top, self.trunk_w_t, self.grad_blocks)
+        return loss, self.grad
 
 
 def bce_loss_grad(

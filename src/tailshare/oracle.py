@@ -18,18 +18,20 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, TrainingDivergenceError
 from .datagen import MixtureGenerator, sample_iid, split_classes
 from .infotheory import _risk_targets, _taskwise_risk
+from .nn import forward_from, trunk_activations
 from .pipeline import (
     RunConfig,
     assemble,
     build_task_data,
     evaluate,
-    refine_decoders,
+    refine_stack,
     select_structure,
     stage1,
     stage2_stack,
@@ -83,14 +85,28 @@ def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
     )
 
 
+def _cell_logits(model, h: np.ndarray) -> tuple:
+    """The model's branch logits at the evaluation points, from h, its
+    shared encoder's output there (the points themselves when c = 0)."""
+    return (forward_from(model.branch_a, model.spec, h, model.c, "A"),
+            forward_from(model.branch_b, model.spec, h, model.c, "B"))
+
+
 def _run_resample(args) -> tuple:
     """One resample: fresh data, shared Stage 1, all Stage-2 weights as one
     stack, per-c assembly.
 
     Returns (m, risks[nc, nw], acc[nc, nw, 3], stage1); failed cells are
     NaN. stage1 is resample 0's Stage1Result, or its TrainingDivergenceError,
-    and None for the other resamples. With refine=True each assembled model
-    gets the decoder-only fine-tune before being measured.
+    and None for the other resamples. With refine=True every assembled model
+    gets the decoder-only fine-tune before being measured, all of them as
+    one stack; a cell whose fine-tune diverged stays NaN.
+
+    The c = 0 model is the Stage-1 pair whatever the weight, so it is
+    assembled, refined and scored once and copied into each column whose
+    Stage 2 succeeded. Each Stage-2 trunk runs forward on the evaluation
+    points once, and each cell's branches continue from its depth-c
+    activations, which gives the risk a full forward pass would.
     """
     (gen, run_cfg, split, eval_points, targets, balanced,
      c_values, w_values, n_train, seed, m, restrict, refine) = args
@@ -104,21 +120,31 @@ def _run_resample(args) -> tuple:
         s1 = stage1(cfg_m, td)
     except TrainingDivergenceError as err:
         return m, risks, accs, err if m == 0 else None
-    for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values, s1)):
-        if isinstance(s2, TrainingDivergenceError):
+    spec = run_cfg.spec
+    stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values, s1))
+                     if not isinstance(s2, TrainingDivergenceError)}
+    cells = []   # (the rows and columns a model fills, model)
+    zero_rows = [ci for ci, c in enumerate(c_values) if c == 0]
+    if stage2_params and zero_rows:
+        first = next(iter(stage2_params.values()))
+        cells.append((np.ix_(zero_rows, list(stage2_params)),
+                      assemble(spec, 0, first, s1, split, gen.priors)))
+    for wi, params in stage2_params.items():
+        cells += [((ci, wi), assemble(spec, c, params, s1, split, gen.priors))
+                  for ci, c in enumerate(c_values) if c != 0]
+    models = [model for _, model in cells]
+    if refine and models:
+        models = refine_stack(models, td, cfg_m.refine_opt, cfg_m.tau, cfg_m.logit_adjust)
+    # Cells come weight by weight, so one weight's activations are kept.
+    encoded = lru_cache(maxsize=1)(lambda wi: trunk_activations(stage2_params[wi], spec, eval_points))
+    for (where, _), model in zip(cells, models):
+        if isinstance(model, TrainingDivergenceError):
             continue
-        for ci, c in enumerate(c_values):
-            model = assemble(run_cfg.spec, c, s2.params, s1, split, gen.priors)
-            if refine:
-                try:
-                    model = refine_decoders(model, td, cfg_m.refine_opt,
-                                            cfg_m.tau, cfg_m.logit_adjust)
-                except TrainingDivergenceError:
-                    continue
-            risks[ci, wi] = _taskwise_risk(targets, model.branch_logits(eval_points), restrict)
-            if balanced is not None:
-                rep = evaluate(model, *balanced)
-                accs[ci, wi] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
+        h = encoded(where[1])[model.c] if model.c else eval_points
+        risks[where] = _taskwise_risk(targets, _cell_logits(model, h), restrict)
+        if balanced is not None:
+            rep = evaluate(model, *balanced)
+            accs[where] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
     return m, risks, accs, s1 if m == 0 else None
 
 
@@ -134,6 +160,10 @@ def _collect_resamples(
     it, are computed once for the study."""
     if m_resamples < 1:
         raise ConfigError(f"m_resamples must be >= 1, got {m_resamples}")
+    if n_train < 1:
+        raise ConfigError(f"n_train (the train size) must be >= 1, got {n_train}")
+    if eval_per_class is not None and eval_per_class < 1:
+        raise ConfigError(f"eval_per_class must be >= 1 to score accuracy, got {eval_per_class}")
     rng = np.random.default_rng(seed)
     eval_points = gen.sample_features(n_eval, rng)
     balanced = None if eval_per_class is None else gen.sample_balanced(eval_per_class, rng)

@@ -233,7 +233,10 @@ class AssembledModel:
         (the post-hoc flavor of prior correction) instead of relying on
         training-time offsets.
         """
-        s_a, s_b = self.branch_logits(features)
+        return self._merge(*self.branch_logits(features), posthoc_tau)
+
+    def _merge(self, s_a: np.ndarray, s_b: np.ndarray, posthoc_tau: float | None = None) -> np.ndarray:
+        """The branch logits as per-class scores in original class order."""
         out = np.empty((s_a.shape[0], self.split.n_classes), dtype=np.float64)
         out[:, list(self.split.head_classes)] = s_a
         out[:, list(self.split.tail_classes)] = s_b
@@ -270,6 +273,34 @@ def assemble(
     return AssembledModel(spec, c, split, np.asarray(priors, float), branch_a, branch_b)
 
 
+def refine_stack(
+    models: list,
+    td: TaskData,
+    opt: OptConfig,
+    tau: float = 1.0,
+    logit_adjust: bool = True,
+) -> list:
+    """Fine-tune each model's branches, each on its own task, in its decoder
+    blocks only, with the shared encoder frozen (bitwise unchanged). Every
+    branch of every model trains in one stack; each comes out as it would
+    alone. Returns one entry per model: the refined model, or the
+    TrainingDivergenceError of its first branch that diverged."""
+    offs = task_offsets(td.priors, tau, td.split) if logit_adjust else (None, None)
+    spec = models[0].spec
+    starts, trainable = [], []
+    for model in models:
+        starts += [model.branch_a, model.branch_b]
+        trainable += [spec.decoder_block_names(model.c, "A"), spec.decoder_block_names(model.c, "B")]
+    results = train_stack(starts, spec, td.batch(), [(1.0, 0.0), (0.0, 1.0)] * len(models), opt,
+                          trainable=trainable, offsets=offs)
+    refined = []
+    for model, res_a, res_b in zip(models, results[::2], results[1::2]):
+        failed = [res for res in (res_a, res_b) if isinstance(res, TrainingDivergenceError)]
+        refined.append(failed[0] if failed else AssembledModel(
+            spec, model.c, model.split, model.priors, res_a.params, res_b.params))
+    return refined
+
+
 def refine_decoders(
     model: AssembledModel,
     td: TaskData,
@@ -277,18 +308,11 @@ def refine_decoders(
     tau: float = 1.0,
     logit_adjust: bool = True,
 ) -> AssembledModel:
-    """Fine-tune each branch's decoder blocks on its own task with the
-    shared encoder frozen (bitwise unchanged); both branches train as one
-    stack of two."""
-    offs = task_offsets(td.priors, tau, td.split) if logit_adjust else (None, None)
-    batch = td.batch()
-    spec = model.spec
-    dec_a = spec.decoder_block_names(model.c, "A")
-    dec_b = spec.decoder_block_names(model.c, "B")
-    res_a, res_b = _all_trained(train_stack(
-        [model.branch_a, model.branch_b], spec, batch, [(1.0, 0.0), (0.0, 1.0)], opt,
-        trainable=[dec_a, dec_b], offsets=offs))
-    return AssembledModel(spec, model.c, model.split, model.priors, res_a.params, res_b.params)
+    """refine_stack for one model; raises TrainingDivergenceError."""
+    (refined,) = refine_stack([model], td, opt, tau, logit_adjust)
+    if isinstance(refined, TrainingDivergenceError):
+        raise refined
+    return refined
 
 
 @dataclass
@@ -306,12 +330,11 @@ def evaluate(model: AssembledModel, features: np.ndarray, labels: np.ndarray) ->
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     truth = labels.argmax(axis=1)
-    picks = model.predict(features)
-    correct = picks == truth
+    s_a, s_b = model.branch_logits(features)
+    correct = model._merge(s_a, s_b).argmax(axis=1) == truth
     head_rows = np.isin(truth, model.split.head_classes)
     tail_rows = np.isin(truth, model.split.tail_classes)
     z_a, z_b = project_labels(labels, model.split)
-    s_a, s_b = model.branch_logits(features)
     return MetricsReport(
         overall_accuracy=float(correct.mean()),
         head_accuracy=float(correct[head_rows].mean()) if head_rows.any() else float("nan"),

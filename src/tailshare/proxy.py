@@ -144,8 +144,8 @@ def estimate_diag_fisher(
         if offsets is not None:
             u += offsets
         ds = _sigmoid(u) - labels[rows]
-        _backward(acts, derivs, slice(None), ds, w_h.swapaxes(1, 2), trunk_w_t, acc_blocks,
-                  depth + t, _reduce_fisher)
+        _reduce_fisher(acts[-1], ds, *acc_blocks[depth + t])
+        _backward(acts, derivs, ds @ w_h.swapaxes(1, 2), trunk_w_t, acc_blocks, _reduce_fisher)
     return DiagFisher(acc[0] / n, n)
 
 

@@ -154,6 +154,22 @@ class TestErrorPaths:
         result = runner.invoke(main, ["gen-data", "--config", str(config)])
         assert result.exit_code == 2
 
+    def test_sweep_without_balanced_rows_exit_code(self, runner, tmp_path):
+        config, _ = write_config(tmp_path, eval_per_class=0)
+        result = runner.invoke(main, ["sweep", "--config", str(config), "--resamples", "2",
+                                      "--train-size", "200", "--grid-w", "0.3,0.7"])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output
+        assert "eval_per_class" in result.output
+
+    def test_oracle_with_empty_training_sets_exit_code(self, runner, tmp_path):
+        config, _ = write_config(tmp_path)
+        result = runner.invoke(main, ["oracle", "--config", str(config), "--resamples", "2",
+                                      "--train-size", "0", "--grid-c", "0", "--grid-w", "0.5"])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output
+        assert "train size" in result.output
+
     def test_malformed_dataset_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
         bad = tmp_path / "bad.csv"

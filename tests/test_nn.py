@@ -7,11 +7,14 @@ from tailshare.nn import (
     Batch,
     ModelSpec,
     OptConfig,
+    _sum_batch,
     bce_loss_grad,
     forward,
+    forward_from,
     init_params,
     train,
     train_stack,
+    trunk_activations,
 )
 
 
@@ -118,6 +121,25 @@ class TestForward:
         params = init_params(spec, 0)
         with pytest.raises(StructuralError):
             forward(params, spec, np.zeros((2, 5)), "A")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["relu", "tanh"]), st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.integers(0, 2 ** 16))
+    def test_continuing_from_a_shared_prefix_gives_forward_bitwise(self, activation, widths, seed):
+        spec = ModelSpec(3, tuple(widths), (2, 3), activation=activation)
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(rng.integers(1, 30), 3))
+        prefix = init_params(spec, seed)
+        acts = trunk_activations(prefix, spec, feats)
+        for c in range(spec.depth + 1):
+            # Another network with the same first c trunk blocks.
+            other = init_params(spec, seed + 1)
+            other.values[:spec.encoder_params(c)] = prefix.values[:spec.encoder_params(c)]
+            for task in ("A", "B"):
+                want = forward(other, spec, feats, task)
+                assert forward_from(other, spec, acts[c], c, task).tobytes() == want.tobytes()
+        with pytest.raises(StructuralError):
+            trunk_activations(prefix, spec, np.zeros((2, 5)))
 
 
 class TestBatch:
@@ -319,9 +341,12 @@ class TestTrain:
         assert res.params.values is not start.values
 
 
-def _reference_loss_grad(values, spec, x, z, task, offsets, sw):
-    """One task's mean BCE and gradient for one network in plain 2-D numpy,
-    with the masked two-branch sigmoid and the logaddexp loss."""
+def _reference_loss_grad(values, spec, x, labels, weights, offsets, sw):
+    """Weighted two-task mean BCE and its gradient for one network in plain
+    2-D numpy, with the masked two-branch sigmoid and the logaddexp loss,
+    in the fused order: each task's logit delta, scaled by its weight,
+    gives its head's gradient; the two deltas meet at the trunk top (task A
+    first) and one walk runs down the trunk."""
     blocks = {}
     for name, off, length in spec.block_table():
         fi, fo = spec.block_shape(name)
@@ -333,37 +358,45 @@ def _reference_loss_grad(values, spec, x, z, task, offsets, sw):
         pre = acts[-1] @ w + b
         pres.append(pre)
         acts.append(np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre))
-    head = ("head_a", "head_b")[task]
-    u = acts[-1] @ blocks[head][0] + blocks[head][1]
-    if offsets is not None:
-        u = u + offsets
     n = x.shape[0]
-    rows = (z * np.logaddexp(0.0, -u) + (1.0 - z) * np.logaddexp(0.0, u)).sum(axis=1)
-    sig = np.empty_like(u)
-    pos = u >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    neg = np.exp(u[~pos])
-    sig[~pos] = neg / (1.0 + neg)
-    ds = (sig - z) / n
-    if sw is not None:
-        rows = rows * sw
-        ds = ds * sw[:, None]
-    grad = np.zeros_like(values)
-    names = [f"trunk{i}" for i in range(1, spec.depth + 1)] + [head]
-    delta = ds
-    for i in range(len(names) - 1, -1, -1):
-        w, _, off, nw, length = blocks[names[i]]
-        grad[off:off + nw] = (acts[i].T @ delta).ravel()
+    loss, grad, top = 0.0, np.zeros_like(values), None
+    for t, head in enumerate(("head_a", "head_b")):
+        if weights[t] == 0:
+            continue
+        w, b, off, nw, length = blocks[head]
+        z = labels[t]
+        u = acts[-1] @ w + b
+        if offsets[t] is not None:
+            u = u + offsets[t]
+        rows = (z * np.logaddexp(0.0, -u) + (1.0 - z) * np.logaddexp(0.0, u)).sum(axis=1)
+        sig = np.empty_like(u)
+        pos = u >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+        neg = np.exp(u[~pos])
+        sig[~pos] = neg / (1.0 + neg)
+        ds = (sig - z) / n
+        if sw is not None:
+            rows = rows * sw
+            ds = ds * sw[:, None]
+        loss += weights[t] * float(rows.sum() / n)
+        ds = weights[t] * ds
+        grad[off:off + nw] = (acts[-1].T @ ds).ravel()
+        grad[off + nw:off + length] = ds.sum(axis=0)
+        top = ds @ w.T if top is None else top + ds @ w.T
+    delta = top
+    for layer in range(spec.depth, 0, -1):
+        w, _, off, nw, length = blocks[f"trunk{layer}"]
+        act_deriv = (pres[layer - 1] > 0.0).astype(float) if spec.activation == "relu" \
+            else 1.0 - acts[layer] * acts[layer]
+        delta = delta * act_deriv
+        grad[off:off + nw] = (acts[layer - 1].T @ delta).ravel()
         grad[off + nw:off + length] = delta.sum(axis=0)
-        if i:
-            act_deriv = (pres[i - 1] > 0.0).astype(float) if spec.activation == "relu" \
-                else 1.0 - acts[i] * acts[i]
-            delta = (delta @ w.T) * act_deriv
-    return float(rows.sum() / n), grad
+        delta = delta @ w.T
+    return loss, grad
 
 
 def _reference_train(params, spec, batch, task_weights, opt, trainable, offsets):
-    """The per-network SGD-with-momentum loop, one task at a time."""
+    """The per-network SGD-with-momentum loop, on the fused-order gradient."""
     values = params.values.copy()
     mask = np.ones(values.size, dtype=bool)
     if trainable is not None:
@@ -379,13 +412,9 @@ def _reference_train(params, spec, batch, task_weights, opt, trainable, offsets)
         for start in range(0, batch.n, opt.batch_size):
             rows = order[start:start + opt.batch_size]
             sw = None if batch.sample_weight is None else batch.sample_weight[rows]
-            loss, grad = 0.0, np.zeros_like(values)
-            for t, (w, z) in enumerate(zip(task_weights, (batch.z_a, batch.z_b))):
-                if w > 0:
-                    lt, gt = _reference_loss_grad(values, spec, batch.features[rows], z[rows], t,
-                                                  offsets[t], sw)
-                    loss += w * lt
-                    grad += w * gt
+            loss, grad = _reference_loss_grad(values, spec, batch.features[rows],
+                                              (batch.z_a[rows], batch.z_b[rows]), task_weights,
+                                              offsets, sw)
             velocity = opt.momentum * velocity - opt.learning_rate * grad[mask]
             values[mask] += velocity
             total += loss * rows.size
@@ -417,6 +446,21 @@ def _stack_case(data):
                  for _ in range(k)]
     starts = [init_params(spec, seed + i) for i in range(k)]
     return spec, batch, offsets, opt, weights, trainable, starts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 300), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_sum_batch_matches_each_members_column_sums_bitwise(k, b, c, strided, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, b, c)) * 10.0 ** rng.uniform(-8, 8, size=(k, b, c))
+    # The engine writes into a bias block of a (K, P) gradient buffer.
+    buffer = np.zeros((k, c + 3))
+    out = buffer[:, 1:1 + c].reshape(k, 1, c) if strided else np.zeros((k, 1, c))
+    assert np.shares_memory(out, buffer) == strided
+    _sum_batch(a, out)
+    for i in range(k):
+        assert out[i, 0].tobytes() == a[i].sum(axis=0).tobytes()
 
 
 class TestTrainStack:

@@ -279,6 +279,51 @@ class TestResampleEngine:
         assert np.array_equal(rep.proxy_total, np.array(want))
         assert rep.proxy_best == (grid.c_star, grid.w_star)
 
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_refined_sweep_cells_match_public_rebuild(self, c):
+        from tailshare.datagen import sample_iid, split_classes
+        from tailshare.infotheory import taskwise_risk
+        from tailshare.pipeline import (assemble, build_task_data, evaluate, refine_decoders,
+                                        stage1, stage2)
+
+        cfg = run_config()
+        rep = weight_sweep(GEN, cfg, c, self.W_VALUES, m_resamples=2, n_train=300, seed=3,
+                           n_eval=300, eval_per_class=15, refine=True)
+        rng = np.random.default_rng(3)
+        eval_points = GEN.sample_features(300, rng)
+        balanced = GEN.sample_balanced(15, rng)
+        split = split_classes(GEN.priors)
+        risks, accs = np.zeros((2, 3)), np.zeros((2, 3))
+        for m in range(2):
+            td = build_task_data(sample_iid(GEN, 300, 3 + 1000 + m), split, GEN.priors)
+            cfg_m = replace(cfg, stage1_opt=replace(cfg.stage1_opt, seed=cfg.stage1_opt.seed + m),
+                            stage2_opt=replace(cfg.stage2_opt, seed=cfg.stage2_opt.seed + m),
+                            refine_opt=replace(cfg.refine_opt, seed=cfg.refine_opt.seed + m))
+            s1 = stage1(cfg_m, td)
+            for wi, w in enumerate(self.W_VALUES):
+                model = assemble(SPEC, c, stage2(cfg_m, td, w, s1).params, s1, split, GEN.priors)
+                model = refine_decoders(model, td, cfg_m.refine_opt, cfg_m.tau, cfg_m.logit_adjust)
+                risks[m, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
+                accs[m, wi] = evaluate(model, *balanced).overall_accuracy
+        assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
+        assert np.array_equal(rep.overall_mean, (accs[0] + accs[1]) / 2)
+
+    def test_depth_zero_is_assembled_once_per_resample(self, monkeypatch):
+        import tailshare.oracle as oracle_mod
+
+        depths = []
+        real_assemble = oracle_mod.assemble
+
+        def counted_assemble(spec, c, *args):
+            depths.append(c)
+            return real_assemble(spec, c, *args)
+
+        monkeypatch.setattr(oracle_mod, "assemble", counted_assemble)
+        grid_compare(GEN, run_config(), self.C_VALUES, self.W_VALUES, m_resamples=2,
+                     n_train=300, seed=3, n_eval=300)
+        assert depths.count(0) == 2
+        assert depths.count(1) == depths.count(2) == 2 * len(self.W_VALUES)
+
     def test_single_resample_emits_no_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

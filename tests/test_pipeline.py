@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tailshare.errors import ConfigError, DomainError, StructuralError
-from tailshare.datagen import GenConfig, TaskSplit, generate
-from tailshare.nn import ModelSpec, OptConfig, bce_loss_grad, init_params
+from tailshare.errors import ConfigError, DomainError, StructuralError, TrainingDivergenceError
+from tailshare.datagen import GenConfig, TaskSplit, generate, project_labels
+from tailshare.nn import ModelSpec, OptConfig, bce_loss_grad, bce_losses, init_params
 from tailshare.pipeline import (
     AssembledModel,
     RunConfig,
@@ -13,6 +13,7 @@ from tailshare.pipeline import (
     full_run,
     logit_offsets,
     refine_decoders,
+    refine_stack,
     select_structure,
     stage1,
     stage2,
@@ -217,6 +218,28 @@ class TestRefine:
         assert np.mean(deltas) <= 1e-6
 
 
+    def test_stacked_models_refine_as_alone_and_diverge_alone(self):
+        spec = ModelSpec(4, (8, 8), (3, 3), activation="relu")
+        td = build_task_data(toy_dataset())
+        cfg = run_config(spec=spec)
+        s1 = stage1(cfg, td)
+        s2 = stage2(cfg, td, 0.6)
+        models = [assemble(spec, c, s2.params, s1, td.split, td.priors) for c in (0, 1, 2)]
+        # At this rate the fully trainable c = 0 decoders overflow; deeper
+        # encoders leave too few trainable layers to get there.
+        opt = OptConfig(1e50, epochs=20, batch_size=64, seed=4)
+        out = refine_stack(models, td, opt)
+        assert isinstance(out[0], TrainingDivergenceError)
+        with pytest.raises(TrainingDivergenceError) as solo_err:
+            refine_decoders(models[0], td, opt)
+        assert (out[0].epoch, repr(out[0].loss)) == (solo_err.value.epoch, repr(solo_err.value.loss))
+        for model, got in zip(models[1:], out[1:]):
+            solo = refine_decoders(model, td, opt)
+            assert got.c == model.c
+            assert got.branch_a.values.tobytes() == solo.branch_a.values.tobytes()
+            assert got.branch_b.values.tobytes() == solo.branch_b.values.tobytes()
+
+
 class TestPredict:
     def hand_model(self, head_bias, tail_bias, split):
         spec = ModelSpec(2, (2,), (len(head_bias), len(tail_bias)), activation="tanh")
@@ -297,3 +320,32 @@ def test_evaluate_group_accuracies():
     head_rows = np.isin(truth, res.model.split.head_classes)
     assert rep.head_accuracy == pytest.approx((picks[head_rows] == truth[head_rows]).mean())
     assert rep.tail_accuracy == pytest.approx((picks[~head_rows] == truth[~head_rows]).mean())
+
+
+def test_evaluate_runs_each_branch_once(monkeypatch):
+    import tailshare.pipeline as pipeline_mod
+
+    ds = toy_dataset()
+    model = full_run(run_config(), ds).model
+    calls = []
+    real_forward = pipeline_mod.forward
+
+    def counted_forward(params, spec, features, task):
+        calls.append(task)
+        return real_forward(params, spec, features, task)
+
+    monkeypatch.setattr(pipeline_mod, "forward", counted_forward)
+    rep = evaluate(model, ds.features, ds.labels)
+    assert sorted(calls) == ["A", "B"]
+    monkeypatch.undo()
+    # The metrics are those of the model's own predictions and logits.
+    truth = ds.labels.argmax(axis=1)
+    correct = model.predict(ds.features) == truth
+    head_rows = np.isin(truth, model.split.head_classes)
+    s_a, s_b = model.branch_logits(ds.features)
+    z_a, z_b = project_labels(ds.labels, model.split)
+    assert rep.overall_accuracy == float(correct.mean())
+    assert rep.head_accuracy == float(correct[head_rows].mean())
+    assert rep.tail_accuracy == float(correct[~head_rows].mean())
+    assert rep.bce_a == float(bce_losses(s_a, z_a).mean())
+    assert rep.bce_b == float(bce_losses(s_b, z_b).mean())
