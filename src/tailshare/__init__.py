@@ -44,12 +44,10 @@ from .infotheory import (
 from .nn import Batch, ModelSpec, OptConfig, ParamVector, bce_loss_grad, forward, init_params, train
 from .oracle import (
     AnchorStats,
-    CellStats,
     OracleReport,
     SweepReport,
     bernoulli_logit_anchor,
     grid_compare,
-    mc_gen_error,
     spearman,
     weight_sweep,
 )

@@ -89,6 +89,11 @@ def _load_config(config_path, **overrides) -> dict:
         for part in parts[:-1]:
             node = node[part]
         node[parts[-1]] = value
+    # Metrics are scored after training, so their settings are checked first.
+    if not 0.0 <= float(cfg["holdout_fraction"]) <= 1.0:
+        raise ConfigError(f"holdout_fraction must lie in [0, 1], got {cfg['holdout_fraction']}")
+    if int(cfg["eval_per_class"]) < 0:
+        raise ConfigError(f"eval_per_class must be >= 0, got {cfg['eval_per_class']}")
     store.write_config_snapshot(cfg["out"], cfg)
     return cfg
 
@@ -206,19 +211,15 @@ def _holdout(cfg: dict, dataset: datagen.LongTailDataset) -> datagen.LongTailDat
     return datagen.holdout_split(dataset, float(cfg["holdout_fraction"]), int(cfg["seed"]) + 5)[1]
 
 
-def _write_metrics(cfg: dict, model: pipeline.AssembledModel, dataset: datagen.LongTailDataset,
-                   holdout: pipeline.MetricsReport | None = None) -> Path:
-    """Score the model on the holdout split (unless the caller passes that
-    report) and, when the generator is known, on a balanced draw; write the
-    metrics CSV and echo each set."""
+def _write_metrics(cfg: dict, model: pipeline.AssembledModel, dataset: datagen.LongTailDataset) -> Path:
+    """Score the model on the holdout split and, when the generator is
+    known, on a balanced draw; write the metrics CSV and echo each set. A
+    set without rows (holdout_fraction or eval_per_class 0) has no row."""
     rows = []
-    if holdout is None:
-        test_ds = _holdout(cfg, dataset)
-        if test_ds.n > 0:
-            holdout = pipeline.evaluate(model, test_ds.features, test_ds.labels)
-    if holdout is not None:
-        rows.append(("holdout", holdout.as_dict()))
-    if dataset.generator is not None:
+    test_ds = _holdout(cfg, dataset)
+    if test_ds.n > 0:
+        rows.append(("holdout", pipeline.evaluate(model, test_ds.features, test_ds.labels).as_dict()))
+    if dataset.generator is not None and int(cfg["eval_per_class"]) > 0:
         rng = np.random.default_rng(int(cfg["seed"]) + 6)
         feats, labels = dataset.generator.sample_balanced(int(cfg["eval_per_class"]), rng)
         rows.append(("balanced", pipeline.evaluate(model, feats, labels).as_dict()))
@@ -386,17 +387,15 @@ def full_run_cmd(config_path, out, seed, data, tau, no_refine):
     optional refinement, and metrics."""
     cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
     dataset = datagen.load_csv(data) if data else _write_dataset(cfg)[0]
-    refine = (not no_refine) and int(cfg["refine"]["epochs"]) > 0
-    rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=refine)
-    test_ds = _holdout(cfg, dataset)
-    result = pipeline.full_run(rc, dataset, test_ds.features, test_ds.labels)
+    rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=not no_refine)
+    result = pipeline.full_run(rc, dataset)
     sel = result.selection
     _write_stage1(cfg, rc.spec, result.task_data, result.stage1)
     _write_search(cfg, sel)
     _write_stage2(cfg, rc.spec, result.stage2, sel.c_star, sel.w_star)
     _write_model(cfg, result.model, result.refined, sel.w_star)
     click.echo(f"C*={sel.c_star} w_A*={sel.w_star} refined={result.refined}")
-    _write_metrics(cfg, result.model, dataset, result.metrics)
+    _write_metrics(cfg, result.model, dataset)
 
 
 @main.command("verify-lemma")

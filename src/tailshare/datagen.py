@@ -263,7 +263,7 @@ def _sidecar_path(path) -> Path:
     return Path(path).with_suffix(".generator.json")
 
 
-def save_csv(dataset: LongTailDataset, path, sidecar: bool = True) -> None:
+def save_csv(dataset: LongTailDataset, path) -> None:
     """Rows are feature values then the integer class label. When the
     generator is known a JSON sidecar (means, sigma, priors) is written so
     oracle code can recover exact posteriors."""
@@ -272,7 +272,7 @@ def save_csv(dataset: LongTailDataset, path, sidecar: bool = True) -> None:
     with path.open("w") as fh:
         for row, k in zip(dataset.features, classes):
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(k)}\n")
-    if sidecar and dataset.generator is not None:
+    if dataset.generator is not None:
         gen = dataset.generator
         payload = {
             "format": "tailshare-generator-v1",
@@ -307,7 +307,7 @@ def load_generator_sidecar(path) -> MixtureGenerator:
     return gen
 
 
-def load_csv(path, n_classes: int | None = None) -> LongTailDataset:
+def load_csv(path) -> LongTailDataset:
     """Parse a feature+label CSV; malformed rows name the offending line.
 
     A `<stem>.generator.json` sidecar, when present, is attached so the
@@ -348,26 +348,17 @@ def load_csv(path, n_classes: int | None = None) -> LongTailDataset:
     if bad.size:
         raise DataFormatError(f"{path}: line {linenos[int(bad[0])]}: non-finite feature value")
     classes = np.asarray(classes)
-    if n_classes is None:
-        # n rows fill at most n classes; a larger label is a typo, and its
-        # one-hot matrix could exhaust memory.
-        k = int(classes.max()) + 1
-        if k > classes.size:
-            raise DataFormatError(
-                f"{path}: line {linenos[int(classes.argmax())]}: class label {k - 1} "
-                f"but only {classes.size} rows")
-    else:
-        k = int(n_classes)
-    bad = np.flatnonzero(classes >= k)
-    if bad.size:
+    # n rows fill at most n classes; a larger label is a typo, and its
+    # one-hot matrix could exhaust memory.
+    k = int(classes.max()) + 1
+    if k > classes.size:
         raise DataFormatError(
-            f"{path}: line {linenos[int(bad[0])]}: class label {int(classes[bad[0]])} "
-            f"out of range 0..{k - 1}"
-        )
+            f"{path}: line {linenos[int(classes.argmax())]}: class label {k - 1} "
+            f"but only {classes.size} rows")
     labels = np.zeros((classes.size, k))
     labels[np.arange(classes.size), classes] = 1.0
     counts = labels.sum(axis=0).astype(np.int64)
-    if n_classes is None and not counts.all():
+    if not counts.all():
         # The class count comes from the largest label, so every smaller
         # label must have rows; an empty class has no prior to adjust by.
         raise DataFormatError(

@@ -171,7 +171,6 @@ class Batch:
     features: np.ndarray
     z_a: np.ndarray
     z_b: np.ndarray
-    sample_weight: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -187,10 +186,6 @@ class Batch:
         row_sums = self.z_a.sum(axis=1) + self.z_b.sum(axis=1)
         if not np.all(row_sums == 1.0):
             raise StructuralError("each row of [z_a | z_b] must sum to exactly 1")
-        if self.sample_weight is not None:
-            self.sample_weight = np.asarray(self.sample_weight, dtype=np.float64)
-            if self.sample_weight.shape != (n,):
-                raise StructuralError("sample_weight must be one real per sample")
 
     @property
     def n(self) -> int:
@@ -320,14 +315,13 @@ def _bce_terms(u: np.ndarray, labels: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def bce_losses(logits: np.ndarray, labels: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
+def bce_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample summed Bernoulli cross-entropy, numerically stable.
 
     Uses -log(sigmoid(u)) = max(-u, 0) + log1p(exp(-|u|)), so the result is
     finite for every finite logit.
     """
-    u = logits if offsets is None else logits + offsets
-    return _bce_terms(u, labels, np.exp(-np.abs(u))).sum(axis=1)
+    return _bce_terms(logits, labels, np.exp(-np.abs(logits))).sum(axis=1)
 
 
 def _check_weights(task_weights) -> tuple:
@@ -363,10 +357,7 @@ def _trainable_mask(spec: ModelSpec, table: tuple, trainable) -> np.ndarray | No
     """Flat mask of the trainable blocks; None means everything."""
     if trainable is None:
         return None
-    if callable(trainable):
-        names = {name for name, _, _ in table if trainable(name)}
-    else:
-        names = set(trainable)
+    names = set(trainable)
     unknown = names - set(spec.block_names())
     if unknown:
         raise StructuralError(f"unknown trainable blocks: {sorted(unknown)}")
@@ -508,7 +499,7 @@ class _Stack:
         self._bind(self.values[alive], self.weights[alive], mask, self.members[alive],
                    self.velocity[alive])
 
-    def step(self, features, label_sets: tuple, sample_weight, rows) -> tuple:
+    def step(self, features, label_sets: tuple, rows) -> tuple:
         """Loss of every member on the minibatch `rows`, (K,), and its
         gradient, (K, P): the buffer the next step overwrites.
 
@@ -527,7 +518,6 @@ class _Stack:
         spec = self.spec
         depth = spec.depth
         x = features[rows]
-        sw = None if sample_weight is None else sample_weight[rows]
         n = x.shape[0]
         derivs = []
         acts = _trunk_forward(self.blocks[:depth], x, spec.activation, derivs)
@@ -545,9 +535,6 @@ class _Stack:
             ds = _sigmoid(u, e)
             ds -= z
             ds /= n
-            if sw is not None:
-                terms *= sw[:, None]
-                ds *= sw[:, None]
             loss[lanes] += w_t[:, 0, 0] * (np.add.reduce(terms.reshape(len(w_t), -1), axis=1) / n)
             ds *= w_t
             _reduce_grad(acts[-1][lanes], ds, *(v[lanes] for v in self.grad_blocks[depth + t]))
@@ -580,7 +567,7 @@ def bce_loss_grad(
     weights = np.zeros((1, 2))
     weights[0, t] = 1.0
     stack = _Stack(spec, params.values[None, :], weights, _check_inputs(spec, batch, (t,), offs))
-    loss, grad = stack.step(batch.features, (batch.z_a, batch.z_b), batch.sample_weight, slice(None))
+    loss, grad = stack.step(batch.features, (batch.z_a, batch.z_b), slice(None))
     return float(loss[0]), ParamVector(grad[0], params.block_index)
 
 
@@ -598,7 +585,7 @@ def train_stack(
     The members share the batch and the optimizer settings, so also the
     seeded per-epoch minibatch order; each has its own start parameters,
     task weights and trainable blocks (`trainable` gives one entry per
-    member: block names, a predicate on names, or None for every block).
+    member: block names, or None for every block).
     Every sample contributes to both task terms (all-zero label rows just
     drop the positive part). A member with zero weight on a task never
     reads that task's labels or head, and parameters outside its trainable
@@ -659,7 +646,7 @@ def train_stack(
             total = np.zeros(stack.members.size)
             for start in range(0, n, opt.batch_size):
                 rows = order[start:start + opt.batch_size]
-                loss, grad = stack.step(batch.features, label_sets, batch.sample_weight, rows)
+                loss, grad = stack.step(batch.features, label_sets, rows)
                 alive = drop_diverged(epoch, loss)
                 if alive is not None:
                     loss, grad, total = loss[alive], grad[alive], total[alive]

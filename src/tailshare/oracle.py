@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, TrainingDivergenceError
 from .datagen import MixtureGenerator, sample_iid, split_classes
 from .infotheory import _risk_targets, _taskwise_risk
-from .nn import forward_from, trunk_activations
+from .nn import trunk_activations
 from .pipeline import (
     RunConfig,
     assemble,
@@ -85,13 +85,6 @@ def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
     )
 
 
-def _cell_logits(model, h: np.ndarray) -> tuple:
-    """The model's branch logits at the evaluation points, from h, its
-    shared encoder's output there (the points themselves when c = 0)."""
-    return (forward_from(model.branch_a, model.spec, h, model.c, "A"),
-            forward_from(model.branch_b, model.spec, h, model.c, "B"))
-
-
 def _run_resample(args) -> tuple:
     """One resample: fresh data, shared Stage 1, all Stage-2 weights as one
     stack, per-c assembly.
@@ -140,8 +133,8 @@ def _run_resample(args) -> tuple:
     for (where, _), model in zip(cells, models):
         if isinstance(model, TrainingDivergenceError):
             continue
-        h = encoded(where[1])[model.c] if model.c else eval_points
-        risks[where] = _taskwise_risk(targets, _cell_logits(model, h), restrict)
+        acts = encoded(where[1])[:model.c + 1] if model.c else [eval_points]
+        risks[where] = _taskwise_risk(targets, model.decode(acts), restrict)
         if balanced is not None:
             rep = evaluate(model, *balanced)
             accs[where] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
@@ -206,43 +199,6 @@ def _mean_stderr(values: np.ndarray, axis: int = 0) -> tuple:
 
 
 @dataclass
-class CellStats:
-    """MC risk summary at one grid point, with per-resample values kept."""
-
-    mean: float
-    stderr: float
-    n_ok: int
-    m_resamples: int
-    risks: np.ndarray
-
-    @property
-    def valid(self) -> bool:
-        return self.n_ok >= 0.8 * self.m_resamples
-
-
-def mc_gen_error(
-    gen: MixtureGenerator,
-    run_cfg: RunConfig,
-    c: int,
-    w_a: float,
-    m_resamples: int,
-    n_train: int,
-    seed: int = 0,
-    n_eval: int = 2000,
-    restrict: bool = True,
-    jobs: int = 1,
-) -> CellStats:
-    """Mean and standard error of the task-wise KL risk at one (c, w_a)."""
-    if m_resamples < 2:
-        raise ConfigError("need at least 2 resamples")
-    risks, _, _ = _collect_resamples(gen, run_cfg, (c,), (w_a,), m_resamples, n_train, seed,
-                                     n_eval, restrict, jobs)
-    flat = risks[:, 0, 0]
-    mean, stderr, n_ok = _mean_stderr(flat)
-    return CellStats(float(mean), float(stderr), int(n_ok), m_resamples, flat)
-
-
-@dataclass
 class OracleReport(Record):
     """Full-grid MC risks next to proxy totals, plus their rank agreement."""
 
@@ -264,6 +220,7 @@ class OracleReport(Record):
 
     @property
     def valid(self) -> np.ndarray:
+        """Cells where at least 80% of the resamples succeeded."""
         return self.n_ok >= 0.8 * self.m_resamples
 
     def to_csv(self, path) -> None:
@@ -288,8 +245,8 @@ def grid_compare(
     """Fill the oracle grid by resampling, compute the proxy grid from the
     first resample's Stage-1 run, and report Spearman rank agreement.
 
-    Cells with under 80% successful resamples are excluded from the
-    correlation and from the oracle argmin.
+    Only the report's valid cells enter the correlation and the oracle
+    argmin.
     """
     c_values = tuple(int(c) for c in c_values)
     w_values = tuple(float(w) for w in w_values)
@@ -306,17 +263,7 @@ def grid_compare(
     proxy_total = np.array(
         [[grid.cell(c, w).total for w in w_values] for c in c_values], dtype=np.float64
     )
-
-    valid = n_ok >= 0.8 * m_resamples
-    rho = None
-    if valid.any():
-        rho = spearman(proxy_total[valid], risk_mean[valid])
-    oracle_best = None
-    if valid.any():
-        masked = np.where(valid, risk_mean, np.inf)
-        ci, wi = np.unravel_index(int(masked.argmin()), masked.shape)
-        oracle_best = (c_values[ci], w_values[wi])
-    return OracleReport(
+    report = OracleReport(
         c_values=c_values,
         w_values=w_values,
         risk_mean=risk_mean,
@@ -324,13 +271,20 @@ def grid_compare(
         n_ok=n_ok.astype(np.int64),
         m_resamples=m_resamples,
         proxy_total=proxy_total,
-        spearman_rho=rho,
-        oracle_best=oracle_best,
+        spearman_rho=None,
+        oracle_best=None,
         proxy_best=(grid.c_star, grid.w_star),
         n_train=n_train,
         n_eval=n_eval,
         seed=seed,
     )
+    valid = report.valid
+    if valid.any():
+        report.spearman_rho = spearman(proxy_total[valid], risk_mean[valid])
+        masked = np.where(valid, risk_mean, np.inf)
+        ci, wi = np.unravel_index(int(masked.argmin()), masked.shape)
+        report.oracle_best = (c_values[ci], w_values[wi])
+    return report
 
 
 @dataclass

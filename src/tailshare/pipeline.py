@@ -25,9 +25,10 @@ from .nn import (
     ParamVector,
     TrainResult,
     bce_losses,
-    forward,
+    forward_from,
     init_params,
     train_stack,
+    trunk_activations,
 )
 from .proxy import DiagFisher, GridSearchResult, encoder_mismatch, estimate_diag_fisher, grid_search
 from .tables import Record
@@ -220,37 +221,41 @@ class AssembledModel:
             raise StructuralError("priors must give one value per class")
 
     def branch_logits(self, features: np.ndarray) -> tuple:
+        """Both branches' logits at `features`: branch A's trunk runs once
+        and branch B continues from its layer-c activations, the shared
+        encoder's output, so trunk layers 1..c run once for both."""
         feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return (
-            forward(self.branch_a, self.spec, feats, "A"),
-            forward(self.branch_b, self.spec, feats, "B"),
-        )
+        return self.decode(trunk_activations(self.branch_a, self.spec, feats))
 
-    def scores(self, features: np.ndarray, posthoc_tau: float | None = None) -> np.ndarray:
-        """Per-class logits mapped back to original class indices.
+    def decode(self, acts: list) -> tuple:
+        """Both branches' logits from [x, h_1, ..., h_j], j >= c: the trunk
+        activations (as trunk_activations gives them) of a network whose
+        first j trunk blocks are branch A's. Branch A continues from h_j;
+        the list then drops its layers above c, freeing them for branch B,
+        which continues from h_c. Both get forward's bits."""
+        top = len(acts) - 1
+        s_a = forward_from(self.branch_a, self.spec, acts[top], top, "A")
+        del acts[self.c + 1:]
+        return s_a, forward_from(self.branch_b, self.spec, acts[self.c], self.c, "B")
 
-        posthoc_tau, when given, subtracts tau * log(prior) at inference
-        (the post-hoc flavor of prior correction) instead of relying on
-        training-time offsets.
-        """
-        return self._merge(*self.branch_logits(features), posthoc_tau)
+    def scores(self, features: np.ndarray) -> np.ndarray:
+        """Per-class logits mapped back to original class indices."""
+        return self._merge(*self.branch_logits(features))
 
-    def _merge(self, s_a: np.ndarray, s_b: np.ndarray, posthoc_tau: float | None = None) -> np.ndarray:
+    def _merge(self, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
         """The branch logits as per-class scores in original class order."""
         out = np.empty((s_a.shape[0], self.split.n_classes), dtype=np.float64)
         out[:, list(self.split.head_classes)] = s_a
         out[:, list(self.split.tail_classes)] = s_b
-        if posthoc_tau is not None:
-            out = out - logit_offsets(self.priors, posthoc_tau)
         return out
 
-    def predict(self, features: np.ndarray, posthoc_tau: float | None = None):
+    def predict(self, features: np.ndarray):
         """Argmax class per sample; exact ties resolve to the smallest index.
 
         A single feature vector yields a scalar class index.
         """
         single = np.asarray(features).ndim == 1
-        picks = self.scores(features, posthoc_tau).argmax(axis=1)
+        picks = self.scores(features).argmax(axis=1)
         return int(picks[0]) if single else picks
 
 
@@ -353,30 +358,16 @@ class PipelineResult:
     stage2: TrainResult
     model: AssembledModel
     refined: bool
-    metrics: MetricsReport | None
 
 
-def full_run(
-    cfg: RunConfig,
-    dataset: LongTailDataset,
-    eval_features: np.ndarray | None = None,
-    eval_labels: np.ndarray | None = None,
-) -> PipelineResult:
-    """All pipeline stages end to end on one dataset.
-
-    Metrics are computed on the provided eval set when given, otherwise on
-    the training data; an eval set without rows gives no metrics.
-    """
+def full_run(cfg: RunConfig, dataset: LongTailDataset) -> PipelineResult:
+    """All pipeline stages end to end on one dataset."""
     td = build_task_data(dataset)
     s1 = stage1(cfg, td)
     selection = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
     s2 = stage2(cfg, td, selection.w_star, s1)
     model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split, td.priors)
-    refined = False
-    if cfg.refine and cfg.refine_opt is not None and cfg.refine_opt.epochs > 0:
+    refined = cfg.refine and cfg.refine_opt.epochs > 0
+    if refined:
         model = refine_decoders(model, td, cfg.refine_opt, cfg.tau, cfg.logit_adjust)
-        refined = True
-    if eval_features is None:
-        eval_features, eval_labels = dataset.features, dataset.labels
-    metrics = evaluate(model, eval_features, eval_labels) if len(eval_features) else None
-    return PipelineResult(td, s1, selection, s2, model, refined, metrics)
+    return PipelineResult(td, s1, selection, s2, model, refined)

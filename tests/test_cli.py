@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,19 @@ class TestFullRun:
         assert len(calls) == len(eval_sets), calls
         assert calls[-1] == cfg["generator"]["n_classes"] * cfg["eval_per_class"]
 
+    def test_zero_eval_per_class_leaves_the_balanced_row_out(self, runner, tmp_path):
+        """Like holdout_fraction 0 for the holdout row; no NaN row, and no
+        "Mean of empty slice" warning (warnings fail the suite)."""
+        config, _ = write_config(tmp_path, eval_per_class=0)
+        for command in ("full-run", "eval"):
+            result = runner.invoke(main, [command, "--config", str(config)])
+            assert result.exit_code == 0, (command, result.output)
+        for version in ("v001", "v002"):
+            with (tmp_path / "run" / f"metrics_{version}.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row.pop("eval_set") for row in rows] == ["holdout"]
+            assert all(math.isfinite(float(v)) for v in rows[0].values())
+
 
 class TestStagedMatchesFullRun:
     def test_staged_chain_and_full_run_write_identical_artifacts(self, runner, tmp_path):
@@ -161,6 +175,18 @@ class TestErrorPaths:
         assert result.exit_code == 2, result.output
         assert "error[config]" in result.output
         assert "eval_per_class" in result.output
+
+    @pytest.mark.parametrize("key, value", [("eval_per_class", -1), ("holdout_fraction", 1.5)])
+    @pytest.mark.parametrize("command", ["full-run", "eval"])
+    def test_bad_eval_setting_exits_before_any_artifact(self, runner, tmp_path, command, key, value):
+        config, _ = write_config(tmp_path, **{key: value})
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output
+        assert key in result.output
+        written = [p.name for p in (tmp_path / "run").glob("*")]
+        assert not [name for name in written if name.startswith(
+            ("stage1", "proxy_grid", "selection", "stage2", "model", "metrics"))], written
 
     def test_oracle_with_empty_training_sets_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)

@@ -152,11 +152,6 @@ class TestBatch:
                   np.array([[0.0], [1.0]]))
         assert b.n == 2
 
-    def test_sample_weight_shape(self):
-        with pytest.raises(StructuralError):
-            Batch(np.zeros((2, 2)), np.array([[1.0], [1.0]]), np.zeros((2, 1)),
-                  sample_weight=np.ones(3))
-
 
 class TestBceLoss:
     def test_zero_logits_gives_log2_per_class(self):
@@ -199,16 +194,6 @@ class TestBceLoss:
         plain, _ = bce_loss_grad(params, spec, batch, "A")
         shifted, _ = bce_loss_grad(params, spec, batch, "A", np.array([1.0, -1.0]))
         assert plain != shifted
-
-    def test_sample_weights_scale_rows(self):
-        spec = small_spec()
-        params = init_params(spec, 6)
-        batch = random_batch(np.random.default_rng(6), 4, spec)
-        weighted = Batch(batch.features, batch.z_a, batch.z_b, sample_weight=np.full(4, 2.0))
-        l1, g1 = bce_loss_grad(params, spec, batch, "A")
-        l2, g2 = bce_loss_grad(params, spec, weighted, "A")
-        assert abs(l2 - 2.0 * l1) < 1e-12
-        assert np.allclose(g2.values, 2.0 * g1.values, atol=1e-14)
 
 
 def finite_difference(params, spec, batch, task, offsets, step=1e-5):
@@ -297,14 +282,6 @@ class TestTrain:
         assert np.array_equal(res.params.block("head_b"), start.block("head_b"))
         assert not np.array_equal(res.params.block("trunk2"), start.block("trunk2"))
 
-    def test_trainable_mask_accepts_callable(self):
-        spec = ModelSpec(2, (6,), (1, 1))
-        start = init_params(spec, 2)
-        res = train(start, spec, self.separable_batch(), (1.0, 0.0),
-                    OptConfig(0.3, epochs=2, batch_size=40, seed=2),
-                    trainable=lambda name: name == "head_a")
-        assert np.array_equal(res.params.block("trunk1"), start.block("trunk1"))
-
     def test_deterministic_for_fixed_seed(self):
         spec = ModelSpec(2, (6,), (1, 1))
         cfg = OptConfig(0.4, epochs=10, batch_size=16, seed=5)
@@ -341,7 +318,7 @@ class TestTrain:
         assert res.params.values is not start.values
 
 
-def _reference_loss_grad(values, spec, x, labels, weights, offsets, sw):
+def _reference_loss_grad(values, spec, x, labels, weights, offsets):
     """Weighted two-task mean BCE and its gradient for one network in plain
     2-D numpy, with the masked two-branch sigmoid and the logaddexp loss,
     in the fused order: each task's logit delta, scaled by its weight,
@@ -375,9 +352,6 @@ def _reference_loss_grad(values, spec, x, labels, weights, offsets, sw):
         neg = np.exp(u[~pos])
         sig[~pos] = neg / (1.0 + neg)
         ds = (sig - z) / n
-        if sw is not None:
-            rows = rows * sw
-            ds = ds * sw[:, None]
         loss += weights[t] * float(rows.sum() / n)
         ds = weights[t] * ds
         grad[off:off + nw] = (acts[-1].T @ ds).ravel()
@@ -411,10 +385,9 @@ def _reference_train(params, spec, batch, task_weights, opt, trainable, offsets)
         total = 0.0
         for start in range(0, batch.n, opt.batch_size):
             rows = order[start:start + opt.batch_size]
-            sw = None if batch.sample_weight is None else batch.sample_weight[rows]
             loss, grad = _reference_loss_grad(values, spec, batch.features[rows],
                                               (batch.z_a[rows], batch.z_b[rows]), task_weights,
-                                              offsets, sw)
+                                              offsets)
             velocity = opt.momentum * velocity - opt.learning_rate * grad[mask]
             values[mask] += velocity
             total += loss * rows.size
@@ -433,8 +406,6 @@ def _stack_case(data):
     rng = np.random.default_rng(seed)
     n = data.draw(st.integers(3, 40))
     batch = random_batch(rng, n, spec)
-    if data.draw(st.booleans()):
-        batch = Batch(batch.features, batch.z_a, batch.z_b, sample_weight=rng.uniform(0.2, 2.0, n))
     offsets = tuple(rng.normal(size=d) if data.draw(st.booleans()) else None for d in spec.head_dims)
     opt = OptConfig(data.draw(st.sampled_from([0.05, 0.3, 1.0])), epochs=data.draw(st.integers(1, 3)),
                     batch_size=data.draw(st.integers(1, n + 2)), seed=seed)
@@ -487,7 +458,7 @@ class TestTrainStack:
         for t in (0, 1):
             z = [batch.z_a, batch.z_b]
             z[t] = z[t][:, ::-1]
-            swapped = Batch(batch.features, z[0], z[1], batch.sample_weight)
+            swapped = Batch(batch.features, z[0], z[1])
             again = train_stack(starts, spec, swapped, weights, opt, trainable, offsets)
             for w, before, after in zip(weights, stacked, again):
                 if w[t] == 0.0:

@@ -19,7 +19,6 @@ from tailshare.oracle import (
     _mean_stderr,
     bernoulli_logit_anchor,
     grid_compare,
-    mc_gen_error,
     spearman,
     weight_sweep,
 )
@@ -103,38 +102,6 @@ class TestAnchor:
     def test_validation(self):
         with pytest.raises(ConfigError):
             bernoulli_logit_anchor(1, 100, 10)
-
-
-class TestMcGenError:
-    def test_basic_contract(self):
-        cell = mc_gen_error(GEN, run_config(), c=1, w_a=0.5, m_resamples=6,
-                            n_train=300, seed=0, n_eval=400)
-        assert cell.risks.shape == (6,)
-        assert cell.n_ok == 6
-        assert cell.valid
-        assert cell.mean >= 0.0
-        assert cell.stderr >= 0.0
-
-    def test_split_halves_agree(self):
-        cell = mc_gen_error(GEN, run_config(), c=1, w_a=0.5, m_resamples=12,
-                            n_train=300, seed=1, n_eval=400)
-        half = cell.risks.reshape(2, -1)
-        means = half.mean(axis=1)
-        stderrs = half.std(axis=1, ddof=1) / np.sqrt(half.shape[1])
-        gap = abs(means[0] - means[1]) / np.sqrt((stderrs ** 2).sum())
-        assert gap < 3.0
-
-    def test_doubling_resamples_is_stable(self):
-        small = mc_gen_error(GEN, run_config(), c=0, w_a=0.5, m_resamples=6,
-                             n_train=300, seed=2, n_eval=400)
-        big = mc_gen_error(GEN, run_config(), c=0, w_a=0.5, m_resamples=12,
-                           n_train=300, seed=2, n_eval=400)
-        combined = np.sqrt(small.stderr ** 2 + big.stderr ** 2)
-        assert abs(small.mean - big.mean) <= 2.0 * combined
-
-    def test_requires_two_resamples(self):
-        with pytest.raises(ConfigError):
-            mc_gen_error(GEN, run_config(), 0, 0.5, 1, 300)
 
 
 class TestGridCompare:

@@ -3,7 +3,8 @@ import pytest
 
 from tailshare.errors import ConfigError, DomainError, StructuralError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, TaskSplit, generate, project_labels
-from tailshare.nn import ModelSpec, OptConfig, bce_loss_grad, bce_losses, init_params
+from tailshare.nn import (ModelSpec, OptConfig, ParamVector, bce_loss_grad, bce_losses, forward,
+                          init_params)
 from tailshare.pipeline import (
     AssembledModel,
     RunConfig,
@@ -271,14 +272,6 @@ class TestPredict:
         scores = model.scores(np.array([[0.0, 0.0]]))
         assert np.allclose(scores, [[0.5, 2.0, 0.1]])
 
-    def test_posthoc_adjustment_shifts_scores(self):
-        split = TaskSplit((0, 1), (2,))
-        model = self.hand_model([1.0, 1.0], [1.0], split)
-        model.priors = np.array([0.6, 0.3, 0.1])
-        raw = model.scores(np.array([[0.0, 0.0]]))
-        adj = model.scores(np.array([[0.0, 0.0]]), posthoc_tau=1.0)
-        assert np.allclose(adj, raw - np.log(model.priors))
-
 
 class TestFullRun:
     def test_end_to_end_determinism(self):
@@ -288,7 +281,8 @@ class TestFullRun:
         b = full_run(cfg, ds)
         assert (a.selection.c_star, a.selection.w_star) == (b.selection.c_star, b.selection.w_star)
         assert np.array_equal(a.model.branch_a.values, b.model.branch_a.values)
-        assert a.metrics.as_dict() == b.metrics.as_dict()
+        assert (evaluate(a.model, ds.features, ds.labels).as_dict()
+                == evaluate(b.model, ds.features, ds.labels).as_dict())
 
     def test_selection_comes_from_candidate_grids(self):
         ds = toy_dataset()
@@ -306,9 +300,9 @@ class TestFullRun:
 
     def test_metrics_reasonable_on_train_data(self):
         ds = toy_dataset()
-        res = full_run(run_config(), ds)
-        assert res.metrics.overall_accuracy > 0.5
-        assert res.metrics.n_eval == ds.n
+        rep = evaluate(full_run(run_config(), ds).model, ds.features, ds.labels)
+        assert rep.overall_accuracy > 0.5
+        assert rep.n_eval == ds.n
 
 
 def test_evaluate_group_accuracies():
@@ -322,21 +316,33 @@ def test_evaluate_group_accuracies():
     assert rep.tail_accuracy == pytest.approx((picks[~head_rows] == truth[~head_rows]).mean())
 
 
-def test_evaluate_runs_each_branch_once(monkeypatch):
+def count_passes(monkeypatch):
+    """Record every trunk pass (trunk_activations) and every branch pass
+    (forward_from, as (task, starting layer)) the pipeline makes."""
     import tailshare.pipeline as pipeline_mod
 
+    calls = {"trunk": 0, "branches": []}
+    real_trunk, real_from = pipeline_mod.trunk_activations, pipeline_mod.forward_from
+
+    def counted_trunk(*args):
+        calls["trunk"] += 1
+        return real_trunk(*args)
+
+    def counted_from(params, spec, h, layer, task):
+        calls["branches"].append((task, layer))
+        return real_from(params, spec, h, layer, task)
+
+    monkeypatch.setattr(pipeline_mod, "trunk_activations", counted_trunk)
+    monkeypatch.setattr(pipeline_mod, "forward_from", counted_from)
+    return calls
+
+
+def test_evaluate_runs_each_branch_once(monkeypatch):
     ds = toy_dataset()
     model = full_run(run_config(), ds).model
-    calls = []
-    real_forward = pipeline_mod.forward
-
-    def counted_forward(params, spec, features, task):
-        calls.append(task)
-        return real_forward(params, spec, features, task)
-
-    monkeypatch.setattr(pipeline_mod, "forward", counted_forward)
+    calls = count_passes(monkeypatch)
     rep = evaluate(model, ds.features, ds.labels)
-    assert sorted(calls) == ["A", "B"]
+    assert calls == {"trunk": 1, "branches": [("A", SPEC.depth), ("B", model.c)]}
     monkeypatch.undo()
     # The metrics are those of the model's own predictions and logits.
     truth = ds.labels.argmax(axis=1)
@@ -349,3 +355,24 @@ def test_evaluate_runs_each_branch_once(monkeypatch):
     assert rep.tail_accuracy == float(correct[~head_rows].mean())
     assert rep.bce_a == float(bce_losses(s_a, z_a).mean())
     assert rep.bce_b == float(bce_losses(s_b, z_b).mean())
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_branch_logits_equal_two_forward_calls_with_one_encoder_pass(monkeypatch, activation):
+    """At every shared depth the branch logits carry forward's bits, from
+    one trunk pass: branch A's full trunk, which branch B leaves at c."""
+    spec = ModelSpec(3, (5, 4, 6), (3, 2), activation=activation)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(17, 3))
+    for c in range(spec.depth + 1):
+        branch_a, branch_b = (ParamVector(rng.normal(size=spec.param_count), spec.block_table())
+                              for _ in range(2))
+        branch_b.values[:spec.encoder_params(c)] = branch_a.values[:spec.encoder_params(c)]
+        model = AssembledModel(spec, c, TaskSplit((0, 1, 2), (3, 4)), np.full(5, 0.2),
+                               branch_a, branch_b)
+        calls = count_passes(monkeypatch)
+        s_a, s_b = model.branch_logits(x)
+        monkeypatch.undo()
+        assert calls == {"trunk": 1, "branches": [("A", spec.depth), ("B", c)]}
+        assert s_a.tobytes() == forward(branch_a, spec, x, "A").tobytes()
+        assert s_b.tobytes() == forward(branch_b, spec, x, "B").tobytes()
