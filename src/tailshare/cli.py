@@ -356,7 +356,7 @@ def refine_cmd(config_path, out, seed, data, tau):
     td = pipeline.build_task_data(dataset, model.split)
     opt = _opt(cfg, "refine", int(cfg["seed"]) + 4)
     refined = pipeline.refine_decoders(model, td, opt, float(cfg["tau"]), bool(cfg["logit_adjust"]))
-    path = _write_model(cfg, refined, True, meta.get("w_star"))
+    path = _write_model(cfg, refined, opt.epochs > 0, meta.get("w_star"))
     click.echo(f"wrote {path} (refined {opt.epochs} epochs)")
 
 

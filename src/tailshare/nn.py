@@ -378,9 +378,9 @@ def _sum_batch(a: np.ndarray, out: np.ndarray) -> None:
         np.einsum("kbc->kc", a, out=out[:, 0, :])
 
 
-def _trunk_forward(trunk: list, x: np.ndarray, activation: str, derivs: list | None = None) -> list:
+def _trunk_forward(trunk: list, x: np.ndarray, activation: str) -> list:
     """Activations [x, h_1, ..., h_L] of a stack's trunk, from its (W, b)
-    views; with `derivs`, also appends each layer's activation derivative.
+    views.
 
     In-place updates of fresh arrays keep the allocator quiet; each computes
     what its out-of-place form would, in the same order.
@@ -391,14 +391,9 @@ def _trunk_forward(trunk: list, x: np.ndarray, activation: str, derivs: list | N
         h = h @ w
         h += b
         if activation == "relu":
-            if derivs is not None:
-                derivs.append((h > 0.0).astype(np.float64))
             np.maximum(h, 0.0, out=h)
         else:
             np.tanh(h, out=h)
-            if derivs is not None:
-                d = h * h
-                derivs.append(np.subtract(1.0, d, out=d))
         acts.append(h)
     return acts
 
@@ -422,19 +417,27 @@ def _reduce_grad(a: np.ndarray, delta: np.ndarray, g_w: np.ndarray, g_b: np.ndar
     _sum_batch(delta, g_b)
 
 
-def _backward(acts: list, derivs: list, dh: np.ndarray, trunk_w_t: list, out_blocks: list,
+def _backward(acts: list, activation: str, dh: np.ndarray, trunk_w_t: list, out_blocks: list,
               reduce=_reduce_grad) -> None:
     """The backward walk through a stack's trunk from the loss delta dh at
     its top, (K, B, width).
 
-    From _trunk_forward's activations and derivatives and the members'
-    transposed trunk weights, it hands each layer's (input a, delta) pair
-    to `reduce` with that layer's (W, b) views of `out_blocks`, layers L..1.
-    Training reduces a pair to the gradient (_reduce_grad); the diagonal
-    Fisher reduces the same pairs squared. The head's pair is the caller's.
+    From _trunk_forward's activations and the members' transposed trunk
+    weights, it hands each layer's (input a, delta) pair to `reduce` with
+    that layer's (W, b) views of `out_blocks`, layers L..1. Each layer's
+    activation derivative is formed from its cached output h when the walk
+    reaches it: for relu the mask h > 0, which holds exactly where the
+    pre-activation is positive; for tanh 1 - h^2. Training reduces a pair
+    to the gradient (_reduce_grad); the diagonal Fisher reduces the same
+    pairs squared. The head's pair is the caller's.
     """
     for layer in range(len(trunk_w_t) - 1, -1, -1):
-        dh *= derivs[layer]
+        h = acts[layer + 1]
+        if activation == "relu":
+            dh *= h > 0.0
+        else:
+            d = h * h
+            dh *= np.subtract(1.0, d, out=d)
         reduce(acts[layer], dh, *out_blocks[layer])
         if layer:
             dh = dh @ trunk_w_t[layer]
@@ -519,8 +522,7 @@ class _Stack:
         depth = spec.depth
         x = features[rows]
         n = x.shape[0]
-        derivs = []
-        acts = _trunk_forward(self.blocks[:depth], x, spec.activation, derivs)
+        acts = _trunk_forward(self.blocks[:depth], x, spec.activation)
         loss = np.zeros(self.values.shape[0])
         top = np.empty((self.values.shape[0], n, spec.trunk_widths[-1]))
         for t, lanes, w_t, w_h, b_h, w_h_t, fresh in self.tasks:
@@ -542,7 +544,7 @@ class _Stack:
             np.matmul(ds[:fresh], w_h_t[:fresh], out=top_t[:fresh])
             if fresh < len(w_t):
                 top_t[fresh:] += ds[fresh:] @ w_h_t[fresh:]
-        _backward(acts, derivs, top, self.trunk_w_t, self.grad_blocks)
+        _backward(acts, spec.activation, top, self.trunk_w_t, self.grad_blocks)
         return loss, self.grad
 
 

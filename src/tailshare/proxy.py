@@ -125,8 +125,8 @@ def estimate_diag_fisher(
         raise DataFormatError("cannot estimate Fisher from empty data")
     if features.ndim != 2 or features.shape[1] != spec.input_dim:
         raise StructuralError(f"features must be (n, {spec.input_dim}), got {features.shape}")
-    if labels.shape[0] != n:
-        raise StructuralError("label rows must match feature rows")
+    if labels.shape != (n, spec.head_dims[t]):
+        raise StructuralError(f"task {task} labels must be {(n, spec.head_dims[t])}, got {labels.shape}")
     if offsets is not None:
         offsets = np.asarray(offsets, dtype=np.float64)
     depth = spec.depth
@@ -137,15 +137,14 @@ def estimate_diag_fisher(
     acc_blocks = _block_views(acc, spec)
     for start in range(0, n, chunk_size):
         rows = slice(start, start + chunk_size)
-        derivs = []
-        acts = _trunk_forward(blocks[:depth], features[rows], spec.activation, derivs)
+        acts = _trunk_forward(blocks[:depth], features[rows], spec.activation)
         u = acts[-1] @ w_h
         u += b_h
         if offsets is not None:
             u += offsets
         ds = _sigmoid(u) - labels[rows]
         _reduce_fisher(acts[-1], ds, *acc_blocks[depth + t])
-        _backward(acts, derivs, ds @ w_h.swapaxes(1, 2), trunk_w_t, acc_blocks, _reduce_fisher)
+        _backward(acts, spec.activation, ds @ w_h.swapaxes(1, 2), trunk_w_t, acc_blocks, _reduce_fisher)
     return DiagFisher(acc[0] / n, n)
 
 
@@ -166,19 +165,6 @@ def encoder_mismatch(params_a: ParamVector, params_b: ParamVector, c: int) -> Mi
     return MismatchVector(params_b.encoder_slice(c) - params_a.encoder_slice(c), c)
 
 
-def _variance_quotient(a: np.ndarray, b: np.ndarray, w_a: float) -> np.ndarray:
-    w_b = 1.0 - w_a
-    denom = w_a * a + w_b * b
-    alive = denom >= DEAD_COORD_EPS
-    safe = np.where(alive, denom, 1.0)
-    return np.where(alive, (a + b) * (w_a * w_a * a + w_b * w_b * b) / (safe * safe), 0.0)
-
-
-def _bias_terms(a: np.ndarray, b: np.ndarray, delta: np.ndarray, w_a: float) -> np.ndarray:
-    w_b = 1.0 - w_a
-    return delta * delta * (w_b * w_b * a + w_a * w_a * b)
-
-
 def proxy_eval(
     fisher_a: DiagFisher,
     fisher_b: DiagFisher,
@@ -195,6 +181,26 @@ def proxy_eval(
             f"mismatch has {mismatch.delta.size} entries, encoder slice needs {d_enc}"
         )
     return grid_search(fisher_a, fisher_b, mismatch, n_train, spec, (mismatch.c,), (w_a,)).table[0]
+
+
+def _quotient_sum(a, b, w_a: float, denom, num, tmp, dead) -> float:
+    """Sum over one trunk layer of the variance quotient
+    (a + b) (w_a^2 a + w_b^2 b) / (w_a a + w_b b)^2, a coordinate whose
+    denominator is below DEAD_COORD_EPS counting zero. Works in three
+    layer-long buffers and a mask; each element takes the operations of
+    the out-of-place expression, in its order (up to commuted operands)."""
+    w_b = 1.0 - w_a
+    np.multiply(a, w_a, out=denom)
+    denom += np.multiply(b, w_b, out=tmp)
+    np.less(denom, DEAD_COORD_EPS, out=dead)
+    np.copyto(denom, 1.0, where=dead)
+    denom *= denom
+    np.multiply(a, w_a * w_a, out=num)
+    num += np.multiply(b, w_b * w_b, out=tmp)
+    num *= np.add(a, b, out=tmp)
+    num /= denom
+    np.copyto(num, 0.0, where=dead)
+    return float(num.sum())
 
 
 def _selection_key(row: ProxyBreakdown) -> tuple:
@@ -214,10 +220,14 @@ def grid_search(
     """Proxy totals over the full (c, w_a) grid plus the argmin cell.
 
     trunk_mismatch must cover the deepest candidate's encoder slice (the
-    slices nest, so the full-depth mismatch serves every c). The per-w
-    per-coordinate terms are computed once over the full trunk and summed
-    per candidate depth, which keeps a 13 x 11 grid over a million-entry
-    Fisher within a couple of seconds.
+    slices nest on trunk-layer boundaries, so the full-depth mismatch
+    serves every c). The grid is evaluated one trunk layer at a time: per
+    layer, each w's variance quotient is formed in layer-long buffers and
+    summed once, and the bias takes two w-independent layer sums,
+    S_A = sum delta^2 a and S_B = sum delta^2 b, as
+    (1/2)(w_b^2 S_A + w_a^2 S_B). Both accumulate over depth, so each
+    layer's work is done once for all candidate depths. Terms match the
+    cumulative-sum closed form within 2 d eps of its value.
     """
     c_values = tuple(range(spec.depth + 1)) if c_values is None else tuple(int(c) for c in c_values)
     w_values = DEFAULT_W_GRID if w_values is None else tuple(float(w) for w in w_values)
@@ -248,18 +258,33 @@ def grid_search(
     if np.any(a < 0) or np.any(b < 0):
         raise DomainError("Fisher entries must be nonnegative")
 
-    cells = {}
-    for w in w_values:
-        quot = _variance_quotient(a, b, w)
-        bias = _bias_terms(a, b, delta, w)
-        for c in c_values:
-            d = spec.encoder_params(c)
-            enc_var = float(quot[:d].sum() / (2.0 * n_train))
-            enc_bias = float(0.5 * bias[:d].sum())
-            dec_var = (spec.decoder_params(c, "A") + spec.decoder_params(c, "B")) / (2.0 * n_train)
-            cells[(c, w)] = ProxyBreakdown(c, w, enc_var, enc_bias, dec_var, enc_var + enc_bias + dec_var)
+    # sums[c]: the per-w quotient sums and S_A, S_B over trunk layers 1..c,
+    # accumulated layer by layer in the fixed order 1, 2, ..., so a cell's
+    # value never depends on which other cells were requested.
+    bounds = [spec.encoder_params(c) for c in range(max(c_values) + 1)]
+    width = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
+    buffers = (np.empty(width), np.empty(width), np.empty(width), np.empty(width, dtype=bool))
+    quot_sums, s_a, s_b = [0.0] * len(w_values), 0.0, 0.0
+    sums = [(quot_sums, s_a, s_b)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        a_l, b_l = a[lo:hi], b[lo:hi]
+        layer = [buf[:hi - lo] for buf in buffers]
+        d_sq, prod = layer[0], layer[1]
+        np.multiply(delta[lo:hi], delta[lo:hi], out=d_sq)
+        s_a += float(np.multiply(d_sq, a_l, out=prod).sum())
+        s_b += float(np.multiply(d_sq, b_l, out=prod).sum())
+        quot_sums = [q + _quotient_sum(a_l, b_l, w, *layer) for q, w in zip(quot_sums, w_values)]
+        sums.append((quot_sums, s_a, s_b))
 
-    table = [cells[(c, w)] for c in c_values for w in w_values]
+    table = []
+    for c in c_values:
+        quot_c, s_a, s_b = sums[c]
+        dec_var = (spec.decoder_params(c, "A") + spec.decoder_params(c, "B")) / (2.0 * n_train)
+        for w, quot in zip(w_values, quot_c):
+            w_b = 1.0 - w
+            enc_var = quot / (2.0 * n_train)
+            enc_bias = 0.5 * (w_b * w_b * s_a + w * w * s_b)
+            table.append(ProxyBreakdown(c, w, enc_var, enc_bias, dec_var, enc_var + enc_bias + dec_var))
     best = min(table, key=_selection_key)
     return GridSearchResult(best.c, best.w_a, table, c_values, w_values)
 

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from tailshare.cli import main
 from tailshare.presets import toy_config_dict
-from tailshare.store import save_container
+from tailshare.store import load_model, save_container
 
 
 @pytest.fixture()
@@ -146,6 +146,21 @@ class TestStagedMatchesFullRun:
         for staged, full in pairs:
             assert (tmp_path / staged).read_bytes() == (tmp_path / full).read_bytes(), (staged, full)
         assert "search_seconds" not in json.loads((tmp_path / "selection_v001.json").read_text())
+
+    def test_zero_epoch_refine_writes_full_runs_model(self, runner, tmp_path):
+        """configs/toy.json refines for 0 epochs: the staged refine records
+        refined: false, as full-run does, and the two models have the same
+        bytes."""
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy.json"
+        common = ["--config", str(config), "--out", str(tmp_path)]
+        for command in ("gen-data", "stage1", "search", "stage2", "assemble", "refine", "eval",
+                        "full-run"):
+            result = runner.invoke(main, [command] + common)
+            assert result.exit_code == 0, (command, result.output)
+        staged, full = tmp_path / "model_v002.bin", tmp_path / "model_v003.bin"
+        assert load_model(staged)[1]["refined"] is False
+        assert load_model(full)[1]["refined"] is False
+        assert staged.read_bytes() == full.read_bytes()
 
 
 class TestErrorPaths:

@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailshare.errors import DataFormatError, DomainError, StructuralError
 from tailshare.nn import Batch, ModelSpec, _forward_cache, _sigmoid, bce_loss_grad, init_params
 from tailshare.proxy import (
+    DEAD_COORD_EPS,
     DiagFisher,
     MismatchVector,
     ProxyBreakdown,
@@ -126,6 +131,36 @@ class TestEstimateDiagFisher:
         params = init_params(spec, 3)
         with pytest.raises(DataFormatError):
             estimate_diag_fisher(params, spec, np.zeros((0, 3)), np.zeros((0, 2)), "A")
+
+    @pytest.mark.parametrize("shape", [(30, 1), (30, 3), (30,), (29, 2)])
+    def test_labels_of_the_wrong_shape_rejected_naming_both_shapes(self, shape):
+        """A (n, 1) label matrix for a 2-class head would broadcast into a
+        wrong Fisher; every shape but (n, head_dims[t]) is refused."""
+        spec = ModelSpec(3, (4,), (5, 2))
+        params = init_params(spec, 3)
+        feats = np.random.default_rng(8).normal(size=(30, 3))
+        with pytest.raises(StructuralError) as err:
+            estimate_diag_fisher(params, spec, feats, np.zeros(shape), "B")
+        assert "(30, 2)" in str(err.value) and str(shape) in str(err.value)
+
+    def test_peak_memory_is_the_forward_cache_plus_a_few_arrays(self):
+        """The forward cache holds the activations only; each layer's
+        derivative is formed during the backward walk. So the traced peak
+        stays under depth + 5 activation-sized arrays."""
+        depth, width, n = 10, 64, 2000
+        spec = ModelSpec(width, (width,) * depth, (2, 2), activation="relu")
+        params = init_params(spec, 1)
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(n, width))
+        z = np.zeros((n, 2))
+        z[np.arange(n), rng.integers(0, 2, n)] = 1.0
+        tracemalloc.start()
+        try:
+            estimate_diag_fisher(params, spec, feats, z, "A")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (depth + 5) * n * width * 8
 
 
 class TestEncoderMismatch:
@@ -362,3 +397,84 @@ class TestGridSearch:
         delta[-1] = np.inf  # layer 2, outside the c <= 1 slice
         res = grid_search(fa, fb, delta, 100, spec, c_values=(0, 1))
         assert all(np.isfinite(row.total) for row in res.table)
+
+
+_fisher_entry = st.one_of(st.just(0.0), st.just(1e-13), st.floats(1e-3, 10.0))
+_delta_entry = st.one_of(st.just(0.0), st.floats(-10.0, -1e-3), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def grid_cases(draw):
+    """A trunk of 1-4 layers of width 1-6, Fishers with zero and 1e-13
+    (dead) entries, and unordered candidate subsets; w in {0, 1} is drawn
+    among the hundredths."""
+    spec = ModelSpec(draw(st.integers(1, 3)),
+                     tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))), (2, 2))
+    d = spec.encoder_params(spec.depth)
+    entries = st.lists(_fisher_entry, min_size=spec.param_count, max_size=spec.param_count)
+    fa, fb = DiagFisher(draw(entries), 1), DiagFisher(draw(entries), 1)
+    delta = np.array(draw(st.lists(_delta_entry, min_size=d, max_size=d)))
+    c_values = draw(st.lists(st.integers(0, spec.depth), min_size=1, unique=True))
+    w_values = draw(st.lists(st.integers(0, 100).map(lambda i: i / 100), min_size=1, max_size=5,
+                             unique=True))
+    return spec, fa, fb, delta, c_values, w_values, draw(st.integers(1, 10_000))
+
+
+def fsum_closed_form(a, b, delta, w, d, n_train):
+    """Encoder variance and bias over the first d coordinates: each
+    coordinate's term evaluated elementwise, the prefix summed exactly by
+    math.fsum."""
+    a, b, delta = a[:d], b[:d], delta[:d]
+    wb = 1.0 - w
+    den = w * a + wb * b
+    alive = den >= DEAD_COORD_EPS
+    safe = np.where(alive, den, 1.0)
+    quot = np.where(alive, (a + b) * (w * w * a + wb * wb * b) / (safe * safe), 0.0)
+    bias = delta * delta * (wb * wb * a + w * w * b)
+    return math.fsum(quot) / (2.0 * n_train), 0.5 * math.fsum(bias)
+
+
+class TestGridSearchProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_cases())
+    def test_terms_match_the_fsum_closed_form(self, case):
+        spec, fa, fb, delta, c_values, w_values, n_train = case
+        res = grid_search(fa, fb, delta, n_train, spec, c_values, w_values)
+        assert [(row.c, row.w_a) for row in res.table] == [(c, w) for c in c_values for w in w_values]
+        eps = np.finfo(np.float64).eps
+        for row in res.table:
+            d = spec.encoder_params(row.c)
+            ev, eb = fsum_closed_form(fa.values, fb.values, delta, row.w_a, d, n_train)
+            assert abs(row.encoder_variance - ev) <= 2 * d * eps * ev
+            assert abs(row.encoder_bias - eb) <= 2 * d * eps * eb
+            assert type(row.encoder_variance) is float and type(row.encoder_bias) is float
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_cases(), st.data())
+    def test_a_cell_requested_alone_equals_its_grid_cell(self, case, data):
+        spec, fa, fb, delta, c_values, w_values, n_train = case
+        full = grid_search(fa, fb, delta, n_train, spec, c_values, w_values)
+        c, w = data.draw(st.sampled_from(c_values)), data.draw(st.sampled_from(w_values))
+        alone = grid_search(fa, fb, delta, n_train, spec, (c,), (w,))
+        assert alone.table == [full.cell(c, w)]
+        d = spec.encoder_params(c)
+        assert proxy_eval(fa, fb, MismatchVector(delta[:d], c), w, n_train, spec) == full.cell(c, w)
+
+
+def test_grid_search_peak_memory_on_the_criterion_8_shape():
+    """13 x 11 cells over a million-entry Fisher are evaluated one trunk
+    layer at a time in layer-long buffers: the traced peak stays under
+    10 MB."""
+    spec = ModelSpec(288, (288,) * 12, (2, 2), activation="relu")
+    rng = np.random.default_rng(3)
+    fa = DiagFisher(rng.uniform(0.0, 1.0, spec.param_count), 100)
+    fb = DiagFisher(rng.uniform(0.0, 1.0, spec.param_count), 100)
+    delta = rng.normal(size=spec.encoder_params(spec.depth))
+    tracemalloc.start()
+    try:
+        res = grid_search(fa, fb, delta, 3000, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.table) == 13 * 11
+    assert peak < 10_000_000
