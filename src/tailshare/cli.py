@@ -58,10 +58,43 @@ def _guarded(fn):
 _DEFAULTS = presets.toy_config_dict()
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_type(value, default, key: str) -> None:
+    """Require `value` to have the JSON type of the default at `key`: an
+    object for a section, an int for an int, a number for a float, a bool
+    for a bool, a string for a string, a nonempty list of positive ints for
+    model.trunk_widths and null or a list of numbers under select."""
+    if isinstance(default, dict):
+        ok, kind = isinstance(value, dict), "an object"
+    elif key == "model.trunk_widths":
+        ok = isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)
+        kind = "a nonempty list of positive ints"
+    elif key.startswith("select."):
+        ok = value is None or (isinstance(value, list) and all(map(_is_number, value)))
+        kind = "null or a list of numbers"
+    elif isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = _is_int(value), "an int"
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {key} must be {kind}, got {json.dumps(value)}")
+
+
 def _load_config(config_path, **overrides) -> dict:
     """The defaults, then the JSON file, then the flag overrides (dotted
-    keys reach into sections); writes the resolved snapshot into the run
-    directory."""
+    keys reach into sections); each value must have the JSON type of its
+    default. Writes the resolved snapshot into the run directory."""
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
     if config_path:
         path = Path(config_path)
@@ -71,6 +104,8 @@ def _load_config(config_path, **overrides) -> dict:
             user = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object, got {json.dumps(user)}")
         for key, value in user.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -78,8 +113,10 @@ def _load_config(config_path, **overrides) -> dict:
                 for sub, sval in value.items():
                     if sub not in cfg[key]:
                         raise ConfigError(f"unknown config key {key}.{sub}")
+                    _check_type(sval, cfg[key][sub], f"{key}.{sub}")
                     cfg[key][sub] = sval
             else:
+                _check_type(value, cfg[key], key)
                 cfg[key] = value
     for key, value in overrides.items():
         if value is None:
@@ -94,6 +131,9 @@ def _load_config(config_path, **overrides) -> dict:
         raise ConfigError(f"holdout_fraction must lie in [0, 1], got {cfg['holdout_fraction']}")
     if int(cfg["eval_per_class"]) < 0:
         raise ConfigError(f"eval_per_class must be >= 0, got {cfg['eval_per_class']}")
+    for section in ("stage1", "stage2"):
+        if cfg[section]["epochs"] < 1:
+            raise ConfigError(f"{section}.epochs must be >= 1, got {cfg[section]['epochs']}")
     store.write_config_snapshot(cfg["out"], cfg)
     return cfg
 
@@ -134,7 +174,7 @@ def _opt(cfg: dict, section: str, seed: int) -> OptConfig:
 
 def _run_config(cfg: dict, n_classes: int, input_dim: int, refine: bool) -> pipeline.RunConfig:
     seed = int(cfg["seed"])
-    select = cfg.get("select") or {}
+    select = cfg["select"]
     return pipeline.RunConfig(
         spec=_spec_for(cfg, n_classes, input_dim),
         stage1_opt=_opt(cfg, "stage1", seed + 2),
@@ -143,8 +183,8 @@ def _run_config(cfg: dict, n_classes: int, input_dim: int, refine: bool) -> pipe
         init_seed=seed + 1,
         tau=float(cfg["tau"]),
         logit_adjust=bool(cfg["logit_adjust"]),
-        c_values=None if select.get("c_values") is None else tuple(select["c_values"]),
-        w_values=None if select.get("w_values") is None else tuple(select["w_values"]),
+        c_values=None if select["c_values"] is None else tuple(select["c_values"]),
+        w_values=None if select["w_values"] is None else tuple(select["w_values"]),
         refine=refine,
     )
 
@@ -291,8 +331,8 @@ def search_cmd(config_path, out, seed, grid_c, grid_w):
     cfg = _load_config(config_path, out=out, seed=seed)
     spec, s1, split, priors, meta = store.load_stage1(
         store.latest_version_path(cfg["out"], "stage1", ".bin"))
-    c_values = _parse_grid(grid_c, int) or (cfg.get("select") or {}).get("c_values")
-    w_values = _parse_grid(grid_w, float) or (cfg.get("select") or {}).get("w_values")
+    c_values = _parse_grid(grid_c, int) or cfg["select"]["c_values"]
+    w_values = _parse_grid(grid_w, float) or cfg["select"]["w_values"]
     t0 = time.perf_counter()
     grid = pipeline.select_structure(s1, meta["n_train"], spec, c_values, w_values)
     elapsed = time.perf_counter() - t0

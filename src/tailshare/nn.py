@@ -19,6 +19,8 @@ import numpy as np
 from .errors import ConfigError, StructuralError, TrainingDivergenceError
 
 TASKS = ("A", "B")
+# Rows per chunk of the diagonal Fisher's pass (_Stack.fisher).
+FISHER_CHUNK_ROWS = 4096
 
 
 def _task_index(task: str) -> int:
@@ -335,22 +337,26 @@ def _check_weights(task_weights) -> tuple:
     return w_a, w_b
 
 
-def _check_inputs(spec: ModelSpec, batch: Batch, tasks, offsets: tuple) -> tuple:
-    """Validate the features, the labels and the offsets of the tasks in use;
-    returns the offsets as float arrays (None where absent)."""
-    if batch.features.shape[1] != spec.input_dim:
-        raise StructuralError(f"features must be (n, {spec.input_dim}), got {batch.features.shape}")
-    checked = [None, None]
-    for t in tasks:
-        z = (batch.z_a, batch.z_b)[t]
-        if z.shape[1] != spec.head_dims[t]:
+def _check_inputs(spec: ModelSpec, features, labels: tuple, offsets: tuple) -> tuple:
+    """The inputs of a stack as float arrays, checked: features (n, input_dim)
+    and, for each task whose labels are given, labels (n, head_dims[t]) and
+    offsets (head_dims[t],) or None. Returns (features, labels, offsets); a
+    task without labels gets None for both."""
+    x = _features(spec, features)
+    zs, offs = [None, None], [None, None]
+    for t in range(2):
+        if labels[t] is None:
+            continue
+        zs[t] = np.asarray(labels[t], dtype=np.float64)
+        if zs[t].shape != (x.shape[0], spec.head_dims[t]):
             raise StructuralError(
-                f"labels {z.shape} do not match logits {(batch.n, spec.head_dims[t])}")
+                f"task {TASKS[t]} labels must be {(x.shape[0], spec.head_dims[t])}, got {zs[t].shape}")
         if offsets[t] is not None:
-            checked[t] = np.asarray(offsets[t], dtype=np.float64)
-            if checked[t].shape != (spec.head_dims[t],):
-                raise StructuralError("offsets must provide one real per branch class")
-    return tuple(checked)
+            offs[t] = np.asarray(offsets[t], dtype=np.float64)
+            if offs[t].shape != (spec.head_dims[t],):
+                raise StructuralError(
+                    f"task {TASKS[t]} offsets must be {(spec.head_dims[t],)}, got {offs[t].shape}")
+    return x, tuple(zs), tuple(offs)
 
 
 def _trainable_mask(spec: ModelSpec, table: tuple, trainable) -> np.ndarray | None:
@@ -417,6 +423,16 @@ def _reduce_grad(a: np.ndarray, delta: np.ndarray, g_w: np.ndarray, g_b: np.ndar
     _sum_batch(delta, g_b)
 
 
+def _reduce_fisher(a: np.ndarray, delta: np.ndarray, f_w: np.ndarray, f_b: np.ndarray) -> None:
+    """Add one layer's squared-score sums: (a^2)^T (delta^2) to f_w and the
+    batch sum of delta^2 to f_b."""
+    delta = np.square(delta)
+    f_w += np.square(a).swapaxes(-1, -2) @ delta
+    bias = np.empty_like(f_b)
+    _sum_batch(delta, bias)
+    f_b += bias
+
+
 def _backward(acts: list, activation: str, dh: np.ndarray, trunk_w_t: list, out_blocks: list,
               reduce=_reduce_grad) -> None:
     """The backward walk through a stack's trunk from the loss delta dh at
@@ -458,31 +474,28 @@ class _TaskLanes(NamedTuple):
 
 
 class _Stack:
-    """K networks of one spec trained together: parameters and momentum as
-    (K, P) arrays, one task-weight pair and one trainable mask per member.
+    """K networks of one spec trained together on one set of checked inputs
+    (_check_inputs): parameters as a (K, P) array, one task-weight pair per
+    member, and the (K, P) gradient buffer that each step overwrites.
 
     Members are kept in the order task-B only, both tasks, task-A only, so
     the members of each task form one contiguous lane range and every
-    per-task array is a view, never a gather. Block views and the (K, P)
-    gradient buffer are built once and rebuilt only when members leave.
+    per-task array is a view, never a gather. Lane i is the same member for
+    the stack's whole life; lanes never mix, so a lane whose numbers go
+    non-finite leaves the others' bits alone.
     """
 
-    def __init__(self, spec, values, weights, offsets, mask=None, members=None):
-        self.spec = spec
-        self.offsets = offsets
-        self._bind(values, weights, mask, members, np.zeros_like(values))
-
-    def _bind(self, values, weights, mask, members, velocity):
+    def __init__(self, spec, values, weights, inputs):
         k = values.shape[0]
-        self.values, self.weights, self.mask = values, weights, mask
-        self.members, self.velocity = members, velocity
-        self.blocks = _block_views(values, self.spec)
-        depth = self.spec.depth
+        self.spec, self.values = spec, values
+        self.features, self.labels, self.offsets = inputs
+        self.blocks = _block_views(values, spec)
+        depth = spec.depth
         self.trunk_w_t = [w.swapaxes(1, 2) for w, _ in self.blocks[:depth]]
         # Each step overwrites every block a member trains through; a
         # member's unused head block stays zero.
         self.grad = np.zeros_like(values)
-        self.grad_blocks = _block_views(self.grad, self.spec)
+        self.grad_blocks = _block_views(self.grad, spec)
         b_only = int((weights[:, 0] == 0).sum())
         a_only = int((weights[:, 1] == 0).sum())
         self.tasks = []
@@ -495,14 +508,15 @@ class _Stack:
                     t, lanes, weights[lanes, t, None, None], w_h[lanes], b_h[lanes],
                     w_h[lanes].swapaxes(1, 2), fresh))
 
-    def keep(self, alive: np.ndarray) -> None:
-        """Drop the members where `alive` is False; the others keep their
-        parameters and momentum."""
-        mask = None if self.mask is None else self.mask[alive]
-        self._bind(self.values[alive], self.weights[alive], mask, self.members[alive],
-                   self.velocity[alive])
+    def _logits(self, task: _TaskLanes, top: np.ndarray) -> np.ndarray:
+        """Head logits of a task's lanes from the trunk top, offsets added."""
+        u = top[task.lanes] @ task.head_w
+        u += task.head_b
+        if self.offsets[task.task] is not None:
+            u += self.offsets[task.task]
+        return u
 
-    def step(self, features, label_sets: tuple, rows) -> tuple:
+    def step(self, rows) -> tuple:
         """Loss of every member on the minibatch `rows`, (K,), and its
         gradient, (K, P): the buffer the next step overwrites.
 
@@ -520,17 +534,15 @@ class _Stack:
         """
         spec = self.spec
         depth = spec.depth
-        x = features[rows]
+        x = self.features[rows]
         n = x.shape[0]
         acts = _trunk_forward(self.blocks[:depth], x, spec.activation)
         loss = np.zeros(self.values.shape[0])
         top = np.empty((self.values.shape[0], n, spec.trunk_widths[-1]))
-        for t, lanes, w_t, w_h, b_h, w_h_t, fresh in self.tasks:
-            u = acts[-1][lanes] @ w_h
-            u += b_h
-            if self.offsets[t] is not None:
-                u += self.offsets[t]
-            z = label_sets[t][rows]
+        for task in self.tasks:
+            t, lanes, w_t, _, _, w_h_t, fresh = task
+            u = self._logits(task, acts[-1])
+            z = self.labels[t][rows]
             e = np.abs(u)
             np.exp(np.negative(e, out=e), out=e)
             terms = _bce_terms(u, z, e)
@@ -547,6 +559,33 @@ class _Stack:
         _backward(acts, spec.activation, top, self.trunk_w_t, self.grad_blocks)
         return loss, self.grad
 
+    def fisher(self) -> np.ndarray:
+        """Per-parameter sums of squared per-sample score gradients over all
+        rows, (K, P), for a stack training one task with weight 1: a step's
+        passes from the unscaled delta sigmoid(u) - z, reduced squared, in
+        chunks of FISHER_CHUNK_ROWS rows. They accumulate in the gradient
+        buffer, so the stack must not have stepped."""
+        (task,) = self.tasks
+        depth = self.spec.depth
+        for start in range(0, self.features.shape[0], FISHER_CHUNK_ROWS):
+            rows = slice(start, start + FISHER_CHUNK_ROWS)
+            acts = _trunk_forward(self.blocks[:depth], self.features[rows], self.spec.activation)
+            ds = _sigmoid(self._logits(task, acts[-1])) - self.labels[task.task][rows]
+            _reduce_fisher(acts[-1], ds, *self.grad_blocks[depth + task.task])
+            _backward(acts, self.spec.activation, ds @ task.head_w_t, self.trunk_w_t, self.grad_blocks,
+                      _reduce_fisher)
+        return self.grad
+
+
+def _one_task_stack(params: ParamVector, spec: ModelSpec, features, labels, task: str, offsets) -> _Stack:
+    """A stack of one: `params` training `task` alone with weight 1, on
+    the checked features, labels and offsets of that task."""
+    _check_params(params, spec)
+    t = _task_index(task)
+    weights = np.eye(2)[t:t + 1]
+    pair = ((labels, None), (offsets, None)) if t == 0 else ((None, labels), (None, offsets))
+    return _Stack(spec, params.values[None, :], weights, _check_inputs(spec, features, *pair))
+
 
 def bce_loss_grad(
     params: ParamVector,
@@ -562,14 +601,8 @@ def bce_loss_grad(
     The returned gradient is a full ParamVector; blocks of the unused head
     are exactly zero. This is one training step over a stack of one.
     """
-    _check_params(params, spec)
-    t = _task_index(task)
-    offs = [None, None]
-    offs[t] = offsets
-    weights = np.zeros((1, 2))
-    weights[0, t] = 1.0
-    stack = _Stack(spec, params.values[None, :], weights, _check_inputs(spec, batch, (t,), offs))
-    loss, grad = stack.step(batch.features, (batch.z_a, batch.z_b), slice(None))
+    labels = (batch.z_a, batch.z_b)[_task_index(task)]
+    loss, grad = _one_task_stack(params, spec, batch.features, labels, task, offsets).step(slice(None))
     return float(loss[0]), ParamVector(grad[0], params.block_index)
 
 
@@ -595,8 +628,10 @@ def train_stack(
     bit-identical to training it alone.
 
     Returns one entry per member, in order: its TrainResult, or the
-    TrainingDivergenceError of the epoch where its loss went non-finite.
-    A diverged member stops updating; the others are unaffected.
+    TrainingDivergenceError of the epoch where its loss first went
+    non-finite. A diverged member's lane keeps stepping and nothing reads
+    it; the others are unaffected. The run stops once every member has
+    diverged.
     """
     k = len(starts)
     if k == 0:
@@ -614,60 +649,55 @@ def train_stack(
     # Lane order: task-B only (0), both tasks (1), task-A only (2).
     members = np.argsort((weights[:, 0] > 0).astype(int) + (weights[:, 1] == 0), kind="stable")
     weights = weights[members]
-    offs = _check_inputs(spec, batch, [t for t in (0, 1) if weights[:, t].any()], offsets)
+    labels = tuple(z if weights[:, t].any() else None for t, z in enumerate((batch.z_a, batch.z_b)))
+    inputs = _check_inputs(spec, batch.features, labels, offsets)
     masks = [_trainable_mask(spec, table, trainable[m]) for m in members]
     mask = None
     if any(m is not None for m in masks):
         mask = np.stack([np.ones(spec.param_count, dtype=bool) if m is None else m for m in masks])
-    stack = _Stack(spec, np.stack([starts[m].values for m in members]), weights, offs, mask, members)
+    stack = _Stack(spec, np.stack([starts[m].values for m in members]), weights, inputs)
+    velocity = np.zeros_like(stack.values)
 
-    results = [None] * k
+    diverged = [None] * k
     losses = [[] for _ in range(k)]
 
-    def drop_diverged(epoch, loss):
-        """Record and drop the members whose loss is not finite; returns
-        the survivors' mask, or None when every member survived."""
-        alive = np.isfinite(loss)
-        if alive.all():
-            return None
-        for i in np.flatnonzero(~alive):
-            results[stack.members[i]] = TrainingDivergenceError(epoch, float(loss[i]))
-        stack.keep(alive)
-        return alive
+    def note_divergence(epoch, loss) -> bool:
+        """Record each lane's first non-finite loss; True once every lane
+        has diverged."""
+        for i in np.flatnonzero(~np.isfinite(loss)):
+            if diverged[i] is None:
+                diverged[i] = TrainingDivergenceError(epoch, float(loss[i]))
+        return None not in diverged
 
-    label_sets = (batch.z_a, batch.z_b)
     rng = np.random.default_rng(opt.seed)
     n = batch.n
     # Overflow on the way to a divergence is reported as that member's
     # TrainingDivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(opt.epochs):
-            if not stack.members.size:
+            if None not in diverged:
                 break
             order = rng.permutation(n)
-            total = np.zeros(stack.members.size)
+            total = np.zeros(k)
             for start in range(0, n, opt.batch_size):
                 rows = order[start:start + opt.batch_size]
-                loss, grad = stack.step(batch.features, label_sets, rows)
-                alive = drop_diverged(epoch, loss)
-                if alive is not None:
-                    loss, grad, total = loss[alive], grad[alive], total[alive]
-                    if not alive.any():
-                        break
-                stack.velocity = opt.momentum * stack.velocity - opt.learning_rate * grad
-                if stack.mask is None:
-                    stack.values += stack.velocity
+                loss, grad = stack.step(rows)
+                if not np.isfinite(loss).all() and note_divergence(epoch, loss):
+                    break
+                velocity = opt.momentum * velocity - opt.learning_rate * grad
+                if mask is None:
+                    stack.values += velocity
                 else:
-                    np.add(stack.values, stack.velocity, out=stack.values, where=stack.mask)
+                    np.add(stack.values, velocity, out=stack.values, where=mask)
                 total += loss * rows.size
             epoch_loss = total / n
-            alive = drop_diverged(epoch, epoch_loss)
-            if alive is not None:
-                epoch_loss = epoch_loss[alive]
-            for i, m in enumerate(stack.members):
-                losses[m].append(float(epoch_loss[i]))
-    for i, m in enumerate(stack.members):
-        results[m] = TrainResult(ParamVector(stack.values[i].copy(), table), losses[m])
+            if not np.isfinite(epoch_loss).all():
+                note_divergence(epoch, epoch_loss)
+            for i in range(k):
+                losses[i].append(float(epoch_loss[i]))
+    results = [None] * k
+    for i, m in enumerate(members):
+        results[m] = diverged[i] or TrainResult(ParamVector(stack.values[i].copy(), table), losses[i])
     return results
 
 

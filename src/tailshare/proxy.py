@@ -23,8 +23,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError, StructuralError
-from .nn import (ModelSpec, ParamVector, _backward, _block_views, _check_params, _sigmoid,
-                 _sum_batch, _task_index, _trunk_forward)
+from .nn import ModelSpec, ParamVector, _one_task_stack
 from .tables import write_csv
 
 # Coordinates whose weighted Fisher combination falls below this are treated
@@ -104,58 +103,23 @@ def estimate_diag_fisher(
     labels: np.ndarray,
     task: str,
     offsets: np.ndarray | None = None,
-    chunk_size: int = 4096,
 ) -> DiagFisher:
     """Average squared per-sample score gradients of the task branch.
 
     For sample i the score w.r.t. the branch logits is z_i - sigmoid(u_i);
     per-sample weight gradients are rank-one (outer(h, delta)), so their
     squares accumulate as (h^2)^T (delta^2) without materializing per-sample
-    gradients. The walk is the training step's (nn._backward on a stack of
-    one) from the loss delta sigmoid(u) - z, the negated score, reduced
-    squared; rows run in chunks of chunk_size. Blocks of the unused head
-    stay zero.
+    gradients. This is the training engine's one-task pass (nn._Stack.fisher
+    on a stack of one): the inputs pass the training step's checks, and its
+    forward pass, head logits and backward walk run from the loss delta
+    sigmoid(u) - z, the negated score, reduced squared. Blocks of the unused
+    head stay zero.
     """
-    _check_params(params, spec)
-    t = _task_index(task)
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    n = features.shape[0]
+    stack = _one_task_stack(params, spec, features, labels, task, offsets)
+    n = stack.features.shape[0]
     if n == 0:
         raise DataFormatError("cannot estimate Fisher from empty data")
-    if features.ndim != 2 or features.shape[1] != spec.input_dim:
-        raise StructuralError(f"features must be (n, {spec.input_dim}), got {features.shape}")
-    if labels.shape != (n, spec.head_dims[t]):
-        raise StructuralError(f"task {task} labels must be {(n, spec.head_dims[t])}, got {labels.shape}")
-    if offsets is not None:
-        offsets = np.asarray(offsets, dtype=np.float64)
-    depth = spec.depth
-    blocks = _block_views(params.values[None, :], spec)
-    w_h, b_h = blocks[depth + t]
-    trunk_w_t = [w.swapaxes(1, 2) for w, _ in blocks[:depth]]
-    acc = np.zeros((1, spec.param_count))
-    acc_blocks = _block_views(acc, spec)
-    for start in range(0, n, chunk_size):
-        rows = slice(start, start + chunk_size)
-        acts = _trunk_forward(blocks[:depth], features[rows], spec.activation)
-        u = acts[-1] @ w_h
-        u += b_h
-        if offsets is not None:
-            u += offsets
-        ds = _sigmoid(u) - labels[rows]
-        _reduce_fisher(acts[-1], ds, *acc_blocks[depth + t])
-        _backward(acts, spec.activation, ds @ w_h.swapaxes(1, 2), trunk_w_t, acc_blocks, _reduce_fisher)
-    return DiagFisher(acc[0] / n, n)
-
-
-def _reduce_fisher(a: np.ndarray, delta: np.ndarray, f_w: np.ndarray, f_b: np.ndarray) -> None:
-    """Add one layer's squared-score sums: (a^2)^T (delta^2) to f_w and the
-    batch sum of delta^2 to f_b."""
-    delta = np.square(delta)
-    f_w += np.square(a).swapaxes(-1, -2) @ delta
-    bias = np.empty_like(f_b)
-    _sum_batch(delta, bias)
-    f_b += bias
+    return DiagFisher(stack.fisher()[0] / n, n)
 
 
 def encoder_mismatch(params_a: ParamVector, params_b: ParamVector, c: int) -> MismatchVector:

@@ -203,6 +203,43 @@ class TestErrorPaths:
         assert not [name for name in written if name.startswith(
             ("stage1", "proxy_grid", "selection", "stage2", "model", "metrics"))], written
 
+    @pytest.mark.parametrize("command, text, named", [
+        ("stage1", '{"model": null}', "model must be an object, got null"),
+        ("stage1", '{"tau": null}', "tau must be a number, got null"),
+        ("stage1", '{"stage1": {"epochs": "x"}}', 'stage1.epochs must be an int, got "x"'),
+        ("gen-data", "[1, 2]", "the config must be a JSON object, got [1, 2]"),
+        ("full-run", '{"logit_adjust": "false"}', 'logit_adjust must be true or false, got "false"'),
+        ("gen-data", '{"seed": true}', "seed must be an int, got true"),
+        ("gen-data", '{"generator": {"n_classes": 2.5}}', "generator.n_classes must be an int, got 2.5"),
+        ("oracle", '{"oracle": {"resamples": "3"}}', 'oracle.resamples must be an int, got "3"'),
+        ("full-run", '{"model": {"trunk_widths": [8, 0]}}', "model.trunk_widths must be a nonempty"),
+        ("full-run", '{"model": {"activation": 1}}', "model.activation must be a string, got 1"),
+        ("full-run", '{"select": {"w_values": ["0.5"]}}', 'select.w_values must be null or a list'),
+        ("gen-data", '{"out": 3}', "out must be a string, got 3"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_before_any_file(self, runner, tmp_path, command,
+                                                                   text, named):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output and named in result.output
+        assert not list((tmp_path / "run").glob("*"))
+
+    @pytest.mark.parametrize("command, section", [("stage1", "stage1"), ("full-run", "stage2")])
+    def test_zero_epoch_stage_exits_before_any_file(self, runner, tmp_path, command, section):
+        """The library trains 0 epochs; the CLI, which reports each stage's
+        last loss, refuses them before writing anything."""
+        config, cfg = write_config(tmp_path)
+        assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
+        written = sorted((tmp_path / "run").iterdir())
+        cfg[section]["epochs"] = 0
+        config.write_text(json.dumps(cfg))
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert f"{section}.epochs must be >= 1, got 0" in result.output
+        assert sorted((tmp_path / "run").iterdir()) == written
+
     def test_oracle_with_empty_training_sets_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
         result = runner.invoke(main, ["oracle", "--config", str(config), "--resamples", "2",

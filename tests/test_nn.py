@@ -7,6 +7,7 @@ from tailshare.nn import (
     Batch,
     ModelSpec,
     OptConfig,
+    _Stack,
     _sum_batch,
     bce_loss_grad,
     forward,
@@ -484,6 +485,28 @@ class TestTrainStack:
             solo = train(starts[i], spec, batch, weights[i], opt, trainable[i])
             assert out[i].params.values.tobytes() == solo.params.values.tobytes()
             assert out[i].epoch_losses == solo.epoch_losses
+
+    def test_a_stack_whose_members_all_diverge_stops_with_each_divergence(self, monkeypatch):
+        spec = ModelSpec(2, (6,), (1, 1), activation="relu")
+        batch = TestTrain().separable_batch()
+        opt = OptConfig(3e3, epochs=40, batch_size=16, seed=0)
+        start = init_params(spec, 1)
+        weights = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
+        steps = []
+        step = _Stack.step
+        monkeypatch.setattr(_Stack, "step", lambda stack, rows: steps.append(rows) or step(stack, rows))
+        solo = []
+        for w in weights:
+            steps.clear()
+            with pytest.raises(TrainingDivergenceError) as err:
+                train(start, spec, batch, w, opt)
+            solo.append((err.value.epoch, repr(err.value.loss), len(steps)))
+        assert len({s[:2] for s in solo}) == len(solo)  # each member fails its own way
+        steps.clear()
+        out = train_stack([start] * 3, spec, batch, weights, opt)
+        assert [(err.epoch, repr(err.loss)) for err in out] == [s[:2] for s in solo]
+        # The run stops at the step where its last member diverges.
+        assert len(steps) == max(s[2] for s in solo)
 
     def test_bce_loss_grad_is_one_engine_step(self):
         spec = small_spec("relu")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tailshare.errors import DataFormatError, DomainError, StructuralError
-from tailshare.nn import Batch, ModelSpec, _forward_cache, _sigmoid, bce_loss_grad, init_params
+from tailshare.nn import (Batch, ModelSpec, OptConfig, _forward_cache, _sigmoid, bce_loss_grad, init_params,
+                          train)
 from tailshare.proxy import (
     DEAD_COORD_EPS,
     DiagFisher,
@@ -61,14 +62,15 @@ def plain_loop_fisher(params, spec, feats, z, task, offsets, chunk):
 
 
 class TestEstimateDiagFisher:
-    def test_matches_per_sample_gradient_oracle(self):
+    def test_matches_per_sample_gradient_oracle(self, monkeypatch):
+        monkeypatch.setattr("tailshare.nn.FISHER_CHUNK_ROWS", 7)
         rng = np.random.default_rng(4)
         spec = ModelSpec(3, (5, 4), (2, 3), activation="tanh")
         params = init_params(spec, 2)
         params.values[:] = rng.normal(size=params.values.size) * 0.6
         feats, z_a, z_b = labeled_data(rng, 40, spec)
         offsets = np.array([0.1, -0.4])
-        fisher = estimate_diag_fisher(params, spec, feats, z_a, "A", offsets=offsets, chunk_size=7)
+        fisher = estimate_diag_fisher(params, spec, feats, z_a, "A", offsets=offsets)
         brute = np.zeros(spec.param_count)
         for i in range(40):
             single = Batch(feats[i:i + 1], z_a[i:i + 1], z_b[i:i + 1])
@@ -80,7 +82,7 @@ class TestEstimateDiagFisher:
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("task", ["A", "B"])
-    def test_equals_a_plain_per_layer_loop_bit_for_bit(self, activation, task):
+    def test_equals_a_plain_per_layer_loop_bit_for_bit(self, activation, task, monkeypatch):
         """The stack-of-one walk against a 2-D per-layer loop over
         _forward_cache: same operations, so the same bits."""
         rng = np.random.default_rng(6)
@@ -91,7 +93,8 @@ class TestEstimateDiagFisher:
         z = z_a if task == "A" else z_b
         offsets = rng.normal(size=z.shape[1])
         for chunk in (1, 7, 45, 100):
-            got = estimate_diag_fisher(params, spec, feats, z, task, offsets, chunk_size=chunk)
+            monkeypatch.setattr("tailshare.nn.FISHER_CHUNK_ROWS", chunk)
+            got = estimate_diag_fisher(params, spec, feats, z, task, offsets)
             assert np.array_equal(got.values, plain_loop_fisher(params, spec, feats, z, task, offsets, chunk))
 
     def test_bernoulli_logit_at_half_gives_quarter(self):
@@ -142,6 +145,34 @@ class TestEstimateDiagFisher:
         with pytest.raises(StructuralError) as err:
             estimate_diag_fisher(params, spec, feats, np.zeros(shape), "B")
         assert "(30, 2)" in str(err.value) and str(shape) in str(err.value)
+
+    @pytest.mark.parametrize("shapes, message", [
+        ({"features": (30, 4)}, "features must be (n, 3), got (30, 4)"),
+        ({"labels": (30, 3)}, "task A labels must be (30, 2), got (30, 3)"),
+        ({"offsets": (1,)}, "task A offsets must be (2,), got (1,)"),
+        ({"offsets": (30, 2)}, "task A offsets must be (2,), got (30, 2)"),
+        ({"offsets": (3,)}, "task A offsets must be (2,), got (3,)"),
+    ])
+    def test_training_and_fisher_reject_bad_inputs_with_one_message(self, shapes, message):
+        """One input check serves training, the loss gradient and the
+        Fisher: offsets that would broadcast into the logits of a 2-class
+        head are refused, naming the expected and the given shape."""
+        spec = ModelSpec(3, (4,), (2, 2))
+        params = init_params(spec, 3)
+        feats = np.random.default_rng(8).normal(size=shapes.get("features", (30, 3)))
+        z_a = np.zeros(shapes.get("labels", (30, 2)))
+        z_a[:, 0] = 1.0
+        batch = Batch(feats, z_a, np.zeros((30, 2)))
+        offsets = np.zeros(shapes.get("offsets", (2,)))
+        calls = (
+            lambda: train(params, spec, batch, (1.0, 0.0), OptConfig(0.1, epochs=1), offsets=(offsets, None)),
+            lambda: bce_loss_grad(params, spec, batch, "A", offsets),
+            lambda: estimate_diag_fisher(params, spec, feats, z_a, "A", offsets),
+        )
+        for call in calls:
+            with pytest.raises(StructuralError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_peak_memory_is_the_forward_cache_plus_a_few_arrays(self):
         """The forward cache holds the activations only; each layer's
