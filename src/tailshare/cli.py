@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from pathlib import Path
 
@@ -70,7 +71,8 @@ def _check_type(value, default, key: str) -> None:
     """Require `value` to have the JSON type of the default at `key`: an
     object for a section, an int for an int, a number for a float, a bool
     for a bool, a string for a string, a nonempty list of positive ints for
-    model.trunk_widths and null or a list of numbers under select."""
+    model.trunk_widths and null or a list of numbers under select. Numbers
+    must be finite: Python's json reads NaN and Infinity."""
     if isinstance(default, dict):
         ok, kind = isinstance(value, dict), "an object"
     elif key == "model.trunk_widths":
@@ -89,12 +91,17 @@ def _check_type(value, default, key: str) -> None:
         ok, kind = isinstance(value, str), "a string"
     if not ok:
         raise ConfigError(f"config key {key} must be {kind}, got {json.dumps(value)}")
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for v in (value if isinstance(value, list) else [value])):
+        raise ConfigError(f"config key {key} must be finite, got {json.dumps(value)}")
 
 
 def _load_config(config_path, **overrides) -> dict:
     """The defaults, then the JSON file, then the flag overrides (dotted
     keys reach into sections); each value must have the JSON type of its
-    default. Writes the resolved snapshot into the run directory."""
+    default. Builds the generator, model and optimizer settings, so a value
+    they refuse fails here; only then writes the resolved snapshot into the
+    run directory."""
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
     if config_path:
         path = Path(config_path)
@@ -125,7 +132,10 @@ def _load_config(config_path, **overrides) -> dict:
         node = cfg
         for part in parts[:-1]:
             node = node[part]
+        _check_type(value, node[parts[-1]], key)
         node[parts[-1]] = value
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     # Metrics are scored after training, so their settings are checked first.
     if not 0.0 <= float(cfg["holdout_fraction"]) <= 1.0:
         raise ConfigError(f"holdout_fraction must lie in [0, 1], got {cfg['holdout_fraction']}")
@@ -134,6 +144,13 @@ def _load_config(config_path, **overrides) -> dict:
     for section in ("stage1", "stage2"):
         if cfg[section]["epochs"] < 1:
             raise ConfigError(f"{section}.epochs must be >= 1, got {cfg[section]['epochs']}")
+    gen = _gen_config(cfg)
+    _spec_for(cfg, gen.n_classes, gen.input_dim)
+    for section in ("stage1", "stage2", "refine"):
+        try:
+            _opt(cfg, section, cfg["seed"])
+        except ConfigError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
     store.write_config_snapshot(cfg["out"], cfg)
     return cfg
 
@@ -439,10 +456,11 @@ def full_run_cmd(config_path, out, seed, data, tau, no_refine):
 
 
 @main.command("verify-lemma")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--max-y", type=int, default=4, show_default=True)
-@click.option("--max-outcomes", type=int, default=4, show_default=True)
+@click.option("--trials", type=int, default=1000, show_default=True, help="Random instances, >= 1.")
+@click.option("--seed", type=int, default=1, show_default=True, help="Seed of the draws, >= 0.")
+@click.option("--max-y", type=int, default=4, show_default=True, help="Bound on |Y|, >= 2.")
+@click.option("--max-outcomes", type=int, default=4, show_default=True,
+              help="Bound on each task alphabet (max_a and max_b), >= 2.")
 @_guarded
 def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
     """Brute-force check of the joint-vs-taskwise KL decomposition identity

@@ -268,10 +268,9 @@ def save_csv(dataset: LongTailDataset, path) -> None:
     generator is known a JSON sidecar (means, sigma, priors) is written so
     oracle code can recover exact posteriors."""
     path = Path(path)
-    classes = dataset.class_indices()
+    rows = zip(dataset.features.tolist(), dataset.class_indices().tolist())
     with path.open("w") as fh:
-        for row, k in zip(dataset.features, classes):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(k)}\n")
+        fh.writelines(",".join(map(repr, row)) + f",{k}\n" for row, k in rows)
     if dataset.generator is not None:
         gen = dataset.generator
         payload = {

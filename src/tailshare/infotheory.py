@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import StructuralError, SupportError
+from .errors import ConfigError, StructuralError, SupportError
 from .datagen import MixtureGenerator, TaskSplit
 
 # Floor applied before logarithms; keeps denormals out of log() without
@@ -35,6 +35,19 @@ def _as_prob_array(p, name: str) -> np.ndarray:
     return arr
 
 
+def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Elementwise p * log(p / q), zero where p = 0; SupportError where q
+    vanishes and p does not. Callers sum over the alphabet axes."""
+    support = p > 0
+    if np.any(support & (q <= 0)):
+        raise SupportError("q must be positive wherever p is")
+    return np.where(
+        support,
+        p * (np.log(np.maximum(p, _FLOOR)) - np.log(np.maximum(q, _FLOOR))),
+        0.0,
+    )
+
+
 def kl(p, q) -> float:
     """Kullback-Leibler divergence sum(p * log(p / q)) in nats.
 
@@ -45,15 +58,7 @@ def kl(p, q) -> float:
     q = _as_prob_array(q, "q")
     if p.shape != q.shape:
         raise StructuralError("p and q must share one alphabet")
-    support = p > 0
-    if np.any(support & (q <= 0)):
-        raise SupportError("q must be positive wherever p is")
-    terms = np.where(
-        support,
-        p * (np.log(np.maximum(p, _FLOOR)) - np.log(np.maximum(q, _FLOOR))),
-        0.0,
-    )
-    return float(terms.sum())
+    return float(_kl_terms(p, q).sum())
 
 
 def mutual_information(joint) -> float:
@@ -66,23 +71,47 @@ def mutual_information(joint) -> float:
     return kl(pj, np.outer(pu, pv))
 
 
-def conditional_mutual_information(joint) -> float:
-    """I(U; V | Y) from a 3-D joint table with axes (Y, U, V), in nats."""
+def conditional_mutual_information(joint):
+    """I(U; V | Y) in nats from a joint table with axes (Y, U, V), or from
+    a stack of them on leading axes, which gives one value per table."""
     pj = _as_prob_array(joint, "joint")
-    if pj.ndim != 3:
+    if pj.ndim < 3:
         raise StructuralError("conditional_mutual_information expects axes (Y, U, V)")
-    p_y = pj.sum(axis=(1, 2))
-    p_yu = pj.sum(axis=2)
-    p_yv = pj.sum(axis=1)
-    num = pj * p_y[:, None, None]
-    den = p_yu[:, :, None] * p_yv[:, None, :]
+    p_y = pj.sum(axis=(-2, -1))
+    p_yu = pj.sum(axis=-1)
+    p_yv = pj.sum(axis=-2)
+    num = pj * p_y[..., None, None]
+    den = p_yu[..., :, None] * p_yv[..., None, :]
     support = pj > 0
     terms = np.where(
         support,
         pj * (np.log(np.maximum(num, _FLOOR)) - np.log(np.maximum(den, _FLOOR))),
         0.0,
     )
-    return float(terms.sum())
+    return terms.sum(axis=(-3, -2, -1))
+
+
+def _joint_tables(table) -> np.ndarray:
+    """Joint tables with axes (..., Y, Z_A, Z_B), each non-negative and
+    summing to 1 within 1e-12."""
+    table = _as_prob_array(table, "joint table")
+    if table.ndim < 3:
+        raise StructuralError("joint table needs axes (Y, Z_A, Z_B)")
+    if np.any(np.abs(table.sum(axis=(-3, -2, -1)) - 1.0) > 1e-12):
+        raise StructuralError("joint table must sum to 1 within 1e-12")
+    return table
+
+
+def _conditional_tables(tab, name: str, rows=True) -> np.ndarray:
+    """Conditional tables with axes (..., Y, outcomes), non-negative, whose
+    rows sum to 1 within 1e-12 wherever `rows` (broadcast over the leading
+    and Y axes) is true."""
+    tab = _as_prob_array(tab, name)
+    if tab.ndim < 2:
+        raise StructuralError(f"{name} must be (|Y|, outcomes)")
+    if np.any((np.abs(tab.sum(axis=-1) - 1.0) > 1e-12) & rows):
+        raise StructuralError(f"every {name} row must sum to 1 within 1e-12")
+    return tab
 
 
 @dataclass
@@ -92,11 +121,9 @@ class DiscreteJoint:
     table: np.ndarray
 
     def __post_init__(self):
-        self.table = _as_prob_array(self.table, "joint table")
+        self.table = _joint_tables(self.table)
         if self.table.ndim != 3:
             raise StructuralError("joint table needs axes (Y, Z_A, Z_B)")
-        if abs(self.table.sum() - 1.0) > 1e-12:
-            raise StructuralError("joint table must sum to 1 within 1e-12")
 
     @property
     def sizes(self) -> tuple:
@@ -111,16 +138,17 @@ class FactorizedConditional:
     p_b: np.ndarray
 
     def __post_init__(self):
-        self.p_a = _as_prob_array(self.p_a, "p_a")
-        self.p_b = _as_prob_array(self.p_b, "p_b")
+        self.p_a = _conditional_tables(self.p_a, "p_a")
+        self.p_b = _conditional_tables(self.p_b, "p_b")
         for name, tab in (("p_a", self.p_a), ("p_b", self.p_b)):
             if tab.ndim != 2:
                 raise StructuralError(f"{name} must be (|Y|, outcomes)")
-            if np.any(np.abs(tab.sum(axis=1) - 1.0) > 1e-12):
-                raise StructuralError(f"every {name} row must sum to 1 within 1e-12")
 
 
 class DecompositionTerms(NamedTuple):
+    """Each field is a float for one instance and an array over the leading
+    axes for a stack of instances."""
+
     joint_kl: float
     task_a_kl: float
     task_b_kl: float
@@ -132,29 +160,41 @@ class DecompositionTerms(NamedTuple):
 
 
 def _coerce_instance(q, p) -> tuple:
-    q_table = q.table if isinstance(q, DiscreteJoint) else DiscreteJoint(np.asarray(q)).table
-    if not isinstance(p, FactorizedConditional):
-        p = FactorizedConditional(p[0], p[1])
-    p_a, p_b = p.p_a, p.p_b
-    if q_table.shape[1] != p_a.shape[1] or q_table.shape[2] != p_b.shape[1]:
+    q_table = q.table if isinstance(q, DiscreteJoint) else _joint_tables(q)
+    if isinstance(p, FactorizedConditional):
+        p_a, p_b = p.p_a, p.p_b
+    else:
+        p_a, p_b = _conditional_tables(p[0], "p_a"), _conditional_tables(p[1], "p_b")
+    if q_table.shape[-2] != p_a.shape[-1] or q_table.shape[-1] != p_b.shape[-1]:
         raise StructuralError("conditional tables do not match the joint's label alphabets")
-    if q_table.shape[0] != p_a.shape[0] or q_table.shape[0] != p_b.shape[0]:
+    if q_table.shape[:-2] != p_a.shape[:-1] or q_table.shape[:-2] != p_b.shape[:-1]:
         raise StructuralError("conditional tables do not match the joint's Y alphabet")
     return q_table, p_a, p_b
 
 
 def decomposition_terms(q, p) -> DecompositionTerms:
-    """All four pieces of the joint-vs-taskwise KL identity."""
-    q_table, p_a, p_b = _coerce_instance(q, p)
-    q_y = q_table.sum(axis=(1, 2))
-    p_w = q_y[:, None, None] * p_a[:, :, None] * p_b[:, None, :]
-    q_xa = q_table.sum(axis=2)
-    q_xb = q_table.sum(axis=1)
+    """All four pieces of the joint-vs-taskwise KL identity.
+
+    q is a DiscreteJoint or joint tables with axes (..., Y, Z_A, Z_B); p is
+    a FactorizedConditional or a pair (p_a, p_b) with axes (..., Y, Z_A)
+    and (..., Y, Z_B). A stack of instances on leading axes gives each term
+    as an array over those axes; one instance is a stack without them.
+    """
+    return _terms(*_coerce_instance(q, p))
+
+
+def _terms(q: np.ndarray, p_a: np.ndarray, p_b: np.ndarray) -> DecompositionTerms:
+    """decomposition_terms on checked tables, reduced over the trailing
+    alphabet axes. Zero-padded outcomes and Y rows add nothing."""
+    q_y = q.sum(axis=(-2, -1))
+    p_w = q_y[..., None, None] * p_a[..., :, None] * p_b[..., None, :]
+    q_xa = q.sum(axis=-1)
+    q_xb = q.sum(axis=-2)
     return DecompositionTerms(
-        joint_kl=kl(q_table, p_w),
-        task_a_kl=kl(q_xa, q_y[:, None] * p_a),
-        task_b_kl=kl(q_xb, q_y[:, None] * p_b),
-        cmi=conditional_mutual_information(q_table),
+        joint_kl=_kl_terms(q, p_w).sum(axis=(-3, -2, -1)),
+        task_a_kl=_kl_terms(q_xa, q_y[..., None] * p_a).sum(axis=(-2, -1)),
+        task_b_kl=_kl_terms(q_xb, q_y[..., None] * p_b).sum(axis=(-2, -1)),
+        cmi=conditional_mutual_information(q),
     )
 
 
@@ -164,24 +204,62 @@ def decomposition_residual(q, p) -> float:
     return decomposition_terms(q, p).residual
 
 
-def random_instance(rng: np.random.Generator, max_y: int = 4, max_a: int = 4, max_b: int = 4):
-    """One random (joint, factorized conditional) pair with full support."""
+def _draw_tables(rng: np.random.Generator, max_y: int, max_a: int, max_b: int) -> tuple:
+    """The raw (q, p_a, p_b) tables of one random instance."""
     ny = int(rng.integers(2, max_y + 1))
     na = int(rng.integers(2, max_a + 1))
     nb = int(rng.integers(2, max_b + 1))
     q = rng.dirichlet(np.ones(ny * na * nb)).reshape(ny, na, nb)
     p_a = rng.dirichlet(np.ones(na), size=ny)
     p_b = rng.dirichlet(np.ones(nb), size=ny)
+    return q, p_a, p_b
+
+
+def random_instance(rng: np.random.Generator, max_y: int = 4, max_a: int = 4, max_b: int = 4):
+    """One random (joint, factorized conditional) pair with full support."""
+    q, p_a, p_b = _draw_tables(rng, max_y, max_a, max_b)
     return DiscreteJoint(q), FactorizedConditional(p_a, p_b)
 
 
+# Padded table entries residual_sweep evaluates in one array pass: 128
+# instances at the default 4 x 4 x 4 bounds. Every instance is padded to
+# the bounds, so counting entries rather than instances keeps a pass's
+# memory fixed when the bounds grow.
+_SWEEP_BLOCK_ENTRIES = 8192
+
+
 def residual_sweep(trials: int, seed: int, max_y: int = 4, max_a: int = 4, max_b: int = 4) -> float:
-    """Max |residual| of the decomposition identity over random instances."""
+    """Max |residual| of the decomposition identity over `trials` random
+    instances, the draws of repeated random_instance calls on one
+    generator. Instances are zero-padded to the alphabet bounds and checked
+    and evaluated a block at a time, with every check DiscreteJoint,
+    FactorizedConditional and kl make."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    for name, bound in (("max_y", max_y), ("max_a", max_a), ("max_b", max_b)):
+        if bound < 2:
+            raise ConfigError(f"{name} must be >= 2, got {bound}")
     rng = np.random.default_rng(seed)
+    block = max(1, _SWEEP_BLOCK_ENTRIES // (max_y * max_a * max_b))
     worst = 0.0
-    for _ in range(trials):
-        q, p = random_instance(rng, max_y, max_a, max_b)
-        worst = max(worst, abs(decomposition_residual(q, p)))
+    for start in range(0, trials, block):
+        n = min(block, trials - start)
+        q = np.zeros((n, max_y, max_a, max_b))
+        p_a = np.zeros((n, max_y, max_a))
+        p_b = np.zeros((n, max_y, max_b))
+        rows = np.zeros((n, max_y), dtype=bool)
+        for i in range(n):
+            q_i, a_i, b_i = _draw_tables(rng, max_y, max_a, max_b)
+            ny, na, nb = q_i.shape
+            q[i, :ny, :na, :nb] = q_i
+            p_a[i, :ny, :na] = a_i
+            p_b[i, :ny, :nb] = b_i
+            rows[i, :ny] = True
+        terms = _terms(_joint_tables(q), _conditional_tables(p_a, "p_a", rows),
+                       _conditional_tables(p_b, "p_b", rows))
+        worst = max(worst, float(np.abs(terms.residual).max()))
     return worst
 
 

@@ -31,6 +31,19 @@ class TestVerifyLemma:
         assert "PASS" in result.output
         assert "max |residual|" in result.output
 
+    @pytest.mark.parametrize("args, named", [
+        (["--trials", "0"], "trials must be >= 1, got 0"),
+        (["--trials", "-3"], "trials must be >= 1, got -3"),
+        (["--max-y", "1"], "max_y must be >= 2, got 1"),
+        (["--max-outcomes", "1"], "max_a must be >= 2, got 1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_degenerate_input_is_a_config_error(self, runner, args, named):
+        result = runner.invoke(main, ["verify-lemma"] + args)
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output and named in result.output
+        assert "PASS" not in result.output
+
 
 class TestGenData:
     def test_writes_dataset_sidecar_and_snapshot(self, runner, tmp_path):
@@ -222,6 +235,37 @@ class TestErrorPaths:
         path = tmp_path / "bad.json"
         path.write_text(text)
         result = runner.invoke(main, [command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output and named in result.output
+        assert not list((tmp_path / "run").glob("*"))
+
+    @pytest.mark.parametrize("command, text, named", [
+        ("gen-data", '{"seed": -1}', "seed must be >= 0, got -1"),
+        ("stage1", '{"stage1": {"learning_rate": NaN}}', "stage1.learning_rate must be finite, got NaN"),
+        ("full-run", '{"tau": Infinity}', "tau must be finite, got Infinity"),
+        ("full-run", '{"select": {"w_values": [0.5, -Infinity]}}',
+         "select.w_values must be finite, got [0.5, -Infinity]"),
+        ("gen-data", '{"generator": {"n_classes": 1}}', "need at least 2 classes"),
+        ("stage1", '{"stage1": {"batch_size": 0}}', "stage1: batch_size must be >= 1"),
+        ("full-run", '{"refine": {"momentum": 1.0}}', "refine: momentum must lie in [0, 1)"),
+        ("full-run", '{"model": {"activation": "sigmoid"}}', "unsupported activation 'sigmoid'"),
+    ])
+    def test_config_objects_would_refuse_exits_before_any_file(self, runner, tmp_path, command,
+                                                                text, named):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output and named in result.output
+        assert not list((tmp_path / "run").glob("*"))
+
+    @pytest.mark.parametrize("args, named", [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--tau", "nan"], "tau must be finite, got NaN"),
+    ])
+    def test_bad_flag_override_exits_before_any_file(self, runner, tmp_path, args, named):
+        config, _ = write_config(tmp_path)
+        result = runner.invoke(main, ["full-run", "--config", str(config)] + args)
         assert result.exit_code == 2, result.output
         assert "error[config]" in result.output and named in result.output
         assert not list((tmp_path / "run").glob("*"))

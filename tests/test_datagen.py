@@ -230,6 +230,29 @@ class TestCsv:
         assert back.generator is not None
         assert np.array_equal(back.generator.means, ds.generator.means)
 
+    def test_rows_are_the_shortest_repr_of_each_value(self, tmp_path):
+        """save_csv writes the bytes of per-element repr(float(v)) on numpy
+        scalars, signed zero, subnormals and 17-digit values included."""
+        features = np.array([
+            [-0.0, 5e-324, 0.1 + 0.2],
+            [1.0 / 3.0, -2.2250738585072014e-308, 1e308],
+            [123456789.12345679, -1e-7, 0.0],
+            [2.0 ** -1074 * 3, -1.7976931348623157e308, 1e16],
+        ])
+        labels = np.eye(2)[[0, 1, 1, 0]]
+        ds = LongTailDataset(features, labels, [2, 2])
+        path = tmp_path / "exact.csv"
+        save_csv(ds, path)
+        expected = "".join(",".join(repr(float(v)) for v in row) + f",{int(k)}\n"
+                           for row, k in zip(ds.features, ds.class_indices()))
+        assert path.read_bytes() == expected.encode()
+        assert "-0.0,5e-324,0.30000000000000004,0\n" in expected
+        generated = generate(GenConfig(4, 3, 5.0, 30, seed=6))
+        save_csv(generated, path)
+        assert path.read_bytes() == "".join(
+            ",".join(repr(float(v)) for v in row) + f",{int(k)}\n"
+            for row, k in zip(generated.features, generated.class_indices())).encode()
+
 
 class TestGeneratorSidecar:
     GOOD = {"means": [[0.0, 1.0], [1.0, 0.0]], "noise_sigma": 1.0, "priors": [0.75, 0.25]}

@@ -1,7 +1,12 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tailshare.errors import StructuralError, SupportError
+from tailshare import infotheory
+from tailshare.errors import ConfigError, StructuralError, SupportError
 from tailshare.datagen import GenConfig, build_generator, split_classes
 from tailshare.infotheory import (
     DiscreteJoint,
@@ -107,11 +112,144 @@ class TestDecomposition:
         assert base.joint_kl == pytest.approx(other.joint_kl, abs=1e-12)
         assert base.cmi == pytest.approx(other.cmi, abs=1e-12)
 
+    def test_stack_of_one_matches_the_scalar_terms_exactly(self):
+        rng = np.random.default_rng(6)
+        for bounds in ((4, 4, 4), (2, 5, 3), (6, 2, 2)):
+            for _ in range(50):
+                q, p = random_instance(rng, *bounds)
+                scalar = decomposition_terms(q, p)
+                stacked = decomposition_terms(q.table[None], (p.p_a[None], p.p_b[None]))
+                for one, many in zip(scalar, stacked):
+                    assert np.shape(one) == () and many.shape == (1,)
+                    assert one == many[0]
+                assert scalar.residual == stacked.residual[0]
+                cmi = conditional_mutual_information(q.table[None])
+                assert cmi.shape == (1,) and cmi[0] == scalar.cmi
+
+    def test_stack_must_match_across_tables(self):
+        rng = np.random.default_rng(7)
+        q, p = random_instance(rng, 3, 3, 3)
+        with pytest.raises(StructuralError, match="Y alphabet"):
+            decomposition_terms(np.stack([q.table, q.table]), (p.p_a[None], p.p_b[None]))
+
     def test_validation(self):
         with pytest.raises(StructuralError):
             DiscreteJoint(np.full((2, 2, 2), 0.2))
         with pytest.raises(StructuralError):
             FactorizedConditional(np.array([[0.5, 0.6]]), np.array([[1.0]]))
+
+
+def checked_blocks(trials, seed, bounds):
+    """Run residual_sweep and return the (q, p_a, p_b) blocks it evaluated."""
+    blocks = []
+    evaluate = infotheory._terms
+
+    def record(q, p_a, p_b):
+        blocks.append((q.copy(), p_a.copy(), p_b.copy()))
+        return evaluate(q, p_a, p_b)
+
+    with mock.patch.object(infotheory, "_terms", record):
+        infotheory.residual_sweep(trials, seed, *bounds)
+    return blocks
+
+
+class TestResidualSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32),
+           trials=st.sampled_from([1, 127, 128, 129, 300]) | st.integers(1, 300),
+           bounds=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)))
+    @example(seed=1, trials=127, bounds=(4, 4, 4))
+    @example(seed=1, trials=128, bounds=(4, 4, 4))
+    @example(seed=1, trials=129, bounds=(4, 4, 4))
+    @example(seed=2, trials=300, bounds=(4, 4, 4))
+    def test_checks_the_random_instance_draws_bit_for_bit(self, seed, trials, bounds):
+        blocks = checked_blocks(trials, seed, bounds)
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for q, p_a, p_b in blocks:
+            assert q.shape[1:] == bounds
+            assert q.size <= max(infotheory._SWEEP_BLOCK_ENTRIES, int(np.prod(bounds)))
+            for i in range(q.shape[0]):
+                joint, cond = random_instance(rng, *bounds)
+                ny, na, nb = joint.table.shape
+                padded = np.zeros_like(q[i]), np.zeros_like(p_a[i]), np.zeros_like(p_b[i])
+                padded[0][:ny, :na, :nb] = joint.table
+                padded[1][:ny, :na] = cond.p_a
+                padded[2][:ny, :nb] = cond.p_b
+                assert np.array_equal(q[i], padded[0])
+                assert np.array_equal(p_a[i], padded[1])
+                assert np.array_equal(p_b[i], padded[2])
+                checked += 1
+        assert checked == trials
+
+    @pytest.mark.parametrize("seed, trials, bounds", [
+        (1, 1000, (4, 4, 4)), (3, 300, (4, 4, 4)), (17, 200, (5, 3, 6)), (5, 400, (2, 2, 2)),
+    ])
+    def test_equals_the_worst_per_instance_residual(self, seed, trials, bounds):
+        rng = np.random.default_rng(seed)
+        expected = max(abs(decomposition_terms(*random_instance(rng, *bounds)).residual)
+                       for _ in range(trials))
+        assert abs(residual_sweep(trials, seed, *bounds) - expected) <= 4e-15
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": -3}, "trials must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"max_y": 1}, "max_y must be >= 2"),
+        ({"max_a": 1}, "max_a must be >= 2"),
+        ({"max_b": 0}, "max_b must be >= 2"),
+    ])
+    def test_degenerate_input_raises_config_error(self, kwargs, named):
+        args = {"trials": 10, "seed": 1, **kwargs}
+        with pytest.raises(ConfigError, match=named):
+            residual_sweep(**args)
+
+    def spoil(self, index, fault):
+        """Patch the draws so that draw `index` is passed through `fault`."""
+        draw = infotheory._draw_tables
+        count = itertools.count()
+
+        def drawn(*args):
+            tables = draw(*args)
+            return fault(*tables) if next(count) == index else tables
+        return mock.patch.object(infotheory, "_draw_tables", drawn)
+
+    @staticmethod
+    def negative(q, p_a, p_b):
+        p_a = p_a.copy()
+        p_a[0, 0] = -p_a[0, 0]
+        return q, p_a, p_b
+
+    @staticmethod
+    def off_joint_sum(q, p_a, p_b):
+        return q * (1 + 1e-9), p_a, p_b
+
+    @staticmethod
+    def off_row_sum(q, p_a, p_b):
+        p_b = p_b.copy()
+        p_b[-1] *= 1 + 1e-9
+        return q, p_a, p_b
+
+    @staticmethod
+    def vanishing_model(q, p_a, p_b):
+        p_a = p_a.copy()
+        p_a[0, 1] += p_a[0, 0]
+        p_a[0, 0] = 0.0
+        return q, p_a, p_b
+
+    @pytest.mark.parametrize("index", [0, 129, 299])
+    @pytest.mark.parametrize("fault, error, named", [
+        ("negative", StructuralError, "p_a has negative entries"),
+        ("off_joint_sum", StructuralError, "joint table must sum to 1"),
+        ("off_row_sum", StructuralError, "every p_b row must sum to 1"),
+        ("vanishing_model", SupportError, "q must be positive wherever p is"),
+    ])
+    def test_each_instance_check_holds_in_every_block(self, index, fault, error, named):
+        with self.spoil(index, getattr(self, fault)), pytest.raises(error, match=named):
+            residual_sweep(300, seed=5)
+        q, p_a, p_b = getattr(self, fault)(*infotheory._draw_tables(np.random.default_rng(5), 4, 4, 4))
+        with pytest.raises(error, match=named):
+            decomposition_terms(DiscreteJoint(q), FactorizedConditional(p_a, p_b))
 
 
 def bernoulli_outcome_probs(logits_row, restrict):
