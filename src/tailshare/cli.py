@@ -1,10 +1,17 @@
 """Command-line entry point.
 
-Every command resolves its configuration (JSON file plus flag overrides),
-writes the resolved snapshot into the run directory, and reads/writes
-versioned artifacts there. Exit codes: 0 success, 2 configuration error,
-3 missing upstream artifact, 4 training divergence, 5 data-format error,
-6 verification check failed, 1 anything else.
+Every command first resolves all of its inputs into one checked record,
+`Inputs`: the defaults, the JSON file and the flag overrides (each value
+of the JSON type that `_FIELDS` gives its key), the dataset when the
+command reads one, and the command's own flags. Flag rules: --jobs >= 1,
+every grid (--grid-c, --grid-w, select.*) nonempty, every depth (--grid-c,
+--c, --c-star) in 0..L for the L trunk layers, every weight (--grid-w,
+--w-star) in [0, 1]. A refused input exits 2 naming it and writes
+nothing. Only then does the command write the resolved config snapshot
+and its versioned artifacts into the run directory. Exit codes: 0
+success, 2 configuration error, 3 missing upstream artifact, 4 training
+divergence, 5 data-format error, 6 verification check failed, 1 anything
+else.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
 stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
@@ -14,9 +21,11 @@ seed = seed + 7.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 import json
 import math
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -59,49 +68,63 @@ def _guarded(fn):
 _DEFAULTS = presets.toy_config_dict()
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# A config key's JSON type as messages name it, the test of that type, and
+# the cast that gives its resolved value (numbers become floats).
+_Field = namedtuple("_Field", "kind test cast", defaults=(lambda v: v,))
+_INT = _Field("an int", lambda v: type(v) is int)  # JSON's true and false are not ints
+_NUMBER = _Field("a number", lambda v: type(v) in (int, float), float)
+_STR = _Field("a string", lambda v: isinstance(v, str))
+_OPT = {"learning_rate": _NUMBER, "momentum": _NUMBER, "epochs": _INT, "batch_size": _INT}
+# The field of every config key; a section maps its keys to their fields.
+_FIELDS = {
+    "out": _STR,
+    "seed": _INT,
+    "generator": {"n_classes": _INT, "input_dim": _INT, "imbalance_ratio": _NUMBER, "n_max": _INT,
+                  "class_mean_scale": _NUMBER, "noise_sigma": _NUMBER},
+    "model": {"trunk_widths": _Field("a nonempty list of positive ints", lambda v: isinstance(v, list)
+                                     and v != [] and all(_INT.test(w) and w >= 1 for w in v)),
+              "activation": _STR},
+    "stage1": _OPT,
+    "stage2": _OPT,
+    "refine": _OPT,
+    "select": {"c_values": _Field("null or a list of ints", lambda v: v is None
+                                  or isinstance(v, list) and all(map(_INT.test, v))),
+               "w_values": _Field("null or a list of numbers", lambda v: v is None
+                                  or isinstance(v, list) and all(map(_NUMBER.test, v)))},
+    "tau": _NUMBER,
+    "logit_adjust": _Field("true or false", lambda v: isinstance(v, bool)),
+    "holdout_fraction": _NUMBER,
+    "eval_per_class": _INT,
+    "oracle": {"resamples": _INT, "train_size": _INT, "eval_points": _INT},
+}
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_type(value, default, key: str) -> None:
-    """Require `value` to have the JSON type of the default at `key`: an
-    object for a section, an int for an int, a number for a float, a bool
-    for a bool, a string for a string, a nonempty list of positive ints for
-    model.trunk_widths and null or a list of numbers under select. Numbers
-    must be finite: Python's json reads NaN and Infinity."""
-    if isinstance(default, dict):
-        ok, kind = isinstance(value, dict), "an object"
-    elif key == "model.trunk_widths":
-        ok = isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)
-        kind = "a nonempty list of positive ints"
-    elif key.startswith("select."):
-        ok = value is None or (isinstance(value, list) and all(map(_is_number, value)))
-        kind = "null or a list of numbers"
-    elif isinstance(default, bool):
-        ok, kind = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, kind = _is_int(value), "an int"
-    elif isinstance(default, float):
-        ok, kind = _is_number(value), "a number"
-    else:
-        ok, kind = isinstance(value, str), "a string"
-    if not ok:
-        raise ConfigError(f"config key {key} must be {kind}, got {json.dumps(value)}")
+def _set(cfg: dict, path: tuple, value) -> None:
+    """Store `value` at the key `path` if it has the JSON type of its field.
+    Numbers must be finite: Python's json reads NaN and Infinity."""
+    node, fields = cfg, _FIELDS
+    for part in path[:-1]:
+        node, fields = node[part], fields[part]
+    key, field = ".".join(path), fields.get(path[-1])
+    if field is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    if isinstance(field, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key} must be an object, got {json.dumps(value)}")
+        for sub, sval in value.items():
+            _set(cfg, path + (sub,), sval)
+        return
+    if not field.test(value):
+        raise ConfigError(f"config key {key} must be {field.kind}, got {json.dumps(value)}")
     if any(isinstance(v, float) and not math.isfinite(v)
            for v in (value if isinstance(value, list) else [value])):
         raise ConfigError(f"config key {key} must be finite, got {json.dumps(value)}")
+    node[path[-1]] = value
 
 
-def _load_config(config_path, **overrides) -> dict:
+def _merged(config_path, overrides: dict) -> dict:
     """The defaults, then the JSON file, then the flag overrides (dotted
-    keys reach into sections); each value must have the JSON type of its
-    default. Builds the generator, model and optimizer settings, so a value
-    they refuse fails here; only then writes the resolved snapshot into the
-    run directory."""
+    keys reach into sections), each value set by `_set`."""
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
     if config_path:
         path = Path(config_path)
@@ -114,134 +137,145 @@ def _load_config(config_path, **overrides) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: the config must be a JSON object, got {json.dumps(user)}")
         for key, value in user.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(cfg[key], dict) and isinstance(value, dict):
-                for sub, sval in value.items():
-                    if sub not in cfg[key]:
-                        raise ConfigError(f"unknown config key {key}.{sub}")
-                    _check_type(sval, cfg[key][sub], f"{key}.{sub}")
-                    cfg[key][sub] = sval
-            else:
-                _check_type(value, cfg[key], key)
-                cfg[key] = value
+            _set(cfg, (key,), value)
     for key, value in overrides.items():
-        if value is None:
-            continue
-        parts = key.split(".")
-        node = cfg
-        for part in parts[:-1]:
-            node = node[part]
-        _check_type(value, node[parts[-1]], key)
-        node[parts[-1]] = value
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
-    # Metrics are scored after training, so their settings are checked first.
-    if not 0.0 <= float(cfg["holdout_fraction"]) <= 1.0:
-        raise ConfigError(f"holdout_fraction must lie in [0, 1], got {cfg['holdout_fraction']}")
-    if int(cfg["eval_per_class"]) < 0:
-        raise ConfigError(f"eval_per_class must be >= 0, got {cfg['eval_per_class']}")
-    for section in ("stage1", "stage2"):
-        if cfg[section]["epochs"] < 1:
-            raise ConfigError(f"{section}.epochs must be >= 1, got {cfg[section]['epochs']}")
-    gen = _gen_config(cfg)
-    _spec_for(cfg, gen.n_classes, gen.input_dim)
-    for section in ("stage1", "stage2", "refine"):
-        try:
-            _opt(cfg, section, cfg["seed"])
-        except ConfigError as exc:
-            raise ConfigError(f"{section}: {exc}") from None
-    store.write_config_snapshot(cfg["out"], cfg)
+        if value is not None:
+            _set(cfg, tuple(key.split(".")), value)
     return cfg
 
 
-def _gen_config(cfg: dict) -> datagen.GenConfig:
-    g = cfg["generator"]
-    return datagen.GenConfig(
-        n_classes=int(g["n_classes"]),
-        input_dim=int(g["input_dim"]),
-        imbalance_ratio=float(g["imbalance_ratio"]),
-        n_max=int(g["n_max"]),
-        class_mean_scale=float(g.get("class_mean_scale", 1.0)),
-        noise_sigma=float(g.get("noise_sigma", 1.0)),
-        seed=int(cfg["seed"]),
-    )
+def _cast(cfg: dict, fields: dict = _FIELDS) -> dict:
+    return {k: _cast(v, fields[k]) if isinstance(v, dict) else fields[k].cast(v) for k, v in cfg.items()}
 
 
-def _spec_for(cfg: dict, n_classes: int, input_dim: int) -> ModelSpec:
-    head = (n_classes + 1) // 2
-    return ModelSpec(
-        input_dim=input_dim,
-        trunk_widths=tuple(cfg["model"]["trunk_widths"]),
-        head_dims=(head, n_classes - head),
-        activation=cfg["model"].get("activation", "relu"),
-    )
+def _checked(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its refusal a config error that names the input."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigError, DomainError, StructuralError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
-def _opt(cfg: dict, section: str, seed: int) -> OptConfig:
-    s = cfg[section]
-    return OptConfig(
-        learning_rate=float(s["learning_rate"]),
-        momentum=float(s.get("momentum", 0.9)),
-        epochs=int(s["epochs"]),
-        batch_size=int(s["batch_size"]),
-        seed=seed,
-    )
-
-
-def _run_config(cfg: dict, n_classes: int, input_dim: int, refine: bool) -> pipeline.RunConfig:
-    seed = int(cfg["seed"])
-    select = cfg["select"]
-    return pipeline.RunConfig(
-        spec=_spec_for(cfg, n_classes, input_dim),
-        stage1_opt=_opt(cfg, "stage1", seed + 2),
-        stage2_opt=_opt(cfg, "stage2", seed + 3),
-        refine_opt=_opt(cfg, "refine", seed + 4),
-        init_seed=seed + 1,
-        tau=float(cfg["tau"]),
-        logit_adjust=bool(cfg["logit_adjust"]),
-        c_values=None if select["c_values"] is None else tuple(select["c_values"]),
-        w_values=None if select["w_values"] is None else tuple(select["w_values"]),
-        refine=refine,
-    )
-
-
-def _load_dataset(cfg: dict, data: str | None) -> datagen.LongTailDataset:
-    if data:
-        return datagen.load_csv(data)
-    path = store.latest_version_path(cfg["out"], "dataset", ".csv")
-    return datagen.load_csv(path)
-
-
-def _parse_grid(text: str | None, cast):
-    if text is None:
-        return None
+def _parse_grid(text: str, cast) -> tuple:
     try:
         return tuple(cast(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
 
 
-def _write_dataset(cfg: dict) -> tuple:
+def _selected(out: str, spec: ModelSpec, c_star, w_star) -> tuple:
+    """stage2's (C*, w_A*): the flags, a missing one from the latest
+    selection, each checked against the model."""
+    names = ["--c-star", "--w-star"]
+    if c_star is None or w_star is None:
+        path = store.latest_version_path(out, "selection", ".json")
+        sel = json.loads(path.read_text())
+        if c_star is None:
+            c_star, names[0] = sel["c_star"], path.name
+        if w_star is None:
+            w_star, names[1] = sel["w_star"], path.name
+    _checked(names[0], spec.encoder_params, c_star)
+    return c_star, _checked(names[1], proxy.candidate_grid, spec, w_values=(w_star,))[1][0]
+
+
+@dataclass(frozen=True)
+class Inputs:
+    """A command's inputs, resolved and checked before it writes anything."""
+
+    out: str
+    seed: int
+    gen: datagen.GenConfig
+    run: pipeline.RunConfig       # the model sized to the dataset (else the generator); grids
+    holdout_fraction: float
+    eval_per_class: int
+    dataset: datagen.LongTailDataset | None
+    c: int                        # sweep's --c (default: the trunk depth) or stage2's C*
+    w_star: float | None          # stage2's w_A*
+    study: dict | None            # oracle or sweep sizes, study seed and jobs
+
+
+def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, refine=False,
+             grid_c=None, grid_w=None, c=None, selection=None, jobs=None, sweep=False) -> Inputs:
+    """Every input of a command, checked; only then the config snapshot.
+    A command that `reads_data` sizes the model to the dataset, others to
+    the generator. `selection` is stage2's (--c-star, --w-star); `jobs`
+    marks an oracle or (with `sweep`) a weight-sweep study."""
+    cfg = _merged(config_path, overrides)
+    t = _cast(cfg)
+    seed = t["seed"]
+    # The rules that only the CLI applies. Metrics are scored after
+    # training, so their settings are checked before anything runs.
+    for key, value, ok, rule in (
+            ("seed", seed, seed >= 0, "be >= 0"),
+            ("holdout_fraction", cfg["holdout_fraction"], 0.0 <= t["holdout_fraction"] <= 1.0,
+             "lie in [0, 1]"),
+            ("eval_per_class", t["eval_per_class"], t["eval_per_class"] >= 0, "be >= 0"),
+            ("stage1.epochs", t["stage1"]["epochs"], t["stage1"]["epochs"] >= 1, "be >= 1"),
+            ("stage2.epochs", t["stage2"]["epochs"], t["stage2"]["epochs"] >= 1, "be >= 1")):
+        if not ok:
+            raise ConfigError(f"{key} must {rule}, got {value}")
+    gen = _checked("generator", datagen.GenConfig, **t["generator"], seed=seed)
+    opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
+            for section, offset in (("stage1", 2), ("stage2", 3), ("refine", 4))]
+    dataset = None
+    if reads_data:
+        dataset = datagen.load_csv(data or store.latest_version_path(t["out"], "dataset", ".csv"))
+    n_classes, input_dim = ((gen.n_classes, gen.input_dim) if dataset is None
+                            else (dataset.n_classes, dataset.features.shape[1]))
+    head = (n_classes + 1) // 2
+    spec = _checked("model", ModelSpec, input_dim, t["model"]["trunk_widths"],
+                    (head, n_classes - head), t["model"]["activation"])
+    select = t["select"]
+    c_name, c_values = (("select.c_values", select["c_values"]) if grid_c is None
+                        else ("--grid-c", _parse_grid(grid_c, int)))
+    w_name, w_values = (("select.w_values", select["w_values"]) if grid_w is None
+                        else ("--grid-w", _parse_grid(grid_w, float)))
+    run = pipeline.RunConfig(
+        spec, *opts, init_seed=seed + 1, tau=t["tau"], logit_adjust=t["logit_adjust"], refine=refine,
+        c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=c_values)[0],
+        w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=w_values)[1])
+    w_star = None
+    if selection is not None:
+        c, w_star = _selected(t["out"], spec, *selection)
+    elif c is None:
+        c = spec.depth
+    else:
+        _checked("--c", spec.encoder_params, c)
+    study = None
+    if jobs is not None:
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        o = t["oracle"]
+        study = {"m_resamples": o["resamples"], "n_train": o["train_size"], "seed": seed + 7,
+                 "n_eval": o["eval_points"], "jobs": jobs}
+        if sweep:
+            study["eval_per_class"] = t["eval_per_class"]
+        oracle.check_study(o["resamples"], o["train_size"], study.get("eval_per_class"))
+    store.write_config_snapshot(t["out"], cfg)
+    return Inputs(t["out"], seed, gen, run, t["holdout_fraction"], t["eval_per_class"], dataset,
+                  c, w_star, study)
+
+
+def _write_dataset(r: Inputs) -> tuple:
     """Generate the dataset; write its CSV and generator sidecar."""
-    dataset = datagen.generate(_gen_config(cfg))
-    path = store.next_version_path(cfg["out"], "dataset", ".csv")
+    dataset = datagen.generate(r.gen)
+    path = store.next_version_path(r.out, "dataset", ".csv")
     datagen.save_csv(dataset, path)
     return dataset, path
 
 
-def _write_stage1(cfg: dict, spec: ModelSpec, td: pipeline.TaskData, s1: pipeline.Stage1Result) -> Path:
-    path = store.next_version_path(cfg["out"], "stage1", ".bin")
-    store.save_stage1(path, spec, s1, td.split, td.priors, {"n_train": td.n})
+def _write_stage1(r: Inputs, td: pipeline.TaskData, s1: pipeline.Stage1Result) -> Path:
+    path = store.next_version_path(r.out, "stage1", ".bin")
+    store.save_stage1(path, r.run.spec, s1, td.split, td.priors, {"n_train": td.n})
     return path
 
 
-def _write_search(cfg: dict, grid: proxy.GridSearchResult) -> Path:
+def _write_search(r: Inputs, grid: proxy.GridSearchResult) -> Path:
     """The proxy grid CSV and the selection JSON; returns the CSV path.
     The selection holds no wall-clock value, so reruns match byte for byte."""
-    csv_path = store.next_version_path(cfg["out"], "proxy_grid", ".csv")
+    csv_path = store.next_version_path(r.out, "proxy_grid", ".csv")
     grid.to_csv(csv_path)
-    store.next_version_path(cfg["out"], "selection", ".json").write_text(json.dumps({
+    store.next_version_path(r.out, "selection", ".json").write_text(json.dumps({
         "format": "tailshare-selection-v1",
         "c_star": grid.c_star,
         "w_star": grid.w_star,
@@ -251,36 +285,32 @@ def _write_search(cfg: dict, grid: proxy.GridSearchResult) -> Path:
     return csv_path
 
 
-def _write_stage2(cfg: dict, spec: ModelSpec, res: TrainResult, c_star: int, w_star: float) -> Path:
-    path = store.next_version_path(cfg["out"], "stage2", ".bin")
-    store.save_params(path, spec, res.params,
+def _write_stage2(r: Inputs, res: TrainResult, c_star: int, w_star: float) -> Path:
+    path = store.next_version_path(r.out, "stage2", ".bin")
+    store.save_params(path, r.run.spec, res.params,
                       {"w_star": w_star, "c_star": c_star, "final_loss": res.epoch_losses[-1]})
     return path
 
 
-def _write_model(cfg: dict, model: pipeline.AssembledModel, refined: bool, w_star) -> Path:
-    path = store.next_version_path(cfg["out"], "model", ".bin")
+def _write_model(r: Inputs, model: pipeline.AssembledModel, refined: bool, w_star) -> Path:
+    path = store.next_version_path(r.out, "model", ".bin")
     store.save_model(path, model, {"refined": refined, "w_star": w_star})
     return path
 
 
-def _holdout(cfg: dict, dataset: datagen.LongTailDataset) -> datagen.LongTailDataset:
-    return datagen.holdout_split(dataset, float(cfg["holdout_fraction"]), int(cfg["seed"]) + 5)[1]
-
-
-def _write_metrics(cfg: dict, model: pipeline.AssembledModel, dataset: datagen.LongTailDataset) -> Path:
+def _write_metrics(r: Inputs, model: pipeline.AssembledModel, dataset: datagen.LongTailDataset) -> Path:
     """Score the model on the holdout split and, when the generator is
     known, on a balanced draw; write the metrics CSV and echo each set. A
     set without rows (holdout_fraction or eval_per_class 0) has no row."""
     rows = []
-    test_ds = _holdout(cfg, dataset)
+    test_ds = datagen.holdout_split(dataset, r.holdout_fraction, r.seed + 5)[1]
     if test_ds.n > 0:
         rows.append(("holdout", pipeline.evaluate(model, test_ds.features, test_ds.labels).as_dict()))
-    if dataset.generator is not None and int(cfg["eval_per_class"]) > 0:
-        rng = np.random.default_rng(int(cfg["seed"]) + 6)
-        feats, labels = dataset.generator.sample_balanced(int(cfg["eval_per_class"]), rng)
+    if dataset.generator is not None and r.eval_per_class > 0:
+        rng = np.random.default_rng(r.seed + 6)
+        feats, labels = dataset.generator.sample_balanced(r.eval_per_class, rng)
         rows.append(("balanced", pipeline.evaluate(model, feats, labels).as_dict()))
-    path = store.next_version_path(cfg["out"], "metrics", ".csv")
+    path = store.next_version_path(r.out, "metrics", ".csv")
     store.write_metrics_csv(path, rows)
     for name, rep in rows:
         click.echo(f"{name}: overall={rep['overall_accuracy']:.4f} "
@@ -288,14 +318,24 @@ def _write_metrics(cfg: dict, model: pipeline.AssembledModel, dataset: datagen.L
     return path
 
 
-config_opt = click.option("--config", "config_path", type=click.Path(), default=None,
-                          help="JSON config file; flags override it.")
-out_opt = click.option("--out", default=None, help="Run directory.")
-seed_opt = click.option("--seed", type=int, default=None, help="Master seed.")
+def _latest(r: Inputs, stem: str) -> Path:
+    return store.latest_version_path(r.out, stem, ".bin")
+
+
+def config_opts(fn):
+    """--config, --out and --seed, which every command but verify-lemma takes."""
+    fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
+    fn = click.option("--out", default=None, help="Run directory.")(fn)
+    return click.option("--config", "config_path", type=click.Path(), default=None,
+                        help="JSON config file; flags override it.")(fn)
+
+
 data_opt = click.option("--data", type=click.Path(), default=None,
                         help="External dataset CSV (default: latest dataset artifact).")
 tau_opt = click.option("--tau", type=float, default=None,
                        help="Logit-adjustment temperature override.")
+grid_c_opt = click.option("--grid-c", default=None, help="Comma-separated shared-depth candidates.")
+grid_w_opt = click.option("--grid-w", default=None, help="Comma-separated head-weight candidates.")
 
 
 @click.group()
@@ -305,62 +345,49 @@ def main():
 
 
 @main.command("gen-data")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @_guarded
 def gen_data_cmd(config_path, out, seed):
     """Generate the long-tailed dataset and its generator sidecar."""
-    cfg = _load_config(config_path, out=out, seed=seed)
-    dataset, path = _write_dataset(cfg)
+    r = _resolve(config_path, dict(out=out, seed=seed))
+    dataset, path = _write_dataset(r)
     click.echo(f"wrote {path} (N={dataset.n}, K={dataset.n_classes})")
 
 
 @main.command("stage1")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @data_opt
 @tau_opt
 @_guarded
 def stage1_cmd(config_path, out, seed, data, tau):
     """Train both tasks independently and estimate their Fishers."""
-    cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    dataset = _load_dataset(cfg, data)
-    rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=False)
-    td = pipeline.build_task_data(dataset)
+    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True)
+    td = pipeline.build_task_data(r.dataset)
     t0 = time.perf_counter()
-    s1 = pipeline.stage1(rc, td)
-    path = _write_stage1(cfg, rc.spec, td, s1)
+    s1 = pipeline.stage1(r.run, td)
+    path = _write_stage1(r, td, s1)
     click.echo(f"wrote {path} ({time.perf_counter() - t0:.2f}s, "
                f"final losses A={s1.losses_a[-1]:.4f} B={s1.losses_b[-1]:.4f})")
 
 
 @main.command("search")
-@config_opt
-@out_opt
-@seed_opt
-@click.option("--grid-c", default=None, help="Comma-separated shared-depth candidates.")
-@click.option("--grid-w", default=None, help="Comma-separated head-weight candidates.")
+@config_opts
+@grid_c_opt
+@grid_w_opt
 @_guarded
 def search_cmd(config_path, out, seed, grid_c, grid_w):
     """Proxy grid search over saved Stage-1 statistics."""
-    cfg = _load_config(config_path, out=out, seed=seed)
-    spec, s1, split, priors, meta = store.load_stage1(
-        store.latest_version_path(cfg["out"], "stage1", ".bin"))
-    c_values = _parse_grid(grid_c, int) or cfg["select"]["c_values"]
-    w_values = _parse_grid(grid_w, float) or cfg["select"]["w_values"]
+    r = _resolve(config_path, dict(out=out, seed=seed), grid_c=grid_c, grid_w=grid_w)
+    spec, s1, split, priors, meta = store.load_stage1(_latest(r, "stage1"))
     t0 = time.perf_counter()
-    grid = pipeline.select_structure(s1, meta["n_train"], spec, c_values, w_values)
+    grid = pipeline.select_structure(s1, meta["n_train"], spec, r.run.c_values, r.run.w_values)
     elapsed = time.perf_counter() - t0
-    csv_path = _write_search(cfg, grid)
+    csv_path = _write_search(r, grid)
     click.echo(f"selected C*={grid.c_star} w_A*={grid.w_star} in {elapsed:.3f}s; wrote {csv_path}")
 
 
 @main.command("stage2")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @data_opt
 @tau_opt
 @click.option("--c-star", type=int, default=None, help="Override the selected shared depth.")
@@ -368,73 +395,55 @@ def search_cmd(config_path, out, seed, grid_c, grid_w):
 @_guarded
 def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
     """Weighted joint training at the selected (C*, w_A*)."""
-    cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    dataset = _load_dataset(cfg, data)
-    rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=False)
-    if w_star is None or c_star is None:
-        sel = json.loads(store.latest_version_path(cfg["out"], "selection", ".json").read_text())
-        w_star = sel["w_star"] if w_star is None else w_star
-        c_star = sel["c_star"] if c_star is None else c_star
-    td = pipeline.build_task_data(dataset)
-    res = pipeline.stage2(rc, td, w_star)
-    path = _write_stage2(cfg, rc.spec, res, c_star, w_star)
+    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True,
+                 selection=(c_star, w_star))
+    res = pipeline.stage2(r.run, pipeline.build_task_data(r.dataset), r.w_star)
+    path = _write_stage2(r, res, r.c, r.w_star)
     click.echo(f"wrote {path} (final joint loss {res.epoch_losses[-1]:.4f})")
 
 
 @main.command("assemble")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @_guarded
 def assemble_cmd(config_path, out, seed):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
-    cfg = _load_config(config_path, out=out, seed=seed)
-    spec, s1, split, priors, _ = store.load_stage1(
-        store.latest_version_path(cfg["out"], "stage1", ".bin"))
-    _, s2_params, s2_meta = store.load_params(
-        store.latest_version_path(cfg["out"], "stage2", ".bin"))
+    r = _resolve(config_path, dict(out=out, seed=seed))
+    spec, s1, split, priors, _ = store.load_stage1(_latest(r, "stage1"))
+    _, s2_params, s2_meta = store.load_params(_latest(r, "stage2"))
     model = pipeline.assemble(spec, s2_meta["c_star"], s2_params, s1, split, priors)
-    path = _write_model(cfg, model, False, s2_meta["w_star"])
+    path = _write_model(r, model, False, s2_meta["w_star"])
     click.echo(f"wrote {path} (C={model.c})")
 
 
 @main.command("refine")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @data_opt
 @tau_opt
 @_guarded
 def refine_cmd(config_path, out, seed, data, tau):
     """Fine-tune only the decoders of the latest model, encoder frozen."""
-    cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    dataset = _load_dataset(cfg, data)
-    model, meta = store.load_model(store.latest_version_path(cfg["out"], "model", ".bin"))
-    td = pipeline.build_task_data(dataset, model.split)
-    opt = _opt(cfg, "refine", int(cfg["seed"]) + 4)
-    refined = pipeline.refine_decoders(model, td, opt, float(cfg["tau"]), bool(cfg["logit_adjust"]))
-    path = _write_model(cfg, refined, opt.epochs > 0, meta.get("w_star"))
+    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True)
+    model, meta = store.load_model(_latest(r, "model"))
+    td = pipeline.build_task_data(r.dataset, model.split)
+    opt = r.run.refine_opt
+    refined = pipeline.refine_decoders(model, td, opt, r.run.tau, r.run.logit_adjust)
+    path = _write_model(r, refined, opt.epochs > 0, meta.get("w_star"))
     click.echo(f"wrote {path} (refined {opt.epochs} epochs)")
 
 
 @main.command("eval")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @data_opt
 @_guarded
 def eval_cmd(config_path, out, seed, data):
     """Metrics of the latest model: overall/head/tail accuracy, task BCE."""
-    cfg = _load_config(config_path, out=out, seed=seed)
-    dataset = _load_dataset(cfg, data)
-    model, _ = store.load_model(store.latest_version_path(cfg["out"], "model", ".bin"))
-    click.echo(f"wrote {_write_metrics(cfg, model, dataset)}")
+    r = _resolve(config_path, dict(out=out, seed=seed), data=data, reads_data=True)
+    model, _ = store.load_model(_latest(r, "model"))
+    click.echo(f"wrote {_write_metrics(r, model, r.dataset)}")
 
 
 @main.command("full-run")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @data_opt
 @tau_opt
 @click.option("--no-refine", is_flag=True, default=False, help="Skip decoder refinement.")
@@ -442,17 +451,17 @@ def eval_cmd(config_path, out, seed, data):
 def full_run_cmd(config_path, out, seed, data, tau, no_refine):
     """The whole pipeline: data, Stage 1, search, Stage 2, assembly,
     optional refinement, and metrics."""
-    cfg = _load_config(config_path, out=out, seed=seed, tau=tau)
-    dataset = datagen.load_csv(data) if data else _write_dataset(cfg)[0]
-    rc = _run_config(cfg, dataset.n_classes, dataset.features.shape[1], refine=not no_refine)
-    result = pipeline.full_run(rc, dataset)
+    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data,
+                 reads_data=data is not None, refine=not no_refine)
+    dataset = _write_dataset(r)[0] if r.dataset is None else r.dataset
+    result = pipeline.full_run(r.run, dataset)
     sel = result.selection
-    _write_stage1(cfg, rc.spec, result.task_data, result.stage1)
-    _write_search(cfg, sel)
-    _write_stage2(cfg, rc.spec, result.stage2, sel.c_star, sel.w_star)
-    _write_model(cfg, result.model, result.refined, sel.w_star)
+    _write_stage1(r, result.task_data, result.stage1)
+    _write_search(r, sel)
+    _write_stage2(r, result.stage2, sel.c_star, sel.w_star)
+    _write_model(r, result.model, result.refined, sel.w_star)
     click.echo(f"C*={sel.c_star} w_A*={sel.w_star} refined={result.refined}")
-    _write_metrics(cfg, result.model, dataset)
+    _write_metrics(r, result.model, dataset)
 
 
 @main.command("verify-lemma")
@@ -473,41 +482,24 @@ def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
     click.echo("PASS")
 
 
-def _study_setup(config_path, out, seed, tau, resamples, train_size) -> tuple:
-    """Config, generator and run config of an oracle or sweep study."""
-    cfg = _load_config(config_path, out=out, seed=seed, tau=tau,
-                       **{"oracle.resamples": resamples, "oracle.train_size": train_size})
-    gen = datagen.build_generator(_gen_config(cfg))
-    return cfg, gen, _run_config(cfg, gen.n_classes, gen.input_dim, refine=False)
-
-
 @main.command("oracle")
-@config_opt
-@out_opt
-@seed_opt
-@click.option("--grid-c", default=None, help="Comma-separated shared-depth candidates.")
-@click.option("--grid-w", default=None, help="Comma-separated head-weight candidates.")
+@config_opts
+@grid_c_opt
+@grid_w_opt
 @click.option("--resamples", type=int, default=None, help="MC resamples per cell.")
 @click.option("--train-size", type=int, default=None, help="Training-set size per resample.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel resample jobs.")
+@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel resample jobs, >= 1.")
 @tau_opt
 @_guarded
 def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jobs, tau):
     """MC risk over the (C, w_A) grid compared against the proxy by rank."""
-    cfg, gen, rc = _study_setup(config_path, out, seed, tau, resamples, train_size)
-    c_values = _parse_grid(grid_c, int) or tuple(range(rc.spec.depth + 1))
-    w_values = _parse_grid(grid_w, float) or proxy.DEFAULT_W_GRID
-    report = oracle.grid_compare(
-        gen, rc, c_values, w_values,
-        m_resamples=int(cfg["oracle"]["resamples"]),
-        n_train=int(cfg["oracle"]["train_size"]),
-        seed=int(cfg["seed"]) + 7,
-        n_eval=int(cfg["oracle"]["eval_points"]),
-        jobs=jobs,
-    )
-    csv_path = store.next_version_path(cfg["out"], "oracle_grid", ".csv")
+    r = _resolve(config_path, {"out": out, "seed": seed, "tau": tau, "oracle.resamples": resamples,
+                               "oracle.train_size": train_size}, grid_c=grid_c, grid_w=grid_w, jobs=jobs)
+    gen = datagen.build_generator(r.gen)
+    report = oracle.grid_compare(gen, r.run, r.run.c_values, r.run.w_values, **r.study)
+    csv_path = store.next_version_path(r.out, "oracle_grid", ".csv")
     report.to_csv(csv_path)
-    json_path = store.next_version_path(cfg["out"], "oracle_summary", ".json")
+    json_path = store.next_version_path(r.out, "oracle_summary", ".json")
     json_path.write_text(report.to_json())
     rho = "undefined" if report.spearman_rho is None else f"{report.spearman_rho:.3f}"
     click.echo(f"spearman={rho} oracle_best={report.oracle_best} proxy_best={report.proxy_best}")
@@ -515,31 +507,22 @@ def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jo
 
 
 @main.command("sweep")
-@config_opt
-@out_opt
-@seed_opt
+@config_opts
 @click.option("--c", "c_fixed", type=int, default=None, help="Shared depth (default: full).")
-@click.option("--grid-w", default=None, help="Comma-separated head-weight candidates.")
+@grid_w_opt
 @click.option("--resamples", type=int, default=None, help="Seeds per weight.")
 @click.option("--train-size", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel resample jobs, >= 1.")
 @tau_opt
 @_guarded
 def sweep_cmd(config_path, out, seed, c_fixed, grid_w, resamples, train_size, jobs, tau):
     """Accuracy/risk versus head weight at a fixed shared depth."""
-    cfg, gen, rc = _study_setup(config_path, out, seed, tau, resamples, train_size)
-    c = rc.spec.depth if c_fixed is None else c_fixed
-    w_values = _parse_grid(grid_w, float) or proxy.DEFAULT_W_GRID
-    report = oracle.weight_sweep(
-        gen, rc, c, w_values,
-        m_resamples=int(cfg["oracle"]["resamples"]),
-        n_train=int(cfg["oracle"]["train_size"]),
-        seed=int(cfg["seed"]) + 7,
-        n_eval=int(cfg["oracle"]["eval_points"]),
-        eval_per_class=int(cfg["eval_per_class"]),
-        jobs=jobs,
-    )
-    path = store.next_version_path(cfg["out"], "sweep", ".csv")
+    r = _resolve(config_path, {"out": out, "seed": seed, "tau": tau, "oracle.resamples": resamples,
+                               "oracle.train_size": train_size}, grid_w=grid_w, c=c_fixed, jobs=jobs,
+                 sweep=True)
+    gen = datagen.build_generator(r.gen)
+    report = oracle.weight_sweep(gen, r.run, r.c, r.run.w_values, **r.study)
+    path = store.next_version_path(r.out, "sweep", ".csv")
     report.to_csv(path)
     best = int(np.nanargmax(report.overall_mean))
     click.echo(f"best w_A={report.w_values[best]} overall={report.overall_mean[best]:.4f}")

@@ -36,6 +36,7 @@ from .pipeline import (
     stage1,
     stage2_stack,
 )
+from .proxy import candidate_grid
 from .tables import Record, write_csv
 
 _RESAMPLE_SEED_OFFSET = 1000
@@ -141,6 +142,17 @@ def _run_resample(args) -> tuple:
     return m, risks, accs, s1 if m == 0 else None
 
 
+def check_study(m_resamples: int, n_train: int, eval_per_class: int | None = None) -> None:
+    """Refuse a study without resamples or training rows, or, when it
+    scores accuracy (eval_per_class given), without balanced rows."""
+    if m_resamples < 1:
+        raise ConfigError(f"m_resamples must be >= 1, got {m_resamples}")
+    if n_train < 1:
+        raise ConfigError(f"n_train (the train size) must be >= 1, got {n_train}")
+    if eval_per_class is not None and eval_per_class < 1:
+        raise ConfigError(f"eval_per_class must be >= 1 to score accuracy, got {eval_per_class}")
+
+
 def _collect_resamples(
     gen, run_cfg, c_values, w_values, m_resamples, n_train, seed, n_eval, restrict, jobs,
     eval_per_class: int | None = None, refine: bool = False,
@@ -151,12 +163,7 @@ def _collect_resamples(
     resample 0's Stage1Result or TrainingDivergenceError). The true
     posterior at the evaluation points, and the risk targets built from
     it, are computed once for the study."""
-    if m_resamples < 1:
-        raise ConfigError(f"m_resamples must be >= 1, got {m_resamples}")
-    if n_train < 1:
-        raise ConfigError(f"n_train (the train size) must be >= 1, got {n_train}")
-    if eval_per_class is not None and eval_per_class < 1:
-        raise ConfigError(f"eval_per_class must be >= 1 to score accuracy, got {eval_per_class}")
+    check_study(m_resamples, n_train, eval_per_class)
     rng = np.random.default_rng(seed)
     eval_points = gen.sample_features(n_eval, rng)
     balanced = None if eval_per_class is None else gen.sample_balanced(eval_per_class, rng)
@@ -248,10 +255,7 @@ def grid_compare(
     Only the report's valid cells enter the correlation and the oracle
     argmin.
     """
-    c_values = tuple(int(c) for c in c_values)
-    w_values = tuple(float(w) for w in w_values)
-    if not c_values or not w_values:
-        raise ConfigError("candidate grids must be nonempty")
+    c_values, w_values = candidate_grid(run_cfg.spec, c_values, w_values)
     risks, _, first_s1 = _collect_resamples(gen, run_cfg, c_values, w_values, m_resamples,
                                             n_train, seed, n_eval, restrict, jobs)
     risk_mean, risk_stderr, n_ok = _mean_stderr(risks)
@@ -338,7 +342,7 @@ def weight_sweep(
     measured, which reads the accuracy of the deployable model rather than
     of the raw splice.
     """
-    w_values = tuple(float(w) for w in w_values)
+    (c,), w_values = candidate_grid(run_cfg.spec, (c,), w_values)
     if refine and run_cfg.refine_opt is None:
         raise ConfigError("refine=True requires run_cfg.refine_opt")
     risks, accs, _ = _collect_resamples(gen, run_cfg, (c,), w_values, m_resamples, n_train,

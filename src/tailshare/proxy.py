@@ -172,6 +172,22 @@ def _selection_key(row: ProxyBreakdown) -> tuple:
     return (row.total, row.c, abs(row.w_a - 0.5), row.w_a)
 
 
+def candidate_grid(spec: ModelSpec, c_values=None, w_values=None) -> tuple:
+    """(c_values, w_values) as ints and floats: every shared depth 0..L and
+    DEFAULT_W_GRID where a grid is None. A grid must be nonempty, each
+    depth must lie in 0..L and each head weight in [0, 1]."""
+    c_values = tuple(range(spec.depth + 1)) if c_values is None else tuple(int(c) for c in c_values)
+    w_values = DEFAULT_W_GRID if w_values is None else tuple(float(w) for w in w_values)
+    if not c_values or not w_values:
+        raise DomainError("candidate grids must be nonempty")
+    for c in c_values:
+        spec.encoder_params(c)  # range check
+    for w in w_values:
+        if not 0.0 <= w <= 1.0:
+            raise DomainError(f"w_a candidates must lie in [0, 1], got {w}")
+    return c_values, w_values
+
+
 def grid_search(
     fisher_a: DiagFisher,
     fisher_b: DiagFisher,
@@ -193,17 +209,9 @@ def grid_search(
     layer's work is done once for all candidate depths. Terms match the
     cumulative-sum closed form within 2 d eps of its value.
     """
-    c_values = tuple(range(spec.depth + 1)) if c_values is None else tuple(int(c) for c in c_values)
-    w_values = DEFAULT_W_GRID if w_values is None else tuple(float(w) for w in w_values)
-    if not c_values or not w_values:
-        raise DomainError("candidate grids must be nonempty")
+    c_values, w_values = candidate_grid(spec, c_values, w_values)
     if n_train < 1:
         raise DomainError(f"n_train must be >= 1, got {n_train}")
-    for c in c_values:
-        spec.encoder_params(c)  # range check
-    for w in w_values:
-        if not 0.0 <= w <= 1.0:
-            raise DomainError("w_a candidates must lie in [0, 1]")
     delta_full = trunk_mismatch.delta if isinstance(trunk_mismatch, MismatchVector) else np.asarray(
         trunk_mismatch, dtype=np.float64
     )

@@ -384,3 +384,121 @@ class TestOracleCommands:
                 assert len(row) == len(rows[0])
                 for cell in row:
                     float(cell)
+
+
+TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.json"
+
+
+def run_dir_state(run_dir):
+    """Name and bytes of every file in the run directory."""
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())} if run_dir.exists() else {}
+
+
+@pytest.fixture()
+def searched(runner, tmp_path):
+    """A toy run directory through gen-data, stage1 and search."""
+    run_dir = tmp_path / "run"
+    for command in ("gen-data", "stage1", "search"):
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(run_dir)])
+        assert result.exit_code == 0, (command, result.output)
+    return run_dir
+
+
+class TestInputsResolvedBeforeAnyWrite:
+    """Every config value and flag is checked before the command writes its
+    config snapshot or any artifact."""
+
+    @pytest.mark.parametrize("args, named", [
+        (["sweep", "--c", "9"], "shared depth 9 out of range 0..2"),
+        (["sweep", "--c", "-1"], "shared depth -1 out of range 0..2"),
+        (["oracle", "--grid-c", "0,99"], "shared depth 99 out of range 0..2"),
+        (["search", "--grid-c", "7"], "shared depth 7 out of range 0..2"),
+        (["search", "--grid-w", "1.5"], "w_a candidates must lie in [0, 1], got 1.5"),
+        (["stage2", "--w-star", "2"], "w_a candidates must lie in [0, 1], got 2.0"),
+        (["stage2", "--c-star", "99"], "shared depth 99 out of range 0..2"),
+        (["stage2", "--c-star", "-1"], "shared depth -1 out of range 0..2"),
+    ])
+    def test_flag_out_of_range_leaves_the_run_directory_unchanged(self, runner, searched, args, named):
+        before = run_dir_state(searched)
+        result = runner.invoke(main, args + ["--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output
+        assert f"{args[1]}: {named}" in result.output
+        assert run_dir_state(searched) == before
+
+    def test_stage2_checks_the_selection_it_reads(self, runner, searched):
+        sel = searched / "selection_v001.json"
+        sel.write_text(json.dumps(dict(json.loads(sel.read_text()), c_star=4)))
+        before = run_dir_state(searched)
+        result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 2, result.output
+        assert "selection_v001.json: shared depth 4 out of range 0..2" in result.output
+        assert run_dir_state(searched) == before
+
+    @pytest.mark.parametrize("command", ["oracle", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_writes_nothing(self, runner, tmp_path, command, jobs):
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(tmp_path / "run"),
+                                      "--jobs", jobs, "--resamples", "2", "--train-size", "50"])
+        assert result.exit_code == 2, result.output
+        assert f"--jobs must be >= 1, got {jobs}" in result.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, args, text, named", [
+        ("oracle", ["--grid-c", ","], None, "--grid-c: candidate grids must be nonempty"),
+        ("oracle", ["--grid-w", ","], None, "--grid-w: candidate grids must be nonempty"),
+        ("sweep", ["--grid-w", " "], None, "--grid-w: candidate grids must be nonempty"),
+        ("full-run", [], '{"select": {"c_values": []}}', "select.c_values: candidate grids must be nonempty"),
+        ("full-run", [], '{"select": {"w_values": []}}', "select.w_values: candidate grids must be nonempty"),
+        ("full-run", [], '{"select": {"w_values": [2.0]}}',
+         "select.w_values: w_a candidates must lie in [0, 1], got 2.0"),
+        ("full-run", [], '{"select": {"c_values": [0, 3]}}', "select.c_values: shared depth 3 out of range"),
+        ("full-run", [], '{"select": {"c_values": [0.5]}}',
+         "select.c_values must be null or a list of ints, got [0.5]"),
+    ])
+    def test_empty_or_bad_grid_writes_nothing(self, runner, tmp_path, command, args, text, named):
+        config = TOY
+        if text is not None:
+            config = tmp_path / "grid.json"
+            config.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(config), "--out", str(tmp_path / "run")]
+                               + args)
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output and named in result.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["stage1", "stage2", "refine", "eval"])
+    def test_missing_dataset_writes_nothing(self, runner, tmp_path, command):
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 3, result.output
+        assert "dataset" in result.output
+        assert run_dir_state(tmp_path / "run") == {}
+
+    def test_grids_default_to_the_select_section(self, runner, tmp_path):
+        """Without --grid-c/--grid-w, oracle and sweep take select.* like
+        search and full-run do."""
+        config = tmp_path / "select.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "run"),
+                                      "select": {"c_values": [0, 2], "w_values": [0.3]},
+                                      "oracle": {"resamples": 2, "train_size": 100, "eval_points": 50}}))
+        for command in ("oracle", "sweep"):
+            result = runner.invoke(main, [command, "--config", str(config)])
+            assert result.exit_code == 0, (command, result.output)
+        summary = json.loads((tmp_path / "run" / "oracle_summary_v001.json").read_text())
+        assert (summary["c_values"], summary["w_values"]) == ([0, 2], [0.3])
+        with (tmp_path / "run" / "sweep_v001.csv").open(newline="") as fh:
+            assert [row["w_A"] for row in csv.DictReader(fh)] == ["0.3"]
+
+
+def test_every_config_key_has_a_field_and_a_default_of_its_type():
+    from tailshare import cli
+
+    def walk(defaults, fields, prefix=""):
+        assert set(defaults) == set(fields), prefix
+        for key, value in defaults.items():
+            if isinstance(fields[key], dict):
+                walk(value, fields[key], f"{prefix}{key}.")
+            else:
+                assert fields[key].test(value), f"{prefix}{key}"
+
+    walk(cli._DEFAULTS, cli._FIELDS)
