@@ -2,16 +2,17 @@
 
 Every command first resolves all of its inputs into one checked record,
 `Inputs`: the defaults, the JSON file and the flag overrides (each value
-of the JSON type that `_FIELDS` gives its key), the dataset when the
-command reads one, and the command's own flags. Flag rules: --jobs >= 1,
-every grid (--grid-c, --grid-w, select.*) nonempty, every depth (--grid-c,
---c, --c-star) in 0..L for the L trunk layers, every weight (--grid-w,
---w-star) in [0, 1]. A refused input exits 2 naming it and writes
-nothing. Only then does the command write the resolved config snapshot
-and its versioned artifacts into the run directory. Exit codes: 0
-success, 2 configuration error, 3 missing upstream artifact, 4 training
-divergence, 5 data-format error, 6 verification check failed, 1 anything
-else.
+of the JSON type that `_FIELDS` gives its key), the dataset and the
+upstream containers when the command reads them, and the command's own
+flags. Flag rules: --jobs >= 1, every grid (--grid-c, --grid-w, select.*)
+nonempty, every depth (--grid-c, --c, --c-star) in 0..L for the L trunk
+layers, every weight (--grid-w, --w-star) in [0, 1]. A refused input
+exits 2 naming it, a missing dataset or container exits 3 and an
+unreadable selection file exits 5, each with nothing written. Only then
+does the command write the resolved config snapshot and its versioned
+artifacts into the run directory. Exit codes: 0 success, 2 configuration
+error, 3 missing upstream artifact, 4 training divergence, 5 data-format
+error, 6 verification check failed, 1 anything else.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
 stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
@@ -169,11 +170,18 @@ def _selected(out: str, spec: ModelSpec, c_star, w_star) -> tuple:
     names = ["--c-star", "--w-star"]
     if c_star is None or w_star is None:
         path = store.latest_version_path(out, "selection", ".json")
-        sel = json.loads(path.read_text())
+        try:
+            sel = json.loads(path.read_text())
+            file_c, file_w = sel["c_star"], sel["w_star"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}: unreadable selection ({type(exc).__name__}: {exc})") from None
+        if not (_INT.test(file_c) and _NUMBER.test(file_w)):
+            raise DataFormatError(f"{path}: c_star must be an int and w_star a number, "
+                                  f"got {json.dumps(file_c)} and {json.dumps(file_w)}")
         if c_star is None:
-            c_star, names[0] = sel["c_star"], path.name
+            c_star, names[0] = file_c, path.name
         if w_star is None:
-            w_star, names[1] = sel["w_star"], path.name
+            w_star, names[1] = file_w, path.name
     _checked(names[0], spec.encoder_params, c_star)
     return c_star, _checked(names[1], proxy.candidate_grid, spec, w_values=(w_star,))[1][0]
 
@@ -192,14 +200,16 @@ class Inputs:
     c: int                        # sweep's --c (default: the trunk depth) or stage2's C*
     w_star: float | None          # stage2's w_A*
     study: dict | None            # oracle or sweep sizes, study seed and jobs
+    upstream: dict                # the latest container of each stem the command reads
 
 
-def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, refine=False,
+def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(), refine=False,
              grid_c=None, grid_w=None, c=None, selection=None, jobs=None, sweep=False) -> Inputs:
     """Every input of a command, checked; only then the config snapshot.
     A command that `reads_data` sizes the model to the dataset, others to
-    the generator. `selection` is stage2's (--c-star, --w-star); `jobs`
-    marks an oracle or (with `sweep`) a weight-sweep study."""
+    the generator. `reads` names the stems of the containers it reads.
+    `selection` is stage2's (--c-star, --w-star); `jobs` marks an oracle
+    or (with `sweep`) a weight-sweep study."""
     cfg = _merged(config_path, overrides)
     t = _cast(cfg)
     seed = t["seed"]
@@ -220,6 +230,7 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, refin
     dataset = None
     if reads_data:
         dataset = datagen.load_csv(data or store.latest_version_path(t["out"], "dataset", ".csv"))
+    upstream = {stem: store.latest_version_path(t["out"], stem, ".bin") for stem in reads}
     n_classes, input_dim = ((gen.n_classes, gen.input_dim) if dataset is None
                             else (dataset.n_classes, dataset.features.shape[1]))
     head = (n_classes + 1) // 2
@@ -250,10 +261,10 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, refin
                  "n_eval": o["eval_points"], "jobs": jobs}
         if sweep:
             study["eval_per_class"] = t["eval_per_class"]
-        oracle.check_study(o["resamples"], o["train_size"], study.get("eval_per_class"))
+        oracle.check_study(o["resamples"], o["train_size"], o["eval_points"], study.get("eval_per_class"))
     store.write_config_snapshot(t["out"], cfg)
     return Inputs(t["out"], seed, gen, run, t["holdout_fraction"], t["eval_per_class"], dataset,
-                  c, w_star, study)
+                  c, w_star, study, upstream)
 
 
 def _write_dataset(r: Inputs) -> tuple:
@@ -318,10 +329,6 @@ def _write_metrics(r: Inputs, model: pipeline.AssembledModel, dataset: datagen.L
     return path
 
 
-def _latest(r: Inputs, stem: str) -> Path:
-    return store.latest_version_path(r.out, stem, ".bin")
-
-
 def config_opts(fn):
     """--config, --out and --seed, which every command but verify-lemma takes."""
     fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
@@ -377,8 +384,8 @@ def stage1_cmd(config_path, out, seed, data, tau):
 @_guarded
 def search_cmd(config_path, out, seed, grid_c, grid_w):
     """Proxy grid search over saved Stage-1 statistics."""
-    r = _resolve(config_path, dict(out=out, seed=seed), grid_c=grid_c, grid_w=grid_w)
-    spec, s1, split, priors, meta = store.load_stage1(_latest(r, "stage1"))
+    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1",), grid_c=grid_c, grid_w=grid_w)
+    spec, s1, split, priors, meta = store.load_stage1(r.upstream["stage1"])
     t0 = time.perf_counter()
     grid = pipeline.select_structure(s1, meta["n_train"], spec, r.run.c_values, r.run.w_values)
     elapsed = time.perf_counter() - t0
@@ -407,9 +414,9 @@ def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
 @_guarded
 def assemble_cmd(config_path, out, seed):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
-    r = _resolve(config_path, dict(out=out, seed=seed))
-    spec, s1, split, priors, _ = store.load_stage1(_latest(r, "stage1"))
-    _, s2_params, s2_meta = store.load_params(_latest(r, "stage2"))
+    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1", "stage2"))
+    spec, s1, split, priors, _ = store.load_stage1(r.upstream["stage1"])
+    _, s2_params, s2_meta = store.load_params(r.upstream["stage2"])
     model = pipeline.assemble(spec, s2_meta["c_star"], s2_params, s1, split, priors)
     path = _write_model(r, model, False, s2_meta["w_star"])
     click.echo(f"wrote {path} (C={model.c})")
@@ -422,8 +429,9 @@ def assemble_cmd(config_path, out, seed):
 @_guarded
 def refine_cmd(config_path, out, seed, data, tau):
     """Fine-tune only the decoders of the latest model, encoder frozen."""
-    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True)
-    model, meta = store.load_model(_latest(r, "model"))
+    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True,
+                 reads=("model",))
+    model, meta = store.load_model(r.upstream["model"])
     td = pipeline.build_task_data(r.dataset, model.split)
     opt = r.run.refine_opt
     refined = pipeline.refine_decoders(model, td, opt, r.run.tau, r.run.logit_adjust)
@@ -437,8 +445,8 @@ def refine_cmd(config_path, out, seed, data, tau):
 @_guarded
 def eval_cmd(config_path, out, seed, data):
     """Metrics of the latest model: overall/head/tail accuracy, task BCE."""
-    r = _resolve(config_path, dict(out=out, seed=seed), data=data, reads_data=True)
-    model, _ = store.load_model(_latest(r, "model"))
+    r = _resolve(config_path, dict(out=out, seed=seed), data=data, reads_data=True, reads=("model",))
+    model, _ = store.load_model(r.upstream["model"])
     click.echo(f"wrote {_write_metrics(r, model, r.dataset)}")
 
 

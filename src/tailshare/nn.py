@@ -19,8 +19,11 @@ import numpy as np
 from .errors import ConfigError, StructuralError, TrainingDivergenceError
 
 TASKS = ("A", "B")
-# Rows per chunk of the diagonal Fisher's pass (_Stack.fisher).
+# Rows per chunk of the diagonal Fisher's pass (_Stack.fisher), and the
+# most bytes one chunk's cached trunk activations may take: a trunk whose
+# widths sum to 512 or less keeps the full FISHER_CHUNK_ROWS rows.
 FISHER_CHUNK_ROWS = 4096
+FISHER_CHUNK_BYTES = 16 << 20
 
 
 def _task_index(task: str) -> int:
@@ -563,17 +566,26 @@ class _Stack:
         """Per-parameter sums of squared per-sample score gradients over all
         rows, (K, P), for a stack training one task with weight 1: a step's
         passes from the unscaled delta sigmoid(u) - z, reduced squared, in
-        chunks of FISHER_CHUNK_ROWS rows. They accumulate in the gradient
-        buffer, so the stack must not have stepped."""
+        chunks of rows. A chunk has FISHER_CHUNK_ROWS rows, or fewer (at
+        least one) where its cached trunk activations, K x rows x the sum of
+        the trunk widths float64s, would pass FISHER_CHUNK_BYTES; the wide
+        criterion-8 trunk (12 x 288) runs 606-row chunks. The chunks
+        accumulate in the gradient buffer, so the stack must not have
+        stepped."""
         (task,) = self.tasks
         depth = self.spec.depth
-        for start in range(0, self.features.shape[0], FISHER_CHUNK_ROWS):
-            rows = slice(start, start + FISHER_CHUNK_ROWS)
+        row_bytes = 8 * self.values.shape[0] * sum(self.spec.trunk_widths)
+        chunk = max(1, min(FISHER_CHUNK_ROWS, FISHER_CHUNK_BYTES // row_bytes))
+        for start in range(0, self.features.shape[0], chunk):
+            rows = slice(start, start + chunk)
             acts = _trunk_forward(self.blocks[:depth], self.features[rows], self.spec.activation)
             ds = _sigmoid(self._logits(task, acts[-1])) - self.labels[task.task][rows]
             _reduce_fisher(acts[-1], ds, *self.grad_blocks[depth + task.task])
             _backward(acts, self.spec.activation, ds @ task.head_w_t, self.trunk_w_t, self.grad_blocks,
                       _reduce_fisher)
+            # Free this chunk's cache before the next chunk's forward pass
+            # builds its own, so that only one is held at a time.
+            del acts
         return self.grad
 
 

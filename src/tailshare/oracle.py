@@ -142,13 +142,16 @@ def _run_resample(args) -> tuple:
     return m, risks, accs, s1 if m == 0 else None
 
 
-def check_study(m_resamples: int, n_train: int, eval_per_class: int | None = None) -> None:
-    """Refuse a study without resamples or training rows, or, when it
-    scores accuracy (eval_per_class given), without balanced rows."""
+def check_study(m_resamples: int, n_train: int, n_eval: int, eval_per_class: int | None = None) -> None:
+    """Refuse a study without resamples, training rows or evaluation
+    points, or, when it scores accuracy (eval_per_class given), without
+    balanced rows."""
     if m_resamples < 1:
         raise ConfigError(f"m_resamples must be >= 1, got {m_resamples}")
     if n_train < 1:
         raise ConfigError(f"n_train (the train size) must be >= 1, got {n_train}")
+    if n_eval < 1:
+        raise ConfigError(f"n_eval (oracle.eval_points) must be >= 1, got {n_eval}")
     if eval_per_class is not None and eval_per_class < 1:
         raise ConfigError(f"eval_per_class must be >= 1 to score accuracy, got {eval_per_class}")
 
@@ -163,7 +166,7 @@ def _collect_resamples(
     resample 0's Stage1Result or TrainingDivergenceError). The true
     posterior at the evaluation points, and the risk targets built from
     it, are computed once for the study."""
-    check_study(m_resamples, n_train, eval_per_class)
+    check_study(m_resamples, n_train, n_eval, eval_per_class)
     rng = np.random.default_rng(seed)
     eval_points = gen.sample_features(n_eval, rng)
     balanced = None if eval_per_class is None else gen.sample_balanced(eval_per_class, rng)

@@ -119,7 +119,9 @@ def estimate_diag_fisher(
     n = stack.features.shape[0]
     if n == 0:
         raise DataFormatError("cannot estimate Fisher from empty data")
-    return DiagFisher(stack.fisher()[0] / n, n)
+    values = stack.fisher()[0]
+    values /= n
+    return DiagFisher(values, n)
 
 
 def encoder_mismatch(params_a: ParamVector, params_b: ParamVector, c: int) -> MismatchVector:

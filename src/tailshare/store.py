@@ -43,40 +43,62 @@ def save_container(path, meta: dict, arrays: dict) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for key in arrays:
-            fh.write(np.ascontiguousarray(arrays[key], dtype="<f8").tobytes())
+            # From the array's own buffer: a copy only of one that is not
+            # C-contiguous little-endian float64.
+            fh.write(np.ascontiguousarray(arrays[key], dtype="<f8"))
+
+
+# Arrays smaller than this are copied out of a loaded container's buffer,
+# so that a small array kept on its own (the priors) never pins the whole
+# file's buffer.
+_COPY_BELOW_BYTES = 1 << 16
 
 
 def load_container(path) -> tuple:
     """(meta, arrays) of a container; any damage to the file, truncation
-    included, raises DataFormatError."""
+    included, raises DataFormatError.
+
+    The file is read once, into one 8-byte-aligned buffer placed so that
+    the array section starts on an 8-byte boundary whatever the metadata
+    length. Each array is a float64 view of its own part of that buffer,
+    and no two overlap; one under _COPY_BELOW_BYTES is copied out instead.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(str(path))
-    raw = path.read_bytes()
-    if raw[:8] != _MAGIC:
-        raise DataFormatError(f"{path}: not a tailshare container")
-    if len(raw) < 20:
-        raise DataFormatError(f"{path}: truncated header ({len(raw)} of 20 bytes)")
-    version, meta_len = struct.unpack("<IQ", raw[8:20])
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported container version {version}")
-    offset = 20 + meta_len
-    if offset > len(raw):
+    with path.open("rb") as fh:
+        head = fh.read(20)
+        if head[:8] != _MAGIC:
+            raise DataFormatError(f"{path}: not a tailshare container")
+        if len(head) < 20:
+            raise DataFormatError(f"{path}: truncated header ({len(head)} of 20 bytes)")
+        version, meta_len = struct.unpack("<IQ", head[8:20])
+        if version != _VERSION:
+            raise DataFormatError(f"{path}: unsupported container version {version}")
+        size = os.fstat(fh.fileno()).st_size - 20
+        shift = -meta_len % 8
+        buf = np.empty((shift + size + 7) // 8, dtype="<f8")
+        body = buf.view(np.uint8)[shift:shift + size]
+        size = fh.readinto(body)
+    if meta_len > size:
         raise DataFormatError(f"{path}: metadata of {meta_len} bytes runs past the end of the file")
     try:
-        meta = json.loads(raw[20:offset].decode("utf-8"))
+        meta = json.loads(bytes(body[:meta_len]).decode("utf-8"))
         entries = [(e["name"], e["length"]) for e in meta["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: unreadable metadata ({type(exc).__name__}: {exc})") from None
     arrays = {}
+    offset = meta_len
     for name, n in entries:
         if not isinstance(name, str) or type(n) is not int or n < 0:
             raise DataFormatError(f"{path}: bad array entry {name!r} of length {n!r}")
-        if offset + 8 * n > len(raw):
+        if offset + 8 * n > size:
             raise DataFormatError(f"{path}: array {name!r} of {n} values runs past the end of the file")
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).astype(np.float64)
+        start = (shift + offset) // 8
+        array = buf[start:start + n]
+        arrays[name] = array.copy() if array.nbytes < _COPY_BELOW_BYTES else array
         offset += 8 * n
-    if offset != len(raw):
+    if offset != size:
         raise DataFormatError(f"{path}: trailing bytes after declared arrays")
     return meta, arrays
 

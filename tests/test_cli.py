@@ -474,6 +474,50 @@ class TestInputsResolvedBeforeAnyWrite:
         assert "dataset" in result.output
         assert run_dir_state(tmp_path / "run") == {}
 
+    @pytest.mark.parametrize("text, named", [
+        (b'{"c_star": 1, "w_st', "unreadable selection (JSONDecodeError"),
+        (b'{"c_star": 1}', "unreadable selection (KeyError: 'w_star')"),
+        (b'{"w_star": 0.5}', "unreadable selection (KeyError: 'c_star')"),
+        (b"[1, 0.5]", "unreadable selection (TypeError"),
+        (b"\xff\xfe", "unreadable selection (UnicodeDecodeError"),
+        (b'{"c_star": "1", "w_star": 0.5}', 'c_star must be an int and w_star a number, got "1" and 0.5'),
+        (b'{"c_star": 1, "w_star": null}', "c_star must be an int and w_star a number, got 1 and null"),
+    ])
+    def test_unreadable_selection_exits_5_writing_nothing(self, runner, searched, text, named):
+        (searched / "selection_v001.json").write_bytes(text)
+        before = run_dir_state(searched)
+        result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 5, result.output
+        assert "error[data]" in result.output and f"selection_v001.json: {named}" in result.output
+        assert run_dir_state(searched) == before
+
+    @pytest.mark.parametrize("command", ["oracle", "sweep"])
+    def test_zero_eval_points_writes_nothing(self, runner, tmp_path, command):
+        config = tmp_path / "eval_points.json"
+        config.write_text(json.dumps({"oracle": {"eval_points": 0}}))
+        result = runner.invoke(main, [command, "--config", str(config), "--out", str(tmp_path / "run"),
+                                      "--resamples", "2", "--train-size", "50"])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output and "oracle.eval_points" in result.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("upstream, command, stem", [
+        ((), "search", "stage1"),
+        (("gen-data",), "assemble", "stage1"),
+        (("gen-data", "stage1", "search"), "assemble", "stage2"),
+        (("gen-data",), "refine", "model"),
+        (("gen-data",), "eval", "model"),
+    ])
+    def test_missing_container_writes_nothing(self, runner, tmp_path, upstream, command, stem):
+        run_dir = tmp_path / "run"
+        for step in upstream:
+            assert runner.invoke(main, [step, "--config", str(TOY), "--out", str(run_dir)]).exit_code == 0
+        before = run_dir_state(run_dir)
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(run_dir)])
+        assert result.exit_code == 3, result.output
+        assert f"no {stem}_vNNN.bin artifact" in result.output
+        assert run_dir_state(run_dir) == before
+
     def test_grids_default_to_the_select_section(self, runner, tmp_path):
         """Without --grid-c/--grid-w, oracle and sweep take select.* like
         search and full-run do."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tailshare import nn
 from tailshare.errors import DataFormatError, DomainError, StructuralError
 from tailshare.nn import (Batch, ModelSpec, OptConfig, _forward_cache, _sigmoid, bce_loss_grad, init_params,
                           train)
@@ -192,6 +193,66 @@ class TestEstimateDiagFisher:
         finally:
             tracemalloc.stop()
         assert peak < (depth + 5) * n * width * 8
+
+    @staticmethod
+    def chunk_rows(monkeypatch):
+        """The row count of every trunk forward pass the Fisher runs."""
+        rows = []
+        forward = nn._trunk_forward
+
+        def counted(trunk, x, activation):
+            rows.append(x.shape[0])
+            return forward(trunk, x, activation)
+
+        monkeypatch.setattr("tailshare.nn._trunk_forward", counted)
+        return rows
+
+    def test_wide_trunk_runs_byte_capped_chunks_bit_for_bit(self, monkeypatch):
+        """Trunk widths summing to 640 cache more than FISHER_CHUNK_BYTES in
+        4,096 rows, so the rows run in chunks of the byte cap: the bits of
+        the plain loop at that chunk size, within 1e-12 of one chunk."""
+        spec = ModelSpec(6, (320, 320), (2, 3), activation="relu")
+        cap = nn.FISHER_CHUNK_BYTES // (8 * 640)
+        assert cap < nn.FISHER_CHUNK_ROWS
+        rng = np.random.default_rng(11)
+        params = init_params(spec, 5)
+        feats, z_a, _ = labeled_data(rng, cap + 224, spec)
+        offsets = rng.normal(size=2)
+        rows = self.chunk_rows(monkeypatch)
+        got = estimate_diag_fisher(params, spec, feats, z_a, "A", offsets).values
+        assert rows == [cap, 224]
+        assert np.array_equal(got, plain_loop_fisher(params, spec, feats, z_a, "A", offsets, cap))
+        whole = plain_loop_fisher(params, spec, feats, z_a, "A", offsets, feats.shape[0])
+        assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    def test_reference_size_trunk_stays_one_chunk(self, monkeypatch):
+        spec = ModelSpec(8, (10, 10, 10, 10), (10, 10), activation="tanh")
+        rng = np.random.default_rng(12)
+        feats, z_a, _ = labeled_data(rng, nn.FISHER_CHUNK_ROWS, spec)
+        rows = self.chunk_rows(monkeypatch)
+        estimate_diag_fisher(init_params(spec, 2), spec, feats, z_a, "A")
+        assert rows == [nn.FISHER_CHUNK_ROWS]
+
+    def test_peak_memory_stays_under_the_byte_cap(self, monkeypatch):
+        """With the cap at 1 MiB, 3,000 rows of a trunk whose widths sum to
+        512 (12 MB of activations in one chunk) run in 256-row chunks, one
+        cache held at a time. The traced peak stays under the cap plus the
+        result plus five one-layer chunk arrays for the backward walk's
+        temporaries."""
+        budget = 1 << 20
+        monkeypatch.setattr("tailshare.nn.FISHER_CHUNK_BYTES", budget)
+        width, depth, n = 64, 8, 3000
+        spec = ModelSpec(16, (width,) * depth, (2, 2), activation="relu")
+        params = init_params(spec, 3)
+        feats, z_a, _ = labeled_data(np.random.default_rng(13), n, spec)
+        tracemalloc.start()
+        try:
+            fisher = estimate_diag_fisher(params, spec, feats, z_a, "A")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layer = budget // depth
+        assert peak < budget + fisher.values.nbytes + 5 * layer
 
 
 class TestEncoderMismatch:

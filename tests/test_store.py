@@ -60,6 +60,49 @@ class TestContainer:
         save_container(path2, {k: v for k, v in back_meta.items() if k != "arrays"}, back)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_arrays_load_aligned_equal_and_apart_for_every_metadata_length(self, tmp_path):
+        """The array section starts at byte 20 + the metadata length, of any
+        residue mod 8. Loaded arrays are 8-byte-aligned views of one buffer
+        that share no memory; the small ones are copies of their own."""
+        rng = np.random.default_rng(0)
+        arrays = {"params": rng.normal(size=9000), "fisher": rng.random(9001),
+                  "priors": rng.random(3), "empty": np.zeros(0)}
+        residues = set()
+        for pad in range(8):
+            path = tmp_path / f"c{pad}.bin"
+            save_container(path, {"pad": "x" * pad}, arrays)
+            residues.add(struct.unpack("<Q", path.read_bytes()[12:20])[0] % 8)
+            _, back = load_container(path)
+            assert list(back) == list(arrays)
+            for name, array in back.items():
+                assert np.array_equal(array, arrays[name]), name
+                assert array.dtype == np.float64 and array.flags.aligned and array.ctypes.data % 8 == 0
+            assert back["params"].base is back["fisher"].base is not None
+            assert back["priors"].flags.owndata and back["empty"].flags.owndata
+            names = list(back)
+            for i, a in enumerate(names):
+                for b in names[i + 1:]:
+                    assert not np.shares_memory(back[a], back[b]), (a, b)
+        assert residues == set(range(8))
+
+    def test_writer_bytes_match_a_tobytes_writer(self, tmp_path):
+        """Each array is written from its own buffer, with the bytes of a
+        little-endian float64 tobytes() copy in C order."""
+        rng = np.random.default_rng(1)
+        arrays = {"matrix": rng.normal(size=(3, 4)), "strided": rng.normal(size=20)[::3],
+                  "fortran": np.asfortranarray(rng.normal(size=(3, 5))), "ints": np.arange(7),
+                  "big_endian": rng.normal(size=5).astype(">f8"), "single": rng.random(4).astype(np.float32),
+                  "scalar": np.float64(2.5), "empty": np.zeros(0)}
+        meta = {"kind": "test"}
+        path = tmp_path / "new.bin"
+        save_container(path, meta, arrays)
+        blob = json.dumps(dict(meta, arrays=[{"name": k, "length": int(np.asarray(v).size)}
+                                             for k, v in arrays.items()]),
+                          sort_keys=True, separators=(",", ":")).encode("utf-8")
+        old = b"".join([b"TSCONT01", struct.pack("<I", 1), struct.pack("<Q", len(blob)), blob]
+                       + [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in arrays.values()])
+        assert path.read_bytes() == old
+
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
