@@ -7,12 +7,14 @@ upstream containers when the command reads them, and the command's own
 flags. Flag rules: --jobs >= 1, every grid (--grid-c, --grid-w, select.*)
 nonempty, every depth (--grid-c, --c, --c-star) in 0..L for the L trunk
 layers, every weight (--grid-w, --w-star) in [0, 1]. A refused input
-exits 2 naming it, a missing dataset or container exits 3 and an
-unreadable selection file exits 5, each with nothing written. Only then
-does the command write the resolved config snapshot and its versioned
-artifacts into the run directory. Exit codes: 0 success, 2 configuration
-error, 3 missing upstream artifact, 4 training divergence, 5 data-format
-error, 6 verification check failed, 1 anything else.
+exits 2 naming it, a missing dataset or container exits 3, and an
+unreadable selection file or damaged container exits 5, each with nothing
+written. Only then does the command write the resolved config snapshot
+and its versioned artifacts into the run directory. Exit codes: 0
+success, 2 configuration error, 3 missing upstream artifact, 4 training
+divergence, 5 data-format error, 6 verification check failed, 1 anything
+else. `tau` (--tau) is the one logit-adjustment setting; tau 0 trains
+without offsets.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
 stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
@@ -93,7 +95,6 @@ _FIELDS = {
                "w_values": _Field("null or a list of numbers", lambda v: v is None
                                   or isinstance(v, list) and all(map(_NUMBER.test, v)))},
     "tau": _NUMBER,
-    "logit_adjust": _Field("true or false", lambda v: isinstance(v, bool)),
     "holdout_fraction": _NUMBER,
     "eval_per_class": _INT,
     "oracle": {"resamples": _INT, "train_size": _INT, "eval_points": _INT},
@@ -200,14 +201,14 @@ class Inputs:
     c: int                        # sweep's --c (default: the trunk depth) or stage2's C*
     w_star: float | None          # stage2's w_A*
     study: dict | None            # oracle or sweep sizes, study seed and jobs
-    upstream: dict                # the latest container of each stem the command reads
+    upstream: dict                # each stem the command reads: its latest container, loaded
 
 
 def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(), refine=False,
              grid_c=None, grid_w=None, c=None, selection=None, jobs=None, sweep=False) -> Inputs:
     """Every input of a command, checked; only then the config snapshot.
     A command that `reads_data` sizes the model to the dataset, others to
-    the generator. `reads` names the stems of the containers it reads.
+    the generator. `reads` names the stems of the containers it loads.
     `selection` is stage2's (--c-star, --w-star); `jobs` marks an oracle
     or (with `sweep`) a weight-sweep study."""
     cfg = _merged(config_path, overrides)
@@ -230,7 +231,9 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
     dataset = None
     if reads_data:
         dataset = datagen.load_csv(data or store.latest_version_path(t["out"], "dataset", ".csv"))
-    upstream = {stem: store.latest_version_path(t["out"], stem, ".bin") for stem in reads}
+    # Built per call, so that a loader patched on `store` at run time is the one called.
+    loaders = {"stage1": store.load_stage1, "stage2": store.load_params, "model": store.load_model}
+    upstream = {stem: loaders[stem](store.latest_version_path(t["out"], stem, ".bin")) for stem in reads}
     n_classes, input_dim = ((gen.n_classes, gen.input_dim) if dataset is None
                             else (dataset.n_classes, dataset.features.shape[1]))
     head = (n_classes + 1) // 2
@@ -242,7 +245,7 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
     w_name, w_values = (("select.w_values", select["w_values"]) if grid_w is None
                         else ("--grid-w", _parse_grid(grid_w, float)))
     run = pipeline.RunConfig(
-        spec, *opts, init_seed=seed + 1, tau=t["tau"], logit_adjust=t["logit_adjust"], refine=refine,
+        spec, *opts, init_seed=seed + 1, tau=t["tau"], refine=refine,
         c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=c_values)[0],
         w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=w_values)[1])
     w_star = None
@@ -385,7 +388,7 @@ def stage1_cmd(config_path, out, seed, data, tau):
 def search_cmd(config_path, out, seed, grid_c, grid_w):
     """Proxy grid search over saved Stage-1 statistics."""
     r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1",), grid_c=grid_c, grid_w=grid_w)
-    spec, s1, split, priors, meta = store.load_stage1(r.upstream["stage1"])
+    spec, s1, split, priors, meta = r.upstream["stage1"]
     t0 = time.perf_counter()
     grid = pipeline.select_structure(s1, meta["n_train"], spec, r.run.c_values, r.run.w_values)
     elapsed = time.perf_counter() - t0
@@ -415,8 +418,8 @@ def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
 def assemble_cmd(config_path, out, seed):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
     r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1", "stage2"))
-    spec, s1, split, priors, _ = store.load_stage1(r.upstream["stage1"])
-    _, s2_params, s2_meta = store.load_params(r.upstream["stage2"])
+    spec, s1, split, priors, _ = r.upstream["stage1"]
+    _, s2_params, s2_meta = r.upstream["stage2"]
     model = pipeline.assemble(spec, s2_meta["c_star"], s2_params, s1, split, priors)
     path = _write_model(r, model, False, s2_meta["w_star"])
     click.echo(f"wrote {path} (C={model.c})")
@@ -431,10 +434,10 @@ def refine_cmd(config_path, out, seed, data, tau):
     """Fine-tune only the decoders of the latest model, encoder frozen."""
     r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True,
                  reads=("model",))
-    model, meta = store.load_model(r.upstream["model"])
+    model, meta = r.upstream["model"]
     td = pipeline.build_task_data(r.dataset, model.split)
     opt = r.run.refine_opt
-    refined = pipeline.refine_decoders(model, td, opt, r.run.tau, r.run.logit_adjust)
+    refined = pipeline.refine_decoders(model, td, opt, r.run.tau)
     path = _write_model(r, refined, opt.epochs > 0, meta.get("w_star"))
     click.echo(f"wrote {path} (refined {opt.epochs} epochs)")
 
@@ -446,7 +449,7 @@ def refine_cmd(config_path, out, seed, data, tau):
 def eval_cmd(config_path, out, seed, data):
     """Metrics of the latest model: overall/head/tail accuracy, task BCE."""
     r = _resolve(config_path, dict(out=out, seed=seed), data=data, reads_data=True, reads=("model",))
-    model, _ = store.load_model(r.upstream["model"])
+    model, _ = r.upstream["model"]
     click.echo(f"wrote {_write_metrics(r, model, r.dataset)}")
 
 

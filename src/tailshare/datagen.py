@@ -175,30 +175,29 @@ class TaskSplit:
         return len(self.head_classes) + len(self.tail_classes)
 
 
-def build_generator(cfg: GenConfig) -> MixtureGenerator:
-    """Draw the class means for cfg without sampling any data points.
-
-    The means are the first draw from the config seed, so they agree with
-    what generate(cfg) produces.
-    """
+def _seeded_generator(cfg: GenConfig) -> tuple:
+    """(generator, rng): the means are rng's first draw, seeded by cfg."""
     rng = np.random.default_rng(cfg.seed)
     means = rng.normal(size=(cfg.n_classes, cfg.input_dim)) * cfg.class_mean_scale
     counts = cfg.class_counts()
-    return MixtureGenerator(means, cfg.noise_sigma, counts / counts.sum(), cfg)
+    return MixtureGenerator(means, cfg.noise_sigma, counts / counts.sum(), cfg), rng
+
+
+def build_generator(cfg: GenConfig) -> MixtureGenerator:
+    """generate(cfg)'s generator, without sampling any data points."""
+    return _seeded_generator(cfg)[0]
 
 
 def generate(cfg: GenConfig) -> LongTailDataset:
     """Draw exactly n_k points per class (rows grouped by class)."""
-    rng = np.random.default_rng(cfg.seed)
-    means = rng.normal(size=(cfg.n_classes, cfg.input_dim)) * cfg.class_mean_scale
+    gen, rng = _seeded_generator(cfg)
     counts = cfg.class_counts()
     feats = []
     for k, n_k in enumerate(counts):
-        feats.append(means[k] + rng.normal(0.0, cfg.noise_sigma, size=(n_k, cfg.input_dim)))
+        feats.append(gen.means[k] + rng.normal(0.0, cfg.noise_sigma, size=(n_k, cfg.input_dim)))
     features = np.vstack(feats)
     labels = np.zeros((features.shape[0], cfg.n_classes))
     labels[np.arange(features.shape[0]), np.repeat(np.arange(cfg.n_classes), counts)] = 1.0
-    gen = MixtureGenerator(means, cfg.noise_sigma, counts / counts.sum(), cfg)
     return LongTailDataset(features, labels, counts, gen)
 
 

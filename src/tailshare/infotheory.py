@@ -125,10 +125,6 @@ class DiscreteJoint:
         if self.table.ndim != 3:
             raise StructuralError("joint table needs axes (Y, Z_A, Z_B)")
 
-    @property
-    def sizes(self) -> tuple:
-        return self.table.shape
-
 
 @dataclass
 class FactorizedConditional:
@@ -196,12 +192,6 @@ def _terms(q: np.ndarray, p_a: np.ndarray, p_b: np.ndarray) -> DecompositionTerm
         task_b_kl=_kl_terms(q_xb, q_y[..., None] * p_b).sum(axis=(-2, -1)),
         cmi=conditional_mutual_information(q),
     )
-
-
-def decomposition_residual(q, p) -> float:
-    """Deviation from the joint-vs-taskwise identity; exact math gives zero,
-    so anything beyond float noise signals a bug."""
-    return decomposition_terms(q, p).residual
 
 
 def _draw_tables(rng: np.random.Generator, max_y: int, max_a: int, max_b: int) -> tuple:

@@ -90,7 +90,7 @@ def _run_resample(args) -> tuple:
     """One resample: fresh data, shared Stage 1, all Stage-2 weights as one
     stack, per-c assembly.
 
-    Returns (m, risks[nc, nw], acc[nc, nw, 3], stage1); failed cells are
+    Returns (risks[nc, nw], acc[nc, nw, 3], stage1); failed cells are
     NaN. stage1 is resample 0's Stage1Result, or its TrainingDivergenceError,
     and None for the other resamples. With refine=True every assembled model
     gets the decoder-only fine-tune before being measured, all of them as
@@ -113,7 +113,7 @@ def _run_resample(args) -> tuple:
     try:
         s1 = stage1(cfg_m, td)
     except TrainingDivergenceError as err:
-        return m, risks, accs, err if m == 0 else None
+        return risks, accs, err if m == 0 else None
     spec = run_cfg.spec
     stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values, s1))
                      if not isinstance(s2, TrainingDivergenceError)}
@@ -128,7 +128,7 @@ def _run_resample(args) -> tuple:
                   for ci, c in enumerate(c_values) if c != 0]
     models = [model for _, model in cells]
     if refine and models:
-        models = refine_stack(models, td, cfg_m.refine_opt, cfg_m.tau, cfg_m.logit_adjust)
+        models = refine_stack(models, td, cfg_m.refine_opt, cfg_m.tau)
     # Cells come weight by weight, so one weight's activations are kept.
     encoded = lru_cache(maxsize=1)(lambda wi: trunk_activations(stage2_params[wi], spec, eval_points))
     for (where, _), model in zip(cells, models):
@@ -139,7 +139,7 @@ def _run_resample(args) -> tuple:
         if balanced is not None:
             rep = evaluate(model, *balanced)
             accs[where] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
-    return m, risks, accs, s1 if m == 0 else None
+    return risks, accs, s1 if m == 0 else None
 
 
 def check_study(m_resamples: int, n_train: int, n_eval: int, eval_per_class: int | None = None) -> None:
@@ -182,10 +182,9 @@ def _collect_resamples(
             results = list(pool.map(_run_resample, tasks))
     else:
         results = [_run_resample(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    risks = np.stack([r[1] for r in results])     # (M, nc, nw)
-    accs = np.stack([r[2] for r in results])      # (M, nc, nw, 3)
-    return risks, accs, results[0][3]
+    risks = np.stack([r[0] for r in results])     # (M, nc, nw)
+    accs = np.stack([r[1] for r in results])      # (M, nc, nw, 3)
+    return risks, accs, results[0][2]
 
 
 def _mean_stderr(values: np.ndarray, axis: int = 0) -> tuple:

@@ -30,7 +30,8 @@ from .nn import (
     train_stack,
     trunk_activations,
 )
-from .proxy import DiagFisher, GridSearchResult, encoder_mismatch, estimate_diag_fisher, grid_search
+from .proxy import (DiagFisher, GridSearchResult, candidate_grid, encoder_mismatch, estimate_diag_fisher,
+                    grid_search)
 from .tables import Record
 
 
@@ -43,7 +44,6 @@ class TaskData:
     z_b: np.ndarray
     split: TaskSplit
     priors: np.ndarray
-    class_counts: np.ndarray
 
     @property
     def n(self) -> int:
@@ -68,7 +68,7 @@ def build_task_data(
     if priors is None:
         priors = dataset.priors
     z_a, z_b = project_labels(dataset.labels, split)
-    return TaskData(dataset.features, z_a, z_b, split, np.asarray(priors, float), dataset.class_counts)
+    return TaskData(dataset.features, z_a, z_b, split, np.asarray(priors, float))
 
 
 def logit_offsets(priors: np.ndarray, tau: float) -> np.ndarray:
@@ -99,7 +99,6 @@ class RunConfig:
     refine_opt: OptConfig | None = None
     init_seed: int = 0
     tau: float = 1.0
-    logit_adjust: bool = True
     c_values: tuple | None = None
     w_values: tuple | None = None
     refine: bool = False
@@ -112,10 +111,11 @@ class RunConfig:
             raise ConfigError("refine=True requires refine_opt")
 
 
-def _offsets_for(cfg: RunConfig, td: TaskData) -> tuple:
-    if not cfg.logit_adjust:
+def _offsets_for(tau: float, td: TaskData) -> tuple:
+    """No training offsets at tau 0 (the plain loss), else task_offsets."""
+    if tau == 0:
         return None, None
-    return task_offsets(td.priors, cfg.tau, td.split)
+    return task_offsets(td.priors, tau, td.split)
 
 
 @dataclass
@@ -144,7 +144,7 @@ def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
     and vice versa (a zero task weight skips the other branch entirely).
     """
     init = init_params(cfg.spec, cfg.init_seed)
-    offs = _offsets_for(cfg, td)
+    offs = _offsets_for(cfg.tau, td)
     res_a, res_b = _all_trained(train_stack(
         [init, init], cfg.spec, td.batch(), [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=offs))
     fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
@@ -175,9 +175,7 @@ def stage2_stack(cfg: RunConfig, td: TaskData, w_values, s1: Stage1Result | None
     one TrainResult per weight, or the TrainingDivergenceError of a weight
     whose run diverged.
     """
-    w_values = [float(w) for w in w_values]
-    if not all(0.0 <= w <= 1.0 for w in w_values):
-        raise ConfigError("w_a must lie in [0, 1]")
+    w_values = candidate_grid(cfg.spec, w_values=w_values)[1]
     if cfg.warm_start_stage2:
         if s1 is None:
             raise ConfigError("warm start requires the stage-1 result")
@@ -185,7 +183,7 @@ def stage2_stack(cfg: RunConfig, td: TaskData, w_values, s1: Stage1Result | None
         start.block("head_b")[:] = s1.params_b.block("head_b")
     else:
         start = init_params(cfg.spec, cfg.init_seed)
-    offs = _offsets_for(cfg, td)
+    offs = _offsets_for(cfg.tau, td)
     return train_stack([start] * len(w_values), cfg.spec, td.batch(),
                        [(w, 1.0 - w) for w in w_values], cfg.stage2_opt, offsets=offs)
 
@@ -283,14 +281,14 @@ def refine_stack(
     td: TaskData,
     opt: OptConfig,
     tau: float = 1.0,
-    logit_adjust: bool = True,
 ) -> list:
     """Fine-tune each model's branches, each on its own task, in its decoder
-    blocks only, with the shared encoder frozen (bitwise unchanged). Every
-    branch of every model trains in one stack; each comes out as it would
-    alone. Returns one entry per model: the refined model, or the
-    TrainingDivergenceError of its first branch that diverged."""
-    offs = task_offsets(td.priors, tau, td.split) if logit_adjust else (None, None)
+    blocks only, with the shared encoder frozen (bitwise unchanged) and the
+    offsets at tau (none at tau 0). Every branch of every model trains in
+    one stack; each comes out as it would alone. Returns one entry per
+    model: the refined model, or the TrainingDivergenceError of its first
+    branch that diverged."""
+    offs = _offsets_for(tau, td)
     spec = models[0].spec
     starts, trainable = [], []
     for model in models:
@@ -311,10 +309,9 @@ def refine_decoders(
     td: TaskData,
     opt: OptConfig,
     tau: float = 1.0,
-    logit_adjust: bool = True,
 ) -> AssembledModel:
     """refine_stack for one model; raises TrainingDivergenceError."""
-    (refined,) = refine_stack([model], td, opt, tau, logit_adjust)
+    (refined,) = refine_stack([model], td, opt, tau)
     if isinstance(refined, TrainingDivergenceError):
         raise refined
     return refined
@@ -369,5 +366,5 @@ def full_run(cfg: RunConfig, dataset: LongTailDataset) -> PipelineResult:
     model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split, td.priors)
     refined = cfg.refine and cfg.refine_opt.epochs > 0
     if refined:
-        model = refine_decoders(model, td, cfg.refine_opt, cfg.tau, cfg.logit_adjust)
+        model = refine_decoders(model, td, cfg.refine_opt, cfg.tau)
     return PipelineResult(td, s1, selection, s2, model, refined)

@@ -3,10 +3,10 @@
 The long-tailed reference instance (20 classes, imbalance ratio 50,
 depth-4 tanh trunk) is the one the proxy-vs-oracle rank study and the
 weight sweep run on. Its values were calibrated once and then frozen:
-plain BCE training (no logit adjustment) and a width-10 trunk put the
-sweep in the regime where tail-heavy weighting visibly degrades balanced
-accuracy, and rank agreement between proxy and MC risk is strong. The
-toy instance keeps CLI smoke runs fast.
+plain BCE training (tau 0, no logit adjustment) and a width-10 trunk put
+the sweep in the regime where tail-heavy weighting visibly degrades
+balanced accuracy, and rank agreement between proxy and MC risk is
+strong. The toy instance keeps CLI smoke runs fast.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ def reference_run_config() -> RunConfig:
         refine_opt=OptConfig(learning_rate=0.1, momentum=0.9, epochs=10, batch_size=128, seed=14),
         init_seed=13,
         tau=0.0,
-        logit_adjust=False,
     )
 
 
@@ -66,7 +65,6 @@ def toy_config_dict(out_dir: str = "runs/toy") -> dict:
         "refine": {"learning_rate": 0.1, "momentum": 0.9, "epochs": 0, "batch_size": 64},
         "select": {"c_values": None, "w_values": None},
         "tau": 1.0,
-        "logit_adjust": True,
         "holdout_fraction": 0.25,
         "eval_per_class": 50,
         "oracle": {"resamples": 6, "train_size": 400, "eval_points": 500},

@@ -221,7 +221,7 @@ class TestErrorPaths:
         ("stage1", '{"tau": null}', "tau must be a number, got null"),
         ("stage1", '{"stage1": {"epochs": "x"}}', 'stage1.epochs must be an int, got "x"'),
         ("gen-data", "[1, 2]", "the config must be a JSON object, got [1, 2]"),
-        ("full-run", '{"logit_adjust": "false"}', 'logit_adjust must be true or false, got "false"'),
+        ("full-run", '{"logit_adjust": true}', "unknown config key 'logit_adjust'"),
         ("gen-data", '{"seed": true}', "seed must be an int, got true"),
         ("gen-data", '{"generator": {"n_classes": 2.5}}', "generator.n_classes must be an int, got 2.5"),
         ("oracle", '{"oracle": {"resamples": "3"}}', 'oracle.resamples must be an int, got "3"'),
@@ -517,6 +517,24 @@ class TestInputsResolvedBeforeAnyWrite:
         assert result.exit_code == 3, result.output
         assert f"no {stem}_vNNN.bin artifact" in result.output
         assert run_dir_state(run_dir) == before
+
+    @pytest.mark.parametrize("command, stem", [
+        ("search", "stage1"),
+        ("assemble", "stage1"),
+        ("assemble", "stage2"),
+        ("refine", "model"),
+        ("eval", "model"),
+    ])
+    def test_truncated_container_exits_5_writing_nothing(self, runner, searched, command, stem):
+        for step in ("stage2", "assemble"):
+            assert runner.invoke(main, [step, "--config", str(TOY), "--out", str(searched)]).exit_code == 0
+        path = searched / f"{stem}_v001.bin"
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        before = run_dir_state(searched)
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 5, result.output
+        assert "error[data]" in result.output and f"{path}: " in result.output
+        assert run_dir_state(searched) == before
 
     def test_grids_default_to_the_select_section(self, runner, tmp_path):
         """Without --grid-c/--grid-w, oracle and sweep take select.* like

@@ -269,7 +269,7 @@ class TestResampleEngine:
             s1 = stage1(cfg_m, td)
             for wi, w in enumerate(self.W_VALUES):
                 model = assemble(SPEC, c, stage2(cfg_m, td, w, s1).params, s1, split, GEN.priors)
-                model = refine_decoders(model, td, cfg_m.refine_opt, cfg_m.tau, cfg_m.logit_adjust)
+                model = refine_decoders(model, td, cfg_m.refine_opt, cfg_m.tau)
                 risks[m, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
                 accs[m, wi] = evaluate(model, *balanced).overall_accuracy
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
@@ -335,6 +335,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", "import sys, tailshare.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_import_loads_exactly_the_library_modules():
+    """`import tailshare` loads the seven library modules, and `tables`,
+    which they import; not cli, presets or store."""
+    import tailshare
+    src = str(Path(tailshare.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tailshare; print(*sorted(m for m in sys.modules "
+         "if m.startswith('tailshare.')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [
+        f"tailshare.{m}" for m in ("datagen", "errors", "infotheory", "nn", "oracle", "pipeline", "proxy",
+                                   "tables")]
 
 
 def test_oracle_and_sweep_run_with_scipy_blocked(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from tailshare.errors import ConfigError, DomainError, StructuralError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, TaskSplit, generate, project_labels
 from tailshare.nn import (ModelSpec, OptConfig, ParamVector, bce_loss_grad, bce_losses, forward,
-                          init_params)
+                          init_params, train_stack)
 from tailshare.pipeline import (
     AssembledModel,
     RunConfig,
@@ -12,6 +12,7 @@ from tailshare.pipeline import (
     build_task_data,
     evaluate,
     full_run,
+    _offsets_for,
     logit_offsets,
     refine_decoders,
     refine_stack,
@@ -63,6 +64,28 @@ class TestLogitOffsets:
         off_a, off_b = task_offsets(priors, 1.0, split)
         assert np.allclose(off_a, np.log([0.3, 0.4]))
         assert np.allclose(off_b, np.log([0.1, 0.2]))
+
+    def test_tau_zero_trains_without_offsets(self):
+        td = build_task_data(toy_dataset())
+        assert _offsets_for(0.0, td) == (None, None)
+        assert all(np.array_equal(got, want) for got, want in
+                   zip(_offsets_for(1.0, td), task_offsets(td.priors, 1.0, td.split)))
+
+    def test_tau_zero_stage1_is_the_plain_loss_bit_for_bit(self):
+        """A toy stage1 at tau 0 is train_stack without offsets, which also
+        equals training with the all -0.0 offsets tau 0 multiplies out to."""
+        td = build_task_data(toy_dataset())
+        cfg = run_config(tau=0.0)
+        s1 = stage1(cfg, td)
+        init = init_params(SPEC, cfg.init_seed)
+        weights = [(1.0, 0.0), (0.0, 1.0)]
+        plain = train_stack([init, init], SPEC, td.batch(), weights, cfg.stage1_opt, offsets=(None, None))
+        zeros = train_stack([init, init], SPEC, td.batch(), weights, cfg.stage1_opt,
+                            offsets=task_offsets(td.priors, 0.0, td.split))
+        for got, want, also in ((s1.params_a, plain[0], zeros[0]), (s1.params_b, plain[1], zeros[1])):
+            assert np.array_equal(got.values, want.params.values)
+            assert np.array_equal(got.values, also.params.values)
+        assert s1.losses_a == plain[0].epoch_losses and s1.losses_b == plain[1].epoch_losses
 
 
 class TestStage1:
@@ -125,6 +148,11 @@ class TestStage2:
         la, _ = bce_loss_grad(init, SPEC, td.batch(), "A", offs[0])
         lb, _ = bce_loss_grad(init, SPEC, td.batch(), "B", offs[1])
         assert abs(s2.epoch_losses[0] - (w_a * la + (1 - w_a) * lb)) < 1e-10
+
+    def test_weight_outside_unit_interval_is_refused_by_the_grid_rule(self):
+        td = build_task_data(toy_dataset())
+        with pytest.raises(DomainError, match=r"w_a candidates must lie in \[0, 1\], got 1.5"):
+            stage2(run_config(), td, 1.5)
 
     def test_warm_start_requires_stage1(self):
         td = build_task_data(toy_dataset())
