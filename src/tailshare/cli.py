@@ -4,17 +4,19 @@ Every command first resolves all of its inputs into one checked record,
 `Inputs`: the defaults, the JSON file and the flag overrides (each value
 of the JSON type that `_FIELDS` gives its key), the dataset and the
 upstream containers when the command reads them, and the command's own
-flags. Flag rules: --jobs >= 1, every grid (--grid-c, --grid-w, select.*)
-nonempty, every depth (--grid-c, --c, --c-star) in 0..L for the L trunk
-layers, every weight (--grid-w, --w-star) in [0, 1]. A refused input
-exits 2 naming it, a missing dataset or container exits 3, and an
-unreadable selection file or damaged container exits 5, each with nothing
-written. Only then does the command write the resolved config snapshot
-and its versioned artifacts into the run directory. Exit codes: 0
-success, 2 configuration error, 3 missing upstream artifact, 4 training
-divergence, 5 data-format error, 6 verification check failed, 1 anything
-else. `tau` (--tau) is the one logit-adjustment setting; tau 0 trains
-without offsets.
+flags. A command that reads a container uses its model, not the
+config's: a dataset must fit it in input width and class count, and
+assemble's two containers must share one layout. Flag rules: --jobs >= 1,
+every grid (--grid-c, --grid-w, select.*) nonempty, every depth
+(--grid-c, --c, --c-star) in 0..L for the model's L trunk layers, every
+weight (--grid-w, --w-star) in [0, 1]. A refused input exits 2 naming
+it, a missing dataset or container exits 3, and an unreadable selection
+file or damaged container exits 5, each with nothing written. Only then
+does the command write the resolved config snapshot and its versioned
+artifacts into the run directory. Exit codes: 0 success, 2 configuration
+error, 3 missing upstream artifact, 4 training divergence, 5 data-format
+error, 6 verification check failed, 1 anything else. `tau` (--tau) is the
+one logit-adjustment setting; tau 0 trains without offsets.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
 stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
@@ -194,7 +196,7 @@ class Inputs:
     out: str
     seed: int
     gen: datagen.GenConfig
-    run: pipeline.RunConfig       # the model sized to the dataset (else the generator); grids
+    run: pipeline.RunConfig       # the model (see _resolve) and the grids
     holdout_fraction: float
     eval_per_class: int
     dataset: datagen.LongTailDataset | None
@@ -207,8 +209,9 @@ class Inputs:
 def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(), refine=False,
              grid_c=None, grid_w=None, c=None, selection=None, jobs=None, sweep=False) -> Inputs:
     """Every input of a command, checked; only then the config snapshot.
-    A command that `reads_data` sizes the model to the dataset, others to
-    the generator. `reads` names the stems of the containers it loads.
+    `reads` names the stems of the containers a command loads; the first
+    one's model is the command's. Other commands size the config's model
+    to the dataset when they `reads_data`, else to the generator.
     `selection` is stage2's (--c-star, --w-star); `jobs` marks an oracle
     or (with `sweep`) a weight-sweep study."""
     cfg = _merged(config_path, overrides)
@@ -228,17 +231,24 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
     gen = _checked("generator", datagen.GenConfig, **t["generator"], seed=seed)
     opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
             for section, offset in (("stage1", 2), ("stage2", 3), ("refine", 4))]
-    dataset = None
-    if reads_data:
-        dataset = datagen.load_csv(data or store.latest_version_path(t["out"], "dataset", ".csv"))
+    data_path = (data or store.latest_version_path(t["out"], "dataset", ".csv")) if reads_data else None
+    dataset = datagen.load_csv(data_path) if reads_data else None
     # Built per call, so that a loader patched on `store` at run time is the one called.
     loaders = {"stage1": store.load_stage1, "stage2": store.load_params, "model": store.load_model}
-    upstream = {stem: loaders[stem](store.latest_version_path(t["out"], stem, ".bin")) for stem in reads}
+    paths = {stem: store.latest_version_path(t["out"], stem, ".bin") for stem in reads}
+    upstream = {stem: loaders[stem](path) for stem, path in paths.items()}
     n_classes, input_dim = ((gen.n_classes, gen.input_dim) if dataset is None
                             else (dataset.n_classes, dataset.features.shape[1]))
     head = (n_classes + 1) // 2
     spec = _checked("model", ModelSpec, input_dim, t["model"]["trunk_widths"],
                     (head, n_classes - head), t["model"]["activation"])
+    if reads:  # the first container's model, which assemble's stage 2 and a dataset must fit
+        spec = upstream["model"][0].spec if "model" in upstream else upstream[reads[0]][0]
+        if "stage2" in upstream and upstream["stage2"][0].block_table() != spec.block_table():
+            raise ConfigError(f"{paths['stage2']} and {paths['stage1']} hold networks of different layouts")
+        if dataset is not None and (n_classes, input_dim) != (sum(spec.head_dims), spec.input_dim):
+            raise ConfigError(f"{data_path} does not fit the model in {paths[reads[0]]}: {n_classes} classes "
+                              f"of dimension {input_dim}, not {sum(spec.head_dims)} of {spec.input_dim}")
     select = t["select"]
     c_name, c_values = (("select.c_values", select["c_values"]) if grid_c is None
                         else ("--grid-c", _parse_grid(grid_c, int)))

@@ -97,16 +97,19 @@ class MixtureGenerator:
         return self.sample_labeled(n, rng)[0]
 
     def sample_labeled(self, n: int, rng: np.random.Generator) -> tuple:
-        classes = rng.choice(self.n_classes, size=n, p=self.priors)
-        feats = self.means[classes] + rng.normal(0.0, self.noise_sigma, size=(n, self.input_dim))
-        return feats, np.eye(self.n_classes)[classes]
+        return self._draw(rng.choice(self.n_classes, size=n, p=self.priors), rng)
 
     def sample_balanced(self, per_class: int, rng: np.random.Generator) -> tuple:
         """A balanced evaluation set: per_class draws from each class in
         class order, with one-hot labels."""
-        feats = [self.means[k] + rng.normal(0.0, self.noise_sigma, size=(per_class, self.input_dim))
-                 for k in range(self.n_classes)]
-        return np.vstack(feats), np.repeat(np.eye(self.n_classes), per_class, axis=0)
+        return self._draw(np.repeat(np.arange(self.n_classes), per_class), rng)
+
+    def _draw(self, classes: np.ndarray, rng: np.random.Generator) -> tuple:
+        """(features, one-hot labels) of one draw from each class in `classes`,
+        in order. The means go onto the noise in place: one feature buffer."""
+        feats = rng.normal(0.0, self.noise_sigma, size=(len(classes), self.input_dim))
+        feats += self.means[classes]
+        return feats, np.eye(self.n_classes)[classes]
 
 
 @dataclass
@@ -192,13 +195,7 @@ def generate(cfg: GenConfig) -> LongTailDataset:
     """Draw exactly n_k points per class (rows grouped by class)."""
     gen, rng = _seeded_generator(cfg)
     counts = cfg.class_counts()
-    feats = []
-    for k, n_k in enumerate(counts):
-        feats.append(gen.means[k] + rng.normal(0.0, cfg.noise_sigma, size=(n_k, cfg.input_dim)))
-    features = np.vstack(feats)
-    labels = np.zeros((features.shape[0], cfg.n_classes))
-    labels[np.arange(features.shape[0]), np.repeat(np.arange(cfg.n_classes), counts)] = 1.0
-    return LongTailDataset(features, labels, counts, gen)
+    return LongTailDataset(*gen._draw(np.repeat(np.arange(cfg.n_classes), counts), rng), counts, gen)
 
 
 def sample_iid(gen: MixtureGenerator, n: int, seed: int) -> LongTailDataset:

@@ -32,6 +32,17 @@ def _task_index(task: str) -> int:
     return TASKS.index(task)
 
 
+class _Block(NamedTuple):
+    """`length` values from `offset`: a (fan_in, fan_out) weight matrix,
+    row-major, then fan_out biases. The first three are a block_table row."""
+
+    name: str
+    offset: int
+    length: int
+    fan_in: int
+    fan_out: int
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture of a two-headed dense network.
@@ -39,6 +50,9 @@ class ModelSpec:
     trunk_widths lists the output width of each trunk layer; its length is
     the trunk depth. head_dims gives the class counts of the task-A and
     task-B heads, which are linear layers on top of the last trunk layer.
+    The flat parameter layout is one table built here: a _Block per trunk
+    layer, then head_a and head_b. It is not a field, so asdict, equality
+    and hashing see the four fields alone.
     """
 
     input_dim: int
@@ -57,71 +71,51 @@ class ModelSpec:
             raise ConfigError("head_dims must be a pair of positive ints")
         if self.activation not in ("relu", "tanh"):
             raise ConfigError(f"unsupported activation {self.activation!r}")
+        widths = (self.input_dim,) + self.trunk_widths
+        shapes = [(f"trunk{i}", widths[i - 1], widths[i]) for i in range(1, len(widths))]
+        shapes += [("head_a", widths[-1], self.head_dims[0]), ("head_b", widths[-1], self.head_dims[1])]
+        layout, offset = [], 0
+        for name, fan_in, fan_out in shapes:
+            layout.append(_Block(name, offset, fan_in * fan_out + fan_out, fan_in, fan_out))
+            offset += layout[-1].length
+        object.__setattr__(self, "_layout", tuple(layout))
 
     @property
     def depth(self) -> int:
         return len(self.trunk_widths)
 
-    def trunk_shape(self, layer: int) -> tuple:
-        """(fan_in, fan_out) of 1-based trunk layer `layer`."""
-        if not 1 <= layer <= self.depth:
-            raise StructuralError(f"trunk layer {layer} out of range 1..{self.depth}")
-        fan_in = self.input_dim if layer == 1 else self.trunk_widths[layer - 2]
-        return fan_in, self.trunk_widths[layer - 1]
-
-    def head_shape(self, task: str) -> tuple:
-        return self.trunk_widths[-1], self.head_dims[_task_index(task)]
-
     def block_names(self) -> tuple:
-        trunk = tuple(f"trunk{i}" for i in range(1, self.depth + 1))
-        return trunk + ("head_a", "head_b")
+        return tuple(b.name for b in self._layout)
 
     def block_shape(self, name: str) -> tuple:
-        if name == "head_a":
-            return self.head_shape("A")
-        if name == "head_b":
-            return self.head_shape("B")
-        if name.startswith("trunk"):
-            return self.trunk_shape(int(name[5:]))
+        for b in self._layout:
+            if b.name == name:
+                return b.fan_in, b.fan_out
         raise StructuralError(f"unknown block {name!r}")
 
     def block_table(self) -> tuple:
         """((name, offset, length), ...) covering the flat vector exactly."""
-        table = []
-        offset = 0
-        for name in self.block_names():
-            fan_in, fan_out = self.block_shape(name)
-            length = fan_in * fan_out + fan_out
-            table.append((name, offset, length))
-            offset += length
-        return tuple(table)
+        return tuple(b[:3] for b in self._layout)
 
     @property
     def param_count(self) -> int:
-        return sum(length for _, _, length in self.block_table())
+        return self._layout[-1].offset + self._layout[-1].length
 
     def encoder_params(self, c: int) -> int:
-        """Parameter count of trunk layers 1..c (the shared-encoder slice)."""
+        """Parameter count of trunk layers 1..c (the shared-encoder slice):
+        the offset of the block after them."""
         if not 0 <= c <= self.depth:
             raise StructuralError(f"shared depth {c} out of range 0..{self.depth}")
-        total = 0
-        for layer in range(1, c + 1):
-            fan_in, fan_out = self.trunk_shape(layer)
-            total += fan_in * fan_out + fan_out
-        return total
+        return self._layout[c].offset
 
     def decoder_params(self, c: int, task: str) -> int:
         """Parameters of trunk layers c+1..L plus the task head."""
-        fan_in, fan_out = self.head_shape(task)
-        return self.encoder_params(self.depth) - self.encoder_params(c) + fan_in * fan_out + fan_out
-
-    def task_params(self, task: str) -> int:
-        """Total parameter count of the single-task network (trunk + one head)."""
-        return self.encoder_params(self.depth) + self.decoder_params(self.depth, task)
+        head = self._layout[self.depth + _task_index(task)]
+        return self.encoder_params(self.depth) - self.encoder_params(c) + head.length
 
     def decoder_block_names(self, c: int, task: str) -> tuple:
-        head = "head_a" if _task_index(task) == 0 else "head_b"
-        return tuple(f"trunk{i}" for i in range(c + 1, self.depth + 1)) + (head,)
+        head = self._layout[self.depth + _task_index(task)]
+        return tuple(b.name for b in self._layout[c:self.depth]) + (head.name,)
 
 
 @dataclass
@@ -150,16 +144,6 @@ class ParamVector:
             if bname == name:
                 return self.values[off:off + length]
         raise StructuralError(f"no block named {name!r}")
-
-    def encoder_slice(self, c: int) -> np.ndarray:
-        """View of the parameters of trunk layers 1..c (contiguous prefix)."""
-        n_trunk = len(self.block_index) - 2
-        if not 0 <= c <= n_trunk:
-            raise StructuralError(f"shared depth {c} out of range 0..{n_trunk}")
-        if c == 0:
-            return self.values[:0]
-        _, off, length = self.block_index[c - 1]
-        return self.values[:off + length]
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.block_index)
@@ -227,14 +211,12 @@ class TrainResult:
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Seeded init: weights uniform on +-1/sqrt(fan_in), biases exactly zero."""
     rng = np.random.default_rng(seed)
-    table = spec.block_table()
     values = np.zeros(spec.param_count, dtype=np.float64)
-    for name, offset, _ in table:
-        fan_in, fan_out = spec.block_shape(name)
-        scale = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-scale, scale, size=fan_in * fan_out)
-        values[offset:offset + fan_in * fan_out] = w
-    return ParamVector(values, table)
+    for b in spec._layout:
+        n_weights = b.fan_in * b.fan_out
+        scale = 1.0 / np.sqrt(b.fan_in)
+        values[b.offset:b.offset + n_weights] = rng.uniform(-scale, scale, size=n_weights)
+    return ParamVector(values, spec.block_table())
 
 
 def _check_params(params: ParamVector, spec: ModelSpec) -> None:
@@ -362,7 +344,7 @@ def _check_inputs(spec: ModelSpec, features, labels: tuple, offsets: tuple) -> t
     return x, tuple(zs), tuple(offs)
 
 
-def _trainable_mask(spec: ModelSpec, table: tuple, trainable) -> np.ndarray | None:
+def _trainable_mask(spec: ModelSpec, trainable) -> np.ndarray | None:
     """Flat mask of the trainable blocks; None means everything."""
     if trainable is None:
         return None
@@ -371,9 +353,9 @@ def _trainable_mask(spec: ModelSpec, table: tuple, trainable) -> np.ndarray | No
     if unknown:
         raise StructuralError(f"unknown trainable blocks: {sorted(unknown)}")
     mask = np.zeros(spec.param_count, dtype=bool)
-    for name, offset, length in table:
-        if name in names:
-            mask[offset:offset + length] = True
+    for b in spec._layout:
+        if b.name in names:
+            mask[b.offset:b.offset + b.length] = True
     return mask
 
 
@@ -412,11 +394,10 @@ def _block_views(values: np.ndarray, spec: ModelSpec) -> list:
     W as (K, fan_in, fan_out), b as (K, 1, fan_out)."""
     k = values.shape[0]
     views = []
-    for name, offset, length in spec.block_table():
-        fan_in, fan_out = spec.block_shape(name)
-        split = offset + fan_in * fan_out
-        views.append((values[:, offset:split].reshape(k, fan_in, fan_out),
-                      values[:, split:offset + length].reshape(k, 1, fan_out)))
+    for b in spec._layout:
+        split = b.offset + b.fan_in * b.fan_out
+        views.append((values[:, b.offset:split].reshape(k, b.fan_in, b.fan_out),
+                      values[:, split:b.offset + b.length].reshape(k, 1, b.fan_out)))
     return views
 
 
@@ -653,17 +634,15 @@ def train_stack(
     trainable = [None] * k if trainable is None else list(trainable)
     if len(trainable) != k:
         raise ConfigError("need one trainable entry per network")
-    table = spec.block_table()
     for params in starts:
-        if params.block_index != table:
-            raise StructuralError("parameter block layout does not match the model spec")
+        _check_params(params, spec)
     weights = np.array([_check_weights(tw) for tw in task_weights])
     # Lane order: task-B only (0), both tasks (1), task-A only (2).
     members = np.argsort((weights[:, 0] > 0).astype(int) + (weights[:, 1] == 0), kind="stable")
     weights = weights[members]
     labels = tuple(z if weights[:, t].any() else None for t, z in enumerate((batch.z_a, batch.z_b)))
     inputs = _check_inputs(spec, batch.features, labels, offsets)
-    masks = [_trainable_mask(spec, table, trainable[m]) for m in members]
+    masks = [_trainable_mask(spec, trainable[m]) for m in members]
     mask = None
     if any(m is not None for m in masks):
         mask = np.stack([np.ones(spec.param_count, dtype=bool) if m is None else m for m in masks])
@@ -709,7 +688,8 @@ def train_stack(
                 losses[i].append(float(epoch_loss[i]))
     results = [None] * k
     for i, m in enumerate(members):
-        results[m] = diverged[i] or TrainResult(ParamVector(stack.values[i].copy(), table), losses[i])
+        results[m] = diverged[i] or TrainResult(ParamVector(stack.values[i].copy(), starts[m].block_index),
+                                                losses[i])
     return results
 
 

@@ -36,21 +36,16 @@ from .tables import Record
 
 
 @dataclass
-class TaskData:
-    """A dataset with its label projections, split, and adjustment priors."""
+class TaskData(Batch):
+    """The checked batch of a dataset's features and head/tail label
+    projections, plus the split behind them and the adjustment priors."""
 
-    features: np.ndarray
-    z_a: np.ndarray
-    z_b: np.ndarray
     split: TaskSplit
     priors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
     def batch(self) -> Batch:
-        return Batch(self.features, self.z_a, self.z_b)
+        """The record itself, which is already the batch."""
+        return self
 
 
 def build_task_data(
@@ -58,7 +53,7 @@ def build_task_data(
     split: TaskSplit | None = None,
     priors: np.ndarray | None = None,
 ) -> TaskData:
-    """Project labels per the head/tail split.
+    """Project labels per the head/tail split into the batch every stage trains on.
 
     split and priors default to the dataset's own; oracle studies override
     them so resampled datasets keep one fixed task structure.
@@ -146,7 +141,7 @@ def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
     init = init_params(cfg.spec, cfg.init_seed)
     offs = _offsets_for(cfg.tau, td)
     res_a, res_b = _all_trained(train_stack(
-        [init, init], cfg.spec, td.batch(), [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=offs))
+        [init, init], cfg.spec, td, [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=offs))
     fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
     fisher_b = estimate_diag_fisher(res_b.params, cfg.spec, td.features, td.z_b, "B", offsets=offs[1])
     return Stage1Result(res_a.params, res_b.params, fisher_a, fisher_b,
@@ -184,7 +179,7 @@ def stage2_stack(cfg: RunConfig, td: TaskData, w_values, s1: Stage1Result | None
     else:
         start = init_params(cfg.spec, cfg.init_seed)
     offs = _offsets_for(cfg.tau, td)
-    return train_stack([start] * len(w_values), cfg.spec, td.batch(),
+    return train_stack([start] * len(w_values), cfg.spec, td,
                        [(w, 1.0 - w) for w in w_values], cfg.stage2_opt, offsets=offs)
 
 
@@ -294,7 +289,7 @@ def refine_stack(
     for model in models:
         starts += [model.branch_a, model.branch_b]
         trainable += [spec.decoder_block_names(model.c, "A"), spec.decoder_block_names(model.c, "B")]
-    results = train_stack(starts, spec, td.batch(), [(1.0, 0.0), (0.0, 1.0)] * len(models), opt,
+    results = train_stack(starts, spec, td, [(1.0, 0.0), (0.0, 1.0)] * len(models), opt,
                           trainable=trainable, offsets=offs)
     refined = []
     for model, res_a, res_b in zip(models, results[::2], results[1::2]):

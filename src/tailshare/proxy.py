@@ -126,9 +126,13 @@ def estimate_diag_fisher(
 
 def encoder_mismatch(params_a: ParamVector, params_b: ParamVector, c: int) -> MismatchVector:
     """Elementwise task-B minus task-A parameters over the depth-c encoder slice."""
-    if params_a.block_index != params_b.block_index:
+    table = params_a.block_index
+    if table != params_b.block_index:
         raise StructuralError("parameter vectors come from different architectures")
-    return MismatchVector(params_b.encoder_slice(c) - params_a.encoder_slice(c), c)
+    if not 0 <= c <= len(table) - 2:
+        raise StructuralError(f"shared depth {c} out of range 0..{len(table) - 2}")
+    d = sum(length for _, _, length in table[:c])
+    return MismatchVector(params_b.values[:d] - params_a.values[:d], c)
 
 
 def proxy_eval(

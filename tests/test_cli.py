@@ -552,6 +552,83 @@ class TestInputsResolvedBeforeAnyWrite:
             assert [row["w_A"] for row in csv.DictReader(fh)] == ["0.3"]
 
 
+def toy_copy(tmp_path, name, **sections):
+    """A copy of the toy config with the given sections replaced."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(json.loads(TOY.read_text()), **sections)))
+    return path
+
+
+def invoke(runner, run_dir, *args, config=TOY):
+    return runner.invoke(main, list(args) + ["--config", str(config), "--out", str(run_dir)])
+
+
+def trunk(tmp_path, widths):
+    """A copy of the toy config whose model has these trunk widths."""
+    return toy_copy(tmp_path, "trunk", model={"trunk_widths": widths, "activation": "tanh"})
+
+
+def stage1_of_depth(runner, tmp_path, widths):
+    """A run directory holding a toy dataset and a stage-1 container of
+    these trunk widths."""
+    run_dir = tmp_path / "run"
+    assert invoke(runner, run_dir, "gen-data").exit_code == 0
+    assert invoke(runner, run_dir, "stage1", config=trunk(tmp_path, widths)).exit_code == 0
+    return run_dir
+
+
+class TestCommandsUseTheirContainersModel:
+    """A command that reads a container takes the model it holds, not the
+    config's: depths are checked against it, a dataset must fit it, and
+    assemble's two containers must share one layout. Each refusal exits 2
+    naming the files, with the run directory unchanged."""
+
+    @pytest.mark.parametrize("widths, flags, c_values", [
+        ([8], [], [0, 1]),
+        ([8, 8, 8], ["--grid-c", "3"], [3]),
+    ])
+    def test_search_grid_follows_its_stage1_container(self, runner, tmp_path, widths, flags, c_values):
+        run_dir = stage1_of_depth(runner, tmp_path, widths)
+        result = invoke(runner, run_dir, "search", *flags)
+        assert result.exit_code == 0, result.output
+        assert json.loads((run_dir / "selection_v001.json").read_text())["c_values"] == c_values
+
+    def test_search_depth_beyond_its_stage1_container_writes_nothing(self, runner, tmp_path):
+        run_dir = stage1_of_depth(runner, tmp_path, [8])
+        before = run_dir_state(run_dir)
+        result = invoke(runner, run_dir, "search", "--grid-c", "0,2")
+        assert result.exit_code == 2, result.output
+        assert "--grid-c: shared depth 2 out of range 0..1" in result.output
+        assert run_dir_state(run_dir) == before
+
+    @pytest.mark.parametrize("command", ["refine", "eval"])
+    @pytest.mark.parametrize("generator, fit", [({"input_dim": 3}, "6 classes of dimension 3"),
+                                                ({"n_classes": 5}, "5 classes of dimension 4")])
+    def test_dataset_that_does_not_fit_the_model_writes_nothing(self, runner, tmp_path, searched,
+                                                                command, generator, fit):
+        for step in ("stage2", "assemble"):
+            assert invoke(runner, searched, step).exit_code == 0
+        toy_generator = json.loads(TOY.read_text())["generator"]
+        other = toy_copy(tmp_path, "other", generator=dict(toy_generator, **generator))
+        assert invoke(runner, tmp_path / "other", "gen-data", config=other).exit_code == 0
+        data = tmp_path / "other" / "dataset_v001.csv"
+        before = run_dir_state(searched)
+        result = invoke(runner, searched, command, "--data", str(data))
+        assert result.exit_code == 2, result.output
+        model = searched / "model_v001.bin"
+        assert f"{data} does not fit the model in {model}: {fit}, not 6 of 4" in result.output
+        assert run_dir_state(searched) == before
+
+    def test_assemble_of_two_layouts_writes_nothing(self, runner, tmp_path, searched):
+        assert invoke(runner, searched, "stage2", config=trunk(tmp_path, [8, 6])).exit_code == 0
+        before = run_dir_state(searched)
+        result = invoke(runner, searched, "assemble")
+        assert result.exit_code == 2, result.output
+        stage1, stage2 = searched / "stage1_v001.bin", searched / "stage2_v001.bin"
+        assert f"{stage2} and {stage1} hold networks of different layouts" in result.output
+        assert run_dir_state(searched) == before
+
+
 def test_every_config_key_has_a_field_and_a_default_of_its_type():
     from tailshare import cli
 

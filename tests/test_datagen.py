@@ -66,6 +66,27 @@ class TestGenerate:
         ds = generate(GenConfig(7, 2, 20.0, 100, seed=1))
         assert abs(ds.priors.sum() - 1.0) < 1e-12
 
+    def test_draws_follow_the_class_order_bit_for_bit(self):
+        """generate and sample_balanced draw n_k rows per class, class after
+        class, from one generator: the same bits as this plain loop."""
+        cfg = GenConfig(5, 3, 8.0, 40, class_mean_scale=1.5, noise_sigma=0.7, seed=4)
+        rng = np.random.default_rng(cfg.seed)
+        means = rng.normal(size=(cfg.n_classes, cfg.input_dim)) * cfg.class_mean_scale
+
+        def reference(counts):
+            feats = [means[k] + rng.normal(0.0, cfg.noise_sigma, size=(n_k, cfg.input_dim))
+                     for k, n_k in enumerate(counts)]
+            classes = np.repeat(np.arange(cfg.n_classes), counts)
+            return np.vstack(feats), (classes[:, None] == np.arange(cfg.n_classes)).astype(float)
+
+        ds = generate(cfg)
+        want = reference(cfg.class_counts())
+        assert np.array_equal(ds.features, want[0]) and np.array_equal(ds.labels, want[1])
+        got = ds.generator.sample_balanced(3, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        want = reference([3] * cfg.n_classes)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
 
 class TestSplitClasses:
     def test_sorted_halves(self):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -7,7 +9,9 @@ from tailshare.nn import (
     Batch,
     ModelSpec,
     OptConfig,
+    ParamVector,
     _Stack,
+    _block_views,
     _sum_batch,
     bce_loss_grad,
     forward,
@@ -38,13 +42,15 @@ def random_batch(rng, n, spec):
 class TestModelSpec:
     def test_parameter_counting_hand_example(self):
         spec = ModelSpec(3, (4,), (2, 3))
-        assert spec.task_params("A") == (3 * 4 + 4) + (4 * 2 + 2) == 26
+        for c in range(spec.depth + 1):
+            assert spec.encoder_params(c) + spec.decoder_params(c, "A") == (3 * 4 + 4) + (4 * 2 + 2) == 26
 
     def test_encoder_decoder_counts_partition_task_network(self):
         spec = ModelSpec(6, (7, 5, 3), (4, 2))
-        for c in range(spec.depth + 1):
-            for task in ("A", "B"):
-                assert spec.encoder_params(c) + spec.decoder_params(c, task) == spec.task_params(task)
+        trunk = (6 * 7 + 7) + (7 * 5 + 5) + (5 * 3 + 3)
+        for task, head in (("A", 3 * 4 + 4), ("B", 3 * 2 + 2)):
+            for c in range(spec.depth + 1):
+                assert spec.encoder_params(c) + spec.decoder_params(c, task) == trunk + head
 
     def test_block_table_covers_flat_vector(self):
         spec = small_spec()
@@ -52,6 +58,34 @@ class TestModelSpec:
         assert table[0][1] == 0
         total = sum(length for _, _, length in table)
         assert total == spec.param_count
+
+    @given(st.integers(1, 6), st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.tuples(st.integers(1, 5), st.integers(1, 5)), st.sampled_from(["relu", "tanh"]))
+    def test_one_table_describes_the_flat_vector(self, input_dim, widths, head_dims, activation):
+        """The block table tiles the flat vector, the encoder count of depth
+        c is the summed length of trunk blocks 1..c, each view has the
+        block's shape, and the table is not a field of the spec."""
+        spec = ModelSpec(input_dim, widths, head_dims, activation)
+        table = spec.block_table()
+        assert [off for _, off, _ in table] == [sum(n for _, _, n in table[:i]) for i in range(len(table))]
+        assert sum(n for _, _, n in table) == spec.param_count
+        ParamVector(np.zeros(spec.param_count), table)
+        fans = list(zip([input_dim] + widths, widths)) + [(widths[-1], d) for d in head_dims]
+        names = [f"trunk{i}" for i in range(1, len(widths) + 1)] + ["head_a", "head_b"]
+        assert spec.block_names() == tuple(names)
+        assert [spec.block_shape(name) for name in names] == fans
+        for c in range(len(widths) + 1):
+            assert spec.encoder_params(c) == sum(i * o + o for i, o in fans[:c])
+        values = np.arange(2.0 * spec.param_count).reshape(2, -1)
+        for (name, off, length), (w, b) in zip(table, _block_views(values, spec)):
+            fan_in, fan_out = spec.block_shape(name)
+            assert w.shape == (2, fan_in, fan_out) and b.shape == (2, 1, fan_out)
+            assert np.array_equal(np.concatenate([w.reshape(2, -1), b.reshape(2, -1)], axis=1),
+                                  values[:, off:off + length])
+        fields = dict(input_dim=input_dim, trunk_widths=tuple(widths), head_dims=head_dims,
+                      activation=activation)
+        assert asdict(spec) == fields
+        assert spec == ModelSpec(**fields) and hash(spec) == hash(ModelSpec(**fields))
 
     def test_validation(self):
         with pytest.raises(ConfigError):

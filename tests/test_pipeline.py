@@ -3,7 +3,7 @@ import pytest
 
 from tailshare.errors import ConfigError, DomainError, StructuralError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, TaskSplit, generate, project_labels
-from tailshare.nn import (ModelSpec, OptConfig, ParamVector, bce_loss_grad, bce_losses, forward,
+from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, bce_loss_grad, bce_losses, forward,
                           init_params, train_stack)
 from tailshare.pipeline import (
     AssembledModel,
@@ -86,6 +86,22 @@ class TestLogitOffsets:
             assert np.array_equal(got.values, want.params.values)
             assert np.array_equal(got.values, also.params.values)
         assert s1.losses_a == plain[0].epoch_losses and s1.losses_b == plain[1].epoch_losses
+
+
+def test_task_data_is_the_batch_the_stages_train_on():
+    """build_task_data's record is itself the checked batch: training on
+    it gives the bits of training on a Batch of its three arrays."""
+    td = build_task_data(toy_dataset())
+    assert td.batch() is td and isinstance(td, Batch)
+    cfg = run_config()
+    init = init_params(SPEC, cfg.init_seed)
+    weights = [(1.0, 0.0), (0.3, 0.7), (0.0, 1.0)]
+    offs = task_offsets(td.priors, 1.0, td.split)
+    got = train_stack([init] * 3, SPEC, td, weights, cfg.stage1_opt, offsets=offs)
+    want = train_stack([init] * 3, SPEC, Batch(td.features, td.z_a, td.z_b), weights, cfg.stage1_opt,
+                       offsets=offs)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.params.values, w.params.values) and g.epoch_losses == w.epoch_losses
 
 
 class TestStage1:
