@@ -8,15 +8,19 @@ flags. A command that reads a container uses its model, not the
 config's: a dataset must fit it in input width and class count, and
 assemble's two containers must share one layout. Flag rules: --jobs >= 1,
 every grid (--grid-c, --grid-w, select.*) nonempty, every depth
-(--grid-c, --c, --c-star) in 0..L for the model's L trunk layers, every
-weight (--grid-w, --w-star) in [0, 1]. A refused input exits 2 naming
-it, a missing dataset or container exits 3, and an unreadable selection
-file or damaged container exits 5, each with nothing written. Only then
-does the command write the resolved config snapshot and its versioned
-artifacts into the run directory. Exit codes: 0 success, 2 configuration
-error, 3 missing upstream artifact, 4 training divergence, 5 data-format
-error, 6 verification check failed, 1 anything else. `tau` (--tau) is the
-one logit-adjustment setting; tau 0 trains without offsets.
+(--grid-c, --c, --c-star, the stage-2 container's c_star) in 0..L for
+the model's L trunk layers, every weight (--grid-w, --w-star, the
+stage-2 container's w_star) in [0, 1]. A refused input exits 2 naming
+it, a missing dataset or container exits 3, and an unreadable
+selection file, a damaged container or one without the metadata the
+command reads (search: the stage-1 n_train; assemble: the stage-2
+c_star and w_star) exits 5, each with nothing written. Only then does
+the command write the resolved config snapshot and its versioned
+artifacts into the run directory. Exit codes: 0 success, 2
+configuration error, 3 missing upstream artifact, 4 training
+divergence, 5 data-format error, 6 verification check failed, 1
+anything else. `tau` (--tau) is the one logit-adjustment setting; tau 0
+trains without offsets.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
 stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
@@ -101,6 +105,10 @@ _FIELDS = {
     "eval_per_class": _INT,
     "oracle": {"resamples": _INT, "train_size": _INT, "eval_points": _INT},
 }
+# The container metadata a command reads, by key: the stem of the container
+# that holds it and its field. Only the CLI's writers add these keys.
+_META = {"n_train": ("stage1", _Field("an int >= 1", lambda v: _INT.test(v) and v >= 1)),
+         "c_star": ("stage2", _INT), "w_star": ("stage2", _NUMBER)}
 
 
 def _set(cfg: dict, path: tuple, value) -> None:
@@ -204,14 +212,18 @@ class Inputs:
     w_star: float | None          # stage2's w_A*
     study: dict | None            # oracle or sweep sizes, study seed and jobs
     upstream: dict                # each stem the command reads: its latest container, loaded
+    meta: dict                    # the container metadata the command needs, by key
 
 
-def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(), refine=False,
-             grid_c=None, grid_w=None, c=None, selection=None, jobs=None, sweep=False) -> Inputs:
+def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(), needs=(),
+             refine=False, grid_c=None, grid_w=None, c=None, selection=None, jobs=None,
+             sweep=False) -> Inputs:
     """Every input of a command, checked; only then the config snapshot.
     `reads` names the stems of the containers a command loads; the first
-    one's model is the command's. Other commands size the config's model
-    to the dataset when they `reads_data`, else to the generator.
+    one's model is the command's. `needs` names the `_META` keys the
+    command takes from their metadata; a missing or ill-typed key exits 5
+    naming the file. Other commands size the config's model to the
+    dataset when they `reads_data`, else to the generator.
     `selection` is stage2's (--c-star, --w-star); `jobs` marks an oracle
     or (with `sweep`) a weight-sweep study."""
     cfg = _merged(config_path, overrides)
@@ -249,6 +261,19 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
         if dataset is not None and (n_classes, input_dim) != (sum(spec.head_dims), spec.input_dim):
             raise ConfigError(f"{data_path} does not fit the model in {paths[reads[0]]}: {n_classes} classes "
                               f"of dimension {input_dim}, not {sum(spec.head_dims)} of {spec.input_dim}")
+    meta = {}
+    for key in needs:
+        stem, field = _META[key]
+        held = upstream[stem][-1]
+        if key not in held:
+            raise DataFormatError(f"{paths[stem]}: no {key} in the container's metadata")
+        if not field.test(held[key]):
+            raise DataFormatError(f"{paths[stem]}: {key} must be {field.kind}, got {json.dumps(held[key])}")
+        meta[key] = held[key]
+    if "c_star" in meta:
+        _checked(f"{paths['stage2']}: c_star", spec.encoder_params, meta["c_star"])
+    if "w_star" in meta:
+        _checked(f"{paths['stage2']}: w_star", proxy.candidate_grid, spec, w_values=(meta["w_star"],))
     select = t["select"]
     c_name, c_values = (("select.c_values", select["c_values"]) if grid_c is None
                         else ("--grid-c", _parse_grid(grid_c, int)))
@@ -277,7 +302,7 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
         oracle.check_study(o["resamples"], o["train_size"], o["eval_points"], study.get("eval_per_class"))
     store.write_config_snapshot(t["out"], cfg)
     return Inputs(t["out"], seed, gen, run, t["holdout_fraction"], t["eval_per_class"], dataset,
-                  c, w_star, study, upstream)
+                  c, w_star, study, upstream, meta)
 
 
 def _write_dataset(r: Inputs) -> tuple:
@@ -397,10 +422,11 @@ def stage1_cmd(config_path, out, seed, data, tau):
 @_guarded
 def search_cmd(config_path, out, seed, grid_c, grid_w):
     """Proxy grid search over saved Stage-1 statistics."""
-    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1",), grid_c=grid_c, grid_w=grid_w)
-    spec, s1, split, priors, meta = r.upstream["stage1"]
+    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1",), needs=("n_train",),
+                 grid_c=grid_c, grid_w=grid_w)
+    spec, s1 = r.upstream["stage1"][:2]
     t0 = time.perf_counter()
-    grid = pipeline.select_structure(s1, meta["n_train"], spec, r.run.c_values, r.run.w_values)
+    grid = pipeline.select_structure(s1, r.meta["n_train"], spec, r.run.c_values, r.run.w_values)
     elapsed = time.perf_counter() - t0
     csv_path = _write_search(r, grid)
     click.echo(f"selected C*={grid.c_star} w_A*={grid.w_star} in {elapsed:.3f}s; wrote {csv_path}")
@@ -427,11 +453,11 @@ def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
 @_guarded
 def assemble_cmd(config_path, out, seed):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
-    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1", "stage2"))
+    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1", "stage2"),
+                 needs=("c_star", "w_star"))
     spec, s1, split, priors, _ = r.upstream["stage1"]
-    _, s2_params, s2_meta = r.upstream["stage2"]
-    model = pipeline.assemble(spec, s2_meta["c_star"], s2_params, s1, split, priors)
-    path = _write_model(r, model, False, s2_meta["w_star"])
+    model = pipeline.assemble(spec, r.meta["c_star"], r.upstream["stage2"][1], s1, split, priors)
+    path = _write_model(r, model, False, r.meta["w_star"])
     click.echo(f"wrote {path} (C={model.c})")
 
 

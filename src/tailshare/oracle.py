@@ -59,8 +59,9 @@ def spearman(x, y) -> float | None:
     """Spearman rank correlation: the Pearson correlation of the average
     ranks (ties share the mean of their ranks).
 
-    Returns None (not 0) when either input is constant or too short for a
-    correlation to be defined; non-finite input raises DomainError.
+    Returns None (not 0) when either input is constant (its min equals
+    its max) or too short for a correlation to be defined; non-finite
+    input raises DomainError.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -69,7 +70,7 @@ def spearman(x, y) -> float | None:
     for name, v in (("x", x), ("y", y)):
         if not np.isfinite(v).all():
             raise DomainError(f"rank correlation input {name} has non-finite values")
-    if x.size < 2 or np.unique(x).size < 2 or np.unique(y).size < 2:
+    if x.size < 2 or x.min() == x.max() or y.min() == y.max():
         return None
     return float(np.corrcoef(np.stack([_average_ranks(x), _average_ranks(y)]))[1, 0])
 

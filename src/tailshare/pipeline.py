@@ -30,8 +30,7 @@ from .nn import (
     train_stack,
     trunk_activations,
 )
-from .proxy import (DiagFisher, GridSearchResult, candidate_grid, encoder_mismatch, estimate_diag_fisher,
-                    grid_search)
+from .proxy import DiagFisher, GridSearchResult, candidate_grid, estimate_diag_fisher, grid_search
 from .tables import Record
 
 
@@ -155,9 +154,13 @@ def select_structure(
     c_values=None,
     w_values=None,
 ) -> GridSearchResult:
-    """Proxy grid search over (c, w_a) using the Stage-1 statistics."""
-    mismatch = encoder_mismatch(s1.params_a, s1.params_b, spec.depth)
-    return grid_search(s1.fisher_a, s1.fisher_b, mismatch, n_train, spec, c_values, w_values)
+    """Proxy grid search over (c, w_a) using the Stage-1 statistics.
+    grid_search takes each trunk layer's mismatch straight from the two
+    parameter vectors, so no copy of the encoder is made: the table is
+    grid_search over encoder_mismatch(s1.params_a, s1.params_b, L), bit
+    for bit."""
+    return grid_search(s1.fisher_a, s1.fisher_b, (s1.params_a, s1.params_b), n_train, spec,
+                       c_values, w_values)
 
 
 def stage2_stack(cfg: RunConfig, td: TaskData, w_values, s1: Stage1Result | None = None) -> list:

@@ -44,7 +44,7 @@ class DiagFisher:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise StructuralError("Fisher values must be a flat vector")
-        if np.any(self.values < 0):
+        if self.values.min(initial=0.0) < 0:
             raise DomainError("Fisher entries must be nonnegative")
 
 
@@ -124,14 +124,20 @@ def estimate_diag_fisher(
     return DiagFisher(values, n)
 
 
-def encoder_mismatch(params_a: ParamVector, params_b: ParamVector, c: int) -> MismatchVector:
-    """Elementwise task-B minus task-A parameters over the depth-c encoder slice."""
+def _encoder_length(params_a: ParamVector, params_b: ParamVector, c: int) -> int:
+    """Length of the depth-c encoder slice that two parameter vectors of
+    one architecture share."""
     table = params_a.block_index
     if table != params_b.block_index:
         raise StructuralError("parameter vectors come from different architectures")
     if not 0 <= c <= len(table) - 2:
         raise StructuralError(f"shared depth {c} out of range 0..{len(table) - 2}")
-    d = sum(length for _, _, length in table[:c])
+    return sum(length for _, _, length in table[:c])
+
+
+def encoder_mismatch(params_a: ParamVector, params_b: ParamVector, c: int) -> MismatchVector:
+    """Elementwise task-B minus task-A parameters over the depth-c encoder slice."""
+    d = _encoder_length(params_a, params_b, c)
     return MismatchVector(params_b.values[:d] - params_a.values[:d], c)
 
 
@@ -173,6 +179,12 @@ def _quotient_sum(a, b, w_a: float, denom, num, tmp, dead) -> float:
     return float(num.sum())
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite, by two reductions and no mask: a NaN
+    carries into both, an infinity sets one of them."""
+    return bool(np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0)))
+
+
 def _selection_key(row: ProxyBreakdown) -> tuple:
     # Ties: smaller total, then smaller c, then w closest to 0.5, then smaller w.
     return (row.total, row.c, abs(row.w_a - 0.5), row.w_a)
@@ -205,36 +217,44 @@ def grid_search(
 ) -> GridSearchResult:
     """Proxy totals over the full (c, w_a) grid plus the argmin cell.
 
-    trunk_mismatch must cover the deepest candidate's encoder slice (the
-    slices nest on trunk-layer boundaries, so the full-depth mismatch
-    serves every c). The grid is evaluated one trunk layer at a time: per
-    layer, each w's variance quotient is formed in layer-long buffers and
-    summed once, and the bias takes two w-independent layer sums,
-    S_A = sum delta^2 a and S_B = sum delta^2 b, as
-    (1/2)(w_b^2 S_A + w_a^2 S_B). Both accumulate over depth, so each
-    layer's work is done once for all candidate depths. Terms match the
-    cumulative-sum closed form within 2 d eps of its value.
+    trunk_mismatch is a MismatchVector or array covering the deepest
+    candidate's encoder slice (the slices nest on trunk-layer boundaries,
+    so the full-depth mismatch serves every c), or the pair (params_a,
+    params_b) it is the difference of. The grid is evaluated one trunk
+    layer at a time in layer-long buffers, with nothing of encoder length
+    allocated: per layer, the mismatch is copied or subtracted into one
+    buffer, checked and squared there (the bits of encoder_mismatch and
+    delta * delta), each w's variance quotient is summed once, and the
+    bias takes two w-independent layer sums, S_A = sum delta^2 a and
+    S_B = sum delta^2 b, as (1/2)(w_b^2 S_A + w_a^2 S_B). Both accumulate
+    over depth, so each layer's work is done once for all candidate
+    depths. Terms match the cumulative-sum closed form within 2 d eps of
+    its value. Non-finite Fisher entries, then a non-finite mismatch,
+    then negative Fisher entries in the slice raise DomainError.
     """
     c_values, w_values = candidate_grid(spec, c_values, w_values)
     if n_train < 1:
         raise DomainError(f"n_train must be >= 1, got {n_train}")
-    delta_full = trunk_mismatch.delta if isinstance(trunk_mismatch, MismatchVector) else np.asarray(
-        trunk_mismatch, dtype=np.float64
-    )
+    if isinstance(trunk_mismatch, tuple) and trunk_mismatch and isinstance(trunk_mismatch[0], ParamVector):
+        params_a, params_b = trunk_mismatch
+        minuend, subtrahend = params_b.values, params_a.values
+        size = _encoder_length(params_a, params_b, spec.depth)
+    else:
+        minuend = trunk_mismatch.delta if isinstance(trunk_mismatch, MismatchVector) else np.asarray(
+            trunk_mismatch, dtype=np.float64
+        )
+        subtrahend, size = None, minuend.size
     d_max = spec.encoder_params(max(c_values))
-    if delta_full.size < d_max:
+    if size < d_max:
         raise StructuralError("trunk mismatch does not cover the deepest candidate slice")
     for f in (fisher_a, fisher_b):
         if f.values.size != spec.param_count:
             raise StructuralError("Fisher vector does not cover the full parameter count")
     a = fisher_a.values[:d_max]
     b = fisher_b.values[:d_max]
-    delta = delta_full[:d_max]
-    for name, values in (("fisher_a", a), ("fisher_b", b), ("trunk_mismatch", delta)):
-        if not np.isfinite(values).all():
+    for name, values in (("fisher_a", a), ("fisher_b", b)):
+        if not _finite(values):
             raise DomainError(f"{name} has non-finite entries in the encoder slice")
-    if np.any(a < 0) or np.any(b < 0):
-        raise DomainError("Fisher entries must be nonnegative")
 
     # sums[c]: the per-w quotient sums and S_A, S_B over trunk layers 1..c,
     # accumulated layer by layer in the fixed order 1, 2, ..., so a cell's
@@ -248,11 +268,20 @@ def grid_search(
         a_l, b_l = a[lo:hi], b[lo:hi]
         layer = [buf[:hi - lo] for buf in buffers]
         d_sq, prod = layer[0], layer[1]
-        np.multiply(delta[lo:hi], delta[lo:hi], out=d_sq)
+        if subtrahend is None:
+            np.copyto(d_sq, minuend[lo:hi])
+        else:
+            np.subtract(minuend[lo:hi], subtrahend[lo:hi], out=d_sq)
+        if not _finite(d_sq):
+            raise DomainError("trunk_mismatch has non-finite entries in the encoder slice")
+        d_sq *= d_sq
         s_a += float(np.multiply(d_sq, a_l, out=prod).sum())
         s_b += float(np.multiply(d_sq, b_l, out=prod).sum())
         quot_sums = [q + _quotient_sum(a_l, b_l, w, *layer) for q, w in zip(quot_sums, w_values)]
         sums.append((quot_sums, s_a, s_b))
+    # Checked after the loop, so that a non-finite mismatch is refused first.
+    if min(a.min(initial=0.0), b.min(initial=0.0)) < 0:
+        raise DomainError("Fisher entries must be nonnegative")
 
     table = []
     for c in c_values:

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from tailshare.cli import main
 from tailshare.presets import toy_config_dict
-from tailshare.store import load_model, save_container
+from tailshare.store import load_model, load_params, load_stage1, save_container, save_params, save_stage1
 
 
 @pytest.fixture()
@@ -534,6 +534,38 @@ class TestInputsResolvedBeforeAnyWrite:
         result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(searched)])
         assert result.exit_code == 5, result.output
         assert "error[data]" in result.output and f"{path}: " in result.output
+        assert run_dir_state(searched) == before
+
+    @pytest.mark.parametrize("command, extra, code, named", [
+        ("search", None, 5, "no n_train in the container's metadata"),
+        ("search", {"n_train": "300"}, 5, 'n_train must be an int >= 1, got "300"'),
+        ("search", {"n_train": 0}, 5, "n_train must be an int >= 1, got 0"),
+        ("search", {"n_train": True}, 5, "n_train must be an int >= 1, got true"),
+        ("assemble", None, 5, "no c_star in the container's metadata"),
+        ("assemble", {"c_star": 1}, 5, "no w_star in the container's metadata"),
+        ("assemble", {"c_star": 1.0, "w_star": 0.5}, 5, "c_star must be an int, got 1.0"),
+        ("assemble", {"c_star": 1, "w_star": "0.5"}, 5, 'w_star must be a number, got "0.5"'),
+        ("assemble", {"c_star": 3, "w_star": 0.5}, 2, "c_star: shared depth 3 out of range 0..2"),
+        ("assemble", {"c_star": 1, "w_star": 7}, 2, "w_star: w_a candidates must lie in [0, 1], got 7.0"),
+    ])
+    def test_container_without_the_cli_metadata_writes_nothing(self, runner, searched, command, extra,
+                                                               code, named):
+        """Containers written by the library's savers, without the keys that
+        the CLI's writers add, are refused naming the file and the key."""
+        if command == "search":
+            spec, s1, split, priors, _ = load_stage1(searched / "stage1_v001.bin")
+            path = searched / "stage1_v002.bin"
+            save_stage1(path, spec, s1, split, priors, extra)
+        else:
+            result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
+            assert result.exit_code == 0, result.output
+            spec, params, _ = load_params(searched / "stage2_v001.bin")
+            path = searched / "stage2_v002.bin"
+            save_params(path, spec, params, extra)
+        before = run_dir_state(searched)
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == code, result.output
+        assert f"{path}: {named}" in result.output
         assert run_dir_state(searched) == before
 
     def test_grids_default_to_the_select_section(self, runner, tmp_path):

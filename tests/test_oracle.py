@@ -351,6 +351,28 @@ def test_package_import_loads_exactly_the_library_modules():
                                    "tables")]
 
 
+def test_toy_grid_compare_leaves_numpy_ma_unloaded():
+    """spearman tests constancy by min and max, not np.unique, so an oracle
+    run in a fresh interpreter never imports numpy.ma."""
+    import tailshare
+    src = str(Path(tailshare.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from tailshare.datagen import GenConfig, build_generator\n"
+        "from tailshare.nn import ModelSpec, OptConfig\n"
+        "from tailshare.oracle import grid_compare\n"
+        "from tailshare.pipeline import RunConfig\n"
+        "gen = build_generator(GenConfig(6, 4, 10.0, 150, class_mean_scale=1.8, noise_sigma=1.0, seed=11))\n"
+        "opt = OptConfig(0.3, epochs=2, batch_size=64, seed=1)\n"
+        "cfg = RunConfig(ModelSpec(4, (8, 8), (3, 3), activation='tanh'), opt, opt, init_seed=5)\n"
+        "report = grid_compare(gen, cfg, (0, 2), (0.3, 0.7), m_resamples=2, n_train=100, n_eval=50)\n"
+        "print(report.spearman_rho is not None, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]
+
+
 def test_oracle_and_sweep_run_with_scipy_blocked(tmp_path):
     """A toy `tailshare oracle` and `tailshare sweep` in a process where
     importing scipy fails: both exit 0 and no scipy module gets loaded."""

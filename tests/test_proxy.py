@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from tailshare import nn
 from tailshare.errors import DataFormatError, DomainError, StructuralError
-from tailshare.nn import (Batch, ModelSpec, OptConfig, _forward_cache, _sigmoid, bce_loss_grad, init_params,
-                          train)
+from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, _forward_cache, _sigmoid, bce_loss_grad,
+                          init_params, train)
+from tailshare.pipeline import Stage1Result, select_structure
 from tailshare.proxy import (
     DEAD_COORD_EPS,
     DiagFisher,
@@ -480,6 +481,13 @@ class TestGridSearch:
         with pytest.raises(DomainError, match=which):
             grid_search(fa, fb, values["trunk_mismatch"], 100, spec)
 
+    def test_parameter_pair_of_two_architectures_rejected(self):
+        spec = ModelSpec(3, (4,), (2, 2))
+        fa, fb = fisher_pair(spec, np.ones(16), np.ones(16))
+        pair = (init_params(spec, 0), init_params(ModelSpec(3, (5,), (2, 2)), 0))
+        with pytest.raises(StructuralError, match="different architectures"):
+            grid_search(fa, fb, pair, 100, spec)
+
     def test_non_finite_entries_past_the_deepest_slice_are_not_read(self):
         spec = ModelSpec(3, (3, 3), (2, 2))
         enc = spec.encoder_params(2)
@@ -570,3 +578,70 @@ def test_grid_search_peak_memory_on_the_criterion_8_shape():
         tracemalloc.stop()
     assert len(res.table) == 13 * 11
     assert peak < 10_000_000
+
+
+@st.composite
+def stage1_cases(draw):
+    """A random spec's Stage-1 statistics and candidate grids, with up to
+    three entries of the Fishers or parameter vectors replaced by NaN, an
+    infinity, or (set after the DiagFisher check) -1."""
+    spec = ModelSpec(draw(st.integers(1, 3)),
+                     tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))), (2, 2))
+    n = spec.param_count
+    params = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+    fishers = st.lists(_fisher_entry, min_size=n, max_size=n)
+    table = spec.block_table()
+    s1 = Stage1Result(ParamVector(draw(params), table), ParamVector(draw(params), table),
+                      DiagFisher(draw(fishers), 1), DiagFisher(draw(fishers), 1), [], [])
+    vectors = (s1.fisher_a.values, s1.fisher_b.values, s1.params_a.values, s1.params_b.values)
+    for _ in range(draw(st.integers(0, 3))):
+        vectors[draw(st.integers(0, 3))][draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, -1.0]))
+    c_values = draw(st.lists(st.integers(0, spec.depth), min_size=1, unique=True))
+    w_values = draw(st.lists(st.integers(0, 100).map(lambda i: i / 100), min_size=1, max_size=5, unique=True))
+    return spec, s1, c_values, w_values, draw(st.integers(1, 10_000))
+
+
+def table_or_refusal(search):
+    """repr of the grid table (every bit of every cell), or the refusal's
+    type and message. Subtracting two infinities warns on both paths."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            return repr(search().table)
+        except (DomainError, StructuralError) as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage1_cases())
+def test_select_structure_is_grid_search_over_encoder_mismatch(case):
+    """The mismatch taken layer by layer from the two parameter vectors
+    gives the table of the full-depth mismatch vector, bit for bit, and a
+    non-finite or negative entry the same refusal."""
+    spec, s1, c_values, w_values, n_train = case
+    direct = table_or_refusal(lambda: select_structure(s1, n_train, spec, c_values, w_values))
+    via_vector = table_or_refusal(lambda: grid_search(
+        s1.fisher_a, s1.fisher_b, encoder_mismatch(s1.params_a, s1.params_b, spec.depth), n_train, spec,
+        c_values, w_values))
+    assert direct == via_vector
+
+
+def test_select_structure_holds_no_copy_of_the_encoder():
+    """On a synthetic Stage-1 result of about a million parameters the
+    search allocates layer-long buffers only: the traced peak stays under
+    2 MB, where one copy of the encoder takes 8 MB."""
+    spec = ModelSpec(200, (200,) * 25, (2, 2))
+    rng = np.random.default_rng(5)
+    n, table = spec.param_count, spec.block_table()
+    s1 = Stage1Result(ParamVector(rng.normal(size=n), table), ParamVector(rng.normal(size=n), table),
+                      DiagFisher(rng.uniform(0.0, 1.0, n), 100), DiagFisher(rng.uniform(0.0, 1.0, n), 100),
+                      [], [])
+    assert spec.encoder_params(spec.depth) * 8 > 8_000_000
+    tracemalloc.start()
+    try:
+        res = select_structure(s1, 3000, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.table) == 26 * 11
+    assert peak < 2_000_000
