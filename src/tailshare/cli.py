@@ -571,8 +571,11 @@ def sweep_cmd(config_path, out, seed, c_fixed, grid_w, resamples, train_size, jo
     report = oracle.weight_sweep(gen, r.run, r.c, r.run.w_values, **r.study)
     path = store.next_version_path(r.out, "sweep", ".csv")
     report.to_csv(path)
-    best = int(np.nanargmax(report.overall_mean))
-    click.echo(f"best w_A={report.w_values[best]} overall={report.overall_mean[best]:.4f}")
+    if np.isnan(report.overall_mean).all():   # every resample failed at every weight
+        click.echo("best w_A=undefined")
+    else:
+        best = int(np.nanargmax(report.overall_mean))
+        click.echo(f"best w_A={report.w_values[best]} overall={report.overall_mean[best]:.4f}")
     click.echo(f"wrote {path}")
 
 

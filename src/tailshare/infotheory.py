@@ -258,24 +258,19 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def group_outcome_log_probs(logits: np.ndarray, restrict: bool = True) -> np.ndarray:
+def group_outcome_log_probs(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities the Bernoulli-factorized branch assigns to the
-    single-label-consistent outcomes.
+    single-label-consistent outcomes, renormalized over that outcome set.
 
     Outcomes are the |t| one-hot vectors (in branch column order) followed
     by the all-zero vector. The product-Bernoulli probability of one-hot j
     is s(u_j) * prod_{m != j} (1 - s(u_m)) = exp(u_j + base) with
     base = sum_m log(1 - s(u_m)), and the all-zero outcome has exp(base).
-    With restrict=True the outcome set is renormalized, which collapses to
-    a softmax over [u, 0]; otherwise the raw product-Bernoulli masses are
-    returned (they sum to <= 1 over this outcome subset).
+    Renormalizing cancels base, which leaves a softmax over [u, 0].
     """
     u = np.asarray(logits, dtype=np.float64)
     ext = np.concatenate([u, np.zeros((u.shape[0], 1))], axis=1)
-    if restrict:
-        return ext - _logsumexp(ext, axis=1)[:, None]
-    base = -np.logaddexp(0.0, u).sum(axis=1, keepdims=True)
-    return ext + base
+    return ext - _logsumexp(ext, axis=1)[:, None]
 
 
 def taskwise_risk(
@@ -283,20 +278,18 @@ def taskwise_risk(
     split: TaskSplit,
     logits_fn: Callable,
     eval_points: np.ndarray,
-    restrict: bool = True,
 ) -> float:
     """Monte-Carlo average over eval_points of the per-task KL between the
     true projected posterior and the model's branch conditionals.
 
     The true projected posterior over a group is a (|t|+1)-outcome
     distribution: mass on each group class plus the all-zero outcome that
-    absorbs the other group. The model side comes from
-    group_outcome_log_probs; restrict selects the renormalized (default)
-    or raw product-Bernoulli variant.
+    absorbs the other group. The model side is group_outcome_log_probs,
+    the branch renormalized over the same outcomes.
     """
     eval_points = np.asarray(eval_points, dtype=np.float64)
     targets = _risk_targets(gen.posterior(eval_points), split)
-    return _taskwise_risk(targets, logits_fn(eval_points), restrict)
+    return _taskwise_risk(targets, logits_fn(eval_points))
 
 
 def _risk_targets(post: np.ndarray, split: TaskSplit) -> tuple:
@@ -313,12 +306,12 @@ def _risk_targets(post: np.ndarray, split: TaskSplit) -> tuple:
     return tuple(targets)
 
 
-def _taskwise_risk(targets: tuple, logits: tuple, restrict: bool) -> float:
+def _taskwise_risk(targets: tuple, logits: tuple) -> float:
     """taskwise_risk from _risk_targets and the branch logits (s_a, s_b) at
     the same points."""
     total = 0.0
     for (q, log_q), s in zip(targets, logits):
-        logp = group_outcome_log_probs(np.asarray(s, dtype=np.float64), restrict)
+        logp = group_outcome_log_probs(np.asarray(s, dtype=np.float64))
         terms = np.where(q > 0, q * (log_q - logp), 0.0)
         total += float(terms.sum(axis=1).mean())
     return total

@@ -104,7 +104,7 @@ def _run_resample(args) -> tuple:
     activations, which gives the risk a full forward pass would.
     """
     (gen, run_cfg, split, eval_points, targets, balanced,
-     c_values, w_values, n_train, seed, m, restrict, refine) = args
+     c_values, w_values, n_train, seed, m, refine) = args
     nc, nw = len(c_values), len(w_values)
     risks = np.full((nc, nw), np.nan)
     accs = np.full((nc, nw, 3), np.nan)
@@ -116,7 +116,7 @@ def _run_resample(args) -> tuple:
     except TrainingDivergenceError as err:
         return risks, accs, err if m == 0 else None
     spec = run_cfg.spec
-    stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values, s1))
+    stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values))
                      if not isinstance(s2, TrainingDivergenceError)}
     cells = []   # (the rows and columns a model fills, model)
     zero_rows = [ci for ci, c in enumerate(c_values) if c == 0]
@@ -132,14 +132,16 @@ def _run_resample(args) -> tuple:
         models = refine_stack(models, td, cfg_m.refine_opt, cfg_m.tau)
     # Cells come weight by weight, so one weight's activations are kept.
     encoded = lru_cache(maxsize=1)(lambda wi: trunk_activations(stage2_params[wi], spec, eval_points))
-    for (where, _), model in zip(cells, models):
-        if isinstance(model, TrainingDivergenceError):
-            continue
-        acts = encoded(where[1])[:model.c + 1] if model.c else [eval_points]
-        risks[where] = _taskwise_risk(targets, model.decode(acts), restrict)
-        if balanced is not None:
-            rep = evaluate(model, *balanced)
-            accs[where] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
+    # As in training, overflow gives a non-finite risk (a failed cell), not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (where, _), model in zip(cells, models):
+            if isinstance(model, TrainingDivergenceError):
+                continue
+            acts = encoded(where[1])[:model.c + 1] if model.c else [eval_points]
+            risks[where] = _taskwise_risk(targets, model.decode(acts))
+            if balanced is not None:
+                rep = evaluate(model, *balanced)
+                accs[where] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
     return risks, accs, s1 if m == 0 else None
 
 
@@ -158,7 +160,7 @@ def check_study(m_resamples: int, n_train: int, n_eval: int, eval_per_class: int
 
 
 def _collect_resamples(
-    gen, run_cfg, c_values, w_values, m_resamples, n_train, seed, n_eval, restrict, jobs,
+    gen, run_cfg, c_values, w_values, m_resamples, n_train, seed, n_eval, jobs,
     eval_per_class: int | None = None, refine: bool = False,
 ) -> tuple:
     """Run every resample against one evaluation sample drawn from the
@@ -175,7 +177,7 @@ def _collect_resamples(
     targets = _risk_targets(gen.posterior(eval_points), split)
     tasks = [
         (gen, run_cfg, split, eval_points, targets, balanced,
-         c_values, w_values, n_train, seed, m, restrict, refine)
+         c_values, w_values, n_train, seed, m, refine)
         for m in range(m_resamples)
     ]
     if jobs > 1:
@@ -188,12 +190,14 @@ def _collect_resamples(
     return risks, accs, results[0][2]
 
 
+@np.errstate(over="ignore")
 def _mean_stderr(values: np.ndarray, axis: int = 0) -> tuple:
     """Mean and standard error of the finite values along `axis`; NaN where
     fewer than one (mean) or two (stderr) values are finite. Slices without
     enough values are filled with zeros before the reductions and masked
     after, so numpy never sees an empty slice or a non-positive degree of
-    freedom."""
+    freedom. Finite values too large to sum or square give an infinite
+    mean or stderr, without a warning."""
     ok = np.isfinite(values)
     n_ok = ok.sum(axis=axis)
     spread = np.expand_dims(n_ok, axis)
@@ -256,11 +260,14 @@ def grid_compare(
     first resample's Stage-1 run, and report Spearman rank agreement.
 
     Only the report's valid cells enter the correlation and the oracle
-    argmin.
+    argmin. The risk is always the renormalized task-wise KL; `restrict`
+    stays only as the benchmark's call shape and must be True.
     """
+    if restrict is not True:
+        raise ConfigError(f"restrict must be True (the risk is renormalized), got {restrict!r}")
     c_values, w_values = candidate_grid(run_cfg.spec, c_values, w_values)
     risks, _, first_s1 = _collect_resamples(gen, run_cfg, c_values, w_values, m_resamples,
-                                            n_train, seed, n_eval, restrict, jobs)
+                                            n_train, seed, n_eval, jobs)
     risk_mean, risk_stderr, n_ok = _mean_stderr(risks)
 
     # Proxy grid from the first resample's own Stage-1 statistics.
@@ -332,7 +339,6 @@ def weight_sweep(
     seed: int = 0,
     n_eval: int = 2000,
     eval_per_class: int = 40,
-    restrict: bool = True,
     jobs: int = 1,
     refine: bool = False,
 ) -> SweepReport:
@@ -349,7 +355,7 @@ def weight_sweep(
     if refine and run_cfg.refine_opt is None:
         raise ConfigError("refine=True requires run_cfg.refine_opt")
     risks, accs, _ = _collect_resamples(gen, run_cfg, (c,), w_values, m_resamples, n_train,
-                                        seed, n_eval, restrict, jobs, eval_per_class, refine)
+                                        seed, n_eval, jobs, eval_per_class, refine)
     risk_mean, risk_stderr, n_ok = _mean_stderr(risks[:, 0, :])
     o_mean, o_stderr, _ = _mean_stderr(accs[:, 0, :, 0])
     h_mean, h_stderr, _ = _mean_stderr(accs[:, 0, :, 1])

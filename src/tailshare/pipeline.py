@@ -96,7 +96,6 @@ class RunConfig:
     c_values: tuple | None = None
     w_values: tuple | None = None
     refine: bool = False
-    warm_start_stage2: bool = False
 
     def __post_init__(self):
         if self.tau < 0:
@@ -163,32 +162,24 @@ def select_structure(
                        c_values, w_values)
 
 
-def stage2_stack(cfg: RunConfig, td: TaskData, w_values, s1: Stage1Result | None = None) -> list:
+def stage2_stack(cfg: RunConfig, td: TaskData, w_values) -> list:
     """Weighted joint training of the full two-head network at every head
-    weight in `w_values`, as one stack.
-
-    Starts fresh from the shared init seed by default; with
-    warm_start_stage2 the trunk and task-A head come from the Stage-1
-    task-A solution and the task-B head from the task-B solution. Returns
+    weight in `w_values`, as one stack, from the shared init seed. Returns
     one TrainResult per weight, or the TrainingDivergenceError of a weight
     whose run diverged.
     """
     w_values = candidate_grid(cfg.spec, w_values=w_values)[1]
-    if cfg.warm_start_stage2:
-        if s1 is None:
-            raise ConfigError("warm start requires the stage-1 result")
-        start = s1.params_a.copy()
-        start.block("head_b")[:] = s1.params_b.block("head_b")
-    else:
-        start = init_params(cfg.spec, cfg.init_seed)
+    start = init_params(cfg.spec, cfg.init_seed)
     offs = _offsets_for(cfg.tau, td)
     return train_stack([start] * len(w_values), cfg.spec, td,
                        [(w, 1.0 - w) for w in w_values], cfg.stage2_opt, offsets=offs)
 
 
-def stage2(cfg: RunConfig, td: TaskData, w_a: float, s1: Stage1Result | None = None) -> TrainResult:
-    """stage2_stack at one head weight; raises TrainingDivergenceError."""
-    (res,) = _all_trained(stage2_stack(cfg, td, (w_a,), s1))
+def stage2(cfg: RunConfig, td: TaskData, w_a: float, _s1=None) -> TrainResult:
+    """stage2_stack at one head weight; raises TrainingDivergenceError.
+    Stage 2 never reads Stage 1: a fourth argument is accepted and ignored,
+    since the benchmark still passes its Stage1Result."""
+    (res,) = _all_trained(stage2_stack(cfg, td, (w_a,)))
     return res
 
 
@@ -360,7 +351,7 @@ def full_run(cfg: RunConfig, dataset: LongTailDataset) -> PipelineResult:
     td = build_task_data(dataset)
     s1 = stage1(cfg, td)
     selection = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
-    s2 = stage2(cfg, td, selection.w_star, s1)
+    s2 = stage2(cfg, td, selection.w_star)
     model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split, td.priors)
     refined = cfg.refine and cfg.refine_opt.epochs > 0
     if refined:

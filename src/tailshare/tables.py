@@ -40,21 +40,9 @@ def _plain(value):
     return value
 
 
-def _typed(annotation, value):
-    annotation = str(annotation)
-    if value is None:
-        return None
-    if "ndarray" in annotation:
-        return np.asarray(value)
-    if "tuple" in annotation:
-        return tuple(value)
-    return value
-
-
 class Record:
     """Base of the dataclass reports: fields to a dict and to JSON (arrays
-    and tuples as lists), and back per each field's annotation. FORMAT
-    names the JSON document's format."""
+    and tuples as lists). FORMAT names the JSON document's format."""
 
     FORMAT = None
 
@@ -63,8 +51,3 @@ class Record:
 
     def to_json(self) -> str:
         return json.dumps({"format": self.FORMAT, **self.as_dict()}, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str):
-        d = json.loads(text)
-        return cls(**{f.name: _typed(f.type, d[f.name]) for f in fields(cls)})

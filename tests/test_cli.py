@@ -385,6 +385,34 @@ class TestOracleCommands:
                 for cell in row:
                     float(cell)
 
+    @staticmethod
+    def diverging_config(tmp_path, learning_rate):
+        """The toy run with a ReLU trunk and a Stage-2 step of the given size."""
+        config = tmp_path / "diverging.json"
+        config.write_text(json.dumps({
+            "model": {"activation": "relu"}, "stage2": {"learning_rate": learning_rate},
+            "oracle": {"resamples": 2, "train_size": 200, "eval_points": 100}}))
+        return ["--config", str(config), "--out", str(tmp_path / "run")]
+
+    def test_sweep_with_no_finite_cell_reports_undefined(self, runner, tmp_path):
+        """Every Stage 2 diverges at every weight: like oracle, sweep writes
+        its table and reports no best weight."""
+        result = runner.invoke(main, ["sweep", "--grid-w", "0.7"] + self.diverging_config(tmp_path, 1e300))
+        assert result.exit_code == 0, result.output
+        assert "best w_A=undefined" in result.output
+        with (tmp_path / "run" / "sweep_v001.csv").open(newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["n_ok"] == "0" and math.isnan(float(row["overall_mean"]))
+
+    @pytest.mark.parametrize("command", ["oracle", "sweep"])
+    def test_overflow_while_scoring_is_no_warning(self, runner, tmp_path, command):
+        """Stage-2 trunks with huge finite parameters overflow on the
+        evaluation points; the study still ends with exit 0 (the suite turns
+        RuntimeWarnings into errors)."""
+        result = runner.invoke(main, [command, "--grid-w", "0.5,0.7"]
+                               + self.diverging_config(tmp_path, 1e30))
+        assert result.exit_code == 0, result.output
+
 
 TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.json"
 
@@ -673,3 +701,8 @@ def test_every_config_key_has_a_field_and_a_default_of_its_type():
                 assert fields[key].test(value), f"{prefix}{key}"
 
     walk(cli._DEFAULTS, cli._FIELDS)
+
+
+def test_toy_config_file_is_the_cli_defaults():
+    """configs/toy.json, which the README and CI run, is the CLI's defaults."""
+    assert json.loads(TOY.read_text()) == toy_config_dict()

@@ -252,9 +252,9 @@ class TestResidualSweep:
             decomposition_terms(DiscreteJoint(q), FactorizedConditional(p_a, p_b))
 
 
-def bernoulli_outcome_probs(logits_row, restrict):
+def bernoulli_outcome_probs(logits_row):
     """Enumeration oracle over all binary vectors, reduced to the
-    single-label-consistent outcomes."""
+    single-label-consistent outcomes and renormalized."""
     m = logits_row.size
     sig = 1.0 / (1.0 + np.exp(-logits_row))
     probs = []
@@ -263,18 +263,16 @@ def bernoulli_outcome_probs(logits_row, restrict):
         v = np.asarray(outcome, dtype=float)
         probs.append(float(np.prod(sig ** v * (1 - sig) ** (1 - v))))
     probs = np.asarray(probs)
-    return probs / probs.sum() if restrict else probs
+    return probs / probs.sum()
 
 
 class TestGroupOutcomes:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(6, 3)) * 2
-        for restrict in (True, False):
-            lp = group_outcome_log_probs(logits, restrict)
-            for i in range(6):
-                assert np.allclose(np.exp(lp[i]), bernoulli_outcome_probs(logits[i], restrict),
-                                   atol=1e-12)
+        lp = group_outcome_log_probs(logits)
+        for i in range(6):
+            assert np.allclose(np.exp(lp[i]), bernoulli_outcome_probs(logits[i]), atol=1e-12)
 
 
 class TestTaskwiseRisk:
@@ -305,12 +303,11 @@ class TestTaskwiseRisk:
         gen, split = self.setup_generator()
         rng = np.random.default_rng(2)
         pts = gen.sample_features(100, rng)
-        for restrict in (True, False):
-            for _ in range(10):
-                w_a = rng.normal(size=(2, 2))
-                w_b = rng.normal(size=(2, 2))
-                fn = lambda y: (y @ w_a, y @ w_b)
-                assert taskwise_risk(gen, split, fn, pts, restrict) >= 0.0
+        for _ in range(10):
+            w_a = rng.normal(size=(2, 2))
+            w_b = rng.normal(size=(2, 2))
+            fn = lambda y: (y @ w_a, y @ w_b)
+            assert taskwise_risk(gen, split, fn, pts) >= 0.0
 
     def test_matches_brute_force_on_grid(self):
         gen, split = self.setup_generator()
@@ -319,19 +316,18 @@ class TestTaskwiseRisk:
         w_b = rng.normal(size=(2, 2))
         fn = lambda y: (y @ w_a, y @ w_b)
         grid = np.stack(np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7)), -1).reshape(-1, 2)
-        for restrict in (True, False):
-            got = taskwise_risk(gen, split, fn, grid, restrict)
-            post = gen.posterior(grid)
-            s_a, s_b = fn(grid)
-            expected = 0.0
-            for classes, s in ((split.head_classes, s_a), (split.tail_classes, s_b)):
-                grp = post[:, list(classes)]
-                q = np.concatenate([grp, 1.0 - grp.sum(axis=1, keepdims=True)], axis=1)
-                per_point = []
-                for i in range(grid.shape[0]):
-                    model = bernoulli_outcome_probs(s[i], restrict)
-                    qi = np.clip(q[i], 0.0, 1.0)
-                    per_point.append(sum(qv * (np.log(qv) - np.log(mv))
-                                         for qv, mv in zip(qi, model) if qv > 0))
-                expected += float(np.mean(per_point))
-            assert got == pytest.approx(expected, abs=1e-10)
+        got = taskwise_risk(gen, split, fn, grid)
+        post = gen.posterior(grid)
+        s_a, s_b = fn(grid)
+        expected = 0.0
+        for classes, s in ((split.head_classes, s_a), (split.tail_classes, s_b)):
+            grp = post[:, list(classes)]
+            q = np.concatenate([grp, 1.0 - grp.sum(axis=1, keepdims=True)], axis=1)
+            per_point = []
+            for i in range(grid.shape[0]):
+                model = bernoulli_outcome_probs(s[i])
+                qi = np.clip(q[i], 0.0, 1.0)
+                per_point.append(sum(qv * (np.log(qv) - np.log(mv))
+                                     for qv, mv in zip(qi, model) if qv > 0))
+            expected += float(np.mean(per_point))
+        assert got == pytest.approx(expected, abs=1e-10)

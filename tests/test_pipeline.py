@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tailshare.errors import ConfigError, DomainError, StructuralError, TrainingDivergenceError
+from tailshare.errors import DomainError, StructuralError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, TaskSplit, generate, project_labels
 from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, bce_loss_grad, bce_losses, forward,
                           init_params, train_stack)
@@ -170,20 +170,13 @@ class TestStage2:
         with pytest.raises(DomainError, match=r"w_a candidates must lie in \[0, 1\], got 1.5"):
             stage2(run_config(), td, 1.5)
 
-    def test_warm_start_requires_stage1(self):
+    def test_a_stage1_result_argument_is_ignored(self):
+        """The benchmark still passes its Stage1Result; Stage 2 starts from
+        the shared init seed either way."""
         td = build_task_data(toy_dataset())
-        cfg = run_config(warm_start_stage2=True)
-        with pytest.raises(ConfigError):
-            stage2(cfg, td, 0.5, None)
-
-    def test_warm_start_uses_stage1_heads(self):
-        td = build_task_data(toy_dataset())
-        cfg = run_config(warm_start_stage2=True,
-                         stage2_opt=OptConfig(0.3, epochs=0, batch_size=64, seed=2))
-        s1 = stage1(cfg, td)
-        s2 = stage2(cfg, td, 0.5, s1)
-        assert np.array_equal(s2.params.block("head_b"), s1.params_b.block("head_b"))
-        assert np.array_equal(s2.params.block("trunk1"), s1.params_a.block("trunk1"))
+        cfg = run_config()
+        with_s1 = stage2(cfg, td, 0.4, stage1(cfg, td))
+        assert np.array_equal(with_s1.params.values, stage2(cfg, td, 0.4).params.values)
 
 
 class TestAssemble:
