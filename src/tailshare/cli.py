@@ -1,23 +1,23 @@
 """Command-line entry point.
 
 Every command first resolves all of its inputs into one checked record,
-`Inputs`: the defaults, the JSON file and the flag overrides (each value
-of the JSON type that `_FIELDS` gives its key), the dataset and the
+`Inputs`: the defaults, the JSON file and the flag overrides (each of
+the JSON type that `_FIELDS` gives its key; `_OVERRIDES` names the key
+each flag sets, so the snapshot records it), the dataset and the
 upstream containers when the command reads them, and the command's own
-flags. A command that reads a container uses its model, not the
-config's: a dataset must fit it in input width and class count, and
-assemble's two containers must share one layout. Flag rules: --jobs >= 1,
-every grid (--grid-c, --grid-w, select.*) nonempty, every depth
-(--grid-c, --c, --c-star, the stage-2 container's c_star) in 0..L for
-the model's L trunk layers, every weight (--grid-w, --w-star, the
-stage-2 container's w_star) in [0, 1]. A refused input exits 2 naming
-it, a missing dataset or container exits 3, and an unreadable
-selection file, a damaged container or one without the metadata the
-command reads (search: the stage-1 n_train; assemble: the stage-2
-c_star and w_star) exits 5, each with nothing written. Only then does
-the command write the resolved config snapshot and its versioned
-artifacts into the run directory. Exit codes: 0 success, 2
-configuration error, 3 missing upstream artifact, 4 training
+flags (--c, --c-star, --w-star, --data, --jobs). A command that reads a
+container uses its model, not the config's: a dataset must fit it, and
+assemble's two containers must share one layout. Every grid (--grid-c,
+--grid-w, select.*) must be nonempty, every depth (--grid-c, --c,
+--c-star, c_star) lie in 0..L for the model's L trunk layers, every
+weight (--grid-w, --w-star, w_star) in [0, 1], and --jobs be >= 1. A
+refused input exits 2 naming it (the flag that set it, if one did), a
+missing dataset or container exits 3, and an unreadable selection file,
+a damaged container or one without the metadata the command reads
+(search: the stage-1 sample_count, N; assemble: the stage-2 c_star and
+w_star) exits 5, each with nothing written. Only then does the command
+write the config snapshot and its versioned artifacts. Exit codes: 0
+success, 2 configuration error, 3 missing upstream artifact, 4 training
 divergence, 5 data-format error, 6 verification check failed, 1
 anything else. `tau` (--tau) is the one logit-adjustment setting; tau 0
 trains without offsets.
@@ -107,8 +107,11 @@ _FIELDS = {
 }
 # The container metadata a command reads, by key: the stem of the container
 # that holds it and its field. Only the CLI's writers add these keys.
-_META = {"n_train": ("stage1", _Field("an int >= 1", lambda v: _INT.test(v) and v >= 1)),
-         "c_star": ("stage2", _INT), "w_star": ("stage2", _NUMBER)}
+_META = {"c_star": ("stage2", _INT), "w_star": ("stage2", _NUMBER)}
+# The config key that each override flag sets.
+_OVERRIDES = {"--out": "out", "--seed": "seed", "--tau": "tau", "--resamples": "oracle.resamples",
+              "--train-size": "oracle.train_size", "--grid-c": "select.c_values",
+              "--grid-w": "select.w_values", "--no-refine": "refine.epochs"}
 
 
 def _set(cfg: dict, path: tuple, value) -> None:
@@ -135,8 +138,8 @@ def _set(cfg: dict, path: tuple, value) -> None:
 
 
 def _merged(config_path, overrides: dict) -> dict:
-    """The defaults, then the JSON file, then the flag overrides (dotted
-    keys reach into sections), each value set by `_set`."""
+    """The defaults, then the JSON file, then the flag overrides (by flag,
+    as `_OVERRIDES` maps them to keys), each value set by `_set`."""
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
     if config_path:
         path = Path(config_path)
@@ -150,9 +153,9 @@ def _merged(config_path, overrides: dict) -> dict:
             raise ConfigError(f"{path}: the config must be a JSON object, got {json.dumps(user)}")
         for key, value in user.items():
             _set(cfg, (key,), value)
-    for key, value in overrides.items():
+    for flag, value in overrides.items():
         if value is not None:
-            _set(cfg, tuple(key.split(".")), value)
+            _checked(flag, _set, cfg, tuple(_OVERRIDES[flag].split(".")), value)
     return cfg
 
 
@@ -168,9 +171,9 @@ def _checked(name: str, build, *args, **kwargs):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _parse_grid(text: str, cast) -> tuple:
+def _parse_grid(text, cast) -> list | None:
     try:
-        return tuple(cast(v) for v in text.split(",") if v.strip() != "")
+        return None if text is None else [cast(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
 
@@ -216,9 +219,9 @@ class Inputs:
 
 
 def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(), needs=(),
-             refine=False, grid_c=None, grid_w=None, c=None, selection=None, jobs=None,
-             sweep=False) -> Inputs:
+             c=None, selection=None, jobs=None, sweep=False) -> Inputs:
     """Every input of a command, checked; only then the config snapshot.
+    `overrides` maps override flags to their values (None: not given).
     `reads` names the stems of the containers a command loads; the first
     one's model is the command's. `needs` names the `_META` keys the
     command takes from their metadata; a missing or ill-typed key exits 5
@@ -249,11 +252,11 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
     loaders = {"stage1": store.load_stage1, "stage2": store.load_params, "model": store.load_model}
     paths = {stem: store.latest_version_path(t["out"], stem, ".bin") for stem in reads}
     upstream = {stem: loaders[stem](path) for stem, path in paths.items()}
-    n_classes, input_dim = ((gen.n_classes, gen.input_dim) if dataset is None
-                            else (dataset.n_classes, dataset.features.shape[1]))
-    head = (n_classes + 1) // 2
+    counts, input_dim = ((gen.class_counts(), gen.input_dim) if dataset is None
+                         else (dataset.class_counts, dataset.features.shape[1]))
+    n_classes, split = len(counts), _checked("model", datagen.split_classes, counts)
     spec = _checked("model", ModelSpec, input_dim, t["model"]["trunk_widths"],
-                    (head, n_classes - head), t["model"]["activation"])
+                    (len(split.head_classes), len(split.tail_classes)), t["model"]["activation"])
     if reads:  # the first container's model, which assemble's stage 2 and a dataset must fit
         spec = upstream["model"][0].spec if "model" in upstream else upstream[reads[0]][0]
         if "stage2" in upstream and upstream["stage2"][0].block_table() != spec.block_table():
@@ -274,15 +277,12 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
         _checked(f"{paths['stage2']}: c_star", spec.encoder_params, meta["c_star"])
     if "w_star" in meta:
         _checked(f"{paths['stage2']}: w_star", proxy.candidate_grid, spec, w_values=(meta["w_star"],))
-    select = t["select"]
-    c_name, c_values = (("select.c_values", select["c_values"]) if grid_c is None
-                        else ("--grid-c", _parse_grid(grid_c, int)))
-    w_name, w_values = (("select.w_values", select["w_values"]) if grid_w is None
-                        else ("--grid-w", _parse_grid(grid_w, float)))
+    named = {_OVERRIDES[flag]: flag for flag, value in overrides.items() if value is not None}
+    c_name, w_name = (named.get(key, key) for key in ("select.c_values", "select.w_values"))
     run = pipeline.RunConfig(
-        spec, *opts, init_seed=seed + 1, tau=t["tau"], refine=refine,
-        c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=c_values)[0],
-        w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=w_values)[1])
+        spec, *opts, init_seed=seed + 1, tau=t["tau"],
+        c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=t["select"]["c_values"])[0],
+        w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=t["select"]["w_values"])[1])
     w_star = None
     if selection is not None:
         c, w_star = _selected(t["out"], spec, *selection)
@@ -315,7 +315,7 @@ def _write_dataset(r: Inputs) -> tuple:
 
 def _write_stage1(r: Inputs, td: pipeline.TaskData, s1: pipeline.Stage1Result) -> Path:
     path = store.next_version_path(r.out, "stage1", ".bin")
-    store.save_stage1(path, r.run.spec, s1, td.split, td.priors, {"n_train": td.n})
+    store.save_stage1(path, r.run.spec, s1, td.split, td.priors)
     return path
 
 
@@ -379,8 +379,8 @@ data_opt = click.option("--data", type=click.Path(), default=None,
                         help="External dataset CSV (default: latest dataset artifact).")
 tau_opt = click.option("--tau", type=float, default=None,
                        help="Logit-adjustment temperature override.")
-grid_c_opt = click.option("--grid-c", default=None, help="Comma-separated shared-depth candidates.")
-grid_w_opt = click.option("--grid-w", default=None, help="Comma-separated head-weight candidates.")
+grid_c_opt = click.option("--grid-c", default=None, help="Comma-separated select.c_values (shared depths).")
+grid_w_opt = click.option("--grid-w", default=None, help="Comma-separated select.w_values (head weights).")
 
 
 @click.group()
@@ -394,7 +394,7 @@ def main():
 @_guarded
 def gen_data_cmd(config_path, out, seed):
     """Generate the long-tailed dataset and its generator sidecar."""
-    r = _resolve(config_path, dict(out=out, seed=seed))
+    r = _resolve(config_path, {"--out": out, "--seed": seed})
     dataset, path = _write_dataset(r)
     click.echo(f"wrote {path} (N={dataset.n}, K={dataset.n_classes})")
 
@@ -406,7 +406,7 @@ def gen_data_cmd(config_path, out, seed):
 @_guarded
 def stage1_cmd(config_path, out, seed, data, tau):
     """Train both tasks independently and estimate their Fishers."""
-    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True)
+    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau}, data=data, reads_data=True)
     td = pipeline.build_task_data(r.dataset)
     t0 = time.perf_counter()
     s1 = pipeline.stage1(r.run, td)
@@ -422,11 +422,11 @@ def stage1_cmd(config_path, out, seed, data, tau):
 @_guarded
 def search_cmd(config_path, out, seed, grid_c, grid_w):
     """Proxy grid search over saved Stage-1 statistics."""
-    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1",), needs=("n_train",),
-                 grid_c=grid_c, grid_w=grid_w)
+    r = _resolve(config_path, {"--out": out, "--seed": seed, "--grid-c": _parse_grid(grid_c, int),
+                               "--grid-w": _parse_grid(grid_w, float)}, reads=("stage1",))
     spec, s1 = r.upstream["stage1"][:2]
     t0 = time.perf_counter()
-    grid = pipeline.select_structure(s1, r.meta["n_train"], spec, r.run.c_values, r.run.w_values)
+    grid = pipeline.select_structure(s1, s1.fisher_a.sample_count, spec, r.run.c_values, r.run.w_values)
     elapsed = time.perf_counter() - t0
     csv_path = _write_search(r, grid)
     click.echo(f"selected C*={grid.c_star} w_A*={grid.w_star} in {elapsed:.3f}s; wrote {csv_path}")
@@ -441,7 +441,7 @@ def search_cmd(config_path, out, seed, grid_c, grid_w):
 @_guarded
 def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
     """Weighted joint training at the selected (C*, w_A*)."""
-    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True,
+    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau}, data=data, reads_data=True,
                  selection=(c_star, w_star))
     res = pipeline.stage2(r.run, pipeline.build_task_data(r.dataset), r.w_star)
     path = _write_stage2(r, res, r.c, r.w_star)
@@ -453,7 +453,7 @@ def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
 @_guarded
 def assemble_cmd(config_path, out, seed):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
-    r = _resolve(config_path, dict(out=out, seed=seed), reads=("stage1", "stage2"),
+    r = _resolve(config_path, {"--out": out, "--seed": seed}, reads=("stage1", "stage2"),
                  needs=("c_star", "w_star"))
     spec, s1, split, priors, _ = r.upstream["stage1"]
     model = pipeline.assemble(spec, r.meta["c_star"], r.upstream["stage2"][1], s1, split, priors)
@@ -468,7 +468,7 @@ def assemble_cmd(config_path, out, seed):
 @_guarded
 def refine_cmd(config_path, out, seed, data, tau):
     """Fine-tune only the decoders of the latest model, encoder frozen."""
-    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data, reads_data=True,
+    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau}, data=data, reads_data=True,
                  reads=("model",))
     model, meta = r.upstream["model"]
     td = pipeline.build_task_data(r.dataset, model.split)
@@ -484,7 +484,7 @@ def refine_cmd(config_path, out, seed, data, tau):
 @_guarded
 def eval_cmd(config_path, out, seed, data):
     """Metrics of the latest model: overall/head/tail accuracy, task BCE."""
-    r = _resolve(config_path, dict(out=out, seed=seed), data=data, reads_data=True, reads=("model",))
+    r = _resolve(config_path, {"--out": out, "--seed": seed}, data=data, reads_data=True, reads=("model",))
     model, _ = r.upstream["model"]
     click.echo(f"wrote {_write_metrics(r, model, r.dataset)}")
 
@@ -493,13 +493,14 @@ def eval_cmd(config_path, out, seed, data):
 @config_opts
 @data_opt
 @tau_opt
-@click.option("--no-refine", is_flag=True, default=False, help="Skip decoder refinement.")
+@click.option("--no-refine", is_flag=True, help="Skip decoder refinement: refine.epochs 0.")
 @_guarded
 def full_run_cmd(config_path, out, seed, data, tau, no_refine):
     """The whole pipeline: data, Stage 1, search, Stage 2, assembly,
     optional refinement, and metrics."""
-    r = _resolve(config_path, dict(out=out, seed=seed, tau=tau), data=data,
-                 reads_data=data is not None, refine=not no_refine)
+    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau,
+                               "--no-refine": 0 if no_refine else None},
+                 data=data, reads_data=data is not None)
     dataset = _write_dataset(r)[0] if r.dataset is None else r.dataset
     result = pipeline.full_run(r.run, dataset)
     sel = result.selection
@@ -540,8 +541,9 @@ def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
 @_guarded
 def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jobs, tau):
     """MC risk over the (C, w_A) grid compared against the proxy by rank."""
-    r = _resolve(config_path, {"out": out, "seed": seed, "tau": tau, "oracle.resamples": resamples,
-                               "oracle.train_size": train_size}, grid_c=grid_c, grid_w=grid_w, jobs=jobs)
+    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau, "--resamples": resamples,
+                               "--train-size": train_size, "--grid-c": _parse_grid(grid_c, int),
+                               "--grid-w": _parse_grid(grid_w, float)}, jobs=jobs)
     gen = datagen.build_generator(r.gen)
     report = oracle.grid_compare(gen, r.run, r.run.c_values, r.run.w_values, **r.study)
     csv_path = store.next_version_path(r.out, "oracle_grid", ".csv")
@@ -564,17 +566,18 @@ def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jo
 @_guarded
 def sweep_cmd(config_path, out, seed, c_fixed, grid_w, resamples, train_size, jobs, tau):
     """Accuracy/risk versus head weight at a fixed shared depth."""
-    r = _resolve(config_path, {"out": out, "seed": seed, "tau": tau, "oracle.resamples": resamples,
-                               "oracle.train_size": train_size}, grid_w=grid_w, c=c_fixed, jobs=jobs,
-                 sweep=True)
+    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau, "--resamples": resamples,
+                               "--train-size": train_size, "--grid-w": _parse_grid(grid_w, float)},
+                 c=c_fixed, jobs=jobs, sweep=True)
     gen = datagen.build_generator(r.gen)
     report = oracle.weight_sweep(gen, r.run, r.c, r.run.w_values, **r.study)
     path = store.next_version_path(r.out, "sweep", ".csv")
     report.to_csv(path)
-    if np.isnan(report.overall_mean).all():   # every resample failed at every weight
+    overall = np.where(report.valid, report.overall_mean, np.nan)
+    if np.isnan(overall).all():   # no weight where 80% of the resamples succeeded
         click.echo("best w_A=undefined")
     else:
-        best = int(np.nanargmax(report.overall_mean))
+        best = int(np.nanargmax(overall))
         click.echo(f"best w_A={report.w_values[best]} overall={report.overall_mean[best]:.4f}")
     click.echo(f"wrote {path}")
 

@@ -212,8 +212,15 @@ def _mean_stderr(values: np.ndarray, axis: int = 0) -> tuple:
     return mean, stderr, n_ok
 
 
+class _Resampled:
+    @property
+    def valid(self) -> np.ndarray:
+        """Cells where at least 80% of the m_resamples succeeded (n_ok)."""
+        return self.n_ok >= 0.8 * self.m_resamples
+
+
 @dataclass
-class OracleReport(Record):
+class OracleReport(_Resampled, Record):
     """Full-grid MC risks next to proxy totals, plus their rank agreement."""
 
     FORMAT = "tailshare-oracle-report-v1"
@@ -231,11 +238,6 @@ class OracleReport(Record):
     n_train: int
     n_eval: int
     seed: int
-
-    @property
-    def valid(self) -> np.ndarray:
-        """Cells where at least 80% of the resamples succeeded."""
-        return self.n_ok >= 0.8 * self.m_resamples
 
     def to_csv(self, path) -> None:
         write_csv(path, ("C", "w_A", "risk_mean", "risk_stderr", "proxy_total", "n_ok", "valid"),
@@ -302,7 +304,7 @@ def grid_compare(
 
 
 @dataclass
-class SweepReport(Record):
+class SweepReport(_Resampled, Record):
     """Per-weight accuracy and risk at a fixed shared depth."""
 
     FORMAT = "tailshare-sweep-report-v1"

@@ -85,7 +85,8 @@ def task_offsets(priors: np.ndarray, tau: float, split: TaskSplit) -> tuple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs besides the data itself."""
+    """Everything a pipeline run needs besides the data itself. full_run
+    refines when refine_opt is set with epochs > 0."""
 
     spec: ModelSpec
     stage1_opt: OptConfig
@@ -95,13 +96,10 @@ class RunConfig:
     tau: float = 1.0
     c_values: tuple | None = None
     w_values: tuple | None = None
-    refine: bool = False
 
     def __post_init__(self):
         if self.tau < 0:
             raise ConfigError("tau must be >= 0")
-        if self.refine and self.refine_opt is None:
-            raise ConfigError("refine=True requires refine_opt")
 
 
 def _offsets_for(tau: float, td: TaskData) -> tuple:
@@ -353,7 +351,7 @@ def full_run(cfg: RunConfig, dataset: LongTailDataset) -> PipelineResult:
     selection = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
     s2 = stage2(cfg, td, selection.w_star)
     model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split, td.priors)
-    refined = cfg.refine and cfg.refine_opt.epochs > 0
+    refined = cfg.refine_opt is not None and cfg.refine_opt.epochs > 0
     if refined:
         model = refine_decoders(model, td, cfg.refine_opt, cfg.tau)
     return PipelineResult(td, s1, selection, s2, model, refined)

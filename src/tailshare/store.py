@@ -104,9 +104,7 @@ def load_container(path) -> tuple:
 
 
 def save_params(path, spec: ModelSpec, params: ParamVector, extra: dict | None = None) -> None:
-    meta = {"kind": "params", "spec": asdict(spec)}
-    meta.update(extra or {})
-    save_container(path, meta, {"params": params.values})
+    save_container(path, {"kind": "params", "spec": asdict(spec), **(extra or {})}, {"params": params.values})
 
 
 @contextmanager
@@ -130,15 +128,9 @@ def load_params(path) -> tuple:
 
 def save_stage1(path, spec: ModelSpec, s1: Stage1Result, split: TaskSplit,
                 priors: np.ndarray, extra: dict | None = None) -> None:
-    meta = {
-        "kind": "stage1",
-        "spec": asdict(spec),
-        "split": asdict(split),
-        "sample_count": s1.fisher_a.sample_count,
-        "losses_a": list(s1.losses_a),
-        "losses_b": list(s1.losses_b),
-    }
-    meta.update(extra or {})
+    meta = {"kind": "stage1", "spec": asdict(spec), "split": asdict(split),
+            "sample_count": s1.fisher_a.sample_count, "losses_a": list(s1.losses_a),
+            "losses_b": list(s1.losses_b), **(extra or {})}
     save_container(path, meta, {
         "params_a": s1.params_a.values,
         "params_b": s1.params_b.values,
@@ -149,15 +141,21 @@ def save_stage1(path, spec: ModelSpec, s1: Stage1Result, split: TaskSplit,
 
 
 def load_stage1(path) -> tuple:
+    """The stage-1 container; its sample_count is the training-set size N."""
     meta, arrays = load_container(path)
     with _artifact(path):
         spec = ModelSpec(**meta["spec"])
+        if "sample_count" not in meta:
+            raise DataFormatError(f"{path}: no sample_count in the container's metadata")
+        n = meta["sample_count"]
+        if type(n) is not int or n < 1:  # JSON's true is not an int
+            raise DataFormatError(f"{path}: sample_count must be an int >= 1, got {json.dumps(n)}")
         table = spec.block_table()
         s1 = Stage1Result(
             params_a=ParamVector(arrays["params_a"], table),
             params_b=ParamVector(arrays["params_b"], table),
-            fisher_a=DiagFisher(arrays["fisher_a"], meta["sample_count"]),
-            fisher_b=DiagFisher(arrays["fisher_b"], meta["sample_count"]),
+            fisher_a=DiagFisher(arrays["fisher_a"], n),
+            fisher_b=DiagFisher(arrays["fisher_b"], n),
             losses_a=meta["losses_a"],
             losses_b=meta["losses_b"],
         )
@@ -165,13 +163,8 @@ def load_stage1(path) -> tuple:
 
 
 def save_model(path, model: AssembledModel, extra: dict | None = None) -> None:
-    meta = {
-        "kind": "model",
-        "spec": asdict(model.spec),
-        "split": asdict(model.split),
-        "c": model.c,
-    }
-    meta.update(extra or {})
+    meta = {"kind": "model", "spec": asdict(model.spec), "split": asdict(model.split), "c": model.c,
+            **(extra or {})}
     save_container(path, meta, {
         "branch_a": model.branch_a.values,
         "branch_b": model.branch_b.values,

@@ -3,12 +3,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from tailshare.cli import main
 from tailshare.presets import toy_config_dict
-from tailshare.store import load_model, load_params, load_stage1, save_container, save_params, save_stage1
+from tailshare.store import (load_container, load_model, load_params, load_stage1, save_container,
+                             save_params, save_stage1)
 
 
 @pytest.fixture()
@@ -404,6 +406,24 @@ class TestOracleCommands:
             (row,) = list(csv.DictReader(fh))
         assert row["n_ok"] == "0" and math.isnan(float(row["overall_mean"]))
 
+    @pytest.mark.parametrize("n_ok, best", [([2, 1, 2], "best w_A=0.8 overall=0.6000"),
+                                            ([1, 1, 0], "best w_A=undefined")])
+    def test_sweep_picks_its_best_weight_among_valid_weights(self, runner, tmp_path, monkeypatch,
+                                                             n_ok, best):
+        """Like oracle's cells, a weight is valid when at least 80% of its
+        resamples succeeded; one that succeeded on 1 of 2 never wins."""
+        from tailshare import oracle
+
+        def one_lucky_weight(gen, run_cfg, c, w_values, m_resamples, n_train, **_):
+            acc = np.array([0.5, 0.9, 0.6])
+            return oracle.SweepReport(c, w_values, *([acc] * 8), np.array(n_ok), 2, n_train, 0)
+
+        monkeypatch.setattr(oracle, "weight_sweep", one_lucky_weight)
+        result = runner.invoke(main, ["sweep", "--grid-w", "0.2,0.5,0.8", "--resamples", "2",
+                                      "--config", str(TOY), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        assert best in result.output
+
     @pytest.mark.parametrize("command", ["oracle", "sweep"])
     def test_overflow_while_scoring_is_no_warning(self, runner, tmp_path, command):
         """Stage-2 trunks with huge finite parameters overflow on the
@@ -564,36 +584,59 @@ class TestInputsResolvedBeforeAnyWrite:
         assert "error[data]" in result.output and f"{path}: " in result.output
         assert run_dir_state(searched) == before
 
-    @pytest.mark.parametrize("command, extra, code, named", [
-        ("search", None, 5, "no n_train in the container's metadata"),
-        ("search", {"n_train": "300"}, 5, 'n_train must be an int >= 1, got "300"'),
-        ("search", {"n_train": 0}, 5, "n_train must be an int >= 1, got 0"),
-        ("search", {"n_train": True}, 5, "n_train must be an int >= 1, got true"),
-        ("assemble", None, 5, "no c_star in the container's metadata"),
-        ("assemble", {"c_star": 1}, 5, "no w_star in the container's metadata"),
-        ("assemble", {"c_star": 1.0, "w_star": 0.5}, 5, "c_star must be an int, got 1.0"),
-        ("assemble", {"c_star": 1, "w_star": "0.5"}, 5, 'w_star must be a number, got "0.5"'),
-        ("assemble", {"c_star": 3, "w_star": 0.5}, 2, "c_star: shared depth 3 out of range 0..2"),
-        ("assemble", {"c_star": 1, "w_star": 7}, 2, "w_star: w_a candidates must lie in [0, 1], got 7.0"),
+    @pytest.mark.parametrize("extra, code, named", [
+        (None, 5, "no c_star in the container's metadata"),
+        ({"c_star": 1}, 5, "no w_star in the container's metadata"),
+        ({"c_star": 1.0, "w_star": 0.5}, 5, "c_star must be an int, got 1.0"),
+        ({"c_star": 1, "w_star": "0.5"}, 5, 'w_star must be a number, got "0.5"'),
+        ({"c_star": 3, "w_star": 0.5}, 2, "c_star: shared depth 3 out of range 0..2"),
+        ({"c_star": 1, "w_star": 7}, 2, "w_star: w_a candidates must lie in [0, 1], got 7.0"),
     ])
-    def test_container_without_the_cli_metadata_writes_nothing(self, runner, searched, command, extra,
-                                                               code, named):
-        """Containers written by the library's savers, without the keys that
-        the CLI's writers add, are refused naming the file and the key."""
-        if command == "search":
-            spec, s1, split, priors, _ = load_stage1(searched / "stage1_v001.bin")
-            path = searched / "stage1_v002.bin"
-            save_stage1(path, spec, s1, split, priors, extra)
-        else:
-            result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
-            assert result.exit_code == 0, result.output
-            spec, params, _ = load_params(searched / "stage2_v001.bin")
-            path = searched / "stage2_v002.bin"
-            save_params(path, spec, params, extra)
+    def test_container_without_the_cli_metadata_writes_nothing(self, runner, searched, extra, code, named):
+        """Stage-2 containers written by the library's saver, without the
+        keys that the CLI's writer adds, are refused naming the file and
+        the key."""
+        result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 0, result.output
+        spec, params, _ = load_params(searched / "stage2_v001.bin")
+        path = searched / "stage2_v002.bin"
+        save_params(path, spec, params, extra)
         before = run_dir_state(searched)
-        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(searched)])
+        result = runner.invoke(main, ["assemble", "--config", str(TOY), "--out", str(searched)])
         assert result.exit_code == code, result.output
         assert f"{path}: {named}" in result.output
+        assert run_dir_state(searched) == before
+
+    def test_library_stage1_container_searches_like_the_clis(self, runner, searched):
+        """search takes N from the container's sample_count, which the
+        library's saver writes: its container selects what the CLI's does."""
+        spec, s1, split, priors, _ = load_stage1(searched / "stage1_v001.bin")
+        save_stage1(searched / "stage1_v002.bin", spec, s1, split, priors)
+        result = runner.invoke(main, ["search", "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 0, result.output
+        for stem, ext in (("selection", ".json"), ("proxy_grid", ".csv")):
+            cli_file, library_file = (searched / f"{stem}_v{v}{ext}" for v in ("001", "002"))
+            assert cli_file.read_bytes() == library_file.read_bytes(), stem
+
+    @pytest.mark.parametrize("sample_count, named", [
+        (None, "no sample_count in the container's metadata"),
+        (0, "sample_count must be an int >= 1, got 0"),
+        ("x", 'sample_count must be an int >= 1, got "x"'),
+        (True, "sample_count must be an int >= 1, got true"),
+        (1.5, "sample_count must be an int >= 1, got 1.5"),
+    ])
+    def test_stage1_container_without_a_sample_count_writes_nothing(self, runner, searched,
+                                                                   sample_count, named):
+        meta, arrays = load_container(searched / "stage1_v001.bin")
+        meta.pop("sample_count")
+        if sample_count is not None:
+            meta["sample_count"] = sample_count
+        path = searched / "stage1_v002.bin"
+        save_container(path, meta, arrays)
+        before = run_dir_state(searched)
+        result = runner.invoke(main, ["search", "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 5, result.output
+        assert "error[data]" in result.output and f"{path}: {named}" in result.output
         assert run_dir_state(searched) == before
 
     def test_grids_default_to_the_select_section(self, runner, tmp_path):
@@ -687,6 +730,44 @@ class TestCommandsUseTheirContainersModel:
         stage1, stage2 = searched / "stage1_v001.bin", searched / "stage2_v001.bin"
         assert f"{stage2} and {stage1} hold networks of different layouts" in result.output
         assert run_dir_state(searched) == before
+
+
+class TestRerunFromTheSnapshot:
+    """An override flag writes through the config snapshot: the command
+    run again from its snapshot, in a fresh run directory, writes the same
+    bytes."""
+
+    def test_search_with_grid_flags(self, runner, tmp_path):
+        run_dir, fresh = tmp_path / "run", tmp_path / "fresh"
+        for args in (["gen-data"], ["stage1"], ["search", "--grid-c", "1", "--grid-w", "0.3"]):
+            assert invoke(runner, run_dir, *args).exit_code == 0, args
+        snapshot = json.loads((run_dir / "config_v003.json").read_text())
+        assert snapshot["select"] == {"c_values": [1], "w_values": [0.3]}
+        fresh.mkdir()
+        (fresh / "stage1_v001.bin").write_bytes((run_dir / "stage1_v001.bin").read_bytes())
+        result = invoke(runner, fresh, "search", config=run_dir / "config_v003.json")
+        assert result.exit_code == 0, result.output
+        assert "C*=1 w_A*=0.3" in result.output
+        for name in ("selection_v001.json", "proxy_grid_v001.csv"):
+            assert (fresh / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_full_run_without_refinement(self, runner, tmp_path):
+        toy = json.loads(TOY.read_text())
+        config = toy_copy(tmp_path, "refining", refine=dict(toy["refine"], epochs=3))
+        run_dir, fresh = tmp_path / "run", tmp_path / "fresh"
+        result = invoke(runner, run_dir, "full-run", "--no-refine", config=config)
+        assert result.exit_code == 0, result.output
+        assert json.loads((run_dir / "config_v001.json").read_text())["refine"]["epochs"] == 0
+        result = invoke(runner, fresh, "full-run", config=run_dir / "config_v001.json")
+        assert result.exit_code == 0, result.output
+        assert "refined=False" in result.output
+        assert load_model(fresh / "model_v001.bin")[1]["refined"] is False
+        first, again = run_dir_state(run_dir), run_dir_state(fresh)
+        assert sorted(first) == sorted(again)
+        for name in first:
+            if name.startswith("config_"):  # the snapshots differ in `out` alone
+                first[name], again[name] = (dict(json.loads(d[name]), out=None) for d in (first, again))
+            assert first[name] == again[name], name
 
 
 def test_every_config_key_has_a_field_and_a_default_of_its_type():

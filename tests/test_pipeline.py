@@ -35,7 +35,6 @@ def run_config(**overrides):
         spec=SPEC,
         stage1_opt=OptConfig(0.3, epochs=25, batch_size=64, seed=1),
         stage2_opt=OptConfig(0.3, epochs=25, batch_size=64, seed=2),
-        refine_opt=OptConfig(0.1, epochs=5, batch_size=64, seed=3),
         init_seed=5,
     )
     base.update(overrides)
@@ -328,12 +327,15 @@ class TestFullRun:
         assert res.selection.c_star in (0, 2)
         assert res.selection.w_star in (0.4, 0.6)
 
-    def test_refine_flag_controls_refinement(self):
+    def test_refine_opt_with_epochs_controls_refinement(self):
         ds = toy_dataset()
         plain = full_run(run_config(), ds)
-        refined = full_run(run_config(refine=True), ds)
-        assert not plain.refined
+        zero = full_run(run_config(refine_opt=OptConfig(0.1, epochs=0, batch_size=64, seed=3)), ds)
+        refined = full_run(run_config(refine_opt=OptConfig(0.1, epochs=5, batch_size=64, seed=3)), ds)
+        assert not plain.refined and not zero.refined
+        assert np.array_equal(zero.model.branch_a.values, plain.model.branch_a.values)
         assert refined.refined
+        assert not np.array_equal(refined.model.branch_a.values, plain.model.branch_a.values)
 
     def test_metrics_reasonable_on_train_data(self):
         ds = toy_dataset()
