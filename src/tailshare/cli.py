@@ -7,20 +7,23 @@ each flag sets, so the snapshot records it), the dataset and the
 upstream containers when the command reads them, and the command's own
 flags (--c, --c-star, --w-star, --data, --jobs). A command that reads a
 container uses its model, not the config's: a dataset must fit it, and
-assemble's two containers must share one layout. Every grid (--grid-c,
---grid-w, select.*) must be nonempty, every depth (--grid-c, --c,
---c-star, c_star) lie in 0..L for the model's L trunk layers, every
+assemble's two containers must hold one model. stage2's cell (C*, w_A*)
+is its flags, a missing one from the latest selection file; assemble's
+is its stage-2 container's; `_selected` reads both. Every grid
+(--grid-c, --grid-w, select.*) must be nonempty, every depth (--grid-c,
+--c, --c-star, c_star) lie in 0..L for the model's L trunk layers, every
 weight (--grid-w, --w-star, w_star) in [0, 1], and --jobs be >= 1. A
-refused input exits 2 naming it (the flag that set it, if one did), a
+refused input exits 2 naming it (its flag, or its file and key), a
 missing dataset or container exits 3, and an unreadable selection file,
-a damaged container or one without the metadata the command reads
-(search: the stage-1 sample_count, N; assemble: the stage-2 c_star and
-w_star) exits 5, each with nothing written. Only then does the command
-write the config snapshot and its versioned artifacts. Exit codes: 0
-success, 2 configuration error, 3 missing upstream artifact, 4 training
-divergence, 5 data-format error, 6 verification check failed, 1
-anything else. `tau` (--tau) is the one logit-adjustment setting; tau 0
-trains without offsets.
+a damaged container or a file without the key the command reads
+(search: the stage-1 sample_count, N; stage2 and assemble: an int
+c_star and a number w_star) exits 5 naming the file and the key, each
+with nothing written. Only then does the command write the config
+snapshot and its versioned artifacts. Exit codes: 0 success, 2
+configuration error, 3 missing upstream artifact, 4 training divergence,
+5 data-format error, 6 verification check failed, 1 anything else.
+`tau` (--tau) is the one logit-adjustment setting; tau 0 trains without
+offsets.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
 stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
@@ -105,9 +108,6 @@ _FIELDS = {
     "eval_per_class": _INT,
     "oracle": {"resamples": _INT, "train_size": _INT, "eval_points": _INT},
 }
-# The container metadata a command reads, by key: the stem of the container
-# that holds it and its field. Only the CLI's writers add these keys.
-_META = {"c_star": ("stage2", _INT), "w_star": ("stage2", _NUMBER)}
 # The config key that each override flag sets.
 _OVERRIDES = {"--out": "out", "--seed": "seed", "--tau": "tau", "--resamples": "oracle.resamples",
               "--train-size": "oracle.train_size", "--grid-c": "select.c_values",
@@ -137,6 +137,17 @@ def _set(cfg: dict, path: tuple, value) -> None:
     node[path[-1]] = value
 
 
+def _json_object(path: Path, error, what: str) -> dict:
+    """The JSON object that the file at `path` holds, else `error` naming the file."""
+    try:
+        held = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise error(f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from None
+    if not isinstance(held, dict):
+        raise error(f"{path}: the {what} must be a JSON object, got {json.dumps(held)}")
+    return held
+
+
 def _merged(config_path, overrides: dict) -> dict:
     """The defaults, then the JSON file, then the flag overrides (by flag,
     as `_OVERRIDES` maps them to keys), each value set by `_set`."""
@@ -145,13 +156,7 @@ def _merged(config_path, overrides: dict) -> dict:
         path = Path(config_path)
         if not path.exists():
             raise MissingArtifactError(f"config file not found: {path}")
-        try:
-            user = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path}: the config must be a JSON object, got {json.dumps(user)}")
-        for key, value in user.items():
+        for key, value in _json_object(path, ConfigError, "config").items():
             _set(cfg, (key,), value)
     for flag, value in overrides.items():
         if value is not None:
@@ -178,26 +183,25 @@ def _parse_grid(text, cast) -> list | None:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
 
 
-def _selected(out: str, spec: ModelSpec, c_star, w_star) -> tuple:
-    """stage2's (C*, w_A*): the flags, a missing one from the latest
-    selection, each checked against the model."""
-    names = ["--c-star", "--w-star"]
-    if c_star is None or w_star is None:
-        path = store.latest_version_path(out, "selection", ".json")
-        try:
-            sel = json.loads(path.read_text())
-            file_c, file_w = sel["c_star"], sel["w_star"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: unreadable selection ({type(exc).__name__}: {exc})") from None
-        if not (_INT.test(file_c) and _NUMBER.test(file_w)):
-            raise DataFormatError(f"{path}: c_star must be an int and w_star a number, "
-                                  f"got {json.dumps(file_c)} and {json.dumps(file_w)}")
-        if c_star is None:
-            c_star, names[0] = file_c, path.name
-        if w_star is None:
-            w_star, names[1] = file_w, path.name
-    _checked(names[0], spec.encoder_params, c_star)
-    return c_star, _checked(names[1], proxy.candidate_grid, spec, w_values=(w_star,))[1][0]
+def _selected(spec: ModelSpec, path, held: dict, flags=(None, None)) -> tuple:
+    """The cell (C*, w_A*): each flag (--c-star, --w-star) given, else its
+    key in `held`, read from `path` (a selection file or a stage-2
+    container); a missing or ill-typed key exits 5, and each value is
+    checked against the model (exit 2), naming its flag or file and key."""
+    cell = []
+    for key, field, flag, value in zip(("c_star", "w_star"), (_INT, _NUMBER),
+                                       ("--c-star", "--w-star"), flags):
+        name = flag
+        if value is None:
+            if key not in held:
+                raise DataFormatError(f"{path}: no {key} in its metadata")
+            value, name = held[key], f"{path}: {key}"
+            if not field.test(value):
+                raise DataFormatError(f"{name} must be {field.kind}, got {json.dumps(value)}")
+        cell.append((name, value))
+    (c_name, c), (w_name, w) = cell
+    _checked(c_name, spec.encoder_params, c)
+    return c, _checked(w_name, proxy.candidate_grid, spec, w_values=(w,))[1][0]
 
 
 @dataclass(frozen=True)
@@ -211,24 +215,23 @@ class Inputs:
     holdout_fraction: float
     eval_per_class: int
     dataset: datagen.LongTailDataset | None
-    c: int                        # sweep's --c (default: the trunk depth) or stage2's C*
-    w_star: float | None          # stage2's w_A*
+    c: int                        # sweep's --c (default: the trunk depth), or stage2's or assemble's C*
+    w_star: float | None          # stage2's or assemble's w_A*
     study: dict | None            # oracle or sweep sizes, study seed and jobs
     upstream: dict                # each stem the command reads: its latest container, loaded
-    meta: dict                    # the container metadata the command needs, by key
 
 
-def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(), needs=(),
+def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(),
              c=None, selection=None, jobs=None, sweep=False) -> Inputs:
     """Every input of a command, checked; only then the config snapshot.
     `overrides` maps override flags to their values (None: not given).
     `reads` names the stems of the containers a command loads; the first
-    one's model is the command's. `needs` names the `_META` keys the
-    command takes from their metadata; a missing or ill-typed key exits 5
-    naming the file. Other commands size the config's model to the
+    one's model is the command's, and a stage-2 container's metadata
+    gives assemble's cell. Other commands size the config's model to the
     dataset when they `reads_data`, else to the generator.
-    `selection` is stage2's (--c-star, --w-star); `jobs` marks an oracle
-    or (with `sweep`) a weight-sweep study."""
+    `selection` is stage2's (--c-star, --w-star), a missing one taken
+    from the latest selection file; `jobs` marks an oracle or (with
+    `sweep`) a weight-sweep study."""
     cfg = _merged(config_path, overrides)
     t = _cast(cfg)
     seed = t["seed"]
@@ -259,24 +262,12 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
                     (len(split.head_classes), len(split.tail_classes)), t["model"]["activation"])
     if reads:  # the first container's model, which assemble's stage 2 and a dataset must fit
         spec = upstream["model"][0].spec if "model" in upstream else upstream[reads[0]][0]
-        if "stage2" in upstream and upstream["stage2"][0].block_table() != spec.block_table():
-            raise ConfigError(f"{paths['stage2']} and {paths['stage1']} hold networks of different layouts")
+        if "stage2" in upstream and upstream["stage2"][0] != spec:
+            raise ConfigError(f"{paths['stage2']} and {paths['stage1']} hold different models: "
+                              f"{upstream['stage2'][0]} and {spec}")
         if dataset is not None and (n_classes, input_dim) != (sum(spec.head_dims), spec.input_dim):
             raise ConfigError(f"{data_path} does not fit the model in {paths[reads[0]]}: {n_classes} classes "
                               f"of dimension {input_dim}, not {sum(spec.head_dims)} of {spec.input_dim}")
-    meta = {}
-    for key in needs:
-        stem, field = _META[key]
-        held = upstream[stem][-1]
-        if key not in held:
-            raise DataFormatError(f"{paths[stem]}: no {key} in the container's metadata")
-        if not field.test(held[key]):
-            raise DataFormatError(f"{paths[stem]}: {key} must be {field.kind}, got {json.dumps(held[key])}")
-        meta[key] = held[key]
-    if "c_star" in meta:
-        _checked(f"{paths['stage2']}: c_star", spec.encoder_params, meta["c_star"])
-    if "w_star" in meta:
-        _checked(f"{paths['stage2']}: w_star", proxy.candidate_grid, spec, w_values=(meta["w_star"],))
     named = {_OVERRIDES[flag]: flag for flag, value in overrides.items() if value is not None}
     c_name, w_name = (named.get(key, key) for key in ("select.c_values", "select.w_values"))
     run = pipeline.RunConfig(
@@ -284,8 +275,12 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
         c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=t["select"]["c_values"])[0],
         w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=t["select"]["w_values"])[1])
     w_star = None
-    if selection is not None:
-        c, w_star = _selected(t["out"], spec, *selection)
+    if "stage2" in upstream:  # assemble works at the cell its stage-2 net was trained at
+        c, w_star = _selected(spec, paths["stage2"], upstream["stage2"][-1])
+    elif selection is not None:
+        path = store.latest_version_path(t["out"], "selection", ".json") if None in selection else None
+        held = {} if path is None else _json_object(path, DataFormatError, "selection")
+        c, w_star = _selected(spec, path, held, selection)
     elif c is None:
         c = spec.depth
     else:
@@ -302,7 +297,7 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
         oracle.check_study(o["resamples"], o["train_size"], o["eval_points"], study.get("eval_per_class"))
     store.write_config_snapshot(t["out"], cfg)
     return Inputs(t["out"], seed, gen, run, t["holdout_fraction"], t["eval_per_class"], dataset,
-                  c, w_star, study, upstream, meta)
+                  c, w_star, study, upstream)
 
 
 def _write_dataset(r: Inputs) -> tuple:
@@ -453,11 +448,10 @@ def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
 @_guarded
 def assemble_cmd(config_path, out, seed):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed}, reads=("stage1", "stage2"),
-                 needs=("c_star", "w_star"))
-    spec, s1, split, priors, _ = r.upstream["stage1"]
-    model = pipeline.assemble(spec, r.meta["c_star"], r.upstream["stage2"][1], s1, split, priors)
-    path = _write_model(r, model, False, r.meta["w_star"])
+    r = _resolve(config_path, {"--out": out, "--seed": seed}, reads=("stage1", "stage2"))
+    spec, s1, split = r.upstream["stage1"][:3]
+    model = pipeline.assemble(spec, r.c, r.upstream["stage2"][1], s1, split)
+    path = _write_model(r, model, False, r.w_star)
     click.echo(f"wrote {path} (C={model.c})")
 
 

@@ -123,9 +123,9 @@ def _run_resample(args) -> tuple:
     if stage2_params and zero_rows:
         first = next(iter(stage2_params.values()))
         cells.append((np.ix_(zero_rows, list(stage2_params)),
-                      assemble(spec, 0, first, s1, split, gen.priors)))
+                      assemble(spec, 0, first, s1, split)))
     for wi, params in stage2_params.items():
-        cells += [((ci, wi), assemble(spec, c, params, s1, split, gen.priors))
+        cells += [((ci, wi), assemble(spec, c, params, s1, split))
                   for ci, c in enumerate(c_values) if c != 0]
     models = [model for _, model in cells]
     if refine and models:

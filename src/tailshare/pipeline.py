@@ -188,22 +188,22 @@ class AssembledModel:
     branch_a and branch_b are full parameter vectors whose first
     encoder_params(c) entries are bit-identical copies of the Stage-2
     encoder; everything past the slice comes from the Stage-1 task nets.
+    It holds no priors: logit adjustment acts only in the training loss,
+    so the model predicts from raw logits.
     """
 
     spec: ModelSpec
     c: int
     split: TaskSplit
-    priors: np.ndarray
     branch_a: ParamVector
     branch_b: ParamVector
 
     def __post_init__(self):
-        self.priors = np.asarray(self.priors, dtype=np.float64)
         d = self.spec.encoder_params(self.c)
         if not np.array_equal(self.branch_a.values[:d], self.branch_b.values[:d]):
             raise StructuralError("branches must share the encoder slice bit-exactly")
-        if self.priors.shape != (self.split.n_classes,):
-            raise StructuralError("priors must give one value per class")
+        if (len(self.split.head_classes), len(self.split.tail_classes)) != self.spec.head_dims:
+            raise StructuralError(f"the split's group sizes must be the head widths {self.spec.head_dims}")
 
     def branch_logits(self, features: np.ndarray) -> tuple:
         """Both branches' logits at `features`: branch A's trunk runs once
@@ -244,14 +244,8 @@ class AssembledModel:
         return int(picks[0]) if single else picks
 
 
-def assemble(
-    spec: ModelSpec,
-    c: int,
-    stage2_params: ParamVector,
-    s1: Stage1Result,
-    split: TaskSplit,
-    priors: np.ndarray,
-) -> AssembledModel:
+def assemble(spec: ModelSpec, c: int, stage2_params: ParamVector, s1: Stage1Result,
+             split: TaskSplit) -> AssembledModel:
     """Splice the Stage-2 encoder onto the Stage-1 decoders. No training."""
     if stage2_params.block_index != s1.params_a.block_index:
         raise StructuralError("stage-2 parameters come from a different architecture")
@@ -260,7 +254,7 @@ def assemble(
     branch_b = s1.params_b.copy()
     branch_a.values[:d] = stage2_params.values[:d]
     branch_b.values[:d] = stage2_params.values[:d]
-    return AssembledModel(spec, c, split, np.asarray(priors, float), branch_a, branch_b)
+    return AssembledModel(spec, c, split, branch_a, branch_b)
 
 
 def refine_stack(
@@ -287,7 +281,7 @@ def refine_stack(
     for model, res_a, res_b in zip(models, results[::2], results[1::2]):
         failed = [res for res in (res_a, res_b) if isinstance(res, TrainingDivergenceError)]
         refined.append(failed[0] if failed else AssembledModel(
-            spec, model.c, model.split, model.priors, res_a.params, res_b.params))
+            spec, model.c, model.split, res_a.params, res_b.params))
     return refined
 
 
@@ -350,7 +344,7 @@ def full_run(cfg: RunConfig, dataset: LongTailDataset) -> PipelineResult:
     s1 = stage1(cfg, td)
     selection = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
     s2 = stage2(cfg, td, selection.w_star)
-    model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split, td.priors)
+    model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split)
     refined = cfg.refine_opt is not None and cfg.refine_opt.epochs > 0
     if refined:
         model = refine_decoders(model, td, cfg.refine_opt, cfg.tau)

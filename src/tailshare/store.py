@@ -165,27 +165,18 @@ def load_stage1(path) -> tuple:
 def save_model(path, model: AssembledModel, extra: dict | None = None) -> None:
     meta = {"kind": "model", "spec": asdict(model.spec), "split": asdict(model.split), "c": model.c,
             **(extra or {})}
-    save_container(path, meta, {
-        "branch_a": model.branch_a.values,
-        "branch_b": model.branch_b.values,
-        "priors": model.priors,
-    })
+    save_container(path, meta, {"branch_a": model.branch_a.values, "branch_b": model.branch_b.values})
 
 
 def load_model(path) -> tuple:
+    """The model container; the priors array of an older one is ignored."""
     meta, arrays = load_container(path)
     with _artifact(path):
         spec = ModelSpec(**meta["spec"])
-        table = spec.block_table()
-        model = AssembledModel(
-            spec=spec,
-            c=meta["c"],
-            split=TaskSplit(**meta["split"]),
-            priors=arrays["priors"],
-            branch_a=ParamVector(arrays["branch_a"], table),
-            branch_b=ParamVector(arrays["branch_b"], table),
-        )
-        return model, meta
+        if type(meta["c"]) is not int:  # JSON's true is not an int
+            raise DataFormatError(f"{path}: c must be an int, got {json.dumps(meta['c'])}")
+        branches = (ParamVector(arrays[name], spec.block_table()) for name in ("branch_a", "branch_b"))
+        return AssembledModel(spec, meta["c"], TaskSplit(**meta["split"]), *branches), meta
 
 
 _VERSION_RE = re.compile(r"_v(\d{3,})$")

@@ -218,6 +218,16 @@ class TestErrorPaths:
         assert not [name for name in written if name.startswith(
             ("stage1", "proxy_grid", "selection", "stage2", "model", "metrics"))], written
 
+    @pytest.mark.parametrize("text, named", [(b'{"seed": 1', "unreadable config (JSONDecodeError"),
+                                             (b"\xff\xfe", "unreadable config (UnicodeDecodeError")])
+    def test_unreadable_config_exits_before_any_file(self, runner, tmp_path, text, named):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        result = runner.invoke(main, ["gen-data", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert "error[config]" in result.output and f"{path}: {named}" in result.output
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command, text, named", [
         ("stage1", '{"model": null}', "model must be an object, got null"),
         ("stage1", '{"tau": null}', "tau must be a number, got null"),
@@ -480,8 +490,15 @@ class TestInputsResolvedBeforeAnyWrite:
         before = run_dir_state(searched)
         result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
         assert result.exit_code == 2, result.output
-        assert "selection_v001.json: shared depth 4 out of range 0..2" in result.output
+        assert f"{sel}: c_star: shared depth 4 out of range 0..2" in result.output
         assert run_dir_state(searched) == before
+
+    def test_stage2_with_both_flags_reads_no_selection(self, runner, tmp_path):
+        run_dir = tmp_path / "run"
+        for args in (["gen-data"], ["stage2", "--c-star", "1", "--w-star", "0.5"]):
+            result = runner.invoke(main, args + ["--config", str(TOY), "--out", str(run_dir)])
+            assert result.exit_code == 0, (args, result.output)
+        assert load_params(run_dir / "stage2_v001.bin")[2]["c_star"] == 1
 
     @pytest.mark.parametrize("command", ["oracle", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -524,12 +541,9 @@ class TestInputsResolvedBeforeAnyWrite:
 
     @pytest.mark.parametrize("text, named", [
         (b'{"c_star": 1, "w_st', "unreadable selection (JSONDecodeError"),
-        (b'{"c_star": 1}', "unreadable selection (KeyError: 'w_star')"),
-        (b'{"w_star": 0.5}', "unreadable selection (KeyError: 'c_star')"),
-        (b"[1, 0.5]", "unreadable selection (TypeError"),
+        (b"[1, 0.5]", "the selection must be a JSON object, got [1, 0.5]"),
+        (b'"c_star"', 'the selection must be a JSON object, got "c_star"'),
         (b"\xff\xfe", "unreadable selection (UnicodeDecodeError"),
-        (b'{"c_star": "1", "w_star": 0.5}', 'c_star must be an int and w_star a number, got "1" and 0.5'),
-        (b'{"c_star": 1, "w_star": null}', "c_star must be an int and w_star a number, got 1 and null"),
     ])
     def test_unreadable_selection_exits_5_writing_nothing(self, runner, searched, text, named):
         (searched / "selection_v001.json").write_bytes(text)
@@ -584,23 +598,40 @@ class TestInputsResolvedBeforeAnyWrite:
         assert "error[data]" in result.output and f"{path}: " in result.output
         assert run_dir_state(searched) == before
 
-    @pytest.mark.parametrize("extra, code, named", [
-        (None, 5, "no c_star in the container's metadata"),
-        ({"c_star": 1}, 5, "no w_star in the container's metadata"),
+    # A cell held in a file, each refused the same way from either source.
+    CELLS = pytest.mark.parametrize("cell, code, named", [
+        ({}, 5, "no c_star in its metadata"),
+        ({"c_star": 1}, 5, "no w_star in its metadata"),
         ({"c_star": 1.0, "w_star": 0.5}, 5, "c_star must be an int, got 1.0"),
+        ({"c_star": True, "w_star": 0.5}, 5, "c_star must be an int, got true"),
         ({"c_star": 1, "w_star": "0.5"}, 5, 'w_star must be a number, got "0.5"'),
+        ({"c_star": 1, "w_star": None}, 5, "w_star must be a number, got null"),
         ({"c_star": 3, "w_star": 0.5}, 2, "c_star: shared depth 3 out of range 0..2"),
+        ({"c_star": -1, "w_star": 0.5}, 2, "c_star: shared depth -1 out of range 0..2"),
         ({"c_star": 1, "w_star": 7}, 2, "w_star: w_a candidates must lie in [0, 1], got 7.0"),
     ])
-    def test_container_without_the_cli_metadata_writes_nothing(self, runner, searched, extra, code, named):
-        """Stage-2 containers written by the library's saver, without the
-        keys that the CLI's writer adds, are refused naming the file and
-        the key."""
+
+    @CELLS
+    def test_selection_cell_is_refused_writing_nothing(self, runner, searched, cell, code, named):
+        """stage2 reads its cell from the latest selection file."""
+        path = searched / "selection_v002.json"
+        path.write_text(json.dumps(cell))
+        before = run_dir_state(searched)
+        result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == code, result.output
+        assert f"{path}: {named}" in result.output
+        assert run_dir_state(searched) == before
+
+    @CELLS
+    def test_stage2_container_cell_is_refused_writing_nothing(self, runner, searched, cell, code, named):
+        """assemble reads its cell from the stage-2 container's metadata,
+        which only the CLI's writer adds: a container written by the
+        library's saver without it is refused too."""
         result = runner.invoke(main, ["stage2", "--config", str(TOY), "--out", str(searched)])
         assert result.exit_code == 0, result.output
         spec, params, _ = load_params(searched / "stage2_v001.bin")
         path = searched / "stage2_v002.bin"
-        save_params(path, spec, params, extra)
+        save_params(path, spec, params, cell)
         before = run_dir_state(searched)
         result = runner.invoke(main, ["assemble", "--config", str(TOY), "--out", str(searched)])
         assert result.exit_code == code, result.output
@@ -722,14 +753,68 @@ class TestCommandsUseTheirContainersModel:
         assert f"{data} does not fit the model in {model}: {fit}, not 6 of 4" in result.output
         assert run_dir_state(searched) == before
 
-    def test_assemble_of_two_layouts_writes_nothing(self, runner, tmp_path, searched):
-        assert invoke(runner, searched, "stage2", config=trunk(tmp_path, [8, 6])).exit_code == 0
+    @pytest.mark.parametrize("model", [{"trunk_widths": [8, 6], "activation": "tanh"},
+                                       {"trunk_widths": [8, 8], "activation": "relu"}])
+    def test_assemble_of_two_models_writes_nothing(self, runner, tmp_path, searched, model):
+        """The stage-2 net must be the stage-1 container's model: its
+        layout and its activation."""
+        other = toy_copy(tmp_path, "other", model=model)
+        assert invoke(runner, searched, "stage2", "--c-star", "2", config=other).exit_code == 0
         before = run_dir_state(searched)
         result = invoke(runner, searched, "assemble")
         assert result.exit_code == 2, result.output
         stage1, stage2 = searched / "stage1_v001.bin", searched / "stage2_v001.bin"
-        assert f"{stage2} and {stage1} hold networks of different layouts" in result.output
+        assert f"{stage2} and {stage1} hold different models" in result.output
+        assert f"activation={model['activation']!r}" in result.output
         assert run_dir_state(searched) == before
+
+
+class TestModelContainer:
+    """eval and refine read the latest model container: its depth must be
+    an int and its split must fit the heads, and one written with a priors
+    array, as every model container once was, still loads with the priors
+    ignored."""
+
+    @pytest.fixture()
+    def assembled(self, runner, searched):
+        for step in ("stage2", "assemble"):
+            assert invoke(runner, searched, step).exit_code == 0, step
+        return searched
+
+    @pytest.mark.parametrize("command", ["eval", "refine"])
+    @pytest.mark.parametrize("c", [True, 1.0, "1", None])
+    def test_depth_that_is_not_an_int_writes_nothing(self, runner, assembled, command, c):
+        meta, arrays = load_container(assembled / "model_v001.bin")
+        path = assembled / "model_v002.bin"
+        save_container(path, {k: v for k, v in meta.items() if k != "arrays"} | {"c": c}, arrays)
+        before = run_dir_state(assembled)
+        result = invoke(runner, assembled, command)
+        assert result.exit_code == 5, result.output
+        assert f"{path}: c must be an int, got {json.dumps(c)}" in result.output
+        assert run_dir_state(assembled) == before
+
+    def test_split_that_does_not_fit_the_heads_writes_nothing(self, runner, assembled):
+        """Eight classes in groups of 4 and 4 against heads of 3 and 3."""
+        meta, arrays = load_container(assembled / "model_v001.bin")
+        path = assembled / "model_v002.bin"
+        split = {"head_classes": [0, 1, 2, 3], "tail_classes": [4, 5, 6, 7]}
+        save_container(path, {k: v for k, v in meta.items() if k != "arrays"} | {"split": split}, arrays)
+        before = run_dir_state(assembled)
+        result = invoke(runner, assembled, "eval")
+        assert result.exit_code == 5, result.output
+        assert f"{path}: inconsistent artifact" in result.output and "head widths (3, 3)" in result.output
+        assert run_dir_state(assembled) == before
+
+    def test_container_with_priors_evaluates_as_without(self, runner, assembled):
+        meta, arrays = load_container(assembled / "model_v001.bin")
+        assert sorted(arrays) == ["branch_a", "branch_b"]
+        priors = np.full(sum(meta["spec"]["head_dims"]), 1.0 / sum(meta["spec"]["head_dims"]))
+        assert invoke(runner, assembled, "eval").exit_code == 0
+        save_container(assembled / "model_v002.bin", {k: v for k, v in meta.items() if k != "arrays"},
+                       dict(arrays, priors=priors))
+        result = invoke(runner, assembled, "eval")
+        assert result.exit_code == 0, result.output
+        assert (assembled / "metrics_v001.csv").read_bytes() == (assembled / "metrics_v002.csv").read_bytes()
 
 
 class TestRerunFromTheSnapshot:
@@ -787,3 +872,27 @@ def test_every_config_key_has_a_field_and_a_default_of_its_type():
 def test_toy_config_file_is_the_cli_defaults():
     """configs/toy.json, which the README and CI run, is the CLI's defaults."""
     assert json.loads(TOY.read_text()) == toy_config_dict()
+
+
+def test_reference_config_file_is_the_reference_instance():
+    """configs/reference.json, which the acceptance criteria describe, is
+    the reference instance of `tailshare.presets` (the stage seeds aside)."""
+    from dataclasses import asdict
+
+    from tailshare import presets
+
+    def unseeded(settings):
+        return {key: value for key, value in asdict(settings).items() if key != "seed"}
+
+    ref = json.loads((TOY.parent / "reference.json").read_text())
+    gen, run = presets.reference_generator_config(), presets.reference_run_config()
+    assert (ref["seed"], ref["generator"]) == (gen.seed, unseeded(gen))
+    assert ref["generator"]["input_dim"] == run.spec.input_dim
+    assert ref["model"] == {"trunk_widths": list(run.spec.trunk_widths), "activation": run.spec.activation}
+    for section, opt in (("stage1", run.stage1_opt), ("stage2", run.stage2_opt), ("refine", run.refine_opt)):
+        assert ref[section] == unseeded(opt), section
+    assert ref["tau"] == run.tau
+    assert ref["eval_per_class"] == presets.REFERENCE_EVAL_PER_CLASS
+    assert ref["oracle"] == {"resamples": presets.REFERENCE_M_RESAMPLES,
+                             "train_size": presets.REFERENCE_N_TRAIN,
+                             "eval_points": presets.REFERENCE_EVAL_POINTS}

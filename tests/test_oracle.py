@@ -225,7 +225,7 @@ class TestResampleEngine:
             for wi, w in enumerate(self.W_VALUES):
                 s2 = stage2(cfg_m, td, w, s1)
                 for ci, c in enumerate(self.C_VALUES):
-                    model = assemble(SPEC, c, s2.params, s1, split, GEN.priors)
+                    model = assemble(SPEC, c, s2.params, s1, split)
                     risks[m, ci, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
         grid = select_structure(first_s1, 300, SPEC, self.C_VALUES, self.W_VALUES)
@@ -255,7 +255,7 @@ class TestResampleEngine:
                             refine_opt=replace(cfg.refine_opt, seed=cfg.refine_opt.seed + m))
             s1 = stage1(cfg_m, td)
             for wi, w in enumerate(self.W_VALUES):
-                model = assemble(SPEC, c, stage2(cfg_m, td, w, s1).params, s1, split, GEN.priors)
+                model = assemble(SPEC, c, stage2(cfg_m, td, w, s1).params, s1, split)
                 model = refine_decoders(model, td, cfg_m.refine_opt, cfg_m.tau)
                 risks[m, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
                 accs[m, wi] = evaluate(model, *balanced).overall_accuracy

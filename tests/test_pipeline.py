@@ -184,7 +184,7 @@ class TestAssemble:
         cfg = run_config()
         s1 = stage1(cfg, td)
         s2 = stage2(cfg, td, 0.6)
-        return td, s1, s2, assemble(SPEC, c, s2.params, s1, td.split, td.priors)
+        return td, s1, s2, assemble(SPEC, c, s2.params, s1, td.split)
 
     def test_depth_zero_equals_stage1_networks(self):
         _, s1, _, model = self.build(0)
@@ -208,7 +208,7 @@ class TestAssemble:
 
     def test_idempotent(self):
         td, s1, s2, model = self.build(1)
-        again = assemble(SPEC, 1, s2.params, s1, td.split, td.priors)
+        again = assemble(SPEC, 1, s2.params, s1, td.split)
         assert np.array_equal(model.branch_a.values, again.branch_a.values)
         assert np.array_equal(model.branch_b.values, again.branch_b.values)
 
@@ -221,7 +221,7 @@ class TestAssemble:
         td, s1, s2, _ = self.build(1)
         other = init_params(ModelSpec(4, (8, 7), (3, 3)), 0)
         with pytest.raises(StructuralError):
-            assemble(SPEC, 1, other, s1, td.split, td.priors)
+            assemble(SPEC, 1, other, s1, td.split)
 
 
 class TestRefine:
@@ -247,7 +247,7 @@ class TestRefine:
             cfg = run_config(init_seed=seed)
             s1 = stage1(cfg, td)
             s2 = stage2(cfg, td, 0.5)
-            model = assemble(SPEC, 1, s2.params, s1, td.split, td.priors)
+            model = assemble(SPEC, 1, s2.params, s1, td.split)
             before = evaluate(model, ds.features, ds.labels)
             out = refine_decoders(model, td, OptConfig(0.1, epochs=8, batch_size=64, seed=seed))
             after = evaluate(out, ds.features, ds.labels)
@@ -261,7 +261,7 @@ class TestRefine:
         cfg = run_config(spec=spec)
         s1 = stage1(cfg, td)
         s2 = stage2(cfg, td, 0.6)
-        models = [assemble(spec, c, s2.params, s1, td.split, td.priors) for c in (0, 1, 2)]
+        models = [assemble(spec, c, s2.params, s1, td.split) for c in (0, 1, 2)]
         # At this rate the fully trainable c = 0 decoders overflow; deeper
         # encoders leave too few trainable layers to get there.
         opt = OptConfig(1e50, epochs=20, batch_size=64, seed=4)
@@ -286,8 +286,7 @@ class TestPredict:
         fan = 2 * len(head_bias)
         branch_a.block("head_a")[fan:] = head_bias
         branch_b.block("head_b")[2 * len(tail_bias):] = tail_bias
-        priors = np.full(split.n_classes, 1.0 / split.n_classes)
-        return AssembledModel(spec, 0, split, priors, branch_a, branch_b)
+        return AssembledModel(spec, 0, split, branch_a, branch_b)
 
     def test_argmax_of_concatenated_scores(self):
         model = self.hand_model([2.0, 0.1], [0.5], TaskSplit((0, 1), (2,)))
@@ -407,8 +406,7 @@ def test_branch_logits_equal_two_forward_calls_with_one_encoder_pass(monkeypatch
         branch_a, branch_b = (ParamVector(rng.normal(size=spec.param_count), spec.block_table())
                               for _ in range(2))
         branch_b.values[:spec.encoder_params(c)] = branch_a.values[:spec.encoder_params(c)]
-        model = AssembledModel(spec, c, TaskSplit((0, 1, 2), (3, 4)), np.full(5, 0.2),
-                               branch_a, branch_b)
+        model = AssembledModel(spec, c, TaskSplit((0, 1, 2), (3, 4)), branch_a, branch_b)
         calls = count_passes(monkeypatch)
         s_a, s_b = model.branch_logits(x)
         monkeypatch.undo()

@@ -40,7 +40,7 @@ def pipeline_pieces():
                     init_seed=4)
     s1 = stage1(cfg, td)
     s2 = stage2(cfg, td, 0.5)
-    model = assemble(SPEC, 1, s2.params, s1, td.split, td.priors)
+    model = assemble(SPEC, 1, s2.params, s1, td.split)
     return td, s1, s2, model
 
 
@@ -222,8 +222,8 @@ class TestArtifacts:
         assert back.split == model.split
         assert np.array_equal(back.branch_a.values, model.branch_a.values)
         assert np.array_equal(back.branch_b.values, model.branch_b.values)
-        assert np.array_equal(back.priors, model.priors)
         assert meta["refined"] is False
+        assert sorted(load_container(path)[1]) == ["branch_a", "branch_b"]
 
 
     @pytest.mark.parametrize("loader", [load_params, load_stage1, load_model])
