@@ -466,10 +466,10 @@ def refine_cmd(config_path, out, seed, data, tau):
                  reads=("model",))
     model, meta = r.upstream["model"]
     td = pipeline.build_task_data(r.dataset, model.split)
-    opt = r.run.refine_opt
-    refined = pipeline.refine_decoders(model, td, opt, r.run.tau)
-    path = _write_model(r, refined, opt.epochs > 0, meta.get("w_star"))
-    click.echo(f"wrote {path} (refined {opt.epochs} epochs)")
+    refined = pipeline.refine_decoders(model, td, r.run)
+    epochs = r.run.refine_opt.epochs
+    path = _write_model(r, refined, epochs > 0, meta.get("w_star"))
+    click.echo(f"wrote {path} (refined {epochs} epochs)")
 
 
 @main.command("eval")

@@ -84,9 +84,6 @@ class ModelSpec:
     def depth(self) -> int:
         return len(self.trunk_widths)
 
-    def block_names(self) -> tuple:
-        return tuple(b.name for b in self._layout)
-
     def block_shape(self, name: str) -> tuple:
         for b in self._layout:
             if b.name == name:
@@ -112,10 +109,6 @@ class ModelSpec:
         """Parameters of trunk layers c+1..L plus the task head."""
         head = self._layout[self.depth + _task_index(task)]
         return self.encoder_params(self.depth) - self.encoder_params(c) + head.length
-
-    def decoder_block_names(self, c: int, task: str) -> tuple:
-        head = self._layout[self.depth + _task_index(task)]
-        return tuple(b.name for b in self._layout[c:self.depth]) + (head.name,)
 
 
 @dataclass
@@ -342,21 +335,6 @@ def _check_inputs(spec: ModelSpec, features, labels: tuple, offsets: tuple) -> t
                 raise StructuralError(
                     f"task {TASKS[t]} offsets must be {(spec.head_dims[t],)}, got {offs[t].shape}")
     return x, tuple(zs), tuple(offs)
-
-
-def _trainable_mask(spec: ModelSpec, trainable) -> np.ndarray | None:
-    """Flat mask of the trainable blocks; None means everything."""
-    if trainable is None:
-        return None
-    names = set(trainable)
-    unknown = names - set(spec.block_names())
-    if unknown:
-        raise StructuralError(f"unknown trainable blocks: {sorted(unknown)}")
-    mask = np.zeros(spec.param_count, dtype=bool)
-    for b in spec._layout:
-        if b.name in names:
-            mask[b.offset:b.offset + b.length] = True
-    return mask
 
 
 def _sum_batch(a: np.ndarray, out: np.ndarray) -> None:
@@ -605,20 +583,22 @@ def train_stack(
     batch: Batch,
     task_weights: list,
     opt: OptConfig,
-    trainable: list | None = None,
+    frozen: list | None = None,
     offsets: tuple = (None, None),
 ) -> list:
     """SGD with momentum on w_a * BCE_A + w_b * BCE_B for a stack of networks.
 
     The members share the batch and the optimizer settings, so also the
     seeded per-epoch minibatch order; each has its own start parameters,
-    task weights and trainable blocks (`trainable` gives one entry per
-    member: block names, or None for every block).
+    task weights and frozen encoder depth (`frozen` gives one depth c per
+    member, default 0: its trunk layers 1..c, the flat prefix
+    encoder_params(c), stay bit-for-bit fixed; 0 trains everything).
     Every sample contributes to both task terms (all-zero label rows just
     drop the positive part). A member with zero weight on a task never
-    reads that task's labels or head, and parameters outside its trainable
-    blocks stay bit-for-bit untouched. Each member's trajectory is
-    bit-identical to training it alone.
+    reads that task's labels or head: that head's gradient block is never
+    written, so it stays exactly 0, its velocity +0.0, and the head keeps
+    its bits. Each member's trajectory is bit-identical to training it
+    alone.
 
     Returns one entry per member, in order: its TrainResult, or the
     TrainingDivergenceError of the epoch where its loss first went
@@ -631,9 +611,9 @@ def train_stack(
         raise ConfigError("need at least one network to train")
     if len(task_weights) != k:
         raise ConfigError("need one task-weight pair per network")
-    trainable = [None] * k if trainable is None else list(trainable)
-    if len(trainable) != k:
-        raise ConfigError("need one trainable entry per network")
+    frozen = [0] * k if frozen is None else list(frozen)
+    if len(frozen) != k:
+        raise ConfigError("need one frozen depth per network")
     for params in starts:
         _check_params(params, spec)
     weights = np.array([_check_weights(tw) for tw in task_weights])
@@ -642,10 +622,8 @@ def train_stack(
     weights = weights[members]
     labels = tuple(z if weights[:, t].any() else None for t, z in enumerate((batch.z_a, batch.z_b)))
     inputs = _check_inputs(spec, batch.features, labels, offsets)
-    masks = [_trainable_mask(spec, trainable[m]) for m in members]
-    mask = None
-    if any(m is not None for m in masks):
-        mask = np.stack([np.ones(spec.param_count, dtype=bool) if m is None else m for m in masks])
+    prefix = np.array([spec.encoder_params(frozen[m]) for m in members])
+    mask = np.arange(spec.param_count) >= prefix[:, None] if prefix.any() else None
     stack = _Stack(spec, np.stack([starts[m].values for m in members]), weights, inputs)
     velocity = np.zeros_like(stack.values)
 
@@ -699,7 +677,7 @@ def train(
     batch: Batch,
     task_weights: tuple,
     opt: OptConfig,
-    trainable=None,
+    frozen: int = 0,
     offsets: tuple = (None, None),
 ) -> TrainResult:
     """SGD-with-momentum on w_a * BCE_A + w_b * BCE_B: train_stack for one
@@ -707,7 +685,7 @@ def train(
     (config, seed) pair reproduces the trained parameters exactly. Raises
     TrainingDivergenceError when the loss goes non-finite.
     """
-    (result,) = train_stack([params], spec, batch, [task_weights], opt, [trainable], offsets)
+    (result,) = train_stack([params], spec, batch, [task_weights], opt, [frozen], offsets)
     if isinstance(result, TrainingDivergenceError):
         raise result
     return result

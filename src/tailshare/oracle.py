@@ -76,14 +76,12 @@ def spearman(x, y) -> float | None:
 
 
 def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
-    refine_opt = run_cfg.refine_opt
-    if refine_opt is not None:
-        refine_opt = replace(refine_opt, seed=refine_opt.seed + m)
+    """run_cfg with the shuffle seeds of all three optimizers shifted by m."""
     return replace(
         run_cfg,
         stage1_opt=replace(run_cfg.stage1_opt, seed=run_cfg.stage1_opt.seed + m),
         stage2_opt=replace(run_cfg.stage2_opt, seed=run_cfg.stage2_opt.seed + m),
-        refine_opt=refine_opt,
+        refine_opt=replace(run_cfg.refine_opt, seed=run_cfg.refine_opt.seed + m),
     )
 
 
@@ -129,7 +127,7 @@ def _run_resample(args) -> tuple:
                   for ci, c in enumerate(c_values) if c != 0]
     models = [model for _, model in cells]
     if refine and models:
-        models = refine_stack(models, td, cfg_m.refine_opt, cfg_m.tau)
+        models = refine_stack(models, td, cfg_m)
     # Cells come weight by weight, so one weight's activations are kept.
     encoded = lru_cache(maxsize=1)(lambda wi: trunk_activations(stage2_params[wi], spec, eval_points))
     # As in training, overflow gives a non-finite risk (a failed cell), not a warning.
@@ -351,11 +349,10 @@ def weight_sweep(
     risk uses feature draws from the training marginal. With refine=True
     every assembled model gets the decoder-only fine-tune before being
     measured, which reads the accuracy of the deployable model rather than
-    of the raw splice.
+    of the raw splice; with refine_opt.epochs 0 the fine-tune changes
+    nothing.
     """
     (c,), w_values = candidate_grid(run_cfg.spec, (c,), w_values)
-    if refine and run_cfg.refine_opt is None:
-        raise ConfigError("refine=True requires run_cfg.refine_opt")
     risks, accs, _ = _collect_resamples(gen, run_cfg, (c,), w_values, m_resamples, n_train,
                                         seed, n_eval, jobs, eval_per_class, refine)
     risk_mean, risk_stderr, n_ok = _mean_stderr(risks[:, 0, :])

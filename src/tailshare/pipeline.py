@@ -65,33 +65,15 @@ def build_task_data(
     return TaskData(dataset.features, z_a, z_b, split, np.asarray(priors, float))
 
 
-def logit_offsets(priors: np.ndarray, tau: float) -> np.ndarray:
-    """Per-class additive training offsets tau * log(prior)."""
-    priors = np.asarray(priors, dtype=np.float64)
-    if np.any(priors <= 0):
-        raise DomainError("logit adjustment needs strictly positive class priors")
-    if abs(priors.sum() - 1.0) > 1e-9:
-        raise DomainError("priors must sum to 1")
-    if tau < 0:
-        raise ConfigError("tau must be >= 0")
-    return tau * np.log(priors)
-
-
-def task_offsets(priors: np.ndarray, tau: float, split: TaskSplit) -> tuple:
-    """logit_offsets restricted to each group's columns, in group order."""
-    full = logit_offsets(priors, tau)
-    return full[list(split.head_classes)], full[list(split.tail_classes)]
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs besides the data itself. full_run
-    refines when refine_opt is set with epochs > 0."""
+    refines when refine_opt.epochs > 0."""
 
     spec: ModelSpec
     stage1_opt: OptConfig
     stage2_opt: OptConfig
-    refine_opt: OptConfig | None = None
+    refine_opt: OptConfig
     init_seed: int = 0
     tau: float = 1.0
     c_values: tuple | None = None
@@ -102,11 +84,15 @@ class RunConfig:
             raise ConfigError("tau must be >= 0")
 
 
-def _offsets_for(tau: float, td: TaskData) -> tuple:
-    """No training offsets at tau 0 (the plain loss), else task_offsets."""
-    if tau == 0:
+def _offsets_for(cfg: RunConfig, td: TaskData) -> tuple:
+    """Per-group additive training offsets tau * log(prior), in group
+    order; none at tau 0 (the plain loss)."""
+    if cfg.tau == 0:
         return None, None
-    return task_offsets(td.priors, tau, td.split)
+    if np.any(td.priors <= 0) or abs(td.priors.sum() - 1.0) > 1e-9:
+        raise DomainError(f"logit adjustment needs positive class priors that sum to 1, got {td.priors}")
+    full = cfg.tau * np.log(td.priors)
+    return full[list(td.split.head_classes)], full[list(td.split.tail_classes)]
 
 
 @dataclass
@@ -135,7 +121,7 @@ def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
     and vice versa (a zero task weight skips the other branch entirely).
     """
     init = init_params(cfg.spec, cfg.init_seed)
-    offs = _offsets_for(cfg.tau, td)
+    offs = _offsets_for(cfg, td)
     res_a, res_b = _all_trained(train_stack(
         [init, init], cfg.spec, td, [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=offs))
     fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
@@ -168,7 +154,7 @@ def stage2_stack(cfg: RunConfig, td: TaskData, w_values) -> list:
     """
     w_values = candidate_grid(cfg.spec, w_values=w_values)[1]
     start = init_params(cfg.spec, cfg.init_seed)
-    offs = _offsets_for(cfg.tau, td)
+    offs = _offsets_for(cfg, td)
     return train_stack([start] * len(w_values), cfg.spec, td,
                        [(w, 1.0 - w) for w in w_values], cfg.stage2_opt, offsets=offs)
 
@@ -179,6 +165,13 @@ def stage2(cfg: RunConfig, td: TaskData, w_a: float, _s1=None) -> TrainResult:
     since the benchmark still passes its Stage1Result."""
     (res,) = _all_trained(stage2_stack(cfg, td, (w_a,)))
     return res
+
+
+def fitted_split(spec: ModelSpec, split: TaskSplit) -> TaskSplit:
+    """The split, refused unless its group sizes are the head widths."""
+    if (len(split.head_classes), len(split.tail_classes)) != spec.head_dims:
+        raise StructuralError(f"the split's group sizes must be the head widths {spec.head_dims}")
+    return split
 
 
 @dataclass
@@ -202,8 +195,7 @@ class AssembledModel:
         d = self.spec.encoder_params(self.c)
         if not np.array_equal(self.branch_a.values[:d], self.branch_b.values[:d]):
             raise StructuralError("branches must share the encoder slice bit-exactly")
-        if (len(self.split.head_classes), len(self.split.tail_classes)) != self.spec.head_dims:
-            raise StructuralError(f"the split's group sizes must be the head widths {self.spec.head_dims}")
+        fitted_split(self.spec, self.split)
 
     def branch_logits(self, features: np.ndarray) -> tuple:
         """Both branches' logits at `features`: branch A's trunk runs once
@@ -257,26 +249,20 @@ def assemble(spec: ModelSpec, c: int, stage2_params: ParamVector, s1: Stage1Resu
     return AssembledModel(spec, c, split, branch_a, branch_b)
 
 
-def refine_stack(
-    models: list,
-    td: TaskData,
-    opt: OptConfig,
-    tau: float = 1.0,
-) -> list:
-    """Fine-tune each model's branches, each on its own task, in its decoder
-    blocks only, with the shared encoder frozen (bitwise unchanged) and the
-    offsets at tau (none at tau 0). Every branch of every model trains in
-    one stack; each comes out as it would alone. Returns one entry per
-    model: the refined model, or the TrainingDivergenceError of its first
-    branch that diverged."""
-    offs = _offsets_for(tau, td)
+def refine_stack(models: list, td: TaskData, cfg: RunConfig) -> list:
+    """Fine-tune each model's branches, each on its own task, under
+    cfg.refine_opt and the offsets at cfg.tau, with the shared encoder of
+    depth c frozen (bitwise unchanged): only the decoders train. Every
+    branch of every model trains in one stack; each comes out as it would
+    alone. Returns one entry per model: the refined model, or the
+    TrainingDivergenceError of its first branch that diverged."""
     spec = models[0].spec
-    starts, trainable = [], []
+    starts, frozen = [], []
     for model in models:
         starts += [model.branch_a, model.branch_b]
-        trainable += [spec.decoder_block_names(model.c, "A"), spec.decoder_block_names(model.c, "B")]
-    results = train_stack(starts, spec, td, [(1.0, 0.0), (0.0, 1.0)] * len(models), opt,
-                          trainable=trainable, offsets=offs)
+        frozen += [model.c, model.c]
+    results = train_stack(starts, spec, td, [(1.0, 0.0), (0.0, 1.0)] * len(models), cfg.refine_opt,
+                          frozen=frozen, offsets=_offsets_for(cfg, td))
     refined = []
     for model, res_a, res_b in zip(models, results[::2], results[1::2]):
         failed = [res for res in (res_a, res_b) if isinstance(res, TrainingDivergenceError)]
@@ -285,14 +271,9 @@ def refine_stack(
     return refined
 
 
-def refine_decoders(
-    model: AssembledModel,
-    td: TaskData,
-    opt: OptConfig,
-    tau: float = 1.0,
-) -> AssembledModel:
+def refine_decoders(model: AssembledModel, td: TaskData, cfg: RunConfig) -> AssembledModel:
     """refine_stack for one model; raises TrainingDivergenceError."""
-    (refined,) = refine_stack([model], td, opt, tau)
+    (refined,) = refine_stack([model], td, cfg)
     if isinstance(refined, TrainingDivergenceError):
         raise refined
     return refined
@@ -345,7 +326,7 @@ def full_run(cfg: RunConfig, dataset: LongTailDataset) -> PipelineResult:
     selection = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
     s2 = stage2(cfg, td, selection.w_star)
     model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split)
-    refined = cfg.refine_opt is not None and cfg.refine_opt.epochs > 0
+    refined = cfg.refine_opt.epochs > 0
     if refined:
-        model = refine_decoders(model, td, cfg.refine_opt, cfg.tau)
+        model = refine_decoders(model, td, cfg)
     return PipelineResult(td, s1, selection, s2, model, refined)

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DataFormatError, MissingArtifactError
 from .datagen import TaskSplit
 from .nn import ModelSpec, ParamVector
-from .pipeline import AssembledModel, Stage1Result
-from .proxy import DiagFisher
+from .pipeline import AssembledModel, Stage1Result, fitted_split
+from .proxy import DiagFisher, _finite
 from .tables import write_csv
 
 _MAGIC = b"TSCONT01"
@@ -141,7 +141,9 @@ def save_stage1(path, spec: ModelSpec, s1: Stage1Result, split: TaskSplit,
 
 
 def load_stage1(path) -> tuple:
-    """The stage-1 container; its sample_count is the training-set size N."""
+    """The stage-1 container; its sample_count is the training-set size N.
+    Each Fisher must hold one finite entry per parameter, and the split
+    must fit the heads."""
     meta, arrays = load_container(path)
     with _artifact(path):
         spec = ModelSpec(**meta["spec"])
@@ -150,6 +152,12 @@ def load_stage1(path) -> tuple:
         n = meta["sample_count"]
         if type(n) is not int or n < 1:  # JSON's true is not an int
             raise DataFormatError(f"{path}: sample_count must be an int >= 1, got {json.dumps(n)}")
+        for name in ("fisher_a", "fisher_b"):
+            if arrays[name].size != spec.param_count:
+                raise DataFormatError(f"{path}: {name} holds {arrays[name].size} entries, "
+                                      f"not one per parameter ({spec.param_count})")
+            if not _finite(arrays[name]):
+                raise DataFormatError(f"{path}: {name} has a non-finite entry")
         table = spec.block_table()
         s1 = Stage1Result(
             params_a=ParamVector(arrays["params_a"], table),
@@ -159,7 +167,7 @@ def load_stage1(path) -> tuple:
             losses_a=meta["losses_a"],
             losses_b=meta["losses_b"],
         )
-        return spec, s1, TaskSplit(**meta["split"]), arrays["priors"], meta
+        return spec, s1, fitted_split(spec, TaskSplit(**meta["split"])), arrays["priors"], meta
 
 
 def save_model(path, model: AssembledModel, extra: dict | None = None) -> None:

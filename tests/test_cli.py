@@ -817,6 +817,50 @@ class TestModelContainer:
         assert (assembled / "metrics_v001.csv").read_bytes() == (assembled / "metrics_v002.csv").read_bytes()
 
 
+def _split_of_eight(meta, arrays):
+    meta["split"] = {"head_classes": [0, 1, 2, 3], "tail_classes": [4, 5, 6, 7]}
+
+
+def _cut_fisher_a(meta, arrays):
+    arrays["fisher_a"] = arrays["fisher_a"][:-3]
+
+
+def _nan_in_fisher_b(meta, arrays):
+    arrays["fisher_b"][0] = np.nan
+
+
+def _inf_in_fisher_a(meta, arrays):
+    arrays["fisher_a"][5] = np.inf
+
+
+class TestDamagedStage1Container:
+    """search and assemble read the latest stage-1 container: a split that
+    does not fit its heads (3 + 3 on the toy model), or a Fisher that does
+    not hold one finite entry per parameter (166), exits 5 naming the file,
+    with nothing written."""
+
+    @pytest.mark.parametrize("command", ["search", "assemble"])
+    @pytest.mark.parametrize("damage, named", [
+        (_split_of_eight, "inconsistent artifact (StructuralError: the split's group sizes must be "
+                          "the head widths (3, 3))"),
+        (_cut_fisher_a, "fisher_a holds 163 entries, not one per parameter (166)"),
+        (_nan_in_fisher_b, "fisher_b has a non-finite entry"),
+        (_inf_in_fisher_a, "fisher_a has a non-finite entry"),
+    ], ids=["split", "short-fisher", "nan-fisher", "inf-fisher"])
+    def test_writes_nothing(self, runner, searched, command, damage, named):
+        assert invoke(runner, searched, "stage2").exit_code == 0
+        meta, arrays = load_container(searched / "stage1_v001.bin")
+        arrays = {name: array.copy() for name, array in arrays.items()}
+        damage(meta, arrays)
+        path = searched / "stage1_v002.bin"
+        save_container(path, meta, arrays)
+        before = run_dir_state(searched)
+        result = invoke(runner, searched, command)
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {path}: {named}" in result.output
+        assert run_dir_state(searched) == before
+
+
 class TestRerunFromTheSnapshot:
     """An override flag writes through the config snapshot: the command
     run again from its snapshot, in a fresh run directory, writes the same

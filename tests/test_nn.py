@@ -72,7 +72,7 @@ class TestModelSpec:
         ParamVector(np.zeros(spec.param_count), table)
         fans = list(zip([input_dim] + widths, widths)) + [(widths[-1], d) for d in head_dims]
         names = [f"trunk{i}" for i in range(1, len(widths) + 1)] + ["head_a", "head_b"]
-        assert spec.block_names() == tuple(names)
+        assert [name for name, _, _ in table] == names
         assert [spec.block_shape(name) for name in names] == fans
         for c in range(len(widths) + 1):
             assert spec.encoder_params(c) == sum(i * o + o for i, o in fans[:c])
@@ -110,7 +110,7 @@ class TestInit:
     def test_biases_exactly_zero(self):
         spec = small_spec()
         params = init_params(spec, 3)
-        for name in spec.block_names():
+        for name, _, _ in spec.block_table():
             fan_in, fan_out = spec.block_shape(name)
             assert np.all(params.block(name)[fan_in * fan_out:] == 0.0)
 
@@ -307,12 +307,11 @@ class TestTrain:
         assert np.array_equal(res.params.block("head_b"), start.block("head_b"))
         assert not np.array_equal(res.params.block("head_a"), start.block("head_a"))
 
-    def test_trainable_mask_freezes_blocks_bitwise(self):
+    def test_frozen_depth_fixes_the_encoder_bitwise(self):
         spec = ModelSpec(2, (6, 5), (1, 1))
         start = init_params(spec, 2)
         res = train(start, spec, self.separable_batch(), (1.0, 0.0),
-                    OptConfig(0.3, epochs=4, batch_size=40, seed=2),
-                    trainable=("trunk2", "head_a"))
+                    OptConfig(0.3, epochs=4, batch_size=40, seed=2), frozen=1)
         assert np.array_equal(res.params.block("trunk1"), start.block("trunk1"))
         assert np.array_equal(res.params.block("head_b"), start.block("head_b"))
         assert not np.array_equal(res.params.block("trunk2"), start.block("trunk2"))
@@ -404,14 +403,11 @@ def _reference_loss_grad(values, spec, x, labels, weights, offsets):
     return loss, grad
 
 
-def _reference_train(params, spec, batch, task_weights, opt, trainable, offsets):
-    """The per-network SGD-with-momentum loop, on the fused-order gradient."""
+def _reference_train(params, spec, batch, task_weights, opt, frozen, offsets):
+    """The per-network SGD-with-momentum loop, on the fused-order gradient,
+    updating only the parameters past the frozen encoder prefix."""
     values = params.values.copy()
-    mask = np.ones(values.size, dtype=bool)
-    if trainable is not None:
-        mask[:] = False
-        for name, off, length in spec.block_table():
-            mask[off:off + length] = name in trainable
+    mask = np.arange(values.size) >= spec.encoder_params(frozen)
     velocity = np.zeros(int(mask.sum()))
     rng = np.random.default_rng(opt.seed)
     losses = []
@@ -447,11 +443,9 @@ def _stack_case(data):
     k = data.draw(st.integers(1, 5))
     weights = [data.draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.7), (0.9, 0.1)]))
                for _ in range(k)]
-    names = spec.block_names()
-    trainable = [data.draw(st.one_of(st.none(), st.sets(st.sampled_from(names)).map(tuple)))
-                 for _ in range(k)]
+    frozen = [data.draw(st.integers(0, spec.depth)) for _ in range(k)]
     starts = [init_params(spec, seed + i) for i in range(k)]
-    return spec, batch, offsets, opt, weights, trainable, starts
+    return spec, batch, offsets, opt, weights, frozen, starts
 
 
 @settings(max_examples=100, deadline=None)
@@ -473,20 +467,24 @@ class TestTrainStack:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_members_equal_solo_and_reference_runs_bitwise(self, data):
-        spec, batch, offsets, opt, weights, trainable, starts = _stack_case(data)
-        stacked = train_stack(starts, spec, batch, weights, opt, trainable, offsets)
-        for start, w, names, got in zip(starts, weights, trainable, stacked):
-            solo = train(start, spec, batch, w, opt, names, offsets)
+        spec, batch, offsets, opt, weights, frozen, starts = _stack_case(data)
+        stacked = train_stack(starts, spec, batch, weights, opt, frozen, offsets)
+        for start, w, c, got in zip(starts, weights, frozen, stacked):
+            solo = train(start, spec, batch, w, opt, c, offsets)
             assert got.params.values.tobytes() == solo.params.values.tobytes()
             assert got.epoch_losses == solo.epoch_losses
             # ... and to the plain per-network loop; only the loss formula
             # differs from it, in the last bits.
-            ref_values, ref_losses = _reference_train(start, spec, batch, w, opt, names, offsets)
+            ref_values, ref_losses = _reference_train(start, spec, batch, w, opt, c, offsets)
             assert got.params.values.tobytes() == ref_values.tobytes()
             assert np.allclose(got.epoch_losses, ref_losses, rtol=1e-12, atol=0.0)
-            frozen = [b for b in spec.block_names() if names is not None and b not in names]
-            for block in frozen:
-                assert got.params.block(block).tobytes() == start.block(block).tobytes()
+            # The frozen encoder, and the head of a task without weight,
+            # keep their bits.
+            d = spec.encoder_params(c)
+            assert got.params.values[:d].tobytes() == start.values[:d].tobytes()
+            for t, head in enumerate(("head_a", "head_b")):
+                if w[t] == 0.0:
+                    assert got.params.block(head).tobytes() == start.block(head).tobytes()
 
         # A member with zero weight on a task never reads that task's labels:
         # reversing that task's label columns changes nothing for it.
@@ -494,7 +492,7 @@ class TestTrainStack:
             z = [batch.z_a, batch.z_b]
             z[t] = z[t][:, ::-1]
             swapped = Batch(batch.features, z[0], z[1])
-            again = train_stack(starts, spec, swapped, weights, opt, trainable, offsets)
+            again = train_stack(starts, spec, swapped, weights, opt, frozen, offsets)
             for w, before, after in zip(weights, stacked, again):
                 if w[t] == 0.0:
                     assert before.params.values.tobytes() == after.params.values.tobytes()
@@ -506,17 +504,17 @@ class TestTrainStack:
         opt = OptConfig(1e4, epochs=40, batch_size=16, seed=0)
         starts = [init_params(spec, 1), init_params(spec, 2), init_params(spec, 3)]
         weights = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
-        # Head-only training keeps its logits linear in the step count, so
-        # only the fully trainable member blows up.
-        trainable = [None, ("head_b",), ("head_a", "head_b")]
-        out = train_stack(starts, spec, batch, weights, opt, trainable)
+        # Head-only training (the one trunk layer frozen) keeps its logits
+        # linear in the step count, so only the fully trained member blows up.
+        frozen = [0, 1, 1]
+        out = train_stack(starts, spec, batch, weights, opt, frozen)
         assert isinstance(out[0], TrainingDivergenceError)
         with pytest.raises(TrainingDivergenceError) as solo_err:
-            train(starts[0], spec, batch, weights[0], opt, trainable[0])
+            train(starts[0], spec, batch, weights[0], opt, frozen[0])
         assert out[0].epoch == solo_err.value.epoch > 0
         assert repr(out[0].loss) == repr(solo_err.value.loss)
         for i in (1, 2):
-            solo = train(starts[i], spec, batch, weights[i], opt, trainable[i])
+            solo = train(starts[i], spec, batch, weights[i], opt, frozen[i])
             assert out[i].params.values.tobytes() == solo.params.values.tobytes()
             assert out[i].epoch_losses == solo.epoch_losses
 
@@ -565,8 +563,11 @@ class TestTrainStack:
         with pytest.raises(ConfigError):
             train_stack([start], spec, batch, [(1.0, 0.0), (0.0, 1.0)], opt)
         with pytest.raises(ConfigError):
-            train_stack([start], spec, batch, [(1.0, 0.0)], opt, trainable=[None, None])
-        with pytest.raises(StructuralError):
-            train_stack([start], spec, batch, [(1.0, 0.0)], opt, trainable=[("trunk9",)])
+            train_stack([start], spec, batch, [(1.0, 0.0)], opt, frozen=[0, 0])
+        for c in (spec.depth + 1, -1):
+            with pytest.raises(StructuralError, match=f"shared depth {c} out of range 0..2"):
+                train_stack([start], spec, batch, [(1.0, 0.0)], opt, frozen=[c])
+            with pytest.raises(StructuralError, match=f"shared depth {c} out of range 0..2"):
+                train(start, spec, batch, (1.0, 0.0), opt, frozen=c)
         with pytest.raises(StructuralError):
             train_stack([start], spec, batch, [(1.0, 0.0)], opt, offsets=(np.zeros(5), None))

@@ -159,16 +159,15 @@ class TestWeightSweep:
         header = path.read_text().splitlines()[0]
         assert header.startswith("w_A,overall_mean,overall_stderr,head_mean")
 
-    def test_refine_changes_results_and_requires_opt(self):
-        plain = weight_sweep(GEN, run_config(), 2, (0.5,), m_resamples=2,
-                             n_train=300, seed=1, n_eval=200, eval_per_class=10)
-        refined = weight_sweep(GEN, run_config(), 2, (0.5,), m_resamples=2,
-                               n_train=300, seed=1, n_eval=200, eval_per_class=10, refine=True)
-        assert plain.risk_mean[0] != refined.risk_mean[0]
-        cfg = RunConfig(spec=SPEC, stage1_opt=OptConfig(0.3, epochs=2, batch_size=64, seed=1),
-                        stage2_opt=OptConfig(0.3, epochs=2, batch_size=64, seed=2), init_seed=5)
-        with pytest.raises(ConfigError):
-            weight_sweep(GEN, cfg, 2, (0.5,), m_resamples=2, n_train=300, refine=True)
+    def test_refine_changes_results_unless_it_has_no_epochs(self):
+        def sweep(cfg, refine):
+            return weight_sweep(GEN, cfg, 2, (0.5,), m_resamples=2, n_train=300, seed=1, n_eval=200,
+                                eval_per_class=10, refine=refine)
+
+        plain = sweep(run_config(), False)
+        assert plain.risk_mean[0] != sweep(run_config(), True).risk_mean[0]
+        no_epochs = replace(run_config(), refine_opt=replace(run_config().refine_opt, epochs=0))
+        assert sweep(no_epochs, True).to_json() == plain.to_json()
 
     def test_json_round_trip_fields(self):
         rep = weight_sweep(GEN, run_config(), 1, (0.3, 0.7), m_resamples=2,
@@ -256,7 +255,7 @@ class TestResampleEngine:
             s1 = stage1(cfg_m, td)
             for wi, w in enumerate(self.W_VALUES):
                 model = assemble(SPEC, c, stage2(cfg_m, td, w, s1).params, s1, split)
-                model = refine_decoders(model, td, cfg_m.refine_opt, cfg_m.tau)
+                model = refine_decoders(model, td, cfg_m)
                 risks[m, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
                 accs[m, wi] = evaluate(model, *balanced).overall_accuracy
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
@@ -369,7 +368,7 @@ def test_toy_grid_compare_leaves_numpy_ma_unloaded():
         "from tailshare.pipeline import RunConfig\n"
         "gen = build_generator(GenConfig(6, 4, 10.0, 150, class_mean_scale=1.8, noise_sigma=1.0, seed=11))\n"
         "opt = OptConfig(0.3, epochs=2, batch_size=64, seed=1)\n"
-        "cfg = RunConfig(ModelSpec(4, (8, 8), (3, 3), activation='tanh'), opt, opt, init_seed=5)\n"
+        "cfg = RunConfig(ModelSpec(4, (8, 8), (3, 3), activation='tanh'), opt, opt, opt, init_seed=5)\n"
         "report = grid_compare(gen, cfg, (0, 2), (0.3, 0.7), m_resamples=2, n_train=100, n_eval=50)\n"
         "print(report.spearman_rho is not None, 'numpy.ma' in sys.modules)\n"
     )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,11 @@ from tailshare.pipeline import (
     evaluate,
     full_run,
     _offsets_for,
-    logit_offsets,
     refine_decoders,
     refine_stack,
     select_structure,
     stage1,
     stage2,
-    task_offsets,
 )
 
 
@@ -35,40 +35,48 @@ def run_config(**overrides):
         spec=SPEC,
         stage1_opt=OptConfig(0.3, epochs=25, batch_size=64, seed=1),
         stage2_opt=OptConfig(0.3, epochs=25, batch_size=64, seed=2),
+        refine_opt=OptConfig(0.1, epochs=0, batch_size=64, seed=3),
         init_seed=5,
     )
     base.update(overrides)
     return RunConfig(**base)
 
 
-class TestLogitOffsets:
-    def test_uniform_priors_equal_offsets(self):
-        offs = logit_offsets(np.full(4, 0.25), 1.0)
-        assert np.allclose(offs, offs[0])
+def with_priors(priors):
+    """The toy task data with the given priors over its six classes and
+    the groups (1, 0, 2) and (5, 3, 4)."""
+    return replace(build_task_data(toy_dataset()), split=TaskSplit((1, 0, 2), (5, 3, 4)),
+                   priors=np.array(priors))
 
-    def test_tau_zero_gives_zeros(self):
-        assert np.all(logit_offsets(np.array([0.9, 0.1]), 0.0) == 0.0)
+
+class TestLogitOffsets:
+    """_offsets_for: tau * log(prior) per group, in group order, none at tau 0."""
+
+    def test_uniform_priors_equal_offsets(self):
+        off_a, off_b = _offsets_for(run_config(), with_priors(np.full(6, 1 / 6)))
+        assert np.all(off_a == off_a[0]) and np.all(off_b == off_a[0])
 
     def test_hand_values(self):
-        offs = logit_offsets(np.array([0.9, 0.1]), 1.0)
-        assert offs == pytest.approx([-0.105361, -2.302585], abs=1e-5)
+        off_a, off_b = _offsets_for(run_config(tau=2.0), with_priors([0.3, 0.25, 0.2, 0.12, 0.08, 0.05]))
+        assert off_a == pytest.approx([-2.772589, -2.407946, -3.218876], abs=1e-6)
+        assert off_b == pytest.approx([-5.991465, -4.240527, -5.051457], abs=1e-6)
 
     def test_zero_prior_rejected(self):
-        with pytest.raises(DomainError):
-            logit_offsets(np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(DomainError, match="positive class priors that sum to 1"):
+            _offsets_for(run_config(), with_priors([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("priors", [[0.6, 0.2, 0.2, 0.1, 0.1, -0.2], np.full(6, 0.2)])
+    def test_negative_or_unnormalized_priors_rejected(self, priors):
+        with pytest.raises(DomainError, match="positive class priors that sum to 1"):
+            _offsets_for(run_config(), with_priors(priors))
 
     def test_task_offsets_follow_group_order(self):
-        priors = np.array([0.4, 0.3, 0.2, 0.1])
-        split = TaskSplit((1, 0), (3, 2))
-        off_a, off_b = task_offsets(priors, 1.0, split)
-        assert np.allclose(off_a, np.log([0.3, 0.4]))
-        assert np.allclose(off_b, np.log([0.1, 0.2]))
+        off_a, off_b = _offsets_for(run_config(tau=1.0), with_priors([0.3, 0.25, 0.2, 0.12, 0.08, 0.05]))
+        assert np.array_equal(off_a, np.log([0.25, 0.3, 0.2]))
+        assert np.array_equal(off_b, np.log([0.05, 0.12, 0.08]))
 
     def test_tau_zero_trains_without_offsets(self):
-        td = build_task_data(toy_dataset())
-        assert _offsets_for(0.0, td) == (None, None)
-        assert all(np.array_equal(got, want) for got, want in
-                   zip(_offsets_for(1.0, td), task_offsets(td.priors, 1.0, td.split)))
+        assert _offsets_for(run_config(tau=0.0), build_task_data(toy_dataset())) == (None, None)
 
     def test_tau_zero_stage1_is_the_plain_loss_bit_for_bit(self):
         """A toy stage1 at tau 0 is train_stack without offsets, which also
@@ -80,7 +88,7 @@ class TestLogitOffsets:
         weights = [(1.0, 0.0), (0.0, 1.0)]
         plain = train_stack([init, init], SPEC, td.batch(), weights, cfg.stage1_opt, offsets=(None, None))
         zeros = train_stack([init, init], SPEC, td.batch(), weights, cfg.stage1_opt,
-                            offsets=task_offsets(td.priors, 0.0, td.split))
+                            offsets=(np.full(3, -0.0), np.full(3, -0.0)))
         for got, want, also in ((s1.params_a, plain[0], zeros[0]), (s1.params_b, plain[1], zeros[1])):
             assert np.array_equal(got.values, want.params.values)
             assert np.array_equal(got.values, also.params.values)
@@ -95,7 +103,7 @@ def test_task_data_is_the_batch_the_stages_train_on():
     cfg = run_config()
     init = init_params(SPEC, cfg.init_seed)
     weights = [(1.0, 0.0), (0.3, 0.7), (0.0, 1.0)]
-    offs = task_offsets(td.priors, 1.0, td.split)
+    offs = _offsets_for(cfg, td)
     got = train_stack([init] * 3, SPEC, td, weights, cfg.stage1_opt, offsets=offs)
     want = train_stack([init] * 3, SPEC, Batch(td.features, td.z_a, td.z_b), weights, cfg.stage1_opt,
                        offsets=offs)
@@ -159,7 +167,7 @@ class TestStage2:
         w_a = 0.3
         s2 = stage2(cfg, td, w_a)
         init = init_params(SPEC, cfg.init_seed)
-        offs = task_offsets(td.priors, cfg.tau, td.split)
+        offs = _offsets_for(cfg, td)
         la, _ = bce_loss_grad(init, SPEC, td.batch(), "A", offs[0])
         lb, _ = bce_loss_grad(init, SPEC, td.batch(), "B", offs[1])
         assert abs(s2.epoch_losses[0] - (w_a * la + (1 - w_a) * lb)) < 1e-10
@@ -224,20 +232,30 @@ class TestAssemble:
             assemble(SPEC, 1, other, s1, td.split)
 
 
+def refine_config(epochs, seed=4):
+    return run_config(refine_opt=OptConfig(0.1, epochs=epochs, batch_size=64, seed=seed))
+
+
 class TestRefine:
     def test_zero_epochs_leave_model_unchanged(self):
         td, _, _, model = TestAssemble().build(1)
-        out = refine_decoders(model, td, OptConfig(0.1, epochs=0, batch_size=64, seed=4))
+        out = refine_decoders(model, td, refine_config(0))
         assert np.array_equal(out.branch_a.values, model.branch_a.values)
         assert np.array_equal(out.branch_b.values, model.branch_b.values)
 
     def test_encoder_bitwise_frozen(self):
-        td, _, _, model = TestAssemble().build(1)
-        out = refine_decoders(model, td, OptConfig(0.1, epochs=4, batch_size=64, seed=4))
-        d = SPEC.encoder_params(1)
-        assert np.array_equal(out.branch_a.values[:d], model.branch_a.values[:d])
-        assert np.array_equal(out.branch_b.values[:d], model.branch_b.values[:d])
-        assert not np.array_equal(out.branch_a.values[d:], model.branch_a.values[d:])
+        """At every depth c, the encoder slice and each branch's other head
+        keep their bytes; the branch's own decoder trains."""
+        for c in range(SPEC.depth + 1):
+            td, _, _, model = TestAssemble().build(c)
+            out = refine_decoders(model, td, refine_config(4))
+            d = SPEC.encoder_params(c)
+            for got, start, own, other in ((out.branch_a, model.branch_a, "head_a", "head_b"),
+                                           (out.branch_b, model.branch_b, "head_b", "head_a")):
+                assert got.values[:d].tobytes() == start.values[:d].tobytes()
+                assert got.block(other).tobytes() == start.block(other).tobytes()
+                assert not np.array_equal(got.block(own), start.block(own))
+                assert not np.array_equal(got.values[d:], start.values[d:])
 
     def test_mean_training_bce_does_not_increase(self):
         deltas = []
@@ -249,7 +267,7 @@ class TestRefine:
             s2 = stage2(cfg, td, 0.5)
             model = assemble(SPEC, 1, s2.params, s1, td.split)
             before = evaluate(model, ds.features, ds.labels)
-            out = refine_decoders(model, td, OptConfig(0.1, epochs=8, batch_size=64, seed=seed))
+            out = refine_decoders(model, td, refine_config(8, seed=seed))
             after = evaluate(out, ds.features, ds.labels)
             deltas.append((after.bce_a + after.bce_b) - (before.bce_a + before.bce_b))
         assert np.mean(deltas) <= 1e-6
@@ -264,14 +282,14 @@ class TestRefine:
         models = [assemble(spec, c, s2.params, s1, td.split) for c in (0, 1, 2)]
         # At this rate the fully trainable c = 0 decoders overflow; deeper
         # encoders leave too few trainable layers to get there.
-        opt = OptConfig(1e50, epochs=20, batch_size=64, seed=4)
-        out = refine_stack(models, td, opt)
+        cfg = replace(cfg, refine_opt=OptConfig(1e50, epochs=20, batch_size=64, seed=4))
+        out = refine_stack(models, td, cfg)
         assert isinstance(out[0], TrainingDivergenceError)
         with pytest.raises(TrainingDivergenceError) as solo_err:
-            refine_decoders(models[0], td, opt)
+            refine_decoders(models[0], td, cfg)
         assert (out[0].epoch, repr(out[0].loss)) == (solo_err.value.epoch, repr(solo_err.value.loss))
         for model, got in zip(models[1:], out[1:]):
-            solo = refine_decoders(model, td, opt)
+            solo = refine_decoders(model, td, cfg)
             assert got.c == model.c
             assert got.branch_a.values.tobytes() == solo.branch_a.values.tobytes()
             assert got.branch_b.values.tobytes() == solo.branch_b.values.tobytes()
@@ -329,10 +347,8 @@ class TestFullRun:
     def test_refine_opt_with_epochs_controls_refinement(self):
         ds = toy_dataset()
         plain = full_run(run_config(), ds)
-        zero = full_run(run_config(refine_opt=OptConfig(0.1, epochs=0, batch_size=64, seed=3)), ds)
-        refined = full_run(run_config(refine_opt=OptConfig(0.1, epochs=5, batch_size=64, seed=3)), ds)
-        assert not plain.refined and not zero.refined
-        assert np.array_equal(zero.model.branch_a.values, plain.model.branch_a.values)
+        refined = full_run(refine_config(5, seed=3), ds)
+        assert not plain.refined
         assert refined.refined
         assert not np.array_equal(refined.model.branch_a.values, plain.model.branch_a.values)
 

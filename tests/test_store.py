@@ -37,6 +37,7 @@ def pipeline_pieces():
     cfg = RunConfig(spec=SPEC,
                     stage1_opt=OptConfig(0.3, epochs=8, batch_size=32, seed=1),
                     stage2_opt=OptConfig(0.3, epochs=8, batch_size=32, seed=2),
+                    refine_opt=OptConfig(0.1, epochs=0, batch_size=32, seed=3),
                     init_seed=4)
     s1 = stage1(cfg, td)
     s2 = stage2(cfg, td, 0.5)
