@@ -2,28 +2,29 @@
 
 Every command first resolves all of its inputs into one checked record,
 `Inputs`: the defaults, the JSON file and the flag overrides (each of
-the JSON type that `_FIELDS` gives its key; `_OVERRIDES` names the key
-each flag sets, so the snapshot records it), the dataset and the
-upstream containers when the command reads them, and the command's own
-flags (--c, --c-star, --w-star, --data, --jobs). A command that reads a
+the JSON type that `_FIELDS` gives its key; `_FLAGS` names the key each
+flag sets, so the snapshot records it), the dataset and the upstream
+containers when the command reads them, and the command's own flags
+(--c, --c-star, --w-star, --data, --jobs). A command that reads a
 container uses its model, not the config's: a dataset must fit it, and
 assemble's two containers must hold one model. stage2's cell (C*, w_A*)
 is its flags, a missing one from the latest selection file; assemble's
 is its stage-2 container's; `_selected` reads both. Every grid
 (--grid-c, --grid-w, select.*) must be nonempty, every depth (--grid-c,
 --c, --c-star, c_star) lie in 0..L for the model's L trunk layers, every
-weight (--grid-w, --w-star, w_star) in [0, 1], and --jobs be >= 1. A
-refused input exits 2 naming it (its flag, or its file and key), a
-missing dataset or container exits 3, and an unreadable selection file,
-a damaged container or a file without the key the command reads
-(search: the stage-1 sample_count, N; stage2 and assemble: an int
-c_star and a number w_star) exits 5 naming the file and the key, each
-with nothing written. Only then does the command write the config
-snapshot and its versioned artifacts. Exit codes: 0 success, 2
-configuration error, 3 missing upstream artifact, 4 training divergence,
-5 data-format error, 6 verification check failed, 1 anything else.
-`tau` (--tau) is the one logit-adjustment setting; tau 0 trains without
-offsets.
+weight (--grid-w, --w-star, w_star) in [0, 1], --jobs be >= 1, and the
+run directory (--out, out) be a directory if it exists. A refused input
+exits 2 naming it (its flag, or its file and key), a missing dataset or
+container exits 3, and an unreadable dataset or selection file, a
+damaged container (a non-finite parameter or Fisher included) or a file
+without the key the command reads (search: the stage-1 sample_count, N;
+stage2 and assemble: an int c_star and a number w_star) exits 5 naming
+the file and the key, each with nothing written. Only then does the
+command write the config snapshot and its versioned artifacts. Exit
+codes: 0 success, 2 configuration error, 3 missing upstream artifact, 4
+training divergence, 5 data-format error, 6 verification check failed,
+1 anything else. `tau` (--tau) is the one logit-adjustment setting; tau
+0 trains without offsets.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
 stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
@@ -108,10 +109,29 @@ _FIELDS = {
     "eval_per_class": _INT,
     "oracle": {"resamples": _INT, "train_size": _INT, "eval_points": _INT},
 }
-# The config key that each override flag sets.
-_OVERRIDES = {"--out": "out", "--seed": "seed", "--tau": "tau", "--resamples": "oracle.resamples",
-              "--train-size": "oracle.train_size", "--grid-c": "select.c_values",
-              "--grid-w": "select.w_values", "--no-refine": "refine.epochs"}
+# Every flag but --config and verify-lemma's: the config key it sets (None:
+# the command's own input, which `_resolve` reads), the cast of each entry
+# of a grid flag's comma-separated text, and its click settings.
+_Flag = namedtuple("_Flag", "key grid option")
+_FLAGS = {
+    "--out": _Flag("out", None, dict(help="Run directory.")),
+    "--seed": _Flag("seed", None, dict(type=int, help="Master seed.")),
+    "--tau": _Flag("tau", None, dict(type=float, help="Logit-adjustment temperature override.")),
+    "--resamples": _Flag("oracle.resamples", None,
+                         dict(type=int, help="MC resamples per oracle cell or sweep weight.")),
+    "--train-size": _Flag("oracle.train_size", None, dict(type=int, help="Training-set size per resample.")),
+    "--grid-c": _Flag("select.c_values", int, dict(help="Comma-separated select.c_values (shared depths).")),
+    "--grid-w": _Flag("select.w_values", float, dict(help="Comma-separated select.w_values (head weights).")),
+    "--no-refine": _Flag("refine.epochs", None, dict(is_flag=True, flag_value=0, default=None,
+                                                     help="Skip decoder refinement: refine.epochs 0.")),
+    "--data": _Flag(None, None, dict(type=click.Path(),
+                                     help="External dataset CSV (default: latest dataset artifact).")),
+    "--c-star": _Flag(None, None, dict(type=int, help="Override the selected shared depth.")),
+    "--w-star": _Flag(None, None, dict(type=float, help="Override the selected head weight.")),
+    "--c": _Flag(None, None, dict(type=int, help="Shared depth (default: full).")),
+    "--jobs": _Flag(None, None, dict(type=int, default=1, show_default=True,
+                                     help="Parallel resample jobs, >= 1.")),
+}
 
 
 def _set(cfg: dict, path: tuple, value) -> None:
@@ -141,16 +161,18 @@ def _json_object(path: Path, error, what: str) -> dict:
     """The JSON object that the file at `path` holds, else `error` naming the file."""
     try:
         held = json.loads(path.read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (OSError, ValueError) as exc:  # a directory, say; not JSON, or not UTF-8
         raise error(f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from None
     if not isinstance(held, dict):
         raise error(f"{path}: the {what} must be a JSON object, got {json.dumps(held)}")
     return held
 
 
-def _merged(config_path, overrides: dict) -> dict:
-    """The defaults, then the JSON file, then the flag overrides (by flag,
-    as `_OVERRIDES` maps them to keys), each value set by `_set`."""
+def _merged(config_path, given: dict) -> dict:
+    """The defaults, then the JSON file, then each given flag that sets a
+    key (`_FLAGS`; a grid flag's text parsed first), each value set by `_set`."""
+    overrides = {flag: value if _FLAGS[flag].grid is None else _parse_grid(value, _FLAGS[flag].grid)
+                 for flag, value in given.items() if value is not None and _FLAGS[flag].key}
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
     if config_path:
         path = Path(config_path)
@@ -159,8 +181,7 @@ def _merged(config_path, overrides: dict) -> dict:
         for key, value in _json_object(path, ConfigError, "config").items():
             _set(cfg, (key,), value)
     for flag, value in overrides.items():
-        if value is not None:
-            _checked(flag, _set, cfg, tuple(_OVERRIDES[flag].split(".")), value)
+        _checked(flag, _set, cfg, tuple(_FLAGS[flag].key.split(".")), value)
     return cfg
 
 
@@ -176,9 +197,9 @@ def _checked(name: str, build, *args, **kwargs):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _parse_grid(text, cast) -> list | None:
+def _parse_grid(text, cast) -> list:
     try:
-        return None if text is None else [cast(v) for v in text.split(",") if v.strip() != ""]
+        return [cast(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
 
@@ -221,18 +242,18 @@ class Inputs:
     upstream: dict                # each stem the command reads: its latest container, loaded
 
 
-def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads=(),
-             c=None, selection=None, jobs=None, sweep=False) -> Inputs:
+def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None) -> Inputs:
     """Every input of a command, checked; only then the config snapshot.
-    `overrides` maps override flags to their values (None: not given).
-    `reads` names the stems of the containers a command loads; the first
-    one's model is the command's, and a stage-2 container's metadata
-    gives assemble's cell. Other commands size the config's model to the
-    dataset when they `reads_data`, else to the generator.
-    `selection` is stage2's (--c-star, --w-star), a missing one taken
-    from the latest selection file; `jobs` marks an oracle or (with
-    `sweep`) a weight-sweep study."""
-    cfg = _merged(config_path, overrides)
+    `given` maps the command's flags to their values (None: not given).
+    A command reads the --data dataset when given one, else the latest
+    dataset when it `reads_data`. `reads` names the stems of the
+    containers a command loads; the first one's model is the command's,
+    and a stage-2 container's metadata gives assemble's cell. Other
+    commands size the config's model to the dataset when they read one,
+    else to the generator. A command that takes --c-star and --w-star
+    (stage2) reads a missing one from the latest selection file; `study`
+    ("oracle" or "sweep") sizes a study, run on --jobs workers."""
+    cfg = _merged(config_path, given)
     t = _cast(cfg)
     seed = t["seed"]
     # The rules that only the CLI applies. Metrics are scored after
@@ -249,8 +270,10 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
     gen = _checked("generator", datagen.GenConfig, **t["generator"], seed=seed)
     opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
             for section, offset in (("stage1", 2), ("stage2", 3), ("refine", 4))]
-    data_path = (data or store.latest_version_path(t["out"], "dataset", ".csv")) if reads_data else None
-    dataset = datagen.load_csv(data_path) if reads_data else None
+    data_path = given.get("--data")
+    if reads_data or data_path is not None:
+        data_path = data_path or store.latest_version_path(t["out"], "dataset", ".csv")
+    dataset = None if data_path is None else datagen.load_csv(data_path)
     # Built per call, so that a loader patched on `store` at run time is the one called.
     loaders = {"stage1": store.load_stage1, "stage2": store.load_params, "model": store.load_model}
     paths = {stem: store.latest_version_path(t["out"], stem, ".bin") for stem in reads}
@@ -268,7 +291,7 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
         if dataset is not None and (n_classes, input_dim) != (sum(spec.head_dims), spec.input_dim):
             raise ConfigError(f"{data_path} does not fit the model in {paths[reads[0]]}: {n_classes} classes "
                               f"of dimension {input_dim}, not {sum(spec.head_dims)} of {spec.input_dim}")
-    named = {_OVERRIDES[flag]: flag for flag, value in overrides.items() if value is not None}
+    named = {_FLAGS[flag].key: flag for flag, value in given.items() if value is not None}
     c_name, w_name = (named.get(key, key) for key in ("select.c_values", "select.w_values"))
     run = pipeline.RunConfig(
         spec, *opts, init_seed=seed + 1, tau=t["tau"],
@@ -277,27 +300,34 @@ def _resolve(config_path, overrides: dict, *, data=None, reads_data=False, reads
     w_star = None
     if "stage2" in upstream:  # assemble works at the cell its stage-2 net was trained at
         c, w_star = _selected(spec, paths["stage2"], upstream["stage2"][-1])
-    elif selection is not None:
+    elif "--c-star" in given:
+        selection = (given["--c-star"], given["--w-star"])
         path = store.latest_version_path(t["out"], "selection", ".json") if None in selection else None
         held = {} if path is None else _json_object(path, DataFormatError, "selection")
         c, w_star = _selected(spec, path, held, selection)
-    elif c is None:
+    elif given.get("--c") is None:
         c = spec.depth
     else:
+        c = given["--c"]
         _checked("--c", spec.encoder_params, c)
-    study = None
-    if jobs is not None:
+    sizes = None
+    if study is not None:
+        jobs = given["--jobs"]
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         o = t["oracle"]
-        study = {"m_resamples": o["resamples"], "n_train": o["train_size"], "seed": seed + 7,
+        sizes = {"m_resamples": o["resamples"], "n_train": o["train_size"], "seed": seed + 7,
                  "n_eval": o["eval_points"], "jobs": jobs}
-        if sweep:
-            study["eval_per_class"] = t["eval_per_class"]
-        oracle.check_study(o["resamples"], o["train_size"], o["eval_points"], study.get("eval_per_class"))
+        if study == "sweep":
+            sizes["eval_per_class"] = t["eval_per_class"]
+        oracle.check_study(o["resamples"], o["train_size"], o["eval_points"], sizes.get("eval_per_class"))
+    out = Path(t["out"])
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{named.get('out', 'out')}: {existing} is not a directory")
     store.write_config_snapshot(t["out"], cfg)
     return Inputs(t["out"], seed, gen, run, t["holdout_fraction"], t["eval_per_class"], dataset,
-                  c, w_star, study, upstream)
+                  c, w_star, sizes, upstream)
 
 
 def _write_dataset(r: Inputs) -> tuple:
@@ -362,46 +392,41 @@ def _write_metrics(r: Inputs, model: pipeline.AssembledModel, dataset: datagen.L
     return path
 
 
-def config_opts(fn):
-    """--config, --out and --seed, which every command but verify-lemma takes."""
-    fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
-    fn = click.option("--out", default=None, help="Run directory.")(fn)
-    return click.option("--config", "config_path", type=click.Path(), default=None,
-                        help="JSON config file; flags override it.")(fn)
-
-
-data_opt = click.option("--data", type=click.Path(), default=None,
-                        help="External dataset CSV (default: latest dataset artifact).")
-tau_opt = click.option("--tau", type=float, default=None,
-                       help="Logit-adjustment temperature override.")
-grid_c_opt = click.option("--grid-c", default=None, help="Comma-separated select.c_values (shared depths).")
-grid_w_opt = click.option("--grid-w", default=None, help="Comma-separated select.w_values (head weights).")
-
-
 @click.group()
 def main():
     """Head/tail task decomposition lab: three-stage training, proxy-based
     structure selection, and generalization-error oracles."""
 
 
-@main.command("gen-data")
-@config_opts
-@_guarded
-def gen_data_cmd(config_path, out, seed):
+def _command(name: str, *flags: str, **reads):
+    """Register the decorated body as the command `name` on `main`, with
+    --config, --out, --seed and `flags`. Under `_guarded`, the command
+    resolves its inputs, `_resolve(config_path, {flag: value}, **reads)`,
+    and calls the body with them."""
+    flags = ("--out", "--seed") + flags
+
+    def register(body):
+        @functools.wraps(body)
+        @_guarded
+        def command(config_path, **values):
+            body(_resolve(config_path, {flag: values[flag[2:].replace("-", "_")] for flag in flags}, **reads))
+        params = [click.Option(["--config", "config_path"], type=click.Path(),
+                               help="JSON config file; flags override it.")]
+        params += [click.Option([flag], **_FLAGS[flag].option) for flag in flags]
+        return main.command(name, params=params)(command)
+    return register
+
+
+@_command("gen-data")
+def gen_data_cmd(r):
     """Generate the long-tailed dataset and its generator sidecar."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed})
     dataset, path = _write_dataset(r)
     click.echo(f"wrote {path} (N={dataset.n}, K={dataset.n_classes})")
 
 
-@main.command("stage1")
-@config_opts
-@data_opt
-@tau_opt
-@_guarded
-def stage1_cmd(config_path, out, seed, data, tau):
+@_command("stage1", "--data", "--tau", reads_data=True)
+def stage1_cmd(r):
     """Train both tasks independently and estimate their Fishers."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau}, data=data, reads_data=True)
     td = pipeline.build_task_data(r.dataset)
     t0 = time.perf_counter()
     s1 = pipeline.stage1(r.run, td)
@@ -410,15 +435,9 @@ def stage1_cmd(config_path, out, seed, data, tau):
                f"final losses A={s1.losses_a[-1]:.4f} B={s1.losses_b[-1]:.4f})")
 
 
-@main.command("search")
-@config_opts
-@grid_c_opt
-@grid_w_opt
-@_guarded
-def search_cmd(config_path, out, seed, grid_c, grid_w):
+@_command("search", "--grid-c", "--grid-w", reads=("stage1",))
+def search_cmd(r):
     """Proxy grid search over saved Stage-1 statistics."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed, "--grid-c": _parse_grid(grid_c, int),
-                               "--grid-w": _parse_grid(grid_w, float)}, reads=("stage1",))
     spec, s1 = r.upstream["stage1"][:2]
     t0 = time.perf_counter()
     grid = pipeline.select_structure(s1, s1.fisher_a.sample_count, spec, r.run.c_values, r.run.w_values)
@@ -427,43 +446,26 @@ def search_cmd(config_path, out, seed, grid_c, grid_w):
     click.echo(f"selected C*={grid.c_star} w_A*={grid.w_star} in {elapsed:.3f}s; wrote {csv_path}")
 
 
-@main.command("stage2")
-@config_opts
-@data_opt
-@tau_opt
-@click.option("--c-star", type=int, default=None, help="Override the selected shared depth.")
-@click.option("--w-star", type=float, default=None, help="Override the selected head weight.")
-@_guarded
-def stage2_cmd(config_path, out, seed, data, tau, c_star, w_star):
+@_command("stage2", "--data", "--tau", "--c-star", "--w-star", reads_data=True)
+def stage2_cmd(r):
     """Weighted joint training at the selected (C*, w_A*)."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau}, data=data, reads_data=True,
-                 selection=(c_star, w_star))
     res = pipeline.stage2(r.run, pipeline.build_task_data(r.dataset), r.w_star)
     path = _write_stage2(r, res, r.c, r.w_star)
     click.echo(f"wrote {path} (final joint loss {res.epoch_losses[-1]:.4f})")
 
 
-@main.command("assemble")
-@config_opts
-@_guarded
-def assemble_cmd(config_path, out, seed):
+@_command("assemble", reads=("stage1", "stage2"))
+def assemble_cmd(r):
     """Splice the Stage-2 encoder onto the Stage-1 decoders."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed}, reads=("stage1", "stage2"))
     spec, s1, split = r.upstream["stage1"][:3]
     model = pipeline.assemble(spec, r.c, r.upstream["stage2"][1], s1, split)
     path = _write_model(r, model, False, r.w_star)
     click.echo(f"wrote {path} (C={model.c})")
 
 
-@main.command("refine")
-@config_opts
-@data_opt
-@tau_opt
-@_guarded
-def refine_cmd(config_path, out, seed, data, tau):
+@_command("refine", "--data", "--tau", reads_data=True, reads=("model",))
+def refine_cmd(r):
     """Fine-tune only the decoders of the latest model, encoder frozen."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau}, data=data, reads_data=True,
-                 reads=("model",))
     model, meta = r.upstream["model"]
     td = pipeline.build_task_data(r.dataset, model.split)
     refined = pipeline.refine_decoders(model, td, r.run)
@@ -472,29 +474,17 @@ def refine_cmd(config_path, out, seed, data, tau):
     click.echo(f"wrote {path} (refined {epochs} epochs)")
 
 
-@main.command("eval")
-@config_opts
-@data_opt
-@_guarded
-def eval_cmd(config_path, out, seed, data):
+@_command("eval", "--data", reads_data=True, reads=("model",))
+def eval_cmd(r):
     """Metrics of the latest model: overall/head/tail accuracy, task BCE."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed}, data=data, reads_data=True, reads=("model",))
     model, _ = r.upstream["model"]
     click.echo(f"wrote {_write_metrics(r, model, r.dataset)}")
 
 
-@main.command("full-run")
-@config_opts
-@data_opt
-@tau_opt
-@click.option("--no-refine", is_flag=True, help="Skip decoder refinement: refine.epochs 0.")
-@_guarded
-def full_run_cmd(config_path, out, seed, data, tau, no_refine):
+@_command("full-run", "--data", "--tau", "--no-refine")
+def full_run_cmd(r):
     """The whole pipeline: data, Stage 1, search, Stage 2, assembly,
     optional refinement, and metrics."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau,
-                               "--no-refine": 0 if no_refine else None},
-                 data=data, reads_data=data is not None)
     dataset = _write_dataset(r)[0] if r.dataset is None else r.dataset
     result = pipeline.full_run(r.run, dataset)
     sel = result.selection
@@ -524,20 +514,9 @@ def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
     click.echo("PASS")
 
 
-@main.command("oracle")
-@config_opts
-@grid_c_opt
-@grid_w_opt
-@click.option("--resamples", type=int, default=None, help="MC resamples per cell.")
-@click.option("--train-size", type=int, default=None, help="Training-set size per resample.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel resample jobs, >= 1.")
-@tau_opt
-@_guarded
-def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jobs, tau):
+@_command("oracle", "--grid-c", "--grid-w", "--resamples", "--train-size", "--jobs", "--tau", study="oracle")
+def oracle_cmd(r):
     """MC risk over the (C, w_A) grid compared against the proxy by rank."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau, "--resamples": resamples,
-                               "--train-size": train_size, "--grid-c": _parse_grid(grid_c, int),
-                               "--grid-w": _parse_grid(grid_w, float)}, jobs=jobs)
     gen = datagen.build_generator(r.gen)
     report = oracle.grid_compare(gen, r.run, r.run.c_values, r.run.w_values, **r.study)
     csv_path = store.next_version_path(r.out, "oracle_grid", ".csv")
@@ -549,20 +528,9 @@ def oracle_cmd(config_path, out, seed, grid_c, grid_w, resamples, train_size, jo
     click.echo(f"wrote {csv_path} and {json_path}")
 
 
-@main.command("sweep")
-@config_opts
-@click.option("--c", "c_fixed", type=int, default=None, help="Shared depth (default: full).")
-@grid_w_opt
-@click.option("--resamples", type=int, default=None, help="Seeds per weight.")
-@click.option("--train-size", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel resample jobs, >= 1.")
-@tau_opt
-@_guarded
-def sweep_cmd(config_path, out, seed, c_fixed, grid_w, resamples, train_size, jobs, tau):
+@_command("sweep", "--c", "--grid-w", "--resamples", "--train-size", "--jobs", "--tau", study="sweep")
+def sweep_cmd(r):
     """Accuracy/risk versus head weight at a fixed shared depth."""
-    r = _resolve(config_path, {"--out": out, "--seed": seed, "--tau": tau, "--resamples": resamples,
-                               "--train-size": train_size, "--grid-w": _parse_grid(grid_w, float)},
-                 c=c_fixed, jobs=jobs, sweep=True)
     gen = datagen.build_generator(r.gen)
     report = oracle.weight_sweep(gen, r.run, r.c, r.run.w_values, **r.study)
     path = store.next_version_path(r.out, "sweep", ".csv")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DomainError, StructuralError
+from .errors import ConfigError, DataFormatError, DomainError, MissingArtifactError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ def load_generator_sidecar(path) -> MixtureGenerator:
             np.asarray(payload["means"], dtype=np.float64), float(payload["noise_sigma"]),
             np.asarray(payload["priors"], dtype=np.float64), cfg,
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # OSError: a directory, say
         raise DataFormatError(f"{path}: bad generator sidecar ({type(exc).__name__}: {exc})") from None
     if not (np.isfinite(gen.means).all() and np.isfinite(gen.priors).all()
             and np.isfinite(gen.noise_sigma) and gen.noise_sigma > 0):
@@ -306,14 +306,22 @@ def load_csv(path) -> LongTailDataset:
     """Parse a feature+label CSV; malformed rows name the offending line.
 
     A `<stem>.generator.json` sidecar, when present, is attached so the
-    exact posterior stays available.
+    exact posterior stays available. A missing file raises
+    MissingArtifactError, one that cannot be opened (a directory, say)
+    DataFormatError.
     """
     path = Path(path)
     features = []
     classes = []
     linenos = []
     width = None
-    with path.open(encoding="utf-8", errors="replace") as fh:
+    try:
+        fh = path.open(encoding="utf-8", errors="replace")
+    except FileNotFoundError:
+        raise MissingArtifactError(f"dataset not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise DataFormatError(f"{path}: unreadable dataset ({type(exc).__name__}: {exc})") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

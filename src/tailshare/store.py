@@ -119,10 +119,18 @@ def _artifact(path):
         raise DataFormatError(f"{path}: inconsistent artifact ({type(exc).__name__}: {exc})") from None
 
 
+def _refuse_non_finite(path, arrays: dict, names: tuple) -> None:
+    for name in names:
+        if not _finite(arrays[name]):
+            raise DataFormatError(f"{path}: {name} has a non-finite entry")
+
+
 def load_params(path) -> tuple:
+    """The params container; every parameter must be finite."""
     meta, arrays = load_container(path)
     with _artifact(path):
         spec = ModelSpec(**meta["spec"])
+        _refuse_non_finite(path, arrays, ("params",))
         return spec, ParamVector(arrays["params"], spec.block_table()), meta
 
 
@@ -142,8 +150,8 @@ def save_stage1(path, spec: ModelSpec, s1: Stage1Result, split: TaskSplit,
 
 def load_stage1(path) -> tuple:
     """The stage-1 container; its sample_count is the training-set size N.
-    Each Fisher must hold one finite entry per parameter, and the split
-    must fit the heads."""
+    Each Fisher must hold one entry per parameter, every parameter and
+    Fisher entry must be finite, and the split must fit the heads."""
     meta, arrays = load_container(path)
     with _artifact(path):
         spec = ModelSpec(**meta["spec"])
@@ -156,8 +164,7 @@ def load_stage1(path) -> tuple:
             if arrays[name].size != spec.param_count:
                 raise DataFormatError(f"{path}: {name} holds {arrays[name].size} entries, "
                                       f"not one per parameter ({spec.param_count})")
-            if not _finite(arrays[name]):
-                raise DataFormatError(f"{path}: {name} has a non-finite entry")
+        _refuse_non_finite(path, arrays, ("params_a", "params_b", "fisher_a", "fisher_b"))
         table = spec.block_table()
         s1 = Stage1Result(
             params_a=ParamVector(arrays["params_a"], table),
@@ -177,12 +184,14 @@ def save_model(path, model: AssembledModel, extra: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple:
-    """The model container; the priors array of an older one is ignored."""
+    """The model container; every parameter must be finite, and the priors
+    array of an older one is ignored."""
     meta, arrays = load_container(path)
     with _artifact(path):
         spec = ModelSpec(**meta["spec"])
         if type(meta["c"]) is not int:  # JSON's true is not an int
             raise DataFormatError(f"{path}: c must be an int, got {json.dumps(meta['c'])}")
+        _refuse_non_finite(path, arrays, ("branch_a", "branch_b"))
         branches = (ParamVector(arrays[name], spec.block_table()) for name in ("branch_a", "branch_b"))
         return AssembledModel(spec, meta["c"], TaskSplit(**meta["split"]), *branches), meta
 

@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -940,3 +942,171 @@ def test_reference_config_file_is_the_reference_instance():
     assert ref["oracle"] == {"resamples": presets.REFERENCE_M_RESAMPLES,
                              "train_size": presets.REFERENCE_N_TRAIN,
                              "eval_points": presets.REFERENCE_EVAL_POINTS}
+
+
+# Each command's options as its --help lists them: the name with the type,
+# and the default it shows, if any.
+COMMON_OPTIONS = [("--config PATH", None), ("--out TEXT", None), ("--seed INTEGER", None)]
+STUDY_OPTIONS = [("--resamples INTEGER", None), ("--train-size INTEGER", None),
+                 ("--jobs INTEGER", "1"), ("--tau FLOAT", None)]
+OPTIONS = {
+    "gen-data": COMMON_OPTIONS,
+    "stage1": COMMON_OPTIONS + [("--data PATH", None), ("--tau FLOAT", None)],
+    "search": COMMON_OPTIONS + [("--grid-c TEXT", None), ("--grid-w TEXT", None)],
+    "stage2": COMMON_OPTIONS + [("--data PATH", None), ("--tau FLOAT", None), ("--c-star INTEGER", None),
+                                ("--w-star FLOAT", None)],
+    "assemble": COMMON_OPTIONS,
+    "refine": COMMON_OPTIONS + [("--data PATH", None), ("--tau FLOAT", None)],
+    "eval": COMMON_OPTIONS + [("--data PATH", None)],
+    "full-run": COMMON_OPTIONS + [("--data PATH", None), ("--tau FLOAT", None), ("--no-refine", None)],
+    "verify-lemma": [("--trials INTEGER", "1000"), ("--seed INTEGER", "1"), ("--max-y INTEGER", "4"),
+                     ("--max-outcomes INTEGER", "4")],
+    "oracle": COMMON_OPTIONS + [("--grid-c TEXT", None), ("--grid-w TEXT", None)] + STUDY_OPTIONS,
+    "sweep": COMMON_OPTIONS + [("--c INTEGER", None), ("--grid-w TEXT", None)] + STUDY_OPTIONS,
+}
+
+
+class TestFlagTable:
+    """Each flag is one `_FLAGS` row, which every command that takes it
+    registers the same way."""
+
+    def test_each_command_lists_its_options_names_types_and_defaults(self):
+        assert sorted(main.commands) == sorted(OPTIONS)
+        for name, command in main.commands.items():
+            ctx = click.Context(command, info_name=name)
+            listed = []
+            for param in command.get_params(ctx):
+                if param.name == "help":
+                    continue
+                column, text = param.get_help_record(ctx)
+                default = re.search(r"\[default: ([^]]*)\]", text)
+                listed.append((column, default and default.group(1)))
+            assert listed == OPTIONS[name], name
+
+    def test_every_keyed_flag_names_a_config_key(self):
+        from tailshare import cli
+
+        for flag, entry in cli._FLAGS.items():
+            if entry.key is not None:
+                fields = cli._FIELDS
+                for part in entry.key.split("."):
+                    fields = fields[part]
+                assert isinstance(fields, cli._Field), flag
+
+    # A value of each flag that sets no config key.
+    KEYLESS = {"--data": "elsewhere.csv", "--c-star": 1, "--w-star": 0.5, "--c": 1, "--jobs": 3}
+
+    def test_a_flag_without_a_key_leaves_the_config_unchanged(self):
+        from tailshare import cli
+
+        assert {flag for flag, entry in cli._FLAGS.items() if entry.key is None} == set(self.KEYLESS)
+        for flag, value in self.KEYLESS.items():
+            assert cli._merged(TOY, {flag: value}) == cli._merged(TOY, {}), flag
+
+    def test_stage2_flags_leave_the_config_snapshot_unchanged(self, runner, searched):
+        data = searched / "dataset_v001.csv"
+        assert invoke(runner, searched, "stage2").exit_code == 0
+        result = invoke(runner, searched, "stage2", "--data", str(data), "--c-star", "1", "--w-star", "0.5")
+        assert result.exit_code == 0, result.output
+        assert (searched / "config_v004.json").read_bytes() == (searched / "config_v005.json").read_bytes()
+
+
+class TestNonFiniteParameters:
+    """A container whose parameters are not all finite (the stage-1
+    container, which search and assemble read; the stage-2 one, which
+    assemble reads; the model, which eval and refine read) exits 5 naming
+    the file and the array, with nothing written."""
+
+    @pytest.mark.parametrize("stem, name, value, command", [
+        ("stage1", "params_a", np.nan, "search"),
+        ("stage1", "params_a", np.nan, "assemble"),
+        ("stage1", "params_b", np.inf, "search"),
+        ("stage2", "params", np.nan, "assemble"),
+        ("model", "branch_a", np.nan, "eval"),
+        ("model", "branch_b", -np.inf, "refine"),
+    ])
+    def test_writes_nothing(self, runner, searched, stem, name, value, command):
+        assert invoke(runner, searched, "stage2", "--c-star", "1").exit_code == 0
+        assert invoke(runner, searched, "assemble").exit_code == 0
+        meta, arrays = load_container(searched / f"{stem}_v001.bin")
+        arrays = {key: array.copy() for key, array in arrays.items()}
+        arrays[name][0] = value
+        path = searched / f"{stem}_v002.bin"
+        save_container(path, meta, arrays)
+        before = run_dir_state(searched)
+        result = invoke(runner, searched, command)
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {path}: {name} has a non-finite entry" in result.output
+        assert run_dir_state(searched) == before
+
+
+def tree_state(root):
+    """Every path under root, with the bytes of each file."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestPathInputs:
+    """A path that names nothing, or a file of the wrong kind, exits with
+    its code and a message that names it, with nothing written."""
+
+    @pytest.mark.parametrize("command", ["stage1", "full-run"])
+    def test_missing_dataset_exits_3(self, runner, tmp_path, command):
+        missing = tmp_path / "missing.csv"
+        result = invoke(runner, tmp_path / "run", command, "--data", str(missing))
+        assert result.exit_code == 3, result.output
+        assert f"error[missing-artifact]: dataset not found: {missing}" in result.output
+        assert tree_state(tmp_path) == {}
+
+    @pytest.mark.parametrize("command", ["stage1", "eval"])
+    def test_dataset_that_is_a_directory_exits_5(self, runner, tmp_path, command):
+        (tmp_path / "data.csv").mkdir()
+        result = invoke(runner, tmp_path / "run", command, "--data", str(tmp_path / "data.csv"))
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {tmp_path / 'data.csv'}: unreadable dataset (IsADirectoryError" in result.output
+        assert tree_state(tmp_path) == {"data.csv": None}
+
+    def test_sidecar_that_is_a_directory_exits_5(self, runner, tmp_path):
+        assert invoke(runner, tmp_path / "data", "gen-data").exit_code == 0
+        sidecar = tmp_path / "data" / "dataset_v001.generator.json"
+        sidecar.unlink()
+        sidecar.mkdir()
+        data = sidecar.parent / "dataset_v001.csv"
+        before = tree_state(tmp_path)
+        result = invoke(runner, tmp_path / "run", "stage1", "--data", str(data))
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {sidecar}: bad generator sidecar (IsADirectoryError" in result.output
+        assert tree_state(tmp_path) == before
+
+    def test_config_that_is_a_directory_exits_2(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.mkdir()
+        result = invoke(runner, tmp_path / "run", "gen-data", config=config)
+        assert result.exit_code == 2, result.output
+        assert f"error[config]: {config}: unreadable config (IsADirectoryError" in result.output
+        assert tree_state(tmp_path) == {"config.json": None}
+
+    def test_selection_that_is_a_directory_exits_5(self, runner, searched):
+        (searched / "selection_v002.json").mkdir()
+        before = tree_state(searched)
+        result = invoke(runner, searched, "stage2")
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {searched / 'selection_v002.json'}: unreadable selection (IsADirectoryError" \
+            in result.output
+        assert tree_state(searched) == before
+
+    @pytest.mark.parametrize("command", ["gen-data", "full-run", "oracle"])
+    @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "key"])
+    @pytest.mark.parametrize("below", ["", "run"], ids=["file", "below-file"])
+    def test_out_that_is_not_a_directory_exits_2(self, runner, tmp_path, command, by_flag, below):
+        held = tmp_path / "held"
+        held.write_text("not a directory")
+        out = held / below if below else held
+        if by_flag:
+            result = invoke(runner, out, command)
+        else:
+            config = toy_copy(tmp_path, "out", out=str(out))
+            result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert f"error[config]: {'--out' if by_flag else 'out'}: {held} is not a directory" in result.output
+        assert held.read_text() == "not a directory"
+        assert sorted(tree_state(tmp_path)) == (["held"] if by_flag else ["held", "out.json"])
