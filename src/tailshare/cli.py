@@ -12,8 +12,9 @@ is its flags, a missing one from the latest selection file; assemble's
 is its stage-2 container's; `_selected` reads both. Every grid
 (--grid-c, --grid-w, select.*) must be nonempty, every depth (--grid-c,
 --c, --c-star, c_star) lie in 0..L for the model's L trunk layers, every
-weight (--grid-w, --w-star, w_star) in [0, 1], --jobs be >= 1, and the
-run directory (--out, out) be a directory if it exists. A refused input
+weight (--grid-w, --w-star, w_star) in [0, 1], --jobs be >= 1, --data be
+nonempty, and the run directory (--out, out) be a directory if it exists.
+A refused input
 exits 2 naming it (its flag, or its file and key), a missing dataset or
 container exits 3, and an unreadable dataset or selection file, a
 damaged container (a non-finite parameter or Fisher included) or a file
@@ -171,7 +172,8 @@ def _json_object(path: Path, error, what: str) -> dict:
 def _merged(config_path, given: dict) -> dict:
     """The defaults, then the JSON file, then each given flag that sets a
     key (`_FLAGS`; a grid flag's text parsed first), each value set by `_set`."""
-    overrides = {flag: value if _FLAGS[flag].grid is None else _parse_grid(value, _FLAGS[flag].grid)
+    overrides = {flag: value if _FLAGS[flag].grid is None
+                 else _checked(flag, _parse_grid, value, _FLAGS[flag].grid)
                  for flag, value in given.items() if value is not None and _FLAGS[flag].key}
     cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
     if config_path:
@@ -271,6 +273,8 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
             for section, offset in (("stage1", 2), ("stage2", 3), ("refine", 4))]
     data_path = given.get("--data")
+    if data_path == "":
+        raise ConfigError("--data: the path is empty")
     if reads_data or data_path is not None:
         data_path = data_path or store.latest_version_path(t["out"], "dataset", ".csv")
     dataset = None if data_path is None else datagen.load_csv(data_path)

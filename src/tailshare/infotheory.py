@@ -1,8 +1,9 @@
 """Exact information measures on small discrete spaces.
 
 Everything here works in nats on explicit probability tables. The central
-identity this module can certify by brute force: for a true joint Q over
-(Y, Z_A, Z_B) and any factorized conditional model P_A * P_B,
+identity, which `residual_sweep` certifies by brute force over random
+instances: for a true joint Q over (Y, Z_A, Z_B) and any factorized
+conditional model P_A * P_B,
 
     D(Q_W || P_W) = D(Q_XA || P_XA) + D(Q_XB || P_XB) + I_Q(Z_A; Z_B | Y)
 
@@ -11,17 +12,16 @@ The conditional mutual information term does not depend on the model, so
 minimizing the joint divergence and minimizing the task-wise sum coincide.
 
 The module also evaluates the task-wise KL risk of a trained two-branch
-predictor against a generator with known posteriors.
+predictor against a generator with known posteriors (`taskwise_risk`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, StructuralError, SupportError
-from .datagen import MixtureGenerator, TaskSplit
+from .datagen import TaskSplit
 
 # Floor applied before logarithms; keeps denormals out of log() without
 # masking genuine support violations (those are checked explicitly).
@@ -46,29 +46,6 @@ def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         p * (np.log(np.maximum(p, _FLOOR)) - np.log(np.maximum(q, _FLOOR))),
         0.0,
     )
-
-
-def kl(p, q) -> float:
-    """Kullback-Leibler divergence sum(p * log(p / q)) in nats.
-
-    Terms with p(x) = 0 contribute zero. Raises SupportError when q
-    vanishes somewhere p does not.
-    """
-    p = _as_prob_array(p, "p")
-    q = _as_prob_array(q, "q")
-    if p.shape != q.shape:
-        raise StructuralError("p and q must share one alphabet")
-    return float(_kl_terms(p, q).sum())
-
-
-def mutual_information(joint) -> float:
-    """I(U; V) from a 2-D joint table, in nats."""
-    pj = _as_prob_array(joint, "joint")
-    if pj.ndim != 2:
-        raise StructuralError("mutual_information expects a 2-D joint table")
-    pu = pj.sum(axis=1)
-    pv = pj.sum(axis=0)
-    return kl(pj, np.outer(pu, pv))
 
 
 def conditional_mutual_information(joint):
@@ -114,35 +91,8 @@ def _conditional_tables(tab, name: str, rows=True) -> np.ndarray:
     return tab
 
 
-@dataclass
-class DiscreteJoint:
-    """Joint probability table over (Y, Z_A, Z_B) as label indices."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        self.table = _joint_tables(self.table)
-        if self.table.ndim != 3:
-            raise StructuralError("joint table needs axes (Y, Z_A, Z_B)")
-
-
-@dataclass
-class FactorizedConditional:
-    """Per-task conditional tables P_A(z_a | y) and P_B(z_b | y)."""
-
-    p_a: np.ndarray
-    p_b: np.ndarray
-
-    def __post_init__(self):
-        self.p_a = _conditional_tables(self.p_a, "p_a")
-        self.p_b = _conditional_tables(self.p_b, "p_b")
-        for name, tab in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if tab.ndim != 2:
-                raise StructuralError(f"{name} must be (|Y|, outcomes)")
-
-
 class DecompositionTerms(NamedTuple):
-    """Each field is a float for one instance and an array over the leading
+    """Each field is a scalar for one instance and an array over the leading
     axes for a stack of instances."""
 
     joint_kl: float
@@ -155,33 +105,13 @@ class DecompositionTerms(NamedTuple):
         return self.joint_kl - self.task_a_kl - self.task_b_kl - self.cmi
 
 
-def _coerce_instance(q, p) -> tuple:
-    q_table = q.table if isinstance(q, DiscreteJoint) else _joint_tables(q)
-    if isinstance(p, FactorizedConditional):
-        p_a, p_b = p.p_a, p.p_b
-    else:
-        p_a, p_b = _conditional_tables(p[0], "p_a"), _conditional_tables(p[1], "p_b")
-    if q_table.shape[-2] != p_a.shape[-1] or q_table.shape[-1] != p_b.shape[-1]:
-        raise StructuralError("conditional tables do not match the joint's label alphabets")
-    if q_table.shape[:-2] != p_a.shape[:-1] or q_table.shape[:-2] != p_b.shape[:-1]:
-        raise StructuralError("conditional tables do not match the joint's Y alphabet")
-    return q_table, p_a, p_b
-
-
-def decomposition_terms(q, p) -> DecompositionTerms:
-    """All four pieces of the joint-vs-taskwise KL identity.
-
-    q is a DiscreteJoint or joint tables with axes (..., Y, Z_A, Z_B); p is
-    a FactorizedConditional or a pair (p_a, p_b) with axes (..., Y, Z_A)
-    and (..., Y, Z_B). A stack of instances on leading axes gives each term
-    as an array over those axes; one instance is a stack without them.
-    """
-    return _terms(*_coerce_instance(q, p))
-
-
 def _terms(q: np.ndarray, p_a: np.ndarray, p_b: np.ndarray) -> DecompositionTerms:
-    """decomposition_terms on checked tables, reduced over the trailing
-    alphabet axes. Zero-padded outcomes and Y rows add nothing."""
+    """All four pieces of the joint-vs-taskwise KL identity, from checked
+    tables: the joint q with axes (..., Y, Z_A, Z_B) (`_joint_tables`) and
+    the conditionals p_a and p_b with axes (..., Y, Z_A) and (..., Y, Z_B)
+    (`_conditional_tables`). Each term is reduced over the trailing
+    alphabet axes, so a stack of instances on leading axes gives an array
+    over them. Zero-padded outcomes and Y rows add nothing."""
     q_y = q.sum(axis=(-2, -1))
     p_w = q_y[..., None, None] * p_a[..., :, None] * p_b[..., None, :]
     q_xa = q.sum(axis=-1)
@@ -195,7 +125,7 @@ def _terms(q: np.ndarray, p_a: np.ndarray, p_b: np.ndarray) -> DecompositionTerm
 
 
 def _draw_tables(rng: np.random.Generator, max_y: int, max_a: int, max_b: int) -> tuple:
-    """The raw (q, p_a, p_b) tables of one random instance."""
+    """The (q, p_a, p_b) tables of one random instance with full support."""
     ny = int(rng.integers(2, max_y + 1))
     na = int(rng.integers(2, max_a + 1))
     nb = int(rng.integers(2, max_b + 1))
@@ -203,12 +133,6 @@ def _draw_tables(rng: np.random.Generator, max_y: int, max_a: int, max_b: int) -
     p_a = rng.dirichlet(np.ones(na), size=ny)
     p_b = rng.dirichlet(np.ones(nb), size=ny)
     return q, p_a, p_b
-
-
-def random_instance(rng: np.random.Generator, max_y: int = 4, max_a: int = 4, max_b: int = 4):
-    """One random (joint, factorized conditional) pair with full support."""
-    q, p_a, p_b = _draw_tables(rng, max_y, max_a, max_b)
-    return DiscreteJoint(q), FactorizedConditional(p_a, p_b)
 
 
 # Padded table entries residual_sweep evaluates in one array pass: 128
@@ -220,10 +144,11 @@ _SWEEP_BLOCK_ENTRIES = 8192
 
 def residual_sweep(trials: int, seed: int, max_y: int = 4, max_a: int = 4, max_b: int = 4) -> float:
     """Max |residual| of the decomposition identity over `trials` random
-    instances, the draws of repeated random_instance calls on one
-    generator. Instances are zero-padded to the alphabet bounds and checked
-    and evaluated a block at a time, with every check DiscreteJoint,
-    FactorizedConditional and kl make."""
+    instances, the draws of repeated `_draw_tables` calls on one generator.
+    Instances are zero-padded to the alphabet bounds and checked and
+    evaluated a block at a time: every joint sums to 1 and every
+    conditional row that an instance uses sums to 1 within 1e-12, no entry
+    is negative, and the model is positive wherever the joint is."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -273,25 +198,6 @@ def group_outcome_log_probs(logits: np.ndarray) -> np.ndarray:
     return ext - _logsumexp(ext, axis=1)[:, None]
 
 
-def taskwise_risk(
-    gen: MixtureGenerator,
-    split: TaskSplit,
-    logits_fn: Callable,
-    eval_points: np.ndarray,
-) -> float:
-    """Monte-Carlo average over eval_points of the per-task KL between the
-    true projected posterior and the model's branch conditionals.
-
-    The true projected posterior over a group is a (|t|+1)-outcome
-    distribution: mass on each group class plus the all-zero outcome that
-    absorbs the other group. The model side is group_outcome_log_probs,
-    the branch renormalized over the same outcomes.
-    """
-    eval_points = np.asarray(eval_points, dtype=np.float64)
-    targets = _risk_targets(gen.posterior(eval_points), split)
-    return _taskwise_risk(targets, logits_fn(eval_points))
-
-
 def _risk_targets(post: np.ndarray, split: TaskSplit) -> tuple:
     """Per task group, the true projected posterior q (group classes plus
     the all-zero outcome) and q * log q's log factor, from the posterior
@@ -306,9 +212,17 @@ def _risk_targets(post: np.ndarray, split: TaskSplit) -> tuple:
     return tuple(targets)
 
 
-def _taskwise_risk(targets: tuple, logits: tuple) -> float:
-    """taskwise_risk from _risk_targets and the branch logits (s_a, s_b) at
-    the same points."""
+def taskwise_risk(targets: tuple, logits: tuple) -> float:
+    """Monte-Carlo average over the evaluation points of the per-task KL
+    between the true projected posterior and the model's branch
+    conditionals, from `_risk_targets` and the branch logits (s_a, s_b) at
+    the same points.
+
+    The true projected posterior over a group is a (|t|+1)-outcome
+    distribution: mass on each group class plus the all-zero outcome that
+    absorbs the other group. The model side is group_outcome_log_probs,
+    the branch renormalized over the same outcomes.
+    """
     total = 0.0
     for (q, log_q), s in zip(targets, logits):
         logp = group_outcome_log_probs(np.asarray(s, dtype=np.float64))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, TrainingDivergenceError
 from .datagen import MixtureGenerator, sample_iid, split_classes
-from .infotheory import _risk_targets, _taskwise_risk
+from .infotheory import _risk_targets, taskwise_risk
 from .nn import trunk_activations
 from .pipeline import (
     RunConfig,
@@ -136,7 +136,7 @@ def _run_resample(args) -> tuple:
             if isinstance(model, TrainingDivergenceError):
                 continue
             acts = encoded(where[1])[:model.c + 1] if model.c else [eval_points]
-            risks[where] = _taskwise_risk(targets, model.decode(acts))
+            risks[where] = taskwise_risk(targets, model.decode(acts))
             if balanced is not None:
                 rep = evaluate(model, *balanced)
                 accs[where] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)

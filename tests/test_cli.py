@@ -515,6 +515,8 @@ class TestInputsResolvedBeforeAnyWrite:
         ("oracle", ["--grid-c", ","], None, "--grid-c: candidate grids must be nonempty"),
         ("oracle", ["--grid-w", ","], None, "--grid-w: candidate grids must be nonempty"),
         ("sweep", ["--grid-w", " "], None, "--grid-w: candidate grids must be nonempty"),
+        ("search", ["--grid-c", "1,x"], None, "--grid-c: bad grid '1,x': invalid literal for int()"),
+        ("oracle", ["--grid-w", "0.5,y"], None, "--grid-w: bad grid '0.5,y': could not convert"),
         ("full-run", [], '{"select": {"c_values": []}}', "select.c_values: candidate grids must be nonempty"),
         ("full-run", [], '{"select": {"w_values": []}}', "select.w_values: candidate grids must be nonempty"),
         ("full-run", [], '{"select": {"w_values": [2.0]}}',
@@ -1056,6 +1058,16 @@ class TestPathInputs:
         assert result.exit_code == 3, result.output
         assert f"error[missing-artifact]: dataset not found: {missing}" in result.output
         assert tree_state(tmp_path) == {}
+
+    @pytest.mark.parametrize("command", ["stage1", "full-run"])
+    def test_empty_dataset_path_exits_2(self, runner, tmp_path, command):
+        """An empty --data is refused, not read as the latest dataset."""
+        assert invoke(runner, tmp_path / "run", "gen-data").exit_code == 0
+        before = tree_state(tmp_path)
+        result = invoke(runner, tmp_path / "run", command, "--data", "")
+        assert result.exit_code == 2, result.output
+        assert "error[config]: --data: the path is empty" in result.output
+        assert tree_state(tmp_path) == before
 
     @pytest.mark.parametrize("command", ["stage1", "eval"])
     def test_dataset_that_is_a_directory_exits_5(self, runner, tmp_path, command):

@@ -9,17 +9,26 @@ from tailshare import infotheory
 from tailshare.errors import ConfigError, StructuralError, SupportError
 from tailshare.datagen import GenConfig, build_generator, split_classes
 from tailshare.infotheory import (
-    DiscreteJoint,
-    FactorizedConditional,
+    _conditional_tables,
+    _draw_tables,
+    _joint_tables,
+    _risk_targets,
+    _terms,
     conditional_mutual_information,
-    decomposition_terms,
     group_outcome_log_probs,
-    kl,
-    mutual_information,
-    random_instance,
     residual_sweep,
     taskwise_risk,
 )
+
+
+def terms(q, p_a, p_b):
+    """The decomposition terms of tables checked as residual_sweep checks them."""
+    return _terms(_joint_tables(q), _conditional_tables(p_a, "p_a"), _conditional_tables(p_b, "p_b"))
+
+
+def kl(p, q):
+    """D(p || q) as every decomposition term computes it."""
+    return float(infotheory._kl_terms(np.asarray(p, float), np.asarray(q, float)).sum())
 
 
 class TestKl:
@@ -46,18 +55,15 @@ class TestKl:
         with pytest.raises(SupportError):
             kl([0.5, 0.5], [1.0, 0.0])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(StructuralError):
-            kl([0.5, 0.5], [0.2, 0.3, 0.5])
 
-
-class TestMutualInformation:
+class TestConditionalMutualInformation:
+    # With a single Y value, I(U; V | Y) is the plain mutual information I(U; V).
     def test_independent_is_zero(self):
         joint = np.outer([0.3, 0.7], [0.6, 0.4])
-        assert abs(mutual_information(joint)) < 1e-15
+        assert abs(conditional_mutual_information(joint[None])) < 1e-15
 
     def test_identical_uniform_binary_is_log2(self):
-        assert mutual_information(np.diag([0.5, 0.5])) == pytest.approx(np.log(2.0))
+        assert conditional_mutual_information(np.diag([0.5, 0.5])[None]) == pytest.approx(np.log(2.0))
 
     def test_cmi_zero_for_deterministic_functions_of_y(self):
         # z_a and z_b each a deterministic function of y: conditionally constant
@@ -80,35 +86,29 @@ class TestDecomposition:
         qa = rng.dirichlet(np.ones(2), size=3)
         qb = rng.dirichlet(np.ones(4), size=3)
         q = q_y[:, None, None] * qa[:, :, None] * qb[:, None, :]
-        p = FactorizedConditional(rng.dirichlet(np.ones(2), size=3),
-                                  rng.dirichlet(np.ones(4), size=3))
-        terms = decomposition_terms(DiscreteJoint(q), p)
-        assert abs(terms.cmi) < 1e-12
-        assert abs(terms.joint_kl - terms.task_a_kl - terms.task_b_kl) < 1e-12
+        got = terms(q, rng.dirichlet(np.ones(2), size=3), rng.dirichlet(np.ones(4), size=3))
+        assert abs(got.cmi) < 1e-12
+        assert abs(got.joint_kl - got.task_a_kl - got.task_b_kl) < 1e-12
 
     def test_true_conditionals_leave_only_cmi(self):
         rng = np.random.default_rng(3)
         q = rng.dirichlet(np.ones(3 * 2 * 3)).reshape(3, 2, 3)
         q_y = q.sum(axis=(1, 2))
-        p = FactorizedConditional(q.sum(axis=2) / q_y[:, None], q.sum(axis=1) / q_y[:, None])
-        terms = decomposition_terms(DiscreteJoint(q), p)
-        assert abs(terms.task_a_kl) < 1e-12
-        assert abs(terms.task_b_kl) < 1e-12
-        assert abs(terms.joint_kl - terms.cmi) < 1e-12
+        got = terms(q, q.sum(axis=2) / q_y[:, None], q.sum(axis=1) / q_y[:, None])
+        assert abs(got.task_a_kl) < 1e-12
+        assert abs(got.task_b_kl) < 1e-12
+        assert abs(got.joint_kl - got.cmi) < 1e-12
 
     def test_residual_vanishes_on_random_instances(self):
         assert residual_sweep(300, seed=17) < 1e-10
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(4)
-        q, p = random_instance(rng)
-        base = decomposition_terms(q, p)
-        perm_y = rng.permutation(q.table.shape[0])
-        perm_a = rng.permutation(q.table.shape[1])
-        perm_b = rng.permutation(q.table.shape[2])
-        q2 = DiscreteJoint(q.table[np.ix_(perm_y, perm_a, perm_b)])
-        p2 = FactorizedConditional(p.p_a[np.ix_(perm_y, perm_a)], p.p_b[np.ix_(perm_y, perm_b)])
-        other = decomposition_terms(q2, p2)
+        q, p_a, p_b = _draw_tables(rng, 4, 4, 4)
+        base = terms(q, p_a, p_b)
+        perm_y, perm_a, perm_b = (rng.permutation(n) for n in q.shape)
+        other = terms(q[np.ix_(perm_y, perm_a, perm_b)], p_a[np.ix_(perm_y, perm_a)],
+                      p_b[np.ix_(perm_y, perm_b)])
         assert base.joint_kl == pytest.approx(other.joint_kl, abs=1e-12)
         assert base.cmi == pytest.approx(other.cmi, abs=1e-12)
 
@@ -116,27 +116,21 @@ class TestDecomposition:
         rng = np.random.default_rng(6)
         for bounds in ((4, 4, 4), (2, 5, 3), (6, 2, 2)):
             for _ in range(50):
-                q, p = random_instance(rng, *bounds)
-                scalar = decomposition_terms(q, p)
-                stacked = decomposition_terms(q.table[None], (p.p_a[None], p.p_b[None]))
+                q, p_a, p_b = _draw_tables(rng, *bounds)
+                scalar = terms(q, p_a, p_b)
+                stacked = terms(q[None], p_a[None], p_b[None])
                 for one, many in zip(scalar, stacked):
                     assert np.shape(one) == () and many.shape == (1,)
                     assert one == many[0]
                 assert scalar.residual == stacked.residual[0]
-                cmi = conditional_mutual_information(q.table[None])
+                cmi = conditional_mutual_information(q[None])
                 assert cmi.shape == (1,) and cmi[0] == scalar.cmi
-
-    def test_stack_must_match_across_tables(self):
-        rng = np.random.default_rng(7)
-        q, p = random_instance(rng, 3, 3, 3)
-        with pytest.raises(StructuralError, match="Y alphabet"):
-            decomposition_terms(np.stack([q.table, q.table]), (p.p_a[None], p.p_b[None]))
 
     def test_validation(self):
         with pytest.raises(StructuralError):
-            DiscreteJoint(np.full((2, 2, 2), 0.2))
+            _joint_tables(np.full((2, 2, 2), 0.2))
         with pytest.raises(StructuralError):
-            FactorizedConditional(np.array([[0.5, 0.6]]), np.array([[1.0]]))
+            _conditional_tables(np.array([[0.5, 0.6]]), "p_a")
 
 
 def checked_blocks(trials, seed, bounds):
@@ -162,7 +156,7 @@ class TestResidualSweep:
     @example(seed=1, trials=128, bounds=(4, 4, 4))
     @example(seed=1, trials=129, bounds=(4, 4, 4))
     @example(seed=2, trials=300, bounds=(4, 4, 4))
-    def test_checks_the_random_instance_draws_bit_for_bit(self, seed, trials, bounds):
+    def test_checks_the_drawn_tables_bit_for_bit(self, seed, trials, bounds):
         blocks = checked_blocks(trials, seed, bounds)
         rng = np.random.default_rng(seed)
         checked = 0
@@ -170,12 +164,12 @@ class TestResidualSweep:
             assert q.shape[1:] == bounds
             assert q.size <= max(infotheory._SWEEP_BLOCK_ENTRIES, int(np.prod(bounds)))
             for i in range(q.shape[0]):
-                joint, cond = random_instance(rng, *bounds)
-                ny, na, nb = joint.table.shape
+                joint, cond_a, cond_b = _draw_tables(rng, *bounds)
+                ny, na, nb = joint.shape
                 padded = np.zeros_like(q[i]), np.zeros_like(p_a[i]), np.zeros_like(p_b[i])
-                padded[0][:ny, :na, :nb] = joint.table
-                padded[1][:ny, :na] = cond.p_a
-                padded[2][:ny, :nb] = cond.p_b
+                padded[0][:ny, :na, :nb] = joint
+                padded[1][:ny, :na] = cond_a
+                padded[2][:ny, :nb] = cond_b
                 assert np.array_equal(q[i], padded[0])
                 assert np.array_equal(p_a[i], padded[1])
                 assert np.array_equal(p_b[i], padded[2])
@@ -187,8 +181,7 @@ class TestResidualSweep:
     ])
     def test_equals_the_worst_per_instance_residual(self, seed, trials, bounds):
         rng = np.random.default_rng(seed)
-        expected = max(abs(decomposition_terms(*random_instance(rng, *bounds)).residual)
-                       for _ in range(trials))
+        expected = max(abs(terms(*_draw_tables(rng, *bounds)).residual) for _ in range(trials))
         assert abs(residual_sweep(trials, seed, *bounds) - expected) <= 4e-15
 
     @pytest.mark.parametrize("kwargs, named", [
@@ -247,9 +240,9 @@ class TestResidualSweep:
     def test_each_instance_check_holds_in_every_block(self, index, fault, error, named):
         with self.spoil(index, getattr(self, fault)), pytest.raises(error, match=named):
             residual_sweep(300, seed=5)
-        q, p_a, p_b = getattr(self, fault)(*infotheory._draw_tables(np.random.default_rng(5), 4, 4, 4))
+        q, p_a, p_b = getattr(self, fault)(*_draw_tables(np.random.default_rng(5), 4, 4, 4))
         with pytest.raises(error, match=named):
-            decomposition_terms(DiscreteJoint(q), FactorizedConditional(p_a, p_b))
+            terms(q, p_a, p_b)
 
 
 def bernoulli_outcome_probs(logits_row):
@@ -296,18 +289,18 @@ class TestTaskwiseRisk:
     def test_true_posterior_model_has_zero_risk(self):
         gen, split = self.setup_generator()
         pts = gen.sample_features(400, np.random.default_rng(1))
-        risk = taskwise_risk(gen, split, self.perfect_logits(gen, split), pts)
+        risk = taskwise_risk(_risk_targets(gen.posterior(pts), split), self.perfect_logits(gen, split)(pts))
         assert abs(risk) < 1e-12
 
     def test_risk_nonnegative_for_random_models(self):
         gen, split = self.setup_generator()
         rng = np.random.default_rng(2)
         pts = gen.sample_features(100, rng)
+        targets = _risk_targets(gen.posterior(pts), split)
         for _ in range(10):
             w_a = rng.normal(size=(2, 2))
             w_b = rng.normal(size=(2, 2))
-            fn = lambda y: (y @ w_a, y @ w_b)
-            assert taskwise_risk(gen, split, fn, pts) >= 0.0
+            assert taskwise_risk(targets, (pts @ w_a, pts @ w_b)) >= 0.0
 
     def test_matches_brute_force_on_grid(self):
         gen, split = self.setup_generator()
@@ -316,8 +309,8 @@ class TestTaskwiseRisk:
         w_b = rng.normal(size=(2, 2))
         fn = lambda y: (y @ w_a, y @ w_b)
         grid = np.stack(np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7)), -1).reshape(-1, 2)
-        got = taskwise_risk(gen, split, fn, grid)
         post = gen.posterior(grid)
+        got = taskwise_risk(_risk_targets(post, split), fn(grid))
         s_a, s_b = fn(grid)
         expected = 0.0
         for classes, s in ((split.head_classes, s_a), (split.tail_classes, s_b)):

@@ -189,7 +189,7 @@ class TestResampleEngine:
     def test_cells_match_public_rebuild(self, monkeypatch):
         import tailshare.oracle as oracle_mod
         from tailshare.datagen import MixtureGenerator, sample_iid, split_classes
-        from tailshare.infotheory import taskwise_risk
+        from tailshare.infotheory import _risk_targets, taskwise_risk
         from tailshare.pipeline import assemble, build_task_data, select_structure, stage1, stage2
 
         counts = {"stage1": 0, "posterior": 0}
@@ -213,6 +213,7 @@ class TestResampleEngine:
 
         eval_points = GEN.sample_features(300, np.random.default_rng(3))
         split = split_classes(GEN.priors)
+        targets = _risk_targets(GEN.posterior(eval_points), split)
         risks = np.zeros((2, 3, 3))
         first_s1 = None
         for m in range(2):
@@ -225,7 +226,7 @@ class TestResampleEngine:
                 s2 = stage2(cfg_m, td, w, s1)
                 for ci, c in enumerate(self.C_VALUES):
                     model = assemble(SPEC, c, s2.params, s1, split)
-                    risks[m, ci, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
+                    risks[m, ci, wi] = taskwise_risk(targets, model.branch_logits(eval_points))
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
         grid = select_structure(first_s1, 300, SPEC, self.C_VALUES, self.W_VALUES)
         want = [[grid.cell(c, w).total for w in self.W_VALUES] for c in self.C_VALUES]
@@ -235,7 +236,7 @@ class TestResampleEngine:
     @pytest.mark.parametrize("c", [0, 1])
     def test_refined_sweep_cells_match_public_rebuild(self, c):
         from tailshare.datagen import sample_iid, split_classes
-        from tailshare.infotheory import taskwise_risk
+        from tailshare.infotheory import _risk_targets, taskwise_risk
         from tailshare.pipeline import (assemble, build_task_data, evaluate, refine_decoders,
                                         stage1, stage2)
 
@@ -246,6 +247,7 @@ class TestResampleEngine:
         eval_points = GEN.sample_features(300, rng)
         balanced = GEN.sample_balanced(15, rng)
         split = split_classes(GEN.priors)
+        targets = _risk_targets(GEN.posterior(eval_points), split)
         risks, accs = np.zeros((2, 3)), np.zeros((2, 3))
         for m in range(2):
             td = build_task_data(sample_iid(GEN, 300, 3 + 1000 + m), split, GEN.priors)
@@ -256,26 +258,34 @@ class TestResampleEngine:
             for wi, w in enumerate(self.W_VALUES):
                 model = assemble(SPEC, c, stage2(cfg_m, td, w, s1).params, s1, split)
                 model = refine_decoders(model, td, cfg_m)
-                risks[m, wi] = taskwise_risk(GEN, split, model.branch_logits, eval_points)
+                risks[m, wi] = taskwise_risk(targets, model.branch_logits(eval_points))
                 accs[m, wi] = evaluate(model, *balanced).overall_accuracy
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
         assert np.array_equal(rep.overall_mean, (accs[0] + accs[1]) / 2)
 
-    def test_depth_zero_is_assembled_once_per_resample(self, monkeypatch):
+    def test_depth_zero_is_assembled_and_scored_once_per_resample(self, monkeypatch):
+        """Per resample, one c = 0 model serves every weight, and each model
+        is scored by one taskwise_risk call."""
         import tailshare.oracle as oracle_mod
 
-        depths = []
-        real_assemble = oracle_mod.assemble
+        depths, risk_calls = [], []
+        real_assemble, real_risk = oracle_mod.assemble, oracle_mod.taskwise_risk
 
         def counted_assemble(spec, c, *args):
             depths.append(c)
             return real_assemble(spec, c, *args)
 
+        def counted_risk(*args):
+            risk_calls.append(1)
+            return real_risk(*args)
+
         monkeypatch.setattr(oracle_mod, "assemble", counted_assemble)
+        monkeypatch.setattr(oracle_mod, "taskwise_risk", counted_risk)
         grid_compare(GEN, run_config(), self.C_VALUES, self.W_VALUES, m_resamples=2,
                      n_train=300, seed=3, n_eval=300)
         assert depths.count(0) == 2
         assert depths.count(1) == depths.count(2) == 2 * len(self.W_VALUES)
+        assert len(risk_calls) == 2 * (1 + 2 * len(self.W_VALUES))
 
     def test_single_resample_emits_no_warnings(self):
         with warnings.catch_warnings():
