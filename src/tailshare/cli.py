@@ -131,7 +131,7 @@ _FLAGS = {
     "--w-star": _Flag(None, None, dict(type=float, help="Override the selected head weight.")),
     "--c": _Flag(None, None, dict(type=int, help="Shared depth (default: full).")),
     "--jobs": _Flag(None, None, dict(type=int, default=1, show_default=True,
-                                     help="Parallel resample jobs, >= 1.")),
+                                     help="Parallel resample jobs, >= 1; at most one worker per resample.")),
 }
 
 

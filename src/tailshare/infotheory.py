@@ -140,6 +140,9 @@ def _draw_tables(rng: np.random.Generator, max_y: int, max_a: int, max_b: int) -
 # the bounds, so counting entries rather than instances keeps a pass's
 # memory fixed when the bounds grow.
 _SWEEP_BLOCK_ENTRIES = 8192
+# The most padded entries one instance may take (8 MiB of float64): larger
+# bounds are refused before anything is drawn.
+_SWEEP_MAX_ENTRIES = 1 << 20
 
 
 def residual_sweep(trials: int, seed: int, max_y: int = 4, max_a: int = 4, max_b: int = 4) -> float:
@@ -148,7 +151,8 @@ def residual_sweep(trials: int, seed: int, max_y: int = 4, max_a: int = 4, max_b
     Instances are zero-padded to the alphabet bounds and checked and
     evaluated a block at a time: every joint sums to 1 and every
     conditional row that an instance uses sums to 1 within 1e-12, no entry
-    is negative, and the model is positive wherever the joint is."""
+    is negative, and the model is positive wherever the joint is. Bounds
+    whose product passes _SWEEP_MAX_ENTRIES are refused."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -156,6 +160,9 @@ def residual_sweep(trials: int, seed: int, max_y: int = 4, max_a: int = 4, max_b
     for name, bound in (("max_y", max_y), ("max_a", max_a), ("max_b", max_b)):
         if bound < 2:
             raise ConfigError(f"{name} must be >= 2, got {bound}")
+    if max_y * max_a * max_b > _SWEEP_MAX_ENTRIES:
+        raise ConfigError(f"max_y * max_a * max_b = {max_y} * {max_a} * {max_b} = {max_y * max_a * max_b} "
+                          f"table entries per instance, above the cap of {_SWEEP_MAX_ENTRIES}")
     rng = np.random.default_rng(seed)
     block = max(1, _SWEEP_BLOCK_ENTRIES // (max_y * max_a * max_b))
     worst = 0.0

@@ -84,12 +84,6 @@ class ModelSpec:
     def depth(self) -> int:
         return len(self.trunk_widths)
 
-    def block_shape(self, name: str) -> tuple:
-        for b in self._layout:
-            if b.name == name:
-                return b.fan_in, b.fan_out
-        raise StructuralError(f"unknown block {name!r}")
-
     def block_table(self) -> tuple:
         """((name, offset, length), ...) covering the flat vector exactly."""
         return tuple(b[:3] for b in self._layout)
@@ -671,6 +665,14 @@ def train_stack(
     return results
 
 
+def _all_trained(results: list) -> list:
+    """train_stack's TrainResults, or its first member's divergence raised."""
+    for res in results:
+        if isinstance(res, TrainingDivergenceError):
+            raise res
+    return results
+
+
 def train(
     params: ParamVector,
     spec: ModelSpec,
@@ -685,7 +687,5 @@ def train(
     (config, seed) pair reproduces the trained parameters exactly. Raises
     TrainingDivergenceError when the loss goes non-finite.
     """
-    (result,) = train_stack([params], spec, batch, [task_weights], opt, [frozen], offsets)
-    if isinstance(result, TrainingDivergenceError):
-        raise result
+    (result,) = _all_trained(train_stack([params], spec, batch, [task_weights], opt, [frozen], offsets))
     return result

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -85,8 +85,9 @@ def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
     )
 
 
-def _run_resample(args) -> tuple:
-    """One resample: fresh data, shared Stage 1, all Stage-2 weights as one
+def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c_values, w_values,
+                  n_train: int, seed: int, refine: bool) -> tuple:
+    """Resample m: fresh data, shared Stage 1, all Stage-2 weights as one
     stack, per-c assembly.
 
     Returns (risks[nc, nw], acc[nc, nw, 3], stage1); failed cells are
@@ -101,8 +102,6 @@ def _run_resample(args) -> tuple:
     points once, and each cell's branches continue from its depth-c
     activations, which gives the risk a full forward pass would.
     """
-    (gen, run_cfg, split, eval_points, targets, balanced,
-     c_values, w_values, n_train, seed, m, refine) = args
     nc, nw = len(c_values), len(w_values)
     risks = np.full((nc, nw), np.nan)
     accs = np.full((nc, nw, 3), np.nan)
@@ -173,39 +172,39 @@ def _collect_resamples(
     balanced = None if eval_per_class is None else gen.sample_balanced(eval_per_class, rng)
     split = split_classes(gen.priors)
     targets = _risk_targets(gen.posterior(eval_points), split)
-    tasks = [
-        (gen, run_cfg, split, eval_points, targets, balanced,
-         c_values, w_values, n_train, seed, m, refine)
-        for m in range(m_resamples)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_resample, tasks))
+    run = partial(_run_resample, gen=gen, run_cfg=run_cfg, split=split, eval_points=eval_points,
+                  targets=targets, balanced=balanced, c_values=c_values, w_values=w_values,
+                  n_train=n_train, seed=seed, refine=refine)
+    # One worker per resample at most: a fork-started pool forks every
+    # worker when it opens.
+    workers = min(jobs, m_resamples)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, range(m_resamples)))
     else:
-        results = [_run_resample(t) for t in tasks]
+        results = [run(m) for m in range(m_resamples)]
     risks = np.stack([r[0] for r in results])     # (M, nc, nw)
     accs = np.stack([r[1] for r in results])      # (M, nc, nw, 3)
     return risks, accs, results[0][2]
 
 
 @np.errstate(over="ignore")
-def _mean_stderr(values: np.ndarray, axis: int = 0) -> tuple:
-    """Mean and standard error of the finite values along `axis`; NaN where
+def _mean_stderr(values: np.ndarray) -> tuple:
+    """Mean and standard error of the finite values along axis 0; NaN where
     fewer than one (mean) or two (stderr) values are finite. Slices without
     enough values are filled with zeros before the reductions and masked
     after, so numpy never sees an empty slice or a non-positive degree of
     freedom. Finite values too large to sum or square give an infinite
     mean or stderr, without a warning."""
     ok = np.isfinite(values)
-    n_ok = ok.sum(axis=axis)
-    spread = np.expand_dims(n_ok, axis)
+    n_ok = ok.sum(axis=0)
     finite = np.where(ok, values, np.nan)
     mean = np.full(n_ok.shape, np.nan)
     stderr = np.full(n_ok.shape, np.nan)
-    if values.shape[axis] > 0:
-        mean = np.where(n_ok > 0, np.nanmean(np.where(spread > 0, finite, 0.0), axis=axis), np.nan)
-    if values.shape[axis] > 1:
-        std = np.nanstd(np.where(spread > 1, finite, 0.0), axis=axis, ddof=1)
+    if len(values) > 0:
+        mean = np.where(n_ok > 0, np.nanmean(np.where(n_ok > 0, finite, 0.0), axis=0), np.nan)
+    if len(values) > 1:
+        std = np.nanstd(np.where(n_ok > 1, finite, 0.0), axis=0, ddof=1)
         stderr = np.where(n_ok > 1, std / np.sqrt(np.maximum(n_ok, 1)), np.nan)
     return mean, stderr, n_ok
 
@@ -381,15 +380,16 @@ class AnchorStats:
     n_fail: int
 
 
-def _newton_logistic(x: np.ndarray, z: np.ndarray, max_iter: int = 100, tol: float = 1e-12):
-    """Logistic-regression MLE by Newton iteration; None when it fails."""
+def _newton_logistic(x: np.ndarray, z: np.ndarray):
+    """Logistic-regression MLE by at most 100 Newton steps, stopped once
+    every gradient entry is below 1e-12; None when it fails."""
     n, d = x.shape
     theta = np.zeros(d)
-    for _ in range(max_iter):
+    for _ in range(100):
         u = x @ theta
         p = 1.0 / (1.0 + np.exp(-np.clip(u, -500, 500)))
         g = x.T @ (z - p) / n
-        if np.max(np.abs(g)) < tol:
+        if np.max(np.abs(g)) < 1e-12:
             return theta
         w = np.maximum(p * (1.0 - p), 1e-12)
         h = (x * w[:, None]).T @ x / n

@@ -24,6 +24,7 @@ from .nn import (
     OptConfig,
     ParamVector,
     TrainResult,
+    _all_trained,
     bce_losses,
     forward_from,
     init_params,
@@ -103,14 +104,6 @@ class Stage1Result:
     fisher_b: DiagFisher
     losses_a: list
     losses_b: list
-
-
-def _all_trained(results: list) -> list:
-    """The members' TrainResults, or the first member's divergence raised."""
-    for res in results:
-        if isinstance(res, TrainingDivergenceError):
-            raise res
-    return results
 
 
 def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
@@ -273,9 +266,7 @@ def refine_stack(models: list, td: TaskData, cfg: RunConfig) -> list:
 
 def refine_decoders(model: AssembledModel, td: TaskData, cfg: RunConfig) -> AssembledModel:
     """refine_stack for one model; raises TrainingDivergenceError."""
-    (refined,) = refine_stack([model], td, cfg)
-    if isinstance(refined, TrainingDivergenceError):
-        raise refined
+    (refined,) = _all_trained(refine_stack([model], td, cfg))
     return refined
 
 

@@ -48,12 +48,6 @@ def save_container(path, meta: dict, arrays: dict) -> None:
             fh.write(np.ascontiguousarray(arrays[key], dtype="<f8"))
 
 
-# Arrays smaller than this are copied out of a loaded container's buffer,
-# so that a small array kept on its own (the priors) never pins the whole
-# file's buffer.
-_COPY_BELOW_BYTES = 1 << 16
-
-
 def load_container(path) -> tuple:
     """(meta, arrays) of a container; any damage to the file, truncation
     included, raises DataFormatError.
@@ -61,7 +55,7 @@ def load_container(path) -> tuple:
     The file is read once, into one 8-byte-aligned buffer placed so that
     the array section starts on an 8-byte boundary whatever the metadata
     length. Each array is a float64 view of its own part of that buffer,
-    and no two overlap; one under _COPY_BELOW_BYTES is copied out instead.
+    and no two overlap.
     """
     path = Path(path)
     if not path.exists():
@@ -95,8 +89,7 @@ def load_container(path) -> tuple:
         if offset + 8 * n > size:
             raise DataFormatError(f"{path}: array {name!r} of {n} values runs past the end of the file")
         start = (shift + offset) // 8
-        array = buf[start:start + n]
-        arrays[name] = array.copy() if array.nbytes < _COPY_BELOW_BYTES else array
+        arrays[name] = buf[start:start + n]
         offset += 8 * n
     if offset != size:
         raise DataFormatError(f"{path}: trailing bytes after declared arrays")

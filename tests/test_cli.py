@@ -41,6 +41,9 @@ class TestVerifyLemma:
         (["--max-y", "1"], "max_y must be >= 2, got 1"),
         (["--max-outcomes", "1"], "max_a must be >= 2, got 1"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--max-y", "1000", "--max-outcomes", "1000"],
+         "max_y * max_a * max_b = 1000 * 1000 * 1000 = 1000000000 table entries per instance, "
+         "above the cap of 1048576"),
     ])
     def test_degenerate_input_is_a_config_error(self, runner, args, named):
         result = runner.invoke(main, ["verify-lemma"] + args)

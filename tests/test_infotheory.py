@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -196,6 +198,26 @@ class TestResidualSweep:
         args = {"trials": 10, "seed": 1, **kwargs}
         with pytest.raises(ConfigError, match=named):
             residual_sweep(**args)
+
+    @pytest.mark.parametrize("bounds", [(1000, 1000, 1000), (2, 1024, 513), (1 << 40, 2, 2)])
+    def test_bounds_past_the_entry_cap_are_refused_before_anything_is_drawn(self, bounds):
+        """Padding every instance to 1000 x 1000 x 1000 would take 8 GB; bounds
+        whose product passes 2^20 entries raise a ConfigError that names
+        them, with next to nothing allocated."""
+        y, a, b = bounds
+        named = re.escape(f"max_y * max_a * max_b = {y} * {a} * {b} = {y * a * b} table entries "
+                          f"per instance, above the cap of {1 << 20}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=named):
+                residual_sweep(10, 1, *bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_bounds_at_the_entry_cap_are_swept(self):
+        assert residual_sweep(1, 1, 2, 1024, 512) < 1e-10
 
     def spoil(self, index, fault):
         """Patch the draws so that draw `index` is passed through `fault`."""

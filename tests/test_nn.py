@@ -73,12 +73,11 @@ class TestModelSpec:
         fans = list(zip([input_dim] + widths, widths)) + [(widths[-1], d) for d in head_dims]
         names = [f"trunk{i}" for i in range(1, len(widths) + 1)] + ["head_a", "head_b"]
         assert [name for name, _, _ in table] == names
-        assert [spec.block_shape(name) for name in names] == fans
+        assert [(b.fan_in, b.fan_out) for b in spec._layout] == fans
         for c in range(len(widths) + 1):
             assert spec.encoder_params(c) == sum(i * o + o for i, o in fans[:c])
         values = np.arange(2.0 * spec.param_count).reshape(2, -1)
-        for (name, off, length), (w, b) in zip(table, _block_views(values, spec)):
-            fan_in, fan_out = spec.block_shape(name)
+        for (_, off, length), (fan_in, fan_out), (w, b) in zip(table, fans, _block_views(values, spec)):
             assert w.shape == (2, fan_in, fan_out) and b.shape == (2, 1, fan_out)
             assert np.array_equal(np.concatenate([w.reshape(2, -1), b.reshape(2, -1)], axis=1),
                                   values[:, off:off + length])
@@ -110,9 +109,8 @@ class TestInit:
     def test_biases_exactly_zero(self):
         spec = small_spec()
         params = init_params(spec, 3)
-        for name, _, _ in spec.block_table():
-            fan_in, fan_out = spec.block_shape(name)
-            assert np.all(params.block(name)[fan_in * fan_out:] == 0.0)
+        for block in spec._layout:
+            assert np.all(params.block(block.name)[block.fan_in * block.fan_out:] == 0.0)
 
     def test_weight_scale(self):
         spec = ModelSpec(16, (8,), (2, 2))
@@ -359,8 +357,7 @@ def _reference_loss_grad(values, spec, x, labels, weights, offsets):
     gives its head's gradient; the two deltas meet at the trunk top (task A
     first) and one walk runs down the trunk."""
     blocks = {}
-    for name, off, length in spec.block_table():
-        fi, fo = spec.block_shape(name)
+    for name, off, length, fi, fo in spec._layout:
         blocks[name] = (values[off:off + fi * fo].reshape(fi, fo), values[off + fi * fo:off + length],
                         off, fi * fo, length)
     acts, pres = [x], []

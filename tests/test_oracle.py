@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tailshare import oracle
 from tailshare.errors import ConfigError, DomainError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, build_generator
 from tailshare.nn import ModelSpec, OptConfig
@@ -145,6 +146,31 @@ class TestGridCompare:
         assert np.array_equal(seq.risk_mean, par.risk_mean, equal_nan=True)
         assert seq.proxy_best == par.proxy_best
         assert seq.spearman_rho == par.spearman_rho
+
+    def test_a_pool_opens_at_most_one_worker_per_resample(self, monkeypatch):
+        """jobs=64 over two resamples opens two workers and reports what
+        jobs=1 reports. The pool maps in-process, so no process starts."""
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        alone = self.build(m_resamples=2)
+        assert opened == []
+        pooled = self.build(m_resamples=2, jobs=64)
+        assert opened == [2]
+        assert pooled.to_json() == alone.to_json()
 
 
 class TestWeightSweep:

@@ -6,7 +6,7 @@ import pytest
 from tailshare.errors import DomainError, StructuralError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, TaskSplit, generate, project_labels
 from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, bce_loss_grad, bce_losses, forward,
-                          init_params, train_stack)
+                          init_params, train, train_stack)
 from tailshare.pipeline import (
     AssembledModel,
     RunConfig,
@@ -429,3 +429,37 @@ def test_branch_logits_equal_two_forward_calls_with_one_encoder_pass(monkeypatch
         assert calls == {"trunk": 1, "branches": [("A", spec.depth), ("B", c)]}
         assert s_a.tobytes() == forward(branch_a, spec, x, "A").tobytes()
         assert s_b.tobytes() == forward(branch_b, spec, x, "B").tobytes()
+
+
+@pytest.mark.parametrize("entry", ["train", "stage2", "refine_decoders"])
+def test_one_network_entry_points_raise_their_stacks_first_divergence(entry):
+    """nn.train, stage2 and refine_decoders raise the TrainingDivergenceError,
+    epoch and loss, of the first diverged member of the train_stack call
+    each one makes."""
+    spec = ModelSpec(4, (8, 8), (3, 3), activation="relu")
+    td = build_task_data(toy_dataset())
+    # At 1e15 the refined branches diverge at epochs 1 (A) and 4 (B), so
+    # the first divergence is told apart; one network needs a larger rate.
+    opt = OptConfig(1e15 if entry == "refine_decoders" else 1e50, epochs=20, batch_size=64, seed=4)
+    cfg = run_config(spec=spec)
+    offs = _offsets_for(cfg, td)
+    if entry == "train":
+        start = init_params(spec, 1)
+        stacked = train_stack([start], spec, td, [(0.6, 0.4)], opt)
+        call = lambda: train(start, spec, td, (0.6, 0.4), opt)
+    elif entry == "stage2":
+        cfg = replace(cfg, stage2_opt=opt)
+        stacked = train_stack([init_params(spec, cfg.init_seed)], spec, td, [(0.6, 0.4)], opt, offsets=offs)
+        call = lambda: stage2(cfg, td, 0.6)
+    else:
+        model = assemble(spec, 0, stage2(cfg, td, 0.6).params, stage1(cfg, td), td.split)
+        cfg = replace(cfg, refine_opt=opt)
+        stacked = train_stack([model.branch_a, model.branch_b], spec, td, [(1.0, 0.0), (0.0, 1.0)], opt,
+                              [0, 0], offs)
+        call = lambda: refine_decoders(model, td, cfg)
+    diverged = [res for res in stacked if isinstance(res, TrainingDivergenceError)]
+    assert len({(res.epoch, repr(res.loss)) for res in diverged}) == len(stacked)
+    first = diverged[0]
+    with pytest.raises(TrainingDivergenceError) as err:
+        call()
+    assert (err.value.epoch, repr(err.value.loss)) == (first.epoch, repr(first.loss))

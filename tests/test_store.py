@@ -64,7 +64,7 @@ class TestContainer:
     def test_arrays_load_aligned_equal_and_apart_for_every_metadata_length(self, tmp_path):
         """The array section starts at byte 20 + the metadata length, of any
         residue mod 8. Loaded arrays are 8-byte-aligned views of one buffer
-        that share no memory; the small ones are copies of their own."""
+        that share no memory."""
         rng = np.random.default_rng(0)
         arrays = {"params": rng.normal(size=9000), "fisher": rng.random(9001),
                   "priors": rng.random(3), "empty": np.zeros(0)}
@@ -78,8 +78,7 @@ class TestContainer:
             for name, array in back.items():
                 assert np.array_equal(array, arrays[name]), name
                 assert array.dtype == np.float64 and array.flags.aligned and array.ctypes.data % 8 == 0
-            assert back["params"].base is back["fisher"].base is not None
-            assert back["priors"].flags.owndata and back["empty"].flags.owndata
+            assert all(array.base is back["params"].base is not None for array in back.values())
             names = list(back)
             for i, a in enumerate(names):
                 for b in names[i + 1:]:
