@@ -47,6 +47,7 @@ import numpy as np
 
 from . import datagen, infotheory, oracle, pipeline, presets, proxy, store
 from .errors import (
+    UNDECODABLE,
     ConfigError,
     DataFormatError,
     DomainError,
@@ -162,7 +163,7 @@ def _json_object(path: Path, error, what: str) -> dict:
     """The JSON object that the file at `path` holds, else `error` naming the file."""
     try:
         held = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # a directory, say; not JSON, or not UTF-8
+    except (OSError, *UNDECODABLE) as exc:  # OSError: a directory, say
         raise error(f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from None
     if not isinstance(held, dict):
         raise error(f"{path}: the {what} must be a JSON object, got {json.dumps(held)}")
@@ -510,6 +511,8 @@ def full_run_cmd(r):
 def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
     """Brute-force check of the joint-vs-taskwise KL decomposition identity
     over random discrete instances; fails when any |residual| >= 1e-10."""
+    outcomes = ("--max-outcomes", max_outcomes)
+    infotheory.check_sweep(("--trials", trials), ("--seed", seed), ("--max-y", max_y), outcomes, outcomes)
     worst = infotheory.residual_sweep(trials, seed, max_y, max_outcomes, max_outcomes)
     click.echo(f"max |residual| over {trials} trials: {worst:.3e}")
     if worst >= 1e-10:

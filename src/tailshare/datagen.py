@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DomainError, MissingArtifactError, StructuralError
+from .errors import (UNDECODABLE, ConfigError, DataFormatError, DomainError, MissingArtifactError,
+                     StructuralError)
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ def load_generator_sidecar(path) -> MixtureGenerator:
             np.asarray(payload["means"], dtype=np.float64), float(payload["noise_sigma"]),
             np.asarray(payload["priors"], dtype=np.float64), cfg,
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # OSError: a directory, say
+    except (OSError, KeyError, TypeError, *UNDECODABLE) as exc:  # OSError: a directory, say
         raise DataFormatError(f"{path}: bad generator sidecar ({type(exc).__name__}: {exc})") from None
     if not (np.isfinite(gen.means).all() and np.isfinite(gen.priors).all()
             and np.isfinite(gen.noise_sigma) and gen.noise_sigma > 0):

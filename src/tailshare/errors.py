@@ -5,6 +5,12 @@ raise the most specific one that applies.
 """
 
 
+# What every reader of an outside JSON document refuses as undecodable:
+# json's errors and bad UTF-8 (ValueErrors), and nesting too deep for the
+# parser (RecursionError).
+UNDECODABLE = (ValueError, RecursionError)
+
+
 class ConfigError(ValueError):
     """Invalid configuration value (bad dimensions, weights, ratios...)."""
 

@@ -16,6 +16,7 @@ predictor against a generator with known posteriors (`taskwise_risk`).
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -145,24 +146,35 @@ _SWEEP_BLOCK_ENTRIES = 8192
 _SWEEP_MAX_ENTRIES = 1 << 20
 
 
+def check_sweep(*named) -> None:
+    """Refuse what residual_sweep cannot run, with a ConfigError. `named`
+    holds its five inputs in order (trials, seed, max_y, max_a, max_b),
+    each as a (name, value) pair, so that a refusal names an input as its
+    caller knows it: trials >= 1, seed >= 0, each alphabet bound >= 2, and
+    a product of the bounds of at most _SWEEP_MAX_ENTRIES."""
+    (trials_name, trials), (seed_name, seed), *bounds = named
+    if trials < 1:
+        raise ConfigError(f"{trials_name} must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"{seed_name} must be >= 0, got {seed}")
+    for name, bound in bounds:
+        if bound < 2:
+            raise ConfigError(f"{name} must be >= 2, got {bound}")
+    names, values = zip(*bounds)
+    if math.prod(values) > _SWEEP_MAX_ENTRIES:
+        raise ConfigError(f"{' * '.join(names)} = {' * '.join(map(str, values))} = {math.prod(values)} "
+                          f"table entries per instance, above the cap of {_SWEEP_MAX_ENTRIES}")
+
+
 def residual_sweep(trials: int, seed: int, max_y: int = 4, max_a: int = 4, max_b: int = 4) -> float:
     """Max |residual| of the decomposition identity over `trials` random
     instances, the draws of repeated `_draw_tables` calls on one generator.
     Instances are zero-padded to the alphabet bounds and checked and
     evaluated a block at a time: every joint sums to 1 and every
     conditional row that an instance uses sums to 1 within 1e-12, no entry
-    is negative, and the model is positive wherever the joint is. Bounds
-    whose product passes _SWEEP_MAX_ENTRIES are refused."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    for name, bound in (("max_y", max_y), ("max_a", max_a), ("max_b", max_b)):
-        if bound < 2:
-            raise ConfigError(f"{name} must be >= 2, got {bound}")
-    if max_y * max_a * max_b > _SWEEP_MAX_ENTRIES:
-        raise ConfigError(f"max_y * max_a * max_b = {max_y} * {max_a} * {max_b} = {max_y * max_a * max_b} "
-                          f"table entries per instance, above the cap of {_SWEEP_MAX_ENTRIES}")
+    is negative, and the model is positive wherever the joint is. Inputs
+    that check_sweep refuses raise its ConfigError."""
+    check_sweep(("trials", trials), ("seed", seed), ("max_y", max_y), ("max_a", max_a), ("max_b", max_b))
     rng = np.random.default_rng(seed)
     block = max(1, _SWEEP_BLOCK_ENTRIES // (max_y * max_a * max_b))
     worst = 0.0

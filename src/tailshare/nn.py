@@ -240,33 +240,25 @@ def _forward_cache(params: ParamVector, spec: ModelSpec, features: np.ndarray, t
 
 def trunk_activations(params: ParamVector, spec: ModelSpec, features: np.ndarray) -> list:
     """Activations [x, h_1, ..., h_L] of the network's trunk at `features`:
-    x as a float matrix, each h_c as a (1, n, width) stack of one.
-    forward_from continues from any of them with forward's own operations."""
+    x as a float matrix, each h_c as a (1, n, width) stack of one, for
+    forward_from to continue from."""
     _check_params(params, spec)
     x = _features(spec, features)
     return _trunk_forward(_block_views(params.values[None, :], spec)[:spec.depth], x, spec.activation)
 
 
 def forward_from(params: ParamVector, spec: ModelSpec, h: np.ndarray, layer: int, task: str) -> np.ndarray:
-    """Logits of the requested branch from h, the activations of trunk
-    layer `layer` as trunk_activations gives them (layer 0: the features):
-    trunk layers layer+1..L, then the head. Any network whose first `layer`
-    trunk blocks equal those that made h gets forward's logits bit for bit."""
+    """Per-class logits of the requested branch, one row per sample, from
+    h, the activations of trunk layer `layer` as trunk_activations gives
+    them (layer 0: the features): trunk layers layer+1..L, then the head.
+    No normalization across classes: each logit feeds an independent
+    Bernoulli factor. Any network whose first `layer` trunk blocks equal
+    those that made h gets the bits of its own pass from layer 0."""
     blocks = _block_views(params.values[None, :], spec)
     w_h, b_h = blocks[spec.depth + _task_index(task)]
     logits = _trunk_forward(blocks[layer:spec.depth], h, spec.activation)[-1] @ w_h
     logits += b_h
     return logits[0]
-
-
-def forward(params: ParamVector, spec: ModelSpec, features: np.ndarray, task: str) -> np.ndarray:
-    """Per-class logits of the requested branch, one row per sample.
-
-    No normalization across classes: each logit feeds an independent
-    Bernoulli factor.
-    """
-    _check_params(params, spec)
-    return forward_from(params, spec, _features(spec, features), 0, task)
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -673,19 +665,12 @@ def _all_trained(results: list) -> list:
     return results
 
 
-def train(
-    params: ParamVector,
-    spec: ModelSpec,
-    batch: Batch,
-    task_weights: tuple,
-    opt: OptConfig,
-    frozen: int = 0,
-    offsets: tuple = (None, None),
-) -> TrainResult:
+def train(params: ParamVector, spec: ModelSpec, batch: Batch, task_weights: tuple,
+          opt: OptConfig) -> TrainResult:
     """SGD-with-momentum on w_a * BCE_A + w_b * BCE_B: train_stack for one
     network. Mini-batch order is a seeded shuffle per epoch, so a fixed
     (config, seed) pair reproduces the trained parameters exactly. Raises
     TrainingDivergenceError when the loss goes non-finite.
     """
-    (result,) = _all_trained(train_stack([params], spec, batch, [task_weights], opt, [frozen], offsets))
+    (result,) = _all_trained(train_stack([params], spec, batch, [task_weights], opt))
     return result

@@ -194,39 +194,19 @@ class AssembledModel:
         """Both branches' logits at `features`: branch A's trunk runs once
         and branch B continues from its layer-c activations, the shared
         encoder's output, so trunk layers 1..c run once for both."""
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return self.decode(trunk_activations(self.branch_a, self.spec, feats))
+        return self.decode(trunk_activations(self.branch_a, self.spec, features))
 
     def decode(self, acts: list) -> tuple:
         """Both branches' logits from [x, h_1, ..., h_j], j >= c: the trunk
         activations (as trunk_activations gives them) of a network whose
         first j trunk blocks are branch A's. Branch A continues from h_j;
         the list then drops its layers above c, freeing them for branch B,
-        which continues from h_c. Both get forward's bits."""
+        which continues from h_c. Each gets the bits of its own branch's
+        pass from layer 0."""
         top = len(acts) - 1
         s_a = forward_from(self.branch_a, self.spec, acts[top], top, "A")
         del acts[self.c + 1:]
         return s_a, forward_from(self.branch_b, self.spec, acts[self.c], self.c, "B")
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        """Per-class logits mapped back to original class indices."""
-        return self._merge(*self.branch_logits(features))
-
-    def _merge(self, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-        """The branch logits as per-class scores in original class order."""
-        out = np.empty((s_a.shape[0], self.split.n_classes), dtype=np.float64)
-        out[:, list(self.split.head_classes)] = s_a
-        out[:, list(self.split.tail_classes)] = s_b
-        return out
-
-    def predict(self, features: np.ndarray):
-        """Argmax class per sample; exact ties resolve to the smallest index.
-
-        A single feature vector yields a scalar class index.
-        """
-        single = np.asarray(features).ndim == 1
-        picks = self.scores(features).argmax(axis=1)
-        return int(picks[0]) if single else picks
 
 
 def assemble(spec: ModelSpec, c: int, stage2_params: ParamVector, s1: Stage1Result,
@@ -281,12 +261,17 @@ class MetricsReport(Record):
 
 
 def evaluate(model: AssembledModel, features: np.ndarray, labels: np.ndarray) -> MetricsReport:
-    """Accuracy overall and per group, plus raw-logit task BCE."""
+    """Accuracy overall and per group, plus raw-logit task BCE. A sample's
+    prediction is the argmax of both branches' logits in original class
+    order; an exact tie goes to the smallest class index."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     truth = labels.argmax(axis=1)
     s_a, s_b = model.branch_logits(features)
-    correct = model._merge(s_a, s_b).argmax(axis=1) == truth
+    scores = np.empty((features.shape[0], model.split.n_classes))
+    scores[:, list(model.split.head_classes)] = s_a
+    scores[:, list(model.split.tail_classes)] = s_b
+    correct = scores.argmax(axis=1) == truth
     head_rows = np.isin(truth, model.split.head_classes)
     tail_rows = np.isin(truth, model.split.tail_classes)
     z_a, z_b = project_labels(labels, model.split)

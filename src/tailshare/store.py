@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, MissingArtifactError
+from .errors import UNDECODABLE, DataFormatError, MissingArtifactError
 from .datagen import TaskSplit
 from .nn import ModelSpec, ParamVector
 from .pipeline import AssembledModel, Stage1Result, fitted_split
@@ -79,7 +79,7 @@ def load_container(path) -> tuple:
     try:
         meta = json.loads(bytes(body[:meta_len]).decode("utf-8"))
         entries = [(e["name"], e["length"]) for e in meta["arrays"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, *UNDECODABLE) as exc:
         raise DataFormatError(f"{path}: unreadable metadata ({type(exc).__name__}: {exc})") from None
     arrays = {}
     offset = meta_len

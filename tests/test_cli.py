@@ -2,12 +2,16 @@ import csv
 import json
 import math
 import re
+import shutil
+import struct
+import tempfile
 from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from tailshare.cli import main
 from tailshare.presets import toy_config_dict
@@ -28,6 +32,10 @@ def write_config(tmp_path, **overrides):
     return path, cfg
 
 
+# About 100 KB of JSON nested deeper than json's parser goes.
+DEEP = "[" * 100_000
+
+
 class TestVerifyLemma:
     def test_passes_on_random_instances(self, runner):
         result = runner.invoke(main, ["verify-lemma", "--trials", "300", "--seed", "1"])
@@ -36,20 +44,24 @@ class TestVerifyLemma:
         assert "max |residual|" in result.output
 
     @pytest.mark.parametrize("args, named", [
-        (["--trials", "0"], "trials must be >= 1, got 0"),
-        (["--trials", "-3"], "trials must be >= 1, got -3"),
-        (["--max-y", "1"], "max_y must be >= 2, got 1"),
-        (["--max-outcomes", "1"], "max_a must be >= 2, got 1"),
-        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--trials", "-3"], "--trials must be >= 1, got -3"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--max-y", "1"], "--max-y must be >= 2, got 1"),
+        (["--max-outcomes", "1"], "--max-outcomes must be >= 2, got 1"),
+        (["--max-outcomes", "2000"],
+         "--max-y * --max-outcomes * --max-outcomes = 4 * 2000 * 2000 = 16000000 table entries per "
+         "instance, above the cap of 1048576"),
         (["--max-y", "1000", "--max-outcomes", "1000"],
-         "max_y * max_a * max_b = 1000 * 1000 * 1000 = 1000000000 table entries per instance, "
-         "above the cap of 1048576"),
+         "--max-y * --max-outcomes * --max-outcomes = 1000 * 1000 * 1000 = 1000000000 table entries per "
+         "instance, above the cap of 1048576"),
     ])
-    def test_degenerate_input_is_a_config_error(self, runner, args, named):
-        result = runner.invoke(main, ["verify-lemma"] + args)
+    def test_degenerate_input_is_a_config_error_naming_its_flag(self, runner, args, named):
+        with runner.isolated_filesystem() as cwd:
+            result = runner.invoke(main, ["verify-lemma"] + args)
+            assert list(Path(cwd).iterdir()) == []
         assert result.exit_code == 2, result.output
-        assert "error[config]" in result.output and named in result.output
-        assert "PASS" not in result.output
+        assert result.output == f"error[config]: {named}\n"
 
 
 class TestGenData:
@@ -223,8 +235,11 @@ class TestErrorPaths:
         assert not [name for name in written if name.startswith(
             ("stage1", "proxy_grid", "selection", "stage2", "model", "metrics"))], written
 
-    @pytest.mark.parametrize("text, named", [(b'{"seed": 1', "unreadable config (JSONDecodeError"),
-                                             (b"\xff\xfe", "unreadable config (UnicodeDecodeError")])
+    @pytest.mark.parametrize("text, named", [
+        (b'{"seed": 1', "unreadable config (JSONDecodeError"),
+        (b"\xff\xfe", "unreadable config (UnicodeDecodeError"),
+        pytest.param(DEEP.encode(), "unreadable config (RecursionError", id="nested-too-deep"),
+    ])
     def test_unreadable_config_exits_before_any_file(self, runner, tmp_path, text, named):
         path = tmp_path / "bad.json"
         path.write_bytes(text)
@@ -340,16 +355,19 @@ class TestErrorPaths:
         '{"noise_sigma": 1.0, "priors": [1.0]}',
         '{"means": [[0.0]], "noise_sigma": 1.0, "priors": [0.5, 0.5]}',
         '{"means": [[0.0]], "noise_sigma": 1.0, "priors": [1.0], "config": {"colour": 1}}',
+        pytest.param(DEEP, id="nested-too-deep"),
     ])
     def test_bad_generator_sidecar_exit_code(self, runner, tmp_path, sidecar):
         config, _ = write_config(tmp_path)
         assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
         data = tmp_path / "run" / "dataset_v001.csv"
         (tmp_path / "run" / "dataset_v001.generator.json").write_text(sidecar)
+        before = tree_state(tmp_path)
         result = runner.invoke(main, ["stage1", "--config", str(config), "--data", str(data)])
         assert result.exit_code == 5, result.output
         assert "error[data]" in result.output
         assert "dataset_v001.generator.json" in result.output
+        assert tree_state(tmp_path) == before
 
     def test_dataset_with_an_empty_class_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
@@ -551,6 +569,7 @@ class TestInputsResolvedBeforeAnyWrite:
         (b"[1, 0.5]", "the selection must be a JSON object, got [1, 0.5]"),
         (b'"c_star"', 'the selection must be a JSON object, got "c_star"'),
         (b"\xff\xfe", "unreadable selection (UnicodeDecodeError"),
+        pytest.param(DEEP.encode(), "unreadable selection (RecursionError", id="nested-too-deep"),
     ])
     def test_unreadable_selection_exits_5_writing_nothing(self, runner, searched, text, named):
         (searched / "selection_v001.json").write_bytes(text)
@@ -603,6 +622,16 @@ class TestInputsResolvedBeforeAnyWrite:
         result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(searched)])
         assert result.exit_code == 5, result.output
         assert "error[data]" in result.output and f"{path}: " in result.output
+        assert run_dir_state(searched) == before
+
+    def test_stage1_metadata_nested_too_deep_exits_5_writing_nothing(self, runner, searched):
+        path = searched / "stage1_v001.bin"
+        # Magic and version kept, then the metadata length and the metadata.
+        path.write_bytes(path.read_bytes()[:12] + struct.pack("<Q", len(DEEP)) + DEEP.encode())
+        before = run_dir_state(searched)
+        result = runner.invoke(main, ["search", "--config", str(TOY), "--out", str(searched)])
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {path}: unreadable metadata (RecursionError" in result.output
         assert run_dir_state(searched) == before
 
     # A cell held in a file, each refused the same way from either source.
@@ -1125,3 +1154,70 @@ class TestPathInputs:
         assert f"error[config]: {'--out' if by_flag else 'out'}: {held} is not a directory" in result.output
         assert held.read_text() == "not a directory"
         assert sorted(tree_state(tmp_path)) == (["held"] if by_flag else ["held", "out.json"])
+
+
+@pytest.fixture(scope="module")
+def searched_template(tmp_path_factory):
+    """A toy run directory through gen-data, stage1 and search, for tests
+    that copy it once per example."""
+    run_dir = tmp_path_factory.mktemp("template") / "run"
+    for command in ("gen-data", "stage1", "search"):
+        assert invoke(CliRunner(), run_dir, command).exit_code == 0, command
+    return run_dir
+
+
+# Each outside JSON document a command reads: the command, the file (None:
+# the --config file), its refusal's exit code, and a valid document (None:
+# the toy run's own sidecar).
+_DOCUMENTS = {
+    "config": ("gen-data", None, 2, TOY.read_text()),
+    "selection": ("stage2", "selection_v001.json", 5, '{"c_star": 1, "w_star": 0.5}'),
+    "sidecar": ("stage1", "dataset_v001.generator.json", 5, None),
+}
+_NON_OBJECTS = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+                            lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=45, derandomize=True, deadline=None)
+@given(role=st.sampled_from(sorted(_DOCUMENTS)),
+       text=st.text(max_size=40) | _NON_OBJECTS.map(json.dumps) | st.floats(0.0, 1.0))
+@example(role="config", text=DEEP)
+@example(role="selection", text=DEEP)
+@example(role="sidecar", text=DEEP)
+@example(role="config", text='{"a": ' * 50_000)
+@example(role="selection", text='{"a": ' * 50_000)
+@example(role="sidecar", text='{"a": ' * 50_000)
+@example(role="config", text=1.0)
+@example(role="selection", text=1.0)
+@example(role="sidecar", text=1.0)
+@example(role="sidecar", text=0.5)
+def test_no_outside_json_document_ends_in_exit_1(searched_template, role, text):
+    """Arbitrary text, non-objects, truncated valid documents and deep
+    nesting, each as the config file, the latest selection file and a
+    dataset's sidecar: a document a command can use exits 0, any other its
+    refusal's code, naming the file, with the run directory unchanged. A
+    drawn float f stands for the role's valid document cut to its first f
+    share of characters."""
+    command, name, refused, valid = _DOCUMENTS[role]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        run_dir = tmp / "run"
+        if name is None:
+            path = tmp / "config.json"
+        else:
+            shutil.copytree(searched_template, run_dir)
+            path = run_dir / name
+            valid = path.read_text() if valid is None else valid
+        if isinstance(text, float):
+            text = valid[:round(text * len(valid))]
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        before = tree_state(tmp)
+        result = invoke(CliRunner(), run_dir, command, config=path if name is None else TOY)
+        try:
+            usable = json.loads(text) == json.loads(valid)
+        except (ValueError, RecursionError):
+            usable = False
+        assert result.exit_code == (0 if usable else refused), (role, text[:80], result.output)
+        if not usable:
+            assert str(path) in result.output
+            assert tree_state(tmp) == before

@@ -12,9 +12,9 @@ from tailshare.nn import (
     ParamVector,
     _Stack,
     _block_views,
+    _forward_cache,
     _sum_batch,
     bce_loss_grad,
-    forward,
     forward_from,
     init_params,
     train,
@@ -120,12 +120,15 @@ class TestInit:
 
 
 class TestForward:
+    """trunk_activations runs the trunk, forward_from the rest of a branch."""
+
     def test_zero_params_zero_logits(self):
         spec = small_spec()
         params = init_params(spec, 0)
         params.values[:] = 0.0
-        logits = forward(params, spec, np.random.default_rng(0).normal(size=(4, 3)), "A")
-        assert np.all(logits == 0.0)
+        acts = trunk_activations(params, spec, np.random.default_rng(0).normal(size=(4, 3)))
+        assert all(np.all(h == 0.0) for h in acts[1:])
+        assert np.all(forward_from(params, spec, acts[-1], spec.depth, "A") == 0.0)
 
     def test_hand_computed_single_layer(self):
         # identity trunk (relu passes positive inputs through), hand-set head
@@ -135,8 +138,10 @@ class TestForward:
         params.block("trunk1")[: 4] = np.eye(2).ravel()
         params.block("head_a")[: 4] = np.array([[0.5, -1.0], [0.25, 0.75]]).ravel()
         params.block("head_a")[4:] = [0.1, -0.2]
-        logits = forward(params, spec, np.array([[1.0, 2.0]]), "A")
-        assert np.allclose(logits, [[1.1, 0.3]], atol=1e-12)
+        x, h = trunk_activations(params, spec, np.array([[1.0, 2.0]]))
+        assert np.array_equal(h, [[[1.0, 2.0]]])
+        for logits in (forward_from(params, spec, h, 1, "A"), forward_from(params, spec, x, 0, "A")):
+            assert np.allclose(logits, [[1.1, 0.3]], atol=1e-12)
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(1)
@@ -144,21 +149,24 @@ class TestForward:
         params = init_params(spec, 1)
         feats = rng.normal(size=(6, 3))
         perm = rng.permutation(6)
-        assert np.array_equal(
-            forward(params, spec, feats, "B")[perm],
-            forward(params, spec, feats[perm], "B"),
-        )
+        acts, permuted = trunk_activations(params, spec, feats), trunk_activations(params, spec, feats[perm])
+        for layer in range(spec.depth + 1):
+            assert np.array_equal(acts[layer][..., perm, :], permuted[layer])
+            assert np.array_equal(forward_from(params, spec, acts[layer], layer, "B")[perm],
+                                  forward_from(params, spec, permuted[layer], layer, "B"))
 
     def test_dimension_mismatch(self):
         spec = small_spec()
         params = init_params(spec, 0)
         with pytest.raises(StructuralError):
-            forward(params, spec, np.zeros((2, 5)), "A")
+            trunk_activations(params, spec, np.zeros((2, 5)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["relu", "tanh"]), st.lists(st.integers(1, 6), min_size=1, max_size=4),
            st.integers(0, 2 ** 16))
-    def test_continuing_from_a_shared_prefix_gives_forward_bitwise(self, activation, widths, seed):
+    def test_continuing_from_a_shared_prefix_gives_a_pass_from_layer_0_bitwise(self, activation, widths,
+                                                                               seed):
+        """The reference is _forward_cache's own per-layer loop."""
         spec = ModelSpec(3, tuple(widths), (2, 3), activation=activation)
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(rng.integers(1, 30), 3))
@@ -169,10 +177,8 @@ class TestForward:
             other = init_params(spec, seed + 1)
             other.values[:spec.encoder_params(c)] = prefix.values[:spec.encoder_params(c)]
             for task in ("A", "B"):
-                want = forward(other, spec, feats, task)
+                want = _forward_cache(other, spec, feats, task)[4]
                 assert forward_from(other, spec, acts[c], c, task).tobytes() == want.tobytes()
-        with pytest.raises(StructuralError):
-            trunk_activations(prefix, spec, np.zeros((2, 5)))
 
 
 class TestBatch:
@@ -201,7 +207,7 @@ class TestBceLoss:
         feats = np.array([[0.4, -1.2]])
         batch = Batch(feats, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
         loss, _ = bce_loss_grad(params, spec, batch, "A")
-        logits = forward(params, spec, feats, "A")
+        logits = forward_from(params, spec, feats, 0, "A")
         assert abs(loss - np.logaddexp(0.0, logits).sum()) < 1e-12
 
     def test_finite_for_extreme_logits(self):
@@ -256,7 +262,6 @@ def gradient_check_case(seed):
     batch = random_batch(rng, 8, spec)
     task = "A" if rng.random() < 0.5 else "B"
     if activation == "relu":
-        from tailshare.nn import _forward_cache
         pres = _forward_cache(params, spec, batch.features, task)[2]
         if min(np.abs(p).min() for p in pres) < 1e-3:
             return None
@@ -308,8 +313,8 @@ class TestTrain:
     def test_frozen_depth_fixes_the_encoder_bitwise(self):
         spec = ModelSpec(2, (6, 5), (1, 1))
         start = init_params(spec, 2)
-        res = train(start, spec, self.separable_batch(), (1.0, 0.0),
-                    OptConfig(0.3, epochs=4, batch_size=40, seed=2), frozen=1)
+        (res,) = train_stack([start], spec, self.separable_batch(), [(1.0, 0.0)],
+                             OptConfig(0.3, epochs=4, batch_size=40, seed=2), frozen=[1])
         assert np.array_equal(res.params.block("trunk1"), start.block("trunk1"))
         assert np.array_equal(res.params.block("head_b"), start.block("head_b"))
         assert not np.array_equal(res.params.block("trunk2"), start.block("trunk2"))
@@ -467,7 +472,7 @@ class TestTrainStack:
         spec, batch, offsets, opt, weights, frozen, starts = _stack_case(data)
         stacked = train_stack(starts, spec, batch, weights, opt, frozen, offsets)
         for start, w, c, got in zip(starts, weights, frozen, stacked):
-            solo = train(start, spec, batch, w, opt, c, offsets)
+            (solo,) = train_stack([start], spec, batch, [w], opt, [c], offsets)
             assert got.params.values.tobytes() == solo.params.values.tobytes()
             assert got.epoch_losses == solo.epoch_losses
             # ... and to the plain per-network loop; only the loss formula
@@ -506,14 +511,13 @@ class TestTrainStack:
         frozen = [0, 1, 1]
         out = train_stack(starts, spec, batch, weights, opt, frozen)
         assert isinstance(out[0], TrainingDivergenceError)
-        with pytest.raises(TrainingDivergenceError) as solo_err:
-            train(starts[0], spec, batch, weights[0], opt, frozen[0])
-        assert out[0].epoch == solo_err.value.epoch > 0
-        assert repr(out[0].loss) == repr(solo_err.value.loss)
+        solo = [train_stack([s], spec, batch, [w], opt, [c])[0] for s, w, c in zip(starts, weights, frozen)]
+        assert isinstance(solo[0], TrainingDivergenceError)
+        assert out[0].epoch == solo[0].epoch > 0
+        assert repr(out[0].loss) == repr(solo[0].loss)
         for i in (1, 2):
-            solo = train(starts[i], spec, batch, weights[i], opt, frozen[i])
-            assert out[i].params.values.tobytes() == solo.params.values.tobytes()
-            assert out[i].epoch_losses == solo.epoch_losses
+            assert out[i].params.values.tobytes() == solo[i].params.values.tobytes()
+            assert out[i].epoch_losses == solo[i].epoch_losses
 
     def test_a_stack_whose_members_all_diverge_stops_with_each_divergence(self, monkeypatch):
         spec = ModelSpec(2, (6,), (1, 1), activation="relu")
@@ -564,7 +568,5 @@ class TestTrainStack:
         for c in (spec.depth + 1, -1):
             with pytest.raises(StructuralError, match=f"shared depth {c} out of range 0..2"):
                 train_stack([start], spec, batch, [(1.0, 0.0)], opt, frozen=[c])
-            with pytest.raises(StructuralError, match=f"shared depth {c} out of range 0..2"):
-                train(start, spec, batch, (1.0, 0.0), opt, frozen=c)
         with pytest.raises(StructuralError):
             train_stack([start], spec, batch, [(1.0, 0.0)], opt, offsets=(np.zeros(5), None))

@@ -5,7 +5,7 @@ import pytest
 
 from tailshare.errors import DomainError, StructuralError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, TaskSplit, generate, project_labels
-from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, bce_loss_grad, bce_losses, forward,
+from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, _forward_cache, bce_loss_grad, bce_losses,
                           init_params, train, train_stack)
 from tailshare.pipeline import (
     AssembledModel,
@@ -295,7 +295,10 @@ class TestRefine:
             assert got.branch_b.values.tobytes() == solo.branch_b.values.tobytes()
 
 
-class TestPredict:
+class TestEvaluateArgmax:
+    """evaluate counts a sample as correct when its class has the largest
+    of both branches' logits in original class order."""
+
     def hand_model(self, head_bias, tail_bias, split):
         spec = ModelSpec(2, (2,), (len(head_bias), len(tail_bias)), activation="tanh")
         branch_a = init_params(spec, 0)
@@ -306,24 +309,41 @@ class TestPredict:
         branch_b.block("head_b")[2 * len(tail_bias):] = tail_bias
         return AssembledModel(spec, 0, split, branch_a, branch_b)
 
+    @staticmethod
+    def accuracies(model, features):
+        """Overall accuracy with every row labeled k, for each class k."""
+        features = np.atleast_2d(features)
+        eye = np.eye(model.split.n_classes)
+        return [evaluate(model, features, eye[[k] * len(features)]).overall_accuracy
+                for k in range(model.split.n_classes)]
+
     def test_argmax_of_concatenated_scores(self):
         model = self.hand_model([2.0, 0.1], [0.5], TaskSplit((0, 1), (2,)))
-        assert model.predict(np.array([0.3, -0.2])) == 0
+        assert self.accuracies(model, [0.3, -0.2]) == [1.0, 0.0, 0.0]
 
     def test_tail_order_permutation_invariance(self):
         a = self.hand_model([0.1, 0.2], [3.0, 1.0], TaskSplit((0, 1), (2, 3)))
         b = self.hand_model([0.1, 0.2], [1.0, 3.0], TaskSplit((0, 1), (3, 2)))
         y = np.array([[0.5, 0.5], [-1.0, 2.0]])
-        assert np.array_equal(a.predict(y), b.predict(y))
+        for k in range(4):
+            labels = np.eye(4)[[k, k]]
+            # repr: a group without rows has a NaN accuracy.
+            assert repr(evaluate(a, y, labels)) == repr(evaluate(b, y, labels))
+        assert self.accuracies(a, y) == [0.0, 0.0, 1.0, 0.0]
 
     def test_exact_tie_picks_smallest_class(self):
         model = self.hand_model([0.0, 0.0], [0.0], TaskSplit((0, 1), (2,)))
-        assert model.predict(np.array([1.0, 1.0])) == 0
+        assert self.accuracies(model, [1.0, 1.0]) == [1.0, 0.0, 0.0]
+        model = self.hand_model([0.0, 0.0], [0.0], TaskSplit((1, 2), (0,)))
+        assert self.accuracies(model, [1.0, 1.0]) == [1.0, 0.0, 0.0]
 
     def test_scores_map_back_to_original_indices(self):
         model = self.hand_model([2.0, 0.1], [0.5], TaskSplit((1, 2), (0,)))
-        scores = model.scores(np.array([[0.0, 0.0]]))
-        assert np.allclose(scores, [[0.5, 2.0, 0.1]])
+        assert self.accuracies(model, [0.0, 0.0]) == [0.0, 1.0, 0.0]
+        rep = evaluate(model, np.zeros((1, 2)), np.eye(3)[[2]])
+        assert rep.bce_a == float(bce_losses(np.array([[2.0, 0.1]]), np.array([[0.0, 1.0]]))[0])
+        assert rep.bce_b == float(bce_losses(np.array([[0.5]]), np.array([[0.0]]))[0])
+        assert (rep.head_accuracy, np.isnan(rep.tail_accuracy)) == (0.0, True)
 
 
 class TestFullRun:
@@ -363,11 +383,12 @@ def test_evaluate_group_accuracies():
     ds = toy_dataset()
     res = full_run(run_config(), ds)
     rep = evaluate(res.model, ds.features, ds.labels)
-    truth = ds.labels.argmax(axis=1)
-    picks = res.model.predict(ds.features)
-    head_rows = np.isin(truth, res.model.split.head_classes)
-    assert rep.head_accuracy == pytest.approx((picks[head_rows] == truth[head_rows]).mean())
-    assert rep.tail_accuracy == pytest.approx((picks[~head_rows] == truth[~head_rows]).mean())
+    head_rows = np.isin(ds.labels.argmax(axis=1), res.model.split.head_classes)
+    # Each group's accuracy is the overall accuracy of its rows alone.
+    for rows, acc in ((head_rows, rep.head_accuracy), (~head_rows, rep.tail_accuracy)):
+        assert evaluate(res.model, ds.features[rows], ds.labels[rows]).overall_accuracy == acc
+    assert rep.overall_accuracy == pytest.approx(
+        (rep.head_accuracy * head_rows.sum() + rep.tail_accuracy * (~head_rows).sum()) / ds.n)
 
 
 def count_passes(monkeypatch):
@@ -398,22 +419,17 @@ def test_evaluate_runs_each_branch_once(monkeypatch):
     rep = evaluate(model, ds.features, ds.labels)
     assert calls == {"trunk": 1, "branches": [("A", SPEC.depth), ("B", model.c)]}
     monkeypatch.undo()
-    # The metrics are those of the model's own predictions and logits.
-    truth = ds.labels.argmax(axis=1)
-    correct = model.predict(ds.features) == truth
-    head_rows = np.isin(truth, model.split.head_classes)
+    # The task BCEs are those of the model's own branch logits.
     s_a, s_b = model.branch_logits(ds.features)
     z_a, z_b = project_labels(ds.labels, model.split)
-    assert rep.overall_accuracy == float(correct.mean())
-    assert rep.head_accuracy == float(correct[head_rows].mean())
-    assert rep.tail_accuracy == float(correct[~head_rows].mean())
     assert rep.bce_a == float(bce_losses(s_a, z_a).mean())
     assert rep.bce_b == float(bce_losses(s_b, z_b).mean())
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_branch_logits_equal_two_forward_calls_with_one_encoder_pass(monkeypatch, activation):
-    """At every shared depth the branch logits carry forward's bits, from
+def test_branch_logits_equal_two_passes_from_layer_0_with_one_encoder_pass(monkeypatch, activation):
+    """At every shared depth the branch logits carry the bits of each
+    branch's own pass from layer 0 (_forward_cache's per-layer loop), from
     one trunk pass: branch A's full trunk, which branch B leaves at c."""
     spec = ModelSpec(3, (5, 4, 6), (3, 2), activation=activation)
     rng = np.random.default_rng(4)
@@ -427,8 +443,8 @@ def test_branch_logits_equal_two_forward_calls_with_one_encoder_pass(monkeypatch
         s_a, s_b = model.branch_logits(x)
         monkeypatch.undo()
         assert calls == {"trunk": 1, "branches": [("A", spec.depth), ("B", c)]}
-        assert s_a.tobytes() == forward(branch_a, spec, x, "A").tobytes()
-        assert s_b.tobytes() == forward(branch_b, spec, x, "B").tobytes()
+        assert s_a.tobytes() == _forward_cache(branch_a, spec, x, "A")[4].tobytes()
+        assert s_b.tobytes() == _forward_cache(branch_b, spec, x, "B")[4].tobytes()
 
 
 @pytest.mark.parametrize("entry", ["train", "stage2", "refine_decoders"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tailshare import nn
 from tailshare.errors import DataFormatError, DomainError, StructuralError
 from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, _forward_cache, _sigmoid, bce_loss_grad,
-                          init_params, train)
+                          init_params, train_stack)
 from tailshare.pipeline import Stage1Result, select_structure
 from tailshare.proxy import (
     DEAD_COORD_EPS,
@@ -167,7 +167,8 @@ class TestEstimateDiagFisher:
         batch = Batch(feats, z_a, np.zeros((30, 2)))
         offsets = np.zeros(shapes.get("offsets", (2,)))
         calls = (
-            lambda: train(params, spec, batch, (1.0, 0.0), OptConfig(0.1, epochs=1), offsets=(offsets, None)),
+            lambda: train_stack([params], spec, batch, [(1.0, 0.0)], OptConfig(0.1, epochs=1),
+                                offsets=(offsets, None)),
             lambda: bce_loss_grad(params, spec, batch, "A", offsets),
             lambda: estimate_diag_fisher(params, spec, feats, z_a, "A", offsets),
         )
