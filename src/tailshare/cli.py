@@ -136,6 +136,12 @@ _FLAGS = {
 }
 
 
+def _shown(value) -> str:
+    """`value` as JSON for a message: its first 80 characters, then "..."."""
+    text = json.dumps(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _set(cfg: dict, path: tuple, value) -> None:
     """Store `value` at the key `path` if it has the JSON type of its field.
     Numbers must be finite: Python's json reads NaN and Infinity."""
@@ -147,15 +153,15 @@ def _set(cfg: dict, path: tuple, value) -> None:
         raise ConfigError(f"unknown config key {key!r}")
     if isinstance(field, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"config key {key} must be an object, got {json.dumps(value)}")
+            raise ConfigError(f"config key {key} must be an object, got {_shown(value)}")
         for sub, sval in value.items():
             _set(cfg, path + (sub,), sval)
         return
     if not field.test(value):
-        raise ConfigError(f"config key {key} must be {field.kind}, got {json.dumps(value)}")
+        raise ConfigError(f"config key {key} must be {field.kind}, got {_shown(value)}")
     if any(isinstance(v, float) and not math.isfinite(v)
            for v in (value if isinstance(value, list) else [value])):
-        raise ConfigError(f"config key {key} must be finite, got {json.dumps(value)}")
+        raise ConfigError(f"config key {key} must be finite, got {_shown(value)}")
     node[path[-1]] = value
 
 
@@ -166,7 +172,7 @@ def _json_object(path: Path, error, what: str) -> dict:
     except (OSError, *UNDECODABLE) as exc:  # OSError: a directory, say
         raise error(f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from None
     if not isinstance(held, dict):
-        raise error(f"{path}: the {what} must be a JSON object, got {json.dumps(held)}")
+        raise error(f"{path}: the {what} must be a JSON object, got {_shown(held)}")
     return held
 
 
@@ -221,7 +227,7 @@ def _selected(spec: ModelSpec, path, held: dict, flags=(None, None)) -> tuple:
                 raise DataFormatError(f"{path}: no {key} in its metadata")
             value, name = held[key], f"{path}: {key}"
             if not field.test(value):
-                raise DataFormatError(f"{name} must be {field.kind}, got {json.dumps(value)}")
+                raise DataFormatError(f"{name} must be {field.kind}, got {_shown(value)}")
         cell.append((name, value))
     (c_name, c), (w_name, w) = cell
     _checked(c_name, spec.encoder_params, c)
@@ -302,6 +308,8 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
         spec, *opts, init_seed=seed + 1, tau=t["tau"],
         c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=t["select"]["c_values"])[0],
         w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=t["select"]["w_values"])[1])
+    # The priors every stage's task data holds: the dataset's or the generator's.
+    _checked(named.get("tau", "tau"), pipeline.class_offsets, run.tau, counts / counts.sum())
     w_star = None
     if "stage2" in upstream:  # assemble works at the cell its stage-2 net was trained at
         c, w_star = _selected(spec, paths["stage2"], upstream["stage2"][-1])
@@ -337,7 +345,7 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
 
 def _write_dataset(r: Inputs) -> tuple:
     """Generate the dataset; write its CSV and generator sidecar."""
-    dataset = datagen.generate(r.gen)
+    dataset = _checked("generator", datagen.generate, r.gen)
     path = store.next_version_path(r.out, "dataset", ".csv")
     datagen.save_csv(dataset, path)
     return dataset, path

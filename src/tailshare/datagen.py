@@ -193,10 +193,17 @@ def build_generator(cfg: GenConfig) -> MixtureGenerator:
 
 
 def generate(cfg: GenConfig) -> LongTailDataset:
-    """Draw exactly n_k points per class (rows grouped by class)."""
-    gen, rng = _seeded_generator(cfg)
+    """Draw exactly n_k points per class (rows grouped by class). Settings
+    that draw a non-finite feature (an overflow) raise DomainError, without
+    a warning."""
     counts = cfg.class_counts()
-    return LongTailDataset(*gen._draw(np.repeat(np.arange(cfg.n_classes), counts), rng), counts, gen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen, rng = _seeded_generator(cfg)
+        features, labels = gen._draw(np.repeat(np.arange(cfg.n_classes), counts), rng)
+    if not np.isfinite(features).all():
+        raise DomainError(f"class_mean_scale {cfg.class_mean_scale} and noise_sigma {cfg.noise_sigma} "
+                          "draw a non-finite feature")
+    return LongTailDataset(features, labels, counts, gen)
 
 
 def sample_iid(gen: MixtureGenerator, n: int, seed: int) -> LongTailDataset:

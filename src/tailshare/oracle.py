@@ -90,11 +90,12 @@ def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c
     """Resample m: fresh data, shared Stage 1, all Stage-2 weights as one
     stack, per-c assembly.
 
-    Returns (risks[nc, nw], acc[nc, nw, 3], stage1); failed cells are
-    NaN. stage1 is resample 0's Stage1Result, or its TrainingDivergenceError,
-    and None for the other resamples. With refine=True every assembled model
-    gets the decoder-only fine-tune before being measured, all of them as
-    one stack; a cell whose fine-tune diverged stays NaN.
+    Returns (values[nc, nw, 4], stage1): each cell's risk, then its overall,
+    head and tail accuracy, NaN where the cell failed. stage1 is resample
+    0's Stage1Result, or its TrainingDivergenceError, and None for the
+    other resamples. With refine=True every assembled model gets the
+    decoder-only fine-tune before being measured, all of them as one
+    stack; a cell whose fine-tune diverged stays NaN.
 
     The c = 0 model is the Stage-1 pair whatever the weight, so it is
     assembled, refined and scored once and copied into each column whose
@@ -102,16 +103,14 @@ def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c
     points once, and each cell's branches continue from its depth-c
     activations, which gives the risk a full forward pass would.
     """
-    nc, nw = len(c_values), len(w_values)
-    risks = np.full((nc, nw), np.nan)
-    accs = np.full((nc, nw, 3), np.nan)
+    values = np.full((len(c_values), len(w_values), 4), np.nan)
     dataset = sample_iid(gen, n_train, seed + _RESAMPLE_SEED_OFFSET + m)
     td = build_task_data(dataset, split, gen.priors)
     cfg_m = _per_resample_config(run_cfg, m)
     try:
         s1 = stage1(cfg_m, td)
     except TrainingDivergenceError as err:
-        return risks, accs, err if m == 0 else None
+        return values, err if m == 0 else None
     spec = run_cfg.spec
     stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values))
                      if not isinstance(s2, TrainingDivergenceError)}
@@ -135,11 +134,11 @@ def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c
             if isinstance(model, TrainingDivergenceError):
                 continue
             acts = encoded(where[1])[:model.c + 1] if model.c else [eval_points]
-            risks[where] = taskwise_risk(targets, model.decode(acts))
+            values[where + (0,)] = taskwise_risk(targets, model.decode(acts))
             if balanced is not None:
                 rep = evaluate(model, *balanced)
-                accs[where] = (rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy)
-    return risks, accs, s1 if m == 0 else None
+                values[where + (slice(1, None),)] = rep.overall_accuracy, rep.head_accuracy, rep.tail_accuracy
+    return values, s1 if m == 0 else None
 
 
 def check_study(m_resamples: int, n_train: int, n_eval: int, eval_per_class: int | None = None) -> None:
@@ -162,10 +161,10 @@ def _collect_resamples(
 ) -> tuple:
     """Run every resample against one evaluation sample drawn from the
     study seed: n_eval feature points, then, given eval_per_class, a
-    balanced labeled set. Returns (risks[M, nc, nw], accs[M, nc, nw, 3],
-    resample 0's Stage1Result or TrainingDivergenceError). The true
-    posterior at the evaluation points, and the risk targets built from
-    it, are computed once for the study."""
+    balanced labeled set. Returns (values[M, nc, nw, 4], resample 0's
+    Stage1Result or TrainingDivergenceError): _run_resample's values, one
+    per resample. The true posterior at the evaluation points, and the
+    risk targets built from it, are computed once for the study."""
     check_study(m_resamples, n_train, n_eval, eval_per_class)
     rng = np.random.default_rng(seed)
     eval_points = gen.sample_features(n_eval, rng)
@@ -183,30 +182,23 @@ def _collect_resamples(
             results = list(pool.map(run, range(m_resamples)))
     else:
         results = [run(m) for m in range(m_resamples)]
-    risks = np.stack([r[0] for r in results])     # (M, nc, nw)
-    accs = np.stack([r[1] for r in results])      # (M, nc, nw, 3)
-    return risks, accs, results[0][2]
+    return np.stack([r[0] for r in results]), results[0][1]
 
 
-@np.errstate(over="ignore")
 def _mean_stderr(values: np.ndarray) -> tuple:
-    """Mean and standard error of the finite values along axis 0; NaN where
-    fewer than one (mean) or two (stderr) values are finite. Slices without
-    enough values are filled with zeros before the reductions and masked
-    after, so numpy never sees an empty slice or a non-positive degree of
-    freedom. Finite values too large to sum or square give an infinite
-    mean or stderr, without a warning."""
+    """Mean and standard error of the finite values along axis 0, by masked
+    sums: the bits of np.nanmean and np.nanstd(ddof=1) / sqrt(n_ok) over
+    the finite values. NaN where fewer than one (mean) or two (stderr)
+    values are finite; finite values too large to sum or square give an
+    infinite mean or stderr. No reduction warns."""
     ok = np.isfinite(values)
     n_ok = ok.sum(axis=0)
-    finite = np.where(ok, values, np.nan)
-    mean = np.full(n_ok.shape, np.nan)
-    stderr = np.full(n_ok.shape, np.nan)
-    if len(values) > 0:
-        mean = np.where(n_ok > 0, np.nanmean(np.where(n_ok > 0, finite, 0.0), axis=0), np.nan)
-    if len(values) > 1:
-        std = np.nanstd(np.where(n_ok > 1, finite, 0.0), axis=0, ddof=1)
-        stderr = np.where(n_ok > 1, std / np.sqrt(np.maximum(n_ok, 1)), np.nan)
-    return mean, stderr, n_ok
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.where(ok, values, 0.0)
+        mean = x.sum(axis=0) / n_ok
+        dev = np.where(ok, x - mean, 0.0)
+        stderr = np.sqrt((dev * dev).sum(axis=0) / (n_ok - 1)) / np.sqrt(n_ok)
+    return np.where(n_ok > 0, mean, np.nan), np.where(n_ok > 1, stderr, np.nan), n_ok
 
 
 class _Resampled:
@@ -265,17 +257,15 @@ def grid_compare(
     if restrict is not True:
         raise ConfigError(f"restrict must be True (the risk is renormalized), got {restrict!r}")
     c_values, w_values = candidate_grid(run_cfg.spec, c_values, w_values)
-    risks, _, first_s1 = _collect_resamples(gen, run_cfg, c_values, w_values, m_resamples,
-                                            n_train, seed, n_eval, jobs)
-    risk_mean, risk_stderr, n_ok = _mean_stderr(risks)
+    values, first_s1 = _collect_resamples(gen, run_cfg, c_values, w_values, m_resamples,
+                                          n_train, seed, n_eval, jobs)
+    risk_mean, risk_stderr, n_ok = _mean_stderr(values[..., 0])
 
     # Proxy grid from the first resample's own Stage-1 statistics.
     if isinstance(first_s1, TrainingDivergenceError):
         raise first_s1
     grid = select_structure(first_s1, n_train, run_cfg.spec, c_values, w_values)
-    proxy_total = np.array(
-        [[grid.cell(c, w).total for w in w_values] for c in c_values], dtype=np.float64
-    )
+    proxy_total = np.array([row.total for row in grid.table]).reshape(len(c_values), -1)  # c, then w
     report = OracleReport(
         c_values=c_values,
         w_values=w_values,
@@ -352,20 +342,15 @@ def weight_sweep(
     nothing.
     """
     (c,), w_values = candidate_grid(run_cfg.spec, (c,), w_values)
-    risks, accs, _ = _collect_resamples(gen, run_cfg, (c,), w_values, m_resamples, n_train,
-                                        seed, n_eval, jobs, eval_per_class, refine)
-    risk_mean, risk_stderr, n_ok = _mean_stderr(risks[:, 0, :])
-    o_mean, o_stderr, _ = _mean_stderr(accs[:, 0, :, 0])
-    h_mean, h_stderr, _ = _mean_stderr(accs[:, 0, :, 1])
-    t_mean, t_stderr, _ = _mean_stderr(accs[:, 0, :, 2])
+    values, _ = _collect_resamples(gen, run_cfg, (c,), w_values, m_resamples, n_train,
+                                   seed, n_eval, jobs, eval_per_class, refine)
+    mean, stderr, n_ok = _mean_stderr(values[:, 0])   # (nw, 4) each
+    (risk_mean, o_mean, h_mean, t_mean), (risk_se, o_se, h_se, t_se) = mean.T, stderr.T
     return SweepReport(
         c=c, w_values=w_values,
-        overall_mean=o_mean, overall_stderr=o_stderr,
-        head_mean=h_mean, head_stderr=h_stderr,
-        tail_mean=t_mean, tail_stderr=t_stderr,
-        risk_mean=risk_mean, risk_stderr=risk_stderr,
-        n_ok=n_ok.astype(np.int64), m_resamples=m_resamples,
-        n_train=n_train, seed=seed,
+        overall_mean=o_mean, overall_stderr=o_se, head_mean=h_mean, head_stderr=h_se,
+        tail_mean=t_mean, tail_stderr=t_se, risk_mean=risk_mean, risk_stderr=risk_se,
+        n_ok=n_ok[:, 0].astype(np.int64), m_resamples=m_resamples, n_train=n_train, seed=seed,
     )
 
 

@@ -85,14 +85,28 @@ class RunConfig:
             raise ConfigError("tau must be >= 0")
 
 
+def class_offsets(tau: float, priors) -> np.ndarray | None:
+    """Per-class additive training offsets tau * log(prior); None at tau 0
+    (the plain loss). The priors must be positive and sum to 1, and a tau
+    whose offsets overflow raises DomainError, without a warning."""
+    if tau == 0:
+        return None
+    priors = np.asarray(priors, dtype=np.float64)
+    if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-9:
+        raise DomainError(f"logit adjustment needs positive class priors that sum to 1, got {priors}")
+    with np.errstate(over="ignore"):
+        full = tau * np.log(priors)
+    if not np.isfinite(full).all():
+        raise DomainError(f"the offsets tau * log(prior) overflow at tau {tau} and prior {float(priors.min())}")
+    return full
+
+
 def _offsets_for(cfg: RunConfig, td: TaskData) -> tuple:
-    """Per-group additive training offsets tau * log(prior), in group
-    order; none at tau 0 (the plain loss)."""
-    if cfg.tau == 0:
+    """class_offsets at cfg.tau and td's priors, per group in group order;
+    none at tau 0."""
+    full = class_offsets(cfg.tau, td.priors)
+    if full is None:
         return None, None
-    if np.any(td.priors <= 0) or abs(td.priors.sum() - 1.0) > 1e-9:
-        raise DomainError(f"logit adjustment needs positive class priors that sum to 1, got {td.priors}")
-    full = cfg.tau * np.log(td.priors)
     return full[list(td.split.head_classes)], full[list(td.split.tail_classes)]
 
 
@@ -112,13 +126,18 @@ def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
 
     Both tasks train as one stack of two. Task-A training never reads z_b
     and vice versa (a zero task weight skips the other branch entirely).
+    A Fisher that overflows raises DomainError, without a warning.
     """
     init = init_params(cfg.spec, cfg.init_seed)
     offs = _offsets_for(cfg, td)
     res_a, res_b = _all_trained(train_stack(
         [init, init], cfg.spec, td, [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=offs))
-    fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
-    fisher_b = estimate_diag_fisher(res_b.params, cfg.spec, td.features, td.z_b, "B", offsets=offs[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
+        fisher_b = estimate_diag_fisher(res_b.params, cfg.spec, td.features, td.z_b, "B", offsets=offs[1])
+    for name, fisher in (("fisher_a", fisher_a), ("fisher_b", fisher_b)):
+        if not np.isfinite(fisher.values).all():
+            raise DomainError(f"{name} has a non-finite entry: the Stage-1 Fisher overflowed")
     return Stage1Result(res_a.params, res_b.params, fisher_a, fisher_b,
                         res_a.epoch_losses, res_b.epoch_losses)
 

@@ -74,6 +74,20 @@ class TestGenData:
         assert (run_dir / "dataset_v001.generator.json").exists()
         assert (run_dir / "config_v001.json").exists()
 
+    @pytest.mark.parametrize("key", ["noise_sigma", "class_mean_scale"])
+    def test_settings_that_draw_a_non_finite_feature_write_no_dataset(self, runner, tmp_path, key):
+        """Features that overflow would be refused by every reader of the
+        dataset: gen-data refuses them, naming both settings, and writes no
+        dataset or sidecar (warnings fail the suite)."""
+        config, cfg = write_config(tmp_path)
+        cfg["generator"][key] = 1e308
+        config.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["gen-data", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert "error[config]: generator: class_mean_scale" in result.output
+        assert "noise_sigma" in result.output and "non-finite feature" in result.output
+        assert not list((tmp_path / "run").glob("dataset_v*"))
+
 
 class TestStagedCommands:
     def test_stage_by_stage_flow(self, runner, tmp_path):
@@ -196,6 +210,30 @@ class TestStagedMatchesFullRun:
 
 
 class TestErrorPaths:
+    def test_non_object_document_is_echoed_cut_short(self, runner, tmp_path):
+        path = tmp_path / "array.json"
+        held = list(range(10_000))
+        path.write_text(json.dumps(held))
+        result = runner.invoke(main, ["gen-data", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error[config]: {path}: the config must be a JSON object, "
+                                 f"got {json.dumps(held)[:80]}...\n")
+        assert len(result.output) < 300
+        assert not (tmp_path / "run").exists()
+
+    def test_stage1_whose_fisher_overflows_writes_no_container(self, runner, tmp_path):
+        """Features near 1e200 train, but their squares overflow the Fisher,
+        which search would refuse: stage1 refuses it, naming it, and writes
+        no container (warnings fail the suite)."""
+        config, cfg = write_config(tmp_path)
+        cfg["generator"]["noise_sigma"] = 1e200
+        config.write_text(json.dumps(cfg))
+        assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
+        result = runner.invoke(main, ["stage1", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert re.search(r"error\[config\]: fisher_[ab] has a non-finite entry", result.output)
+        assert not list((tmp_path / "run").glob("stage1_v*"))
+
     def test_missing_artifact_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
         result = runner.invoke(main, ["eval", "--config", str(config)])
@@ -505,6 +543,22 @@ class TestInputsResolvedBeforeAnyWrite:
         assert result.exit_code == 2, result.output
         assert "error[config]" in result.output
         assert f"{args[1]}: {named}" in result.output
+        assert run_dir_state(searched) == before
+
+    @pytest.mark.parametrize("command", ["stage1", "stage2", "full-run", "oracle"])
+    @pytest.mark.parametrize("by_flag", [True, False])
+    def test_tau_whose_offsets_overflow_leaves_the_run_directory_unchanged(self, runner, searched, tmp_path,
+                                                                          command, by_flag):
+        """tau * log(prior) overflows at tau 1e308: refused before anything
+        is written, naming --tau or the config's tau (warnings fail the
+        suite)."""
+        args = ["--tau", "1e308"] if by_flag else []
+        config = TOY if by_flag else toy_copy(tmp_path, "tau", tau=1e308)
+        before = run_dir_state(searched)
+        result = runner.invoke(main, [command, "--config", str(config), "--out", str(searched)] + args)
+        assert result.exit_code == 2, result.output
+        named = "--tau" if by_flag else "tau"
+        assert f"error[config]: {named}: the offsets tau * log(prior) overflow at tau 1e+308" in result.output
         assert run_dir_state(searched) == before
 
     def test_stage2_checks_the_selection_it_reads(self, runner, searched):

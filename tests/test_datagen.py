@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tailshare.errors import ConfigError, DataFormatError, StructuralError
+from tailshare.errors import ConfigError, DataFormatError, DomainError, StructuralError
 from tailshare.datagen import (
     GenConfig,
     LongTailDataset,
@@ -61,6 +61,12 @@ class TestGenerate:
     def test_generator_agrees_with_build_generator(self):
         cfg = GenConfig(5, 4, 3.0, 40, seed=9)
         assert np.array_equal(generate(cfg).generator.means, build_generator(cfg).means)
+
+    @pytest.mark.parametrize("settings", [dict(noise_sigma=1e308), dict(class_mean_scale=1e308)])
+    def test_settings_that_draw_a_non_finite_feature_rejected(self, settings):
+        """Without a warning (warnings fail the suite), naming both settings."""
+        with pytest.raises(DomainError, match=r"class_mean_scale .* and noise_sigma .* non-finite feature"):
+            generate(GenConfig(6, 4, 10.0, 120, seed=11, **settings))
 
     def test_priors_sum_to_one(self):
         ds = generate(GenConfig(7, 2, 20.0, 100, seed=1))

@@ -343,6 +343,48 @@ class TestResampleEngine:
         assert stderr[0] == np.inf and stderr[1] == 0.5
         assert n_ok.tolist() == [2, 2]
 
+    def test_mean_stderr_is_numpys_nan_reductions_bit_for_bit(self):
+        """Seeded random grids of M = 0..11 resamples and 0-2 trailing axes,
+        each column holding 0, 1 or >= 2 finite values among NaN, +-inf and
+        values near the float range: the mean and stderr are np.nanmean and
+        np.nanstd(ddof=1) / sqrt(n_ok) of the finite values, bit for bit,
+        without a warning. Reducing an (M, n, k) stack at once, as
+        weight_sweep does, gives each of its k columns' reductions when
+        n > 1: numpy then sums both row by row (a lone column, n = 1, it
+        sums pairwise)."""
+        def same_bits(got, want):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            keep = ~np.isnan(want)
+            assert np.asarray(got)[keep].tobytes() == np.asarray(want)[keep].tobytes()
+
+        rng = np.random.default_rng(25)
+        for trial in range(1200):
+            m, trailing = trial % 12, tuple(rng.integers(1, 5, size=trial % 3))
+            cols = int(np.prod(trailing))
+            values = rng.normal(size=(m, cols)) * 10.0 ** rng.uniform(-3, 3, size=(m, cols))
+            huge = rng.random((m, cols)) < 0.15
+            values[huge] = rng.choice([-1.0, 1.0], huge.sum()) * rng.uniform(1e307, 1.7e308, huge.sum())
+            for col in range(cols):
+                n_finite = min(m, (0, 1, int(rng.integers(2, 12)))[rng.integers(3)])
+                bad = rng.permutation(m)[n_finite:]
+                values[bad, col] = rng.choice([np.nan, np.inf, -np.inf], bad.size)
+            values = values.reshape((m,) + trailing)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mean, stderr, n_ok = _mean_stderr(values)
+            finite = np.where(np.isfinite(values), values, np.nan)
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                want_mean = np.nanmean(finite, axis=0)
+                want_stderr = np.nanstd(finite, axis=0, ddof=1) / np.sqrt(n_ok)
+            assert np.array_equal(n_ok, np.isfinite(values).sum(axis=0))
+            same_bits(mean, want_mean)
+            same_bits(stderr, want_stderr)
+            if len(trailing) == 2 and trailing[0] > 1:
+                for k in range(trailing[-1]):
+                    for got, want in zip(_mean_stderr(values[..., k]), (mean, stderr, n_ok)):
+                        same_bits(got, want[..., k])
+
     @pytest.mark.parametrize("restrict", [False, 0, None])
     def test_only_the_renormalized_risk_is_accepted(self, restrict):
         with pytest.raises(ConfigError, match="restrict must be True"):

@@ -12,6 +12,7 @@ from tailshare.pipeline import (
     RunConfig,
     assemble,
     build_task_data,
+    class_offsets,
     evaluate,
     full_run,
     _offsets_for,
@@ -75,6 +76,15 @@ class TestLogitOffsets:
         assert np.array_equal(off_a, np.log([0.25, 0.3, 0.2]))
         assert np.array_equal(off_b, np.log([0.05, 0.12, 0.08]))
 
+    def test_tau_whose_offsets_overflow_rejected(self):
+        """tau * log(0.05) passes the float range at tau 1e308; refused
+        without an overflow warning (warnings fail the suite)."""
+        priors = [0.3, 0.25, 0.2, 0.12, 0.08, 0.05]
+        with pytest.raises(DomainError, match="overflow at tau 1e"):
+            _offsets_for(run_config(tau=1e308), with_priors(priors))
+        assert np.array_equal(class_offsets(1e300, priors), 1e300 * np.log(priors))
+        assert class_offsets(0.0, priors) is None
+
     def test_tau_zero_trains_without_offsets(self):
         assert _offsets_for(run_config(tau=0.0), build_task_data(toy_dataset())) == (None, None)
 
@@ -129,6 +139,13 @@ class TestStage1:
         other = stage1(cfg, scrambled)
         assert np.array_equal(ref.params_a.values, other.params_a.values)
         assert not np.array_equal(ref.params_b.values, other.params_b.values)
+
+    def test_fisher_that_overflows_rejected(self):
+        """Features near 1e200 train, but their squares overflow the Fisher:
+        refused, naming it, without a warning."""
+        td = build_task_data(generate(GenConfig(6, 4, 10.0, 120, noise_sigma=1e200, seed=11)))
+        with pytest.raises(DomainError, match="fisher_[ab] has a non-finite entry"):
+            stage1(run_config(), td)
 
     def test_losses_recorded_and_decreasing_overall(self):
         td = build_task_data(toy_dataset())
