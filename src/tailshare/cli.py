@@ -240,14 +240,14 @@ class Inputs:
 
     out: str
     seed: int
-    gen: datagen.GenConfig
+    gen: datagen.MixtureGenerator  # the generator section's, its settings in .config
     run: pipeline.RunConfig       # the model (see _resolve) and the grids
     holdout_fraction: float
     eval_per_class: int
     dataset: datagen.LongTailDataset | None
     c: int                        # sweep's --c (default: the trunk depth), or stage2's or assemble's C*
     w_star: float | None          # stage2's or assemble's w_A*
-    study: dict | None            # oracle or sweep sizes, study seed and jobs
+    study: oracle.Study | None    # oracle's or sweep's settings
     upstream: dict                # each stem the command reads: its latest container, loaded
 
 
@@ -261,7 +261,8 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     commands size the config's model to the dataset when they read one,
     else to the generator. A command that takes --c-star and --w-star
     (stage2) reads a missing one from the latest selection file; `study`
-    ("oracle" or "sweep") sizes a study, run on --jobs workers."""
+    ("oracle" or "sweep") builds the command's oracle.Study, run on --jobs
+    workers."""
     cfg = _merged(config_path, given)
     t = _cast(cfg)
     seed = t["seed"]
@@ -276,7 +277,8 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
             ("stage2.epochs", t["stage2"]["epochs"], t["stage2"]["epochs"] >= 1, "be >= 1")):
         if not ok:
             raise ConfigError(f"{key} must {rule}, got {value}")
-    gen = _checked("generator", datagen.GenConfig, **t["generator"], seed=seed)
+    gen = _checked("generator", lambda: datagen.build_generator(
+        datagen.GenConfig(**t["generator"], seed=seed)))
     opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
             for section, offset in (("stage1", 2), ("stage2", 3), ("refine", 4))]
     data_path = given.get("--data")
@@ -289,7 +291,7 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     loaders = {"stage1": store.load_stage1, "stage2": store.load_params, "model": store.load_model}
     paths = {stem: store.latest_version_path(t["out"], stem, ".bin") for stem in reads}
     upstream = {stem: loaders[stem](path) for stem, path in paths.items()}
-    counts, input_dim = ((gen.class_counts(), gen.input_dim) if dataset is None
+    counts, input_dim = ((gen.config.class_counts(), gen.input_dim) if dataset is None
                          else (dataset.class_counts, dataset.features.shape[1]))
     n_classes, split = len(counts), _checked("model", datagen.split_classes, counts)
     spec = _checked("model", ModelSpec, input_dim, t["model"]["trunk_widths"],
@@ -323,29 +325,27 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     else:
         c = given["--c"]
         _checked("--c", spec.encoder_params, c)
-    sizes = None
+    settings = None
     if study is not None:
         jobs = given["--jobs"]
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-        o = t["oracle"]
-        sizes = {"m_resamples": o["resamples"], "n_train": o["train_size"], "seed": seed + 7,
-                 "n_eval": o["eval_points"], "jobs": jobs}
-        if study == "sweep":
-            sizes["eval_per_class"] = t["eval_per_class"]
-        oracle.check_study(o["resamples"], o["train_size"], o["eval_points"], sizes.get("eval_per_class"))
+        o, sweep = t["oracle"], study == "sweep"
+        settings = oracle.Study((c,) if sweep else run.c_values, run.w_values, o["resamples"],
+                                o["train_size"], seed + 7, o["eval_points"],
+                                t["eval_per_class"] if sweep else None, jobs=jobs)
     out = Path(t["out"])
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"{named.get('out', 'out')}: {existing} is not a directory")
     store.write_config_snapshot(t["out"], cfg)
     return Inputs(t["out"], seed, gen, run, t["holdout_fraction"], t["eval_per_class"], dataset,
-                  c, w_star, sizes, upstream)
+                  c, w_star, settings, upstream)
 
 
 def _write_dataset(r: Inputs) -> tuple:
     """Generate the dataset; write its CSV and generator sidecar."""
-    dataset = _checked("generator", datagen.generate, r.gen)
+    dataset = datagen.generate(r.gen.config)
     path = store.next_version_path(r.out, "dataset", ".csv")
     datagen.save_csv(dataset, path)
     return dataset, path
@@ -532,8 +532,9 @@ def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
 @_command("oracle", "--grid-c", "--grid-w", "--resamples", "--train-size", "--jobs", "--tau", study="oracle")
 def oracle_cmd(r):
     """MC risk over the (C, w_A) grid compared against the proxy by rank."""
-    gen = datagen.build_generator(r.gen)
-    report = oracle.grid_compare(gen, r.run, r.run.c_values, r.run.w_values, **r.study)
+    s = r.study
+    report = oracle.grid_compare(r.gen, r.run, s.c_values, s.w_values, s.m_resamples, s.n_train,
+                                 seed=s.seed, n_eval=s.n_eval, jobs=s.jobs)
     csv_path = store.next_version_path(r.out, "oracle_grid", ".csv")
     report.to_csv(csv_path)
     json_path = store.next_version_path(r.out, "oracle_summary", ".json")
@@ -546,8 +547,9 @@ def oracle_cmd(r):
 @_command("sweep", "--c", "--grid-w", "--resamples", "--train-size", "--jobs", "--tau", study="sweep")
 def sweep_cmd(r):
     """Accuracy/risk versus head weight at a fixed shared depth."""
-    gen = datagen.build_generator(r.gen)
-    report = oracle.weight_sweep(gen, r.run, r.c, r.run.w_values, **r.study)
+    s = r.study
+    report = oracle.weight_sweep(r.gen, r.run, r.c, s.w_values, s.m_resamples, s.n_train, seed=s.seed,
+                                 n_eval=s.n_eval, eval_per_class=s.eval_per_class, jobs=s.jobs)
     path = store.next_version_path(r.out, "sweep", ".csv")
     report.to_csv(path)
     overall = np.where(report.valid, report.overall_mean, np.nan)

@@ -69,8 +69,18 @@ class MixtureGenerator:
             raise StructuralError("means must be a (K, input_dim) matrix")
         if self.priors.shape != (self.means.shape[0],):
             raise StructuralError("priors must give one value per class")
-        if np.any(self.priors < 0) or abs(self.priors.sum() - 1.0) > 1e-9:
+        if np.any(self.priors < 0) or not abs(self.priors.sum() - 1.0) <= 1e-9:  # a NaN sum too
             raise DomainError("priors must be nonnegative and sum to 1")
+        # A normal draw lies within 14 sigma of its mean, so every feature, squared distance
+        # and distance / (2 sigma^2) that _draw and posterior form is finite when reach is,
+        # and 2 sigma^2 is a normal float (a subnormal sigma^2 rounds as posterior forms it).
+        sigma, spread = np.float64(self.noise_sigma), np.abs(self.means).max(initial=0.0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            variance = 2.0 * sigma ** 2
+            reach = self.input_dim * (2.0 * spread + 64.0 * sigma) ** 2 / variance
+        if not (sigma > 0 and variance >= np.finfo(np.float64).tiny and np.isfinite(reach)):
+            raise DomainError(f"class_mean_scale (means up to {spread:.3g}) and noise_sigma "
+                              f"{sigma:.3g} give a non-finite feature or posterior")
 
     @property
     def n_classes(self) -> int:
@@ -182,7 +192,8 @@ class TaskSplit:
 def _seeded_generator(cfg: GenConfig) -> tuple:
     """(generator, rng): the means are rng's first draw, seeded by cfg."""
     rng = np.random.default_rng(cfg.seed)
-    means = rng.normal(size=(cfg.n_classes, cfg.input_dim)) * cfg.class_mean_scale
+    with np.errstate(over="ignore"):  # MixtureGenerator refuses means that overflow
+        means = rng.normal(size=(cfg.n_classes, cfg.input_dim)) * cfg.class_mean_scale
     counts = cfg.class_counts()
     return MixtureGenerator(means, cfg.noise_sigma, counts / counts.sum(), cfg), rng
 
@@ -193,16 +204,10 @@ def build_generator(cfg: GenConfig) -> MixtureGenerator:
 
 
 def generate(cfg: GenConfig) -> LongTailDataset:
-    """Draw exactly n_k points per class (rows grouped by class). Settings
-    that draw a non-finite feature (an overflow) raise DomainError, without
-    a warning."""
+    """Draw exactly n_k points per class (rows grouped by class)."""
     counts = cfg.class_counts()
-    with np.errstate(over="ignore", invalid="ignore"):
-        gen, rng = _seeded_generator(cfg)
-        features, labels = gen._draw(np.repeat(np.arange(cfg.n_classes), counts), rng)
-    if not np.isfinite(features).all():
-        raise DomainError(f"class_mean_scale {cfg.class_mean_scale} and noise_sigma {cfg.noise_sigma} "
-                          "draw a non-finite feature")
+    gen, rng = _seeded_generator(cfg)
+    features, labels = gen._draw(np.repeat(np.arange(cfg.n_classes), counts), rng)
     return LongTailDataset(features, labels, counts, gen)
 
 
@@ -289,9 +294,9 @@ def save_csv(dataset: LongTailDataset, path) -> None:
 
 
 def load_generator_sidecar(path) -> MixtureGenerator:
-    """The generator a sidecar describes; undecodable JSON, missing or
-    non-finite fields, bad config keys and shapes that do not fit raise
-    DataFormatError naming the file."""
+    """The generator a sidecar describes; undecodable JSON, missing fields,
+    bad config keys, shapes that do not fit and values MixtureGenerator
+    refuses raise DataFormatError naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"generator sidecar not found: {path}")
@@ -304,9 +309,6 @@ def load_generator_sidecar(path) -> MixtureGenerator:
         )
     except (OSError, KeyError, TypeError, *UNDECODABLE) as exc:  # OSError: a directory, say
         raise DataFormatError(f"{path}: bad generator sidecar ({type(exc).__name__}: {exc})") from None
-    if not (np.isfinite(gen.means).all() and np.isfinite(gen.priors).all()
-            and np.isfinite(gen.noise_sigma) and gen.noise_sigma > 0):
-        raise DataFormatError(f"{path}: means, priors and a positive noise_sigma must be finite")
     return gen
 
 

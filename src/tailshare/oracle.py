@@ -85,15 +85,41 @@ def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
     )
 
 
-def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c_values, w_values,
-                  n_train: int, seed: int, refine: bool) -> tuple:
+@dataclass(frozen=True)
+class Study:
+    """One study's settings, from the caller to every resample: the (C, w_A)
+    grid, m_resamples training sets of n_train rows, the study seed, n_eval
+    risk points, eval_per_class balanced rows per class for accuracy (None:
+    no accuracy), refine (the decoder fine-tune) and jobs, the most worker
+    processes; jobs 1 or less runs in-process."""
+
+    c_values: tuple
+    w_values: tuple
+    m_resamples: int
+    n_train: int
+    seed: int
+    n_eval: int
+    eval_per_class: int | None = None
+    refine: bool = False
+    jobs: int = 1
+
+    def __post_init__(self):
+        for name, value in (("m_resamples", self.m_resamples), ("n_train (the train size)", self.n_train),
+                            ("n_eval (oracle.eval_points)", self.n_eval)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.eval_per_class is not None and self.eval_per_class < 1:
+            raise ConfigError(f"eval_per_class must be >= 1 to score accuracy, got {self.eval_per_class}")
+
+
+def _run_resample(m: int, study: Study, gen, run_cfg, split, eval_points, targets, balanced) -> tuple:
     """Resample m: fresh data, shared Stage 1, all Stage-2 weights as one
     stack, per-c assembly.
 
     Returns (values[nc, nw, 4], stage1): each cell's risk, then its overall,
     head and tail accuracy, NaN where the cell failed. stage1 is resample
     0's Stage1Result, or its TrainingDivergenceError, and None for the
-    other resamples. With refine=True every assembled model gets the
+    other resamples. With study.refine every assembled model gets the
     decoder-only fine-tune before being measured, all of them as one
     stack; a cell whose fine-tune diverged stays NaN.
 
@@ -103,8 +129,8 @@ def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c
     points once, and each cell's branches continue from its depth-c
     activations, which gives the risk a full forward pass would.
     """
-    values = np.full((len(c_values), len(w_values), 4), np.nan)
-    dataset = sample_iid(gen, n_train, seed + _RESAMPLE_SEED_OFFSET + m)
+    values = np.full((len(study.c_values), len(study.w_values), 4), np.nan)
+    dataset = sample_iid(gen, study.n_train, study.seed + _RESAMPLE_SEED_OFFSET + m)
     td = build_task_data(dataset, split, gen.priors)
     cfg_m = _per_resample_config(run_cfg, m)
     try:
@@ -112,19 +138,19 @@ def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c
     except TrainingDivergenceError as err:
         return values, err if m == 0 else None
     spec = run_cfg.spec
-    stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, w_values))
+    stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, study.w_values))
                      if not isinstance(s2, TrainingDivergenceError)}
     cells = []   # (the rows and columns a model fills, model)
-    zero_rows = [ci for ci, c in enumerate(c_values) if c == 0]
+    zero_rows = [ci for ci, c in enumerate(study.c_values) if c == 0]
     if stage2_params and zero_rows:
         first = next(iter(stage2_params.values()))
         cells.append((np.ix_(zero_rows, list(stage2_params)),
                       assemble(spec, 0, first, s1, split)))
     for wi, params in stage2_params.items():
         cells += [((ci, wi), assemble(spec, c, params, s1, split))
-                  for ci, c in enumerate(c_values) if c != 0]
+                  for ci, c in enumerate(study.c_values) if c != 0]
     models = [model for _, model in cells]
-    if refine and models:
+    if study.refine and models:
         models = refine_stack(models, td, cfg_m)
     # Cells come weight by weight, so one weight's activations are kept.
     encoded = lru_cache(maxsize=1)(lambda wi: trunk_activations(stage2_params[wi], spec, eval_points))
@@ -141,47 +167,28 @@ def _run_resample(m: int, gen, run_cfg, split, eval_points, targets, balanced, c
     return values, s1 if m == 0 else None
 
 
-def check_study(m_resamples: int, n_train: int, n_eval: int, eval_per_class: int | None = None) -> None:
-    """Refuse a study without resamples, training rows or evaluation
-    points, or, when it scores accuracy (eval_per_class given), without
-    balanced rows."""
-    if m_resamples < 1:
-        raise ConfigError(f"m_resamples must be >= 1, got {m_resamples}")
-    if n_train < 1:
-        raise ConfigError(f"n_train (the train size) must be >= 1, got {n_train}")
-    if n_eval < 1:
-        raise ConfigError(f"n_eval (oracle.eval_points) must be >= 1, got {n_eval}")
-    if eval_per_class is not None and eval_per_class < 1:
-        raise ConfigError(f"eval_per_class must be >= 1 to score accuracy, got {eval_per_class}")
-
-
-def _collect_resamples(
-    gen, run_cfg, c_values, w_values, m_resamples, n_train, seed, n_eval, jobs,
-    eval_per_class: int | None = None, refine: bool = False,
-) -> tuple:
+def _collect_resamples(gen, run_cfg, study: Study) -> tuple:
     """Run every resample against one evaluation sample drawn from the
     study seed: n_eval feature points, then, given eval_per_class, a
     balanced labeled set. Returns (values[M, nc, nw, 4], resample 0's
     Stage1Result or TrainingDivergenceError): _run_resample's values, one
     per resample. The true posterior at the evaluation points, and the
     risk targets built from it, are computed once for the study."""
-    check_study(m_resamples, n_train, n_eval, eval_per_class)
-    rng = np.random.default_rng(seed)
-    eval_points = gen.sample_features(n_eval, rng)
-    balanced = None if eval_per_class is None else gen.sample_balanced(eval_per_class, rng)
+    rng = np.random.default_rng(study.seed)
+    eval_points = gen.sample_features(study.n_eval, rng)
+    balanced = None if study.eval_per_class is None else gen.sample_balanced(study.eval_per_class, rng)
     split = split_classes(gen.priors)
     targets = _risk_targets(gen.posterior(eval_points), split)
-    run = partial(_run_resample, gen=gen, run_cfg=run_cfg, split=split, eval_points=eval_points,
-                  targets=targets, balanced=balanced, c_values=c_values, w_values=w_values,
-                  n_train=n_train, seed=seed, refine=refine)
+    run = partial(_run_resample, study=study, gen=gen, run_cfg=run_cfg, split=split,
+                  eval_points=eval_points, targets=targets, balanced=balanced)
     # One worker per resample at most: a fork-started pool forks every
     # worker when it opens.
-    workers = min(jobs, m_resamples)
+    workers = min(study.jobs, study.m_resamples)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(m_resamples)))
+            results = list(pool.map(run, range(study.m_resamples)))
     else:
-        results = [run(m) for m in range(m_resamples)]
+        results = [run(m) for m in range(study.m_resamples)]
     return np.stack([r[0] for r in results]), results[0][1]
 
 
@@ -257,8 +264,8 @@ def grid_compare(
     if restrict is not True:
         raise ConfigError(f"restrict must be True (the risk is renormalized), got {restrict!r}")
     c_values, w_values = candidate_grid(run_cfg.spec, c_values, w_values)
-    values, first_s1 = _collect_resamples(gen, run_cfg, c_values, w_values, m_resamples,
-                                          n_train, seed, n_eval, jobs)
+    study = Study(c_values, w_values, m_resamples, n_train, seed, n_eval, jobs=jobs)
+    values, first_s1 = _collect_resamples(gen, run_cfg, study)
     risk_mean, risk_stderr, n_ok = _mean_stderr(values[..., 0])
 
     # Proxy grid from the first resample's own Stage-1 statistics.
@@ -267,19 +274,10 @@ def grid_compare(
     grid = select_structure(first_s1, n_train, run_cfg.spec, c_values, w_values)
     proxy_total = np.array([row.total for row in grid.table]).reshape(len(c_values), -1)  # c, then w
     report = OracleReport(
-        c_values=c_values,
-        w_values=w_values,
-        risk_mean=risk_mean,
-        risk_stderr=risk_stderr,
-        n_ok=n_ok.astype(np.int64),
-        m_resamples=m_resamples,
-        proxy_total=proxy_total,
-        spearman_rho=None,
-        oracle_best=None,
-        proxy_best=(grid.c_star, grid.w_star),
-        n_train=n_train,
-        n_eval=n_eval,
-        seed=seed,
+        c_values=c_values, w_values=w_values, risk_mean=risk_mean, risk_stderr=risk_stderr,
+        n_ok=n_ok.astype(np.int64), m_resamples=m_resamples, proxy_total=proxy_total,
+        spearman_rho=None, oracle_best=None, proxy_best=(grid.c_star, grid.w_star),
+        n_train=n_train, n_eval=n_eval, seed=seed,
     )
     valid = report.valid
     if valid.any():
@@ -342,8 +340,8 @@ def weight_sweep(
     nothing.
     """
     (c,), w_values = candidate_grid(run_cfg.spec, (c,), w_values)
-    values, _ = _collect_resamples(gen, run_cfg, (c,), w_values, m_resamples, n_train,
-                                   seed, n_eval, jobs, eval_per_class, refine)
+    study = Study((c,), w_values, m_resamples, n_train, seed, n_eval, eval_per_class, refine, jobs)
+    values, _ = _collect_resamples(gen, run_cfg, study)
     mean, stderr, n_ok = _mean_stderr(values[:, 0])   # (nw, 4) each
     (risk_mean, o_mean, h_mean, t_mean), (risk_se, o_se, h_se, t_se) = mean.T, stderr.T
     return SweepReport(

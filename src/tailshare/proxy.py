@@ -79,12 +79,6 @@ class GridSearchResult:
     c_values: tuple
     w_values: tuple
 
-    def cell(self, c: int, w_a: float) -> ProxyBreakdown:
-        for row in self.table:
-            if row.c == c and row.w_a == w_a:
-                return row
-        raise KeyError(f"no grid cell ({c}, {w_a})")
-
     def best_for_c(self, c: int) -> ProxyBreakdown:
         rows = [row for row in self.table if row.c == c]
         if not rows:

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from tailshare.cli import main
+from tailshare.datagen import LongTailDataset, load_csv, save_csv
 from tailshare.presets import toy_config_dict
 from tailshare.store import (load_container, load_model, load_params, load_stage1, save_container,
                              save_params, save_stage1)
@@ -224,12 +225,13 @@ class TestErrorPaths:
     def test_stage1_whose_fisher_overflows_writes_no_container(self, runner, tmp_path):
         """Features near 1e200 train, but their squares overflow the Fisher,
         which search would refuse: stage1 refuses it, naming it, and writes
-        no container (warnings fail the suite)."""
+        no container (warnings fail the suite). The toy dataset is scaled
+        into an external CSV, since no generator draws such features."""
         config, cfg = write_config(tmp_path)
-        cfg["generator"]["noise_sigma"] = 1e200
-        config.write_text(json.dumps(cfg))
         assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
-        result = runner.invoke(main, ["stage1", "--config", str(config)])
+        ds = load_csv(tmp_path / "run" / "dataset_v001.csv")
+        save_csv(LongTailDataset(ds.features * 1e200, ds.labels, ds.class_counts), tmp_path / "huge.csv")
+        result = runner.invoke(main, ["stage1", "--config", str(config), "--data", str(tmp_path / "huge.csv")])
         assert result.exit_code == 2, result.output
         assert re.search(r"error\[config\]: fisher_[ab] has a non-finite entry", result.output)
         assert not list((tmp_path / "run").glob("stage1_v*"))
@@ -428,6 +430,39 @@ class TestErrorPaths:
 
 
 class TestOracleCommands:
+    def test_oracle_and_sweep_write_the_bytes_of_the_direct_library_calls(self, runner, tmp_path):
+        """The toy oracle and sweep run the library's grid_compare and
+        weight_sweep on the config's generator and model, with the seeds the
+        CLI documents: generator seed, init seed + 1, shuffles seed + 2, + 3
+        and + 4, study seed + 7; sweep's depth is the trunk's."""
+        from tailshare.datagen import GenConfig, build_generator, split_classes
+        from tailshare.nn import ModelSpec, OptConfig
+        from tailshare.oracle import grid_compare, weight_sweep
+        from tailshare.pipeline import RunConfig
+
+        run_dir = tmp_path / "run"
+        for command in ("oracle", "sweep"):
+            result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(run_dir)])
+            assert result.exit_code == 0, (command, result.output)
+        cfg = json.loads(TOY.read_text())
+        seed, sizes = cfg["seed"], cfg["oracle"]
+        gen = build_generator(GenConfig(**cfg["generator"], seed=seed))
+        split = split_classes(gen.priors)
+        spec = ModelSpec(gen.input_dim, tuple(cfg["model"]["trunk_widths"]),
+                         (len(split.head_classes), len(split.tail_classes)), cfg["model"]["activation"])
+        opts = [OptConfig(**cfg[section], seed=seed + k) for section, k in (("stage1", 2), ("stage2", 3),
+                                                                             ("refine", 4))]
+        run = RunConfig(spec, *opts, init_seed=seed + 1, tau=cfg["tau"])
+        study = dict(m_resamples=sizes["resamples"], n_train=sizes["train_size"], seed=seed + 7,
+                     n_eval=sizes["eval_points"])
+        grid = grid_compare(gen, run, cfg["select"]["c_values"], cfg["select"]["w_values"], **study)
+        assert (run_dir / "oracle_summary_v001.json").read_text() == grid.to_json()
+        sweep = weight_sweep(gen, run, spec.depth, cfg["select"]["w_values"],
+                             eval_per_class=cfg["eval_per_class"], **study)
+        for report, name in ((grid, "oracle_grid_v001.csv"), (sweep, "sweep_v001.csv")):
+            report.to_csv(tmp_path / name)
+            assert (run_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_oracle_and_sweep_smoke(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
         result = runner.invoke(main, ["oracle", "--config", str(config),
@@ -543,6 +578,24 @@ class TestInputsResolvedBeforeAnyWrite:
         assert result.exit_code == 2, result.output
         assert "error[config]" in result.output
         assert f"{args[1]}: {named}" in result.output
+        assert run_dir_state(searched) == before
+
+    @pytest.mark.parametrize("command", ["oracle", "sweep"])
+    @pytest.mark.parametrize("generator", [{"noise_sigma": 1e200}, {"class_mean_scale": 1e308},
+                                           {"noise_sigma": 1e-200}])
+    def test_generator_whose_posterior_overflows_leaves_the_run_directory_unchanged(
+            self, runner, searched, tmp_path, command, generator):
+        """Such a generator ended the study in an OverflowError, wrote all-NaN
+        cells or divided by 2 sigma^2 = 0: refused before anything is
+        written, naming the generator section (warnings fail the suite)."""
+        toy = json.loads(TOY.read_text())
+        config = toy_copy(tmp_path, "generator", generator=dict(toy["generator"], **generator))
+        before = run_dir_state(searched)
+        result = runner.invoke(main, [command, "--config", str(config), "--out", str(searched),
+                                      "--resamples", "2"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error[config]: generator: class_mean_scale")
+        assert "non-finite feature or posterior" in result.output
         assert run_dir_state(searched) == before
 
     @pytest.mark.parametrize("command", ["stage1", "stage2", "full-run", "oracle"])

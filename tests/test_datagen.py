@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tailshare.errors import ConfigError, DataFormatError, DomainError, StructuralError
 from tailshare.datagen import (
@@ -67,6 +67,37 @@ class TestGenerate:
         """Without a warning (warnings fail the suite), naming both settings."""
         with pytest.raises(DomainError, match=r"class_mean_scale .* and noise_sigma .* non-finite feature"):
             generate(GenConfig(6, 4, 10.0, 120, seed=11, **settings))
+
+    @pytest.mark.parametrize("settings", [dict(noise_sigma=1e200), dict(noise_sigma=1e-200),
+                                          dict(class_mean_scale=1e308)])
+    def test_settings_whose_posterior_leaves_the_float_range_rejected(self, settings):
+        """sigma^2 overflows, 2 sigma^2 rounds to 0, or the means overflow:
+        build_generator refuses them as generate does, naming both settings
+        (warnings fail the suite)."""
+        with pytest.raises(DomainError, match=r"class_mean_scale .* and noise_sigma .* non-finite feature or "
+                                              r"posterior"):
+            build_generator(GenConfig(6, 4, 10.0, 120, seed=11, **settings))
+
+    @settings(max_examples=150, deadline=None)
+    @given(scale=st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+           sigma=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), seed=st.integers(0, 2 ** 16))
+    @example(scale=2.09e153, sigma=1.0, seed=11)
+    @example(scale=1.8, sigma=1.2e152, seed=11)
+    @example(scale=1.8, sigma=6.08e-154, seed=11)
+    @example(scale=1e-9, sigma=10.0 ** -161.875, seed=0)   # 2 sigma^2 subnormal: refused
+    def test_a_generator_that_builds_draws_finite_features_and_posteriors(self, scale, sigma, seed):
+        """The range check is the only one: whatever it lets through draws
+        finite features, and its posterior is finite and sums to 1, without a
+        warning (the examples lie just inside the check's edges)."""
+        cfg = GenConfig(4, 3, 5.0, 20, class_mean_scale=scale, noise_sigma=sigma, seed=seed)
+        try:
+            gen = build_generator(cfg)
+        except DomainError:
+            return
+        ds = generate(cfg)
+        assert np.isfinite(ds.features).all()
+        post = gen.posterior(gen.sample_features(100, np.random.default_rng(seed)))
+        assert np.isfinite(post).all() and np.allclose(post.sum(axis=1), 1.0)
 
     def test_priors_sum_to_one(self):
         ds = generate(GenConfig(7, 2, 20.0, 100, seed=1))
@@ -301,6 +332,7 @@ class TestGeneratorSidecar:
         {"priors": [0.5, 0.25, 0.25]},                                      # priors not one per class
         {"priors": [float("nan"), 0.25]}, {"noise_sigma": float("inf")},
         {"noise_sigma": -1.0}, {"means": [[0.0, "a"], [1.0, 0.0]]},
+        {"noise_sigma": 1e200}, {"noise_sigma": 1e-200}, {"means": [[1e308, 1.0], [1.0, 0.0]]},  # posterior
         {"config": {"colour": 1}}, {"config": [1]},
     ])
     def test_bad_sidecar_names_the_file(self, tmp_path, change):

@@ -16,6 +16,7 @@ from tailshare.errors import ConfigError, DomainError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, build_generator
 from tailshare.nn import ModelSpec, OptConfig
 from tailshare.oracle import (
+    Study,
     _mean_stderr,
     bernoulli_logit_anchor,
     grid_compare,
@@ -255,7 +256,8 @@ class TestResampleEngine:
                     risks[m, ci, wi] = taskwise_risk(targets, model.branch_logits(eval_points))
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
         grid = select_structure(first_s1, 300, SPEC, self.C_VALUES, self.W_VALUES)
-        want = [[grid.cell(c, w).total for w in self.W_VALUES] for c in self.C_VALUES]
+        cells = {(row.c, row.w_a): row.total for row in grid.table}
+        want = [[cells[c, w] for w in self.W_VALUES] for c in self.C_VALUES]
         assert np.array_equal(rep.proxy_total, np.array(want))
         assert rep.proxy_best == (grid.c_star, grid.w_star)
 
@@ -391,12 +393,20 @@ class TestResampleEngine:
             grid_compare(GEN, run_config(), (0,), (0.5,), m_resamples=1, n_train=300, n_eval=100,
                          restrict=restrict)
 
-    def test_zero_resamples_rejected(self):
-        with pytest.raises(ConfigError, match="m_resamples"):
-            grid_compare(GEN, run_config(), (0,), (0.5,), m_resamples=0, n_train=300, n_eval=100)
-        with pytest.raises(ConfigError, match="m_resamples"):
-            weight_sweep(GEN, run_config(), 1, (0.5,), m_resamples=0, n_train=300, n_eval=100,
-                         eval_per_class=5)
+    @pytest.mark.parametrize("setting", ["m_resamples", "n_train", "n_eval", "eval_per_class"])
+    def test_zero_study_setting_rejected(self, setting):
+        """Study refuses each setting of 0, naming it, and so does each
+        entry point that takes the setting (grid_compare scores no
+        accuracy, so it takes no eval_per_class)."""
+        sizes = {**dict(m_resamples=1, n_train=300, n_eval=100, eval_per_class=5), setting: 0}
+        with pytest.raises(ConfigError, match=f"^{setting} .*must be >= 1"):
+            Study((0,), (0.5,), seed=0, **sizes)
+        with pytest.raises(ConfigError, match=f"^{setting} .*must be >= 1"):
+            weight_sweep(GEN, run_config(), 1, (0.5,), **sizes)
+        if setting != "eval_per_class":
+            del sizes["eval_per_class"]
+            with pytest.raises(ConfigError, match=f"^{setting} .*must be >= 1"):
+                grid_compare(GEN, run_config(), (0,), (0.5,), **sizes)
 
     def test_stage1_divergence_of_first_resample_raises(self):
         bad = replace(run_config(), spec=ModelSpec(4, (8, 8), (3, 3), activation="relu"),

@@ -430,7 +430,7 @@ class TestGridSearch:
         fa = DiagFisher(rng.uniform(0, 1, spec.param_count), 5)
         fb = DiagFisher(rng.uniform(0, 1, spec.param_count), 5)
         res = grid_search(fa, fb, rng.normal(size=spec.encoder_params(2)), 200, spec)
-        best = res.cell(res.c_star, res.w_star)
+        (best,) = [row for row in res.table if (row.c, row.w_a) == (res.c_star, res.w_star)]
         assert best.total == min(row.total for row in res.table)
 
     def test_tie_breaking_order(self):
@@ -557,9 +557,10 @@ class TestGridSearchProperties:
         full = grid_search(fa, fb, delta, n_train, spec, c_values, w_values)
         c, w = data.draw(st.sampled_from(c_values)), data.draw(st.sampled_from(w_values))
         alone = grid_search(fa, fb, delta, n_train, spec, (c,), (w,))
-        assert alone.table == [full.cell(c, w)]
+        cell = [row for row in full.table if (row.c, row.w_a) == (c, w)]
+        assert alone.table == cell
         d = spec.encoder_params(c)
-        assert proxy_eval(fa, fb, MismatchVector(delta[:d], c), w, n_train, spec) == full.cell(c, w)
+        assert [proxy_eval(fa, fb, MismatchVector(delta[:d], c), w, n_train, spec)] == cell
 
 
 def test_grid_search_peak_memory_on_the_criterion_8_shape():
