@@ -5,7 +5,7 @@ task, trains them through a three-stage pipeline with a shared encoder,
 and selects the shared depth and task weights by a computable
 bias-variance proxy built from diagonal empirical Fisher statistics.
 Exact information-theoretic oracles validate the proxy at desk scale.
-Import each name from its module: `from tailshare.pipeline import full_run`.
+Import each name from its module: `from tailshare.pipeline import stage1`.
 """
 
 from . import datagen, errors, infotheory, nn, oracle, pipeline, proxy

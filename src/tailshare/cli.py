@@ -39,13 +39,13 @@ from collections import namedtuple
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import datagen, infotheory, oracle, pipeline, presets, proxy, store
+from . import datagen, infotheory, oracle, pipeline, presets, proxy, store, tables
 from .errors import (
     UNDECODABLE,
     ConfigError,
@@ -266,6 +266,8 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     cfg = _merged(config_path, given)
     t = _cast(cfg)
     seed = t["seed"]
+    # A refusal names the flag that set its key, else the key.
+    named = {_FLAGS[flag].key: flag for flag, value in given.items() if value is not None}
     # The rules that only the CLI applies. Metrics are scored after
     # training, so their settings are checked before anything runs.
     for key, value, ok, rule in (
@@ -276,7 +278,7 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
             ("stage1.epochs", t["stage1"]["epochs"], t["stage1"]["epochs"] >= 1, "be >= 1"),
             ("stage2.epochs", t["stage2"]["epochs"], t["stage2"]["epochs"] >= 1, "be >= 1")):
         if not ok:
-            raise ConfigError(f"{key} must {rule}, got {value}")
+            raise ConfigError(f"{named.get(key, key)} must {rule}, got {value}")
     gen = _checked("generator", lambda: datagen.build_generator(
         datagen.GenConfig(**t["generator"], seed=seed)))
     opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
@@ -304,10 +306,9 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
         if dataset is not None and (n_classes, input_dim) != (sum(spec.head_dims), spec.input_dim):
             raise ConfigError(f"{data_path} does not fit the model in {paths[reads[0]]}: {n_classes} classes "
                               f"of dimension {input_dim}, not {sum(spec.head_dims)} of {spec.input_dim}")
-    named = {_FLAGS[flag].key: flag for flag, value in given.items() if value is not None}
     c_name, w_name = (named.get(key, key) for key in ("select.c_values", "select.w_values"))
-    run = pipeline.RunConfig(
-        spec, *opts, init_seed=seed + 1, tau=t["tau"],
+    run = _checked(
+        named.get("tau", "tau"), pipeline.RunConfig, spec, *opts, init_seed=seed + 1, tau=t["tau"],
         c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=t["select"]["c_values"])[0],
         w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=t["select"]["w_values"])[1])
     # The priors every stage's task data holds: the dataset's or the generator's.
@@ -327,13 +328,14 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
         _checked("--c", spec.encoder_params, c)
     settings = None
     if study is not None:
-        jobs = given["--jobs"]
-        if jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         o, sweep = t["oracle"], study == "sweep"
+        for key, value in (("--jobs", given["--jobs"]), ("oracle.resamples", o["resamples"]),
+                           ("oracle.train_size", o["train_size"]), ("oracle.eval_points", o["eval_points"])):
+            if value < 1:
+                raise ConfigError(f"{named.get(key, key)} must be >= 1, got {value}")
         settings = oracle.Study((c,) if sweep else run.c_values, run.w_values, o["resamples"],
                                 o["train_size"], seed + 7, o["eval_points"],
-                                t["eval_per_class"] if sweep else None, jobs=jobs)
+                                t["eval_per_class"] if sweep else None, jobs=given["--jobs"])
     out = Path(t["out"])
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
@@ -392,16 +394,17 @@ def _write_metrics(r: Inputs, model: pipeline.AssembledModel, dataset: datagen.L
     rows = []
     test_ds = datagen.holdout_split(dataset, r.holdout_fraction, r.seed + 5)[1]
     if test_ds.n > 0:
-        rows.append(("holdout", pipeline.evaluate(model, test_ds.features, test_ds.labels).as_dict()))
+        rows.append(("holdout", pipeline.evaluate(model, test_ds.features, test_ds.labels)))
     if dataset.generator is not None and r.eval_per_class > 0:
         rng = np.random.default_rng(r.seed + 6)
         feats, labels = dataset.generator.sample_balanced(r.eval_per_class, rng)
-        rows.append(("balanced", pipeline.evaluate(model, feats, labels).as_dict()))
+        rows.append(("balanced", pipeline.evaluate(model, feats, labels)))
     path = store.next_version_path(r.out, "metrics", ".csv")
-    store.write_metrics_csv(path, rows)
+    tables.write_csv(path, ("eval_set", *(f.name for f in fields(pipeline.MetricsReport))),
+                     ((name, *astuple(rep)) for name, rep in rows))
     for name, rep in rows:
-        click.echo(f"{name}: overall={rep['overall_accuracy']:.4f} "
-                   f"head={rep['head_accuracy']:.4f} tail={rep['tail_accuracy']:.4f}")
+        click.echo(f"{name}: overall={rep.overall_accuracy:.4f} "
+                   f"head={rep.head_accuracy:.4f} tail={rep.tail_accuracy:.4f}")
     return path
 
 
@@ -497,16 +500,24 @@ def eval_cmd(r):
 @_command("full-run", "--data", "--tau", "--no-refine")
 def full_run_cmd(r):
     """The whole pipeline: data, Stage 1, search, Stage 2, assembly,
-    optional refinement, and metrics."""
+    optional refinement, and metrics. No stage artifact is written until
+    every stage has run."""
     dataset = _write_dataset(r)[0] if r.dataset is None else r.dataset
-    result = pipeline.full_run(r.run, dataset)
-    sel = result.selection
-    _write_stage1(r, result.task_data, result.stage1)
+    run = r.run
+    td = pipeline.build_task_data(dataset)
+    s1 = pipeline.stage1(run, td)
+    sel = pipeline.select_structure(s1, td.n, run.spec, run.c_values, run.w_values)
+    s2 = pipeline.stage2(run, td, sel.w_star)
+    model = pipeline.assemble(run.spec, sel.c_star, s2.params, s1, td.split)
+    refined = run.refine_opt.epochs > 0
+    if refined:
+        model = pipeline.refine_decoders(model, td, run)
+    _write_stage1(r, td, s1)
     _write_search(r, sel)
-    _write_stage2(r, result.stage2, sel.c_star, sel.w_star)
-    _write_model(r, result.model, result.refined, sel.w_star)
-    click.echo(f"C*={sel.c_star} w_A*={sel.w_star} refined={result.refined}")
-    _write_metrics(r, result.model, dataset)
+    _write_stage2(r, s2, sel.c_star, sel.w_star)
+    _write_model(r, model, refined, sel.w_star)
+    click.echo(f"C*={sel.c_star} w_A*={sel.w_star} refined={refined}")
+    _write_metrics(r, model, dataset)
 
 
 @main.command("verify-lemma")

@@ -32,7 +32,7 @@ class GenConfig:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ConfigError("need at least 2 classes")
+            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
         if self.imbalance_ratio < 1:

@@ -104,8 +104,7 @@ class Study:
     jobs: int = 1
 
     def __post_init__(self):
-        for name, value in (("m_resamples", self.m_resamples), ("n_train (the train size)", self.n_train),
-                            ("n_eval (oracle.eval_points)", self.n_eval)):
+        for name, value in (("m_resamples", self.m_resamples), ("n_train", self.n_train), ("n_eval", self.n_eval)):
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.eval_per_class is not None and self.eval_per_class < 1:

@@ -68,8 +68,7 @@ def build_task_data(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs besides the data itself. full_run
-    refines when refine_opt.epochs > 0."""
+    """Everything the stages need besides the data itself."""
 
     spec: ModelSpec
     stage1_opt: OptConfig
@@ -82,7 +81,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.tau < 0:
-            raise ConfigError("tau must be >= 0")
+            raise ConfigError(f"tau must be >= 0, got {self.tau}")
 
 
 def class_offsets(tau: float, priors) -> np.ndarray | None:
@@ -302,26 +301,3 @@ def evaluate(model: AssembledModel, features: np.ndarray, labels: np.ndarray) ->
         bce_b=float(bce_losses(s_b, z_b).mean()),
         n_eval=features.shape[0],
     )
-
-
-@dataclass
-class PipelineResult:
-    task_data: TaskData
-    stage1: Stage1Result
-    selection: GridSearchResult
-    stage2: TrainResult
-    model: AssembledModel
-    refined: bool
-
-
-def full_run(cfg: RunConfig, dataset: LongTailDataset) -> PipelineResult:
-    """All pipeline stages end to end on one dataset."""
-    td = build_task_data(dataset)
-    s1 = stage1(cfg, td)
-    selection = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
-    s2 = stage2(cfg, td, selection.w_star)
-    model = assemble(cfg.spec, selection.c_star, s2.params, s1, td.split)
-    refined = cfg.refine_opt.epochs > 0
-    if refined:
-        model = refine_decoders(model, td, cfg)
-    return PipelineResult(td, s1, selection, s2, model, refined)

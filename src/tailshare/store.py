@@ -1,4 +1,4 @@
-"""Deterministic on-disk artifacts: checkpoints, reports, versioned run dirs.
+"""Deterministic on-disk artifacts: checkpoints, config snapshots, versioned run dirs.
 
 Checkpoints use a small custom container rather than npz because the zip
 wrapper embeds timestamps; runs re-executed from the same config snapshot
@@ -27,7 +27,6 @@ from .datagen import TaskSplit
 from .nn import ModelSpec, ParamVector
 from .pipeline import AssembledModel, Stage1Result, fitted_split
 from .proxy import DiagFisher, _finite
-from .tables import write_csv
 
 _MAGIC = b"TSCONT01"
 _VERSION = 1
@@ -232,9 +231,3 @@ def write_config_snapshot(run_dir, config: dict) -> Path:
     path = next_version_path(run_dir, "config", ".json")
     path.write_text(json.dumps(config, sort_keys=True, indent=1))
     return path
-
-
-def write_metrics_csv(path, rows: list) -> None:
-    """rows: list of (eval_set_name, MetricsReport-like dict)."""
-    cols = ("overall_accuracy", "head_accuracy", "tail_accuracy", "bce_a", "bce_b", "n_eval")
-    write_csv(path, ("eval_set",) + cols, ([name] + [rep[c] for c in cols] for name, rep in rows))

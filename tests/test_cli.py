@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -13,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from tailshare import cli
 from tailshare.cli import main
 from tailshare.datagen import LongTailDataset, load_csv, save_csv
 from tailshare.presets import toy_config_dict
@@ -174,6 +177,20 @@ class TestFullRun:
             assert [row.pop("eval_set") for row in rows] == ["holdout"]
             assert all(math.isfinite(float(v)) for v in rows[0].values())
 
+    def test_diverging_stage2_leaves_only_config_and_dataset(self, runner, tmp_path):
+        """A relu net whose Stage 2 diverges exits 4; every stage has run
+        before any stage artifact is written, so the run directory holds
+        only the config snapshot and the dataset."""
+        toy = json.loads(TOY.read_text())
+        config = toy_copy(tmp_path, "diverging", model=dict(toy["model"], activation="relu"),
+                          stage2=dict(toy["stage2"], learning_rate=1e300))
+        run_dir = tmp_path / "run"
+        result = invoke(runner, run_dir, "full-run", config=config)
+        assert result.exit_code == 4, result.output
+        assert "error[training]" in result.output
+        assert sorted(run_dir_state(run_dir)) == ["config_v001.json", "dataset_v001.csv",
+                                                  "dataset_v001.generator.json"]
+
 
 class TestStagedMatchesFullRun:
     def test_staged_chain_and_full_run_write_identical_artifacts(self, runner, tmp_path):
@@ -317,10 +334,13 @@ class TestErrorPaths:
         ("full-run", '{"tau": Infinity}', "tau must be finite, got Infinity"),
         ("full-run", '{"select": {"w_values": [0.5, -Infinity]}}',
          "select.w_values must be finite, got [0.5, -Infinity]"),
-        ("gen-data", '{"generator": {"n_classes": 1}}', "need at least 2 classes"),
+        ("gen-data", '{"generator": {"n_classes": 1}}', "generator: n_classes must be >= 2, got 1"),
         ("stage1", '{"stage1": {"batch_size": 0}}', "stage1: batch_size must be >= 1"),
         ("full-run", '{"refine": {"momentum": 1.0}}', "refine: momentum must lie in [0, 1)"),
         ("full-run", '{"model": {"activation": "sigmoid"}}', "unsupported activation 'sigmoid'"),
+        ("full-run", '{"tau": -1}', "tau: tau must be >= 0, got -1.0"),
+        ("oracle", '{"oracle": {"resamples": 0}}', "oracle.resamples must be >= 1, got 0"),
+        ("sweep", '{"oracle": {"train_size": -2}}', "oracle.train_size must be >= 1, got -2"),
     ])
     def test_config_objects_would_refuse_exits_before_any_file(self, runner, tmp_path, command,
                                                                 text, named):
@@ -331,13 +351,18 @@ class TestErrorPaths:
         assert "error[config]" in result.output and named in result.output
         assert not list((tmp_path / "run").glob("*"))
 
-    @pytest.mark.parametrize("args, named", [
-        (["--seed", "-1"], "seed must be >= 0, got -1"),
-        (["--tau", "nan"], "tau must be finite, got NaN"),
+    @pytest.mark.parametrize("command, args, named", [
+        ("full-run", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("gen-data", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("full-run", ["--tau", "nan"], "tau must be finite, got NaN"),
+        ("full-run", ["--tau", "-1"], "--tau: tau must be >= 0, got -1.0"),
+        ("oracle", ["--resamples", "0"], "--resamples must be >= 1, got 0"),
+        ("sweep", ["--resamples", "-1"], "--resamples must be >= 1, got -1"),
     ])
-    def test_bad_flag_override_exits_before_any_file(self, runner, tmp_path, args, named):
+    def test_bad_flag_override_exits_before_any_file(self, runner, tmp_path, command, args, named):
+        """A refusal names the flag that set the value."""
         config, _ = write_config(tmp_path)
-        result = runner.invoke(main, ["full-run", "--config", str(config)] + args)
+        result = runner.invoke(main, [command, "--config", str(config)] + args)
         assert result.exit_code == 2, result.output
         assert "error[config]" in result.output and named in result.output
         assert not list((tmp_path / "run").glob("*"))
@@ -361,8 +386,7 @@ class TestErrorPaths:
         result = runner.invoke(main, ["oracle", "--config", str(config), "--resamples", "2",
                                       "--train-size", "0", "--grid-c", "0", "--grid-w", "0.5"])
         assert result.exit_code == 2, result.output
-        assert "error[config]" in result.output
-        assert "train size" in result.output
+        assert "error[config]: --train-size must be >= 1, got 0" in result.output
 
     def test_malformed_dataset_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
@@ -1327,4 +1351,66 @@ def test_no_outside_json_document_ends_in_exit_1(searched_template, role, text):
         assert result.exit_code == (0 if usable else refused), (role, text[:80], result.output)
         if not usable:
             assert str(path) in result.output
+            assert tree_state(tmp) == before
+
+
+def _leaf_keys(fields, prefix=()):
+    for key, field in fields.items():
+        if isinstance(field, dict):
+            yield from _leaf_keys(field, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+# The flags each command passes `_resolve` when only --config and --out are
+# given, and the command's own `_resolve` keywords.
+_RESOLVED = {
+    "oracle": (dict.fromkeys(("--seed", "--grid-c", "--grid-w", "--resamples", "--train-size", "--tau")),
+               {"study": "oracle"}),
+    "sweep": (dict.fromkeys(("--seed", "--c", "--grid-w", "--resamples", "--train-size", "--tau")),
+              {"study": "sweep"}),
+    "full-run": (dict.fromkeys(("--seed", "--data", "--tau", "--no-refine")), {}),
+}
+# Wrong JSON types, null, non-finite numbers and values below each key's
+# minimum; sizes stay small.
+_MUTATIONS = (st.sampled_from([None, "x", True, [], {}, [1, "x"], [-1], [1.5], 0.5,
+                               float("nan"), float("inf"), float("-inf")])
+              | st.integers(-3, 1) | st.floats(-2.0, 0.0))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(command=st.sampled_from(sorted(_RESOLVED)), key=st.sampled_from(sorted(_leaf_keys(cli._FIELDS))),
+       value=_MUTATIONS)
+@example(command="oracle", key=("oracle", "resamples"), value=0)
+@example(command="sweep", key=("oracle", "train_size"), value=-1)
+@example(command="oracle", key=("generator", "n_classes"), value=1)
+def test_one_mutated_config_key_is_resolved_or_refused_by_name(command, key, value):
+    """The toy config with one leaf key set to a wrong type, null, a
+    non-finite number or a value below its minimum: resolving the inputs
+    of oracle, sweep or full-run (no training) either succeeds or exits 2
+    naming the key (dotted, or its section and leaf), with nothing
+    written; never exit 1."""
+    flags, reads = _RESOLVED[command]
+    config = json.loads(TOY.read_text())
+    node = config
+    for part in key[:-1]:
+        node = node[part]
+    node[key[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "config.json"
+        path.write_text(json.dumps(config))
+        before = tree_state(tmp)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                cli._guarded(cli._resolve)(str(path), {**flags, "--out": str(tmp / "run"), "--jobs": 1},
+                                           **reads)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        message = err.getvalue()
+        assert code in (0, 2), (command, key, value, message)
+        if code == 2:
+            assert ".".join(key) in message or all(part in message for part in key), (key, message)
             assert tree_state(tmp) == before

@@ -14,7 +14,6 @@ from tailshare.pipeline import (
     build_task_data,
     class_offsets,
     evaluate,
-    full_run,
     _offsets_for,
     refine_decoders,
     refine_stack,
@@ -366,47 +365,31 @@ class TestEvaluateArgmax:
         assert (rep.head_accuracy, np.isnan(rep.tail_accuracy)) == (0.0, True)
 
 
-class TestFullRun:
-    def test_end_to_end_determinism(self):
-        ds = toy_dataset()
-        cfg = run_config()
-        a = full_run(cfg, ds)
-        b = full_run(cfg, ds)
-        assert (a.selection.c_star, a.selection.w_star) == (b.selection.c_star, b.selection.w_star)
-        assert np.array_equal(a.model.branch_a.values, b.model.branch_a.values)
-        assert (evaluate(a.model, ds.features, ds.labels).as_dict()
-                == evaluate(b.model, ds.features, ds.labels).as_dict())
+def staged_model(cfg, ds):
+    """The unrefined model of the stages run in order on ds: Stage 1, the
+    proxy search, Stage 2 at the selected weight and assembly at the
+    selected depth."""
+    td = build_task_data(ds)
+    s1 = stage1(cfg, td)
+    sel = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
+    return assemble(cfg.spec, sel.c_star, stage2(cfg, td, sel.w_star).params, s1, td.split)
 
-    def test_selection_comes_from_candidate_grids(self):
-        ds = toy_dataset()
-        cfg = run_config(c_values=(0, 2), w_values=(0.4, 0.6))
-        res = full_run(cfg, ds)
-        assert res.selection.c_star in (0, 2)
-        assert res.selection.w_star in (0.4, 0.6)
 
-    def test_refine_opt_with_epochs_controls_refinement(self):
-        ds = toy_dataset()
-        plain = full_run(run_config(), ds)
-        refined = full_run(refine_config(5, seed=3), ds)
-        assert not plain.refined
-        assert refined.refined
-        assert not np.array_equal(refined.model.branch_a.values, plain.model.branch_a.values)
-
-    def test_metrics_reasonable_on_train_data(self):
-        ds = toy_dataset()
-        rep = evaluate(full_run(run_config(), ds).model, ds.features, ds.labels)
-        assert rep.overall_accuracy > 0.5
-        assert rep.n_eval == ds.n
+def test_metrics_reasonable_on_train_data():
+    ds = toy_dataset()
+    rep = evaluate(staged_model(run_config(), ds), ds.features, ds.labels)
+    assert rep.overall_accuracy > 0.5
+    assert rep.n_eval == ds.n
 
 
 def test_evaluate_group_accuracies():
     ds = toy_dataset()
-    res = full_run(run_config(), ds)
-    rep = evaluate(res.model, ds.features, ds.labels)
-    head_rows = np.isin(ds.labels.argmax(axis=1), res.model.split.head_classes)
+    model = staged_model(run_config(), ds)
+    rep = evaluate(model, ds.features, ds.labels)
+    head_rows = np.isin(ds.labels.argmax(axis=1), model.split.head_classes)
     # Each group's accuracy is the overall accuracy of its rows alone.
     for rows, acc in ((head_rows, rep.head_accuracy), (~head_rows, rep.tail_accuracy)):
-        assert evaluate(res.model, ds.features[rows], ds.labels[rows]).overall_accuracy == acc
+        assert evaluate(model, ds.features[rows], ds.labels[rows]).overall_accuracy == acc
     assert rep.overall_accuracy == pytest.approx(
         (rep.head_accuracy * head_rows.sum() + rep.tail_accuracy * (~head_rows).sum()) / ds.n)
 
@@ -434,7 +417,7 @@ def count_passes(monkeypatch):
 
 def test_evaluate_runs_each_branch_once(monkeypatch):
     ds = toy_dataset()
-    model = full_run(run_config(), ds).model
+    model = staged_model(run_config(), ds)
     calls = count_passes(monkeypatch)
     rep = evaluate(model, ds.features, ds.labels)
     assert calls == {"trunk": 1, "branches": [("A", SPEC.depth), ("B", model.c)]}
