@@ -241,13 +241,15 @@ class Inputs:
     out: str
     seed: int
     gen: datagen.MixtureGenerator  # the generator section's, its settings in .config
-    run: pipeline.RunConfig       # the model (see _resolve) and the grids
+    run: pipeline.RunConfig       # the model (see _resolve) and the optimizers
+    grid: tuple                   # (c_values, w_values): select.*, resolved against the model
     holdout_fraction: float
     eval_per_class: int
     dataset: datagen.LongTailDataset | None
     c: int                        # sweep's --c (default: the trunk depth), or stage2's or assemble's C*
     w_star: float | None          # stage2's or assemble's w_A*
     study: oracle.Study | None    # oracle's or sweep's settings
+    jobs: int | None              # oracle's or sweep's --jobs: the most worker processes
     upstream: dict                # each stem the command reads: its latest container, loaded
 
 
@@ -262,21 +264,26 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     else to the generator. A command that takes --c-star and --w-star
     (stage2) reads a missing one from the latest selection file; `study`
     ("oracle" or "sweep") builds the command's oracle.Study, run on --jobs
-    workers."""
+    workers beside it."""
     cfg = _merged(config_path, given)
     t = _cast(cfg)
     seed = t["seed"]
     # A refusal names the flag that set its key, else the key.
     named = {_FLAGS[flag].key: flag for flag, value in given.items() if value is not None}
-    # The rules that only the CLI applies. Metrics are scored after
-    # training, so their settings are checked before anything runs.
+    o, jobs = t["oracle"], given.get("--jobs")
+    # The rules that only the CLI applies, a study's only for oracle and
+    # sweep. Metrics are scored after training, so their settings are
+    # checked before anything runs.
     for key, value, ok, rule in (
             ("seed", seed, seed >= 0, "be >= 0"),
             ("holdout_fraction", cfg["holdout_fraction"], 0.0 <= t["holdout_fraction"] <= 1.0,
              "lie in [0, 1]"),
             ("eval_per_class", t["eval_per_class"], t["eval_per_class"] >= 0, "be >= 0"),
             ("stage1.epochs", t["stage1"]["epochs"], t["stage1"]["epochs"] >= 1, "be >= 1"),
-            ("stage2.epochs", t["stage2"]["epochs"], t["stage2"]["epochs"] >= 1, "be >= 1")):
+            ("stage2.epochs", t["stage2"]["epochs"], t["stage2"]["epochs"] >= 1, "be >= 1"),
+            *((key, value, study is None or value >= 1, "be >= 1") for key, value in (
+                ("--jobs", jobs), ("oracle.resamples", o["resamples"]),
+                ("oracle.train_size", o["train_size"]), ("oracle.eval_points", o["eval_points"])))):
         if not ok:
             raise ConfigError(f"{named.get(key, key)} must {rule}, got {value}")
     gen = _checked("generator", lambda: datagen.build_generator(
@@ -307,10 +314,9 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
             raise ConfigError(f"{data_path} does not fit the model in {paths[reads[0]]}: {n_classes} classes "
                               f"of dimension {input_dim}, not {sum(spec.head_dims)} of {spec.input_dim}")
     c_name, w_name = (named.get(key, key) for key in ("select.c_values", "select.w_values"))
-    run = _checked(
-        named.get("tau", "tau"), pipeline.RunConfig, spec, *opts, init_seed=seed + 1, tau=t["tau"],
-        c_values=_checked(c_name, proxy.candidate_grid, spec, c_values=t["select"]["c_values"])[0],
-        w_values=_checked(w_name, proxy.candidate_grid, spec, w_values=t["select"]["w_values"])[1])
+    grid = (_checked(c_name, proxy.candidate_grid, spec, c_values=t["select"]["c_values"])[0],
+            _checked(w_name, proxy.candidate_grid, spec, w_values=t["select"]["w_values"])[1])
+    run = _checked(named.get("tau", "tau"), pipeline.RunConfig, spec, *opts, init_seed=seed + 1, tau=t["tau"])
     # The priors every stage's task data holds: the dataset's or the generator's.
     _checked(named.get("tau", "tau"), pipeline.class_offsets, run.tau, counts / counts.sum())
     w_star = None
@@ -328,21 +334,16 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
         _checked("--c", spec.encoder_params, c)
     settings = None
     if study is not None:
-        o, sweep = t["oracle"], study == "sweep"
-        for key, value in (("--jobs", given["--jobs"]), ("oracle.resamples", o["resamples"]),
-                           ("oracle.train_size", o["train_size"]), ("oracle.eval_points", o["eval_points"])):
-            if value < 1:
-                raise ConfigError(f"{named.get(key, key)} must be >= 1, got {value}")
-        settings = oracle.Study((c,) if sweep else run.c_values, run.w_values, o["resamples"],
-                                o["train_size"], seed + 7, o["eval_points"],
-                                t["eval_per_class"] if sweep else None, jobs=given["--jobs"])
+        sweep = study == "sweep"
+        settings = oracle.Study((c,) if sweep else grid[0], grid[1], o["resamples"], o["train_size"],
+                                seed + 7, o["eval_points"], t["eval_per_class"] if sweep else None)
     out = Path(t["out"])
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"{named.get('out', 'out')}: {existing} is not a directory")
     store.write_config_snapshot(t["out"], cfg)
-    return Inputs(t["out"], seed, gen, run, t["holdout_fraction"], t["eval_per_class"], dataset,
-                  c, w_star, settings, upstream)
+    return Inputs(t["out"], seed, gen, run, grid, t["holdout_fraction"], t["eval_per_class"], dataset,
+                  c, w_star, settings, jobs, upstream)
 
 
 def _write_dataset(r: Inputs) -> tuple:
@@ -456,7 +457,7 @@ def search_cmd(r):
     """Proxy grid search over saved Stage-1 statistics."""
     spec, s1 = r.upstream["stage1"][:2]
     t0 = time.perf_counter()
-    grid = pipeline.select_structure(s1, s1.fisher_a.sample_count, spec, r.run.c_values, r.run.w_values)
+    grid = pipeline.select_structure(s1, s1.fisher_a.sample_count, spec, *r.grid)
     elapsed = time.perf_counter() - t0
     csv_path = _write_search(r, grid)
     click.echo(f"selected C*={grid.c_star} w_A*={grid.w_star} in {elapsed:.3f}s; wrote {csv_path}")
@@ -506,7 +507,7 @@ def full_run_cmd(r):
     run = r.run
     td = pipeline.build_task_data(dataset)
     s1 = pipeline.stage1(run, td)
-    sel = pipeline.select_structure(s1, td.n, run.spec, run.c_values, run.w_values)
+    sel = pipeline.select_structure(s1, td.n, run.spec, *r.grid)
     s2 = pipeline.stage2(run, td, sel.w_star)
     model = pipeline.assemble(run.spec, sel.c_star, s2.params, s1, td.split)
     refined = run.refine_opt.epochs > 0
@@ -545,7 +546,7 @@ def oracle_cmd(r):
     """MC risk over the (C, w_A) grid compared against the proxy by rank."""
     s = r.study
     report = oracle.grid_compare(r.gen, r.run, s.c_values, s.w_values, s.m_resamples, s.n_train,
-                                 seed=s.seed, n_eval=s.n_eval, jobs=s.jobs)
+                                 seed=s.seed, n_eval=s.n_eval, jobs=r.jobs)
     csv_path = store.next_version_path(r.out, "oracle_grid", ".csv")
     report.to_csv(csv_path)
     json_path = store.next_version_path(r.out, "oracle_summary", ".json")
@@ -560,7 +561,7 @@ def sweep_cmd(r):
     """Accuracy/risk versus head weight at a fixed shared depth."""
     s = r.study
     report = oracle.weight_sweep(r.gen, r.run, r.c, s.w_values, s.m_resamples, s.n_train, seed=s.seed,
-                                 n_eval=s.n_eval, eval_per_class=s.eval_per_class, jobs=s.jobs)
+                                 n_eval=s.n_eval, eval_per_class=s.eval_per_class, jobs=r.jobs)
     path = store.next_version_path(r.out, "sweep", ".csv")
     report.to_csv(path)
     overall = np.where(report.valid, report.overall_mean, np.nan)

@@ -86,12 +86,12 @@ def _per_resample_config(run_cfg: RunConfig, m: int) -> RunConfig:
 
 
 @dataclass(frozen=True)
-class Study:
-    """One study's settings, from the caller to every resample: the (C, w_A)
-    grid, m_resamples training sets of n_train rows, the study seed, n_eval
-    risk points, eval_per_class balanced rows per class for accuracy (None:
-    no accuracy), refine (the decoder fine-tune) and jobs, the most worker
-    processes; jobs 1 or less runs in-process."""
+class Study(Record):
+    """One study's settings, from the caller to every resample and into its
+    report: the (C, w_A) grid, m_resamples training sets of n_train rows,
+    the study seed, n_eval risk points, eval_per_class balanced rows per
+    class for accuracy (None: no accuracy) and refine (the decoder
+    fine-tune). How many workers run it is not a setting of the study."""
 
     c_values: tuple
     w_values: tuple
@@ -101,7 +101,6 @@ class Study:
     n_eval: int
     eval_per_class: int | None = None
     refine: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         for name, value in (("m_resamples", self.m_resamples), ("n_train", self.n_train), ("n_eval", self.n_eval)):
@@ -166,13 +165,14 @@ def _run_resample(m: int, study: Study, gen, run_cfg, split, eval_points, target
     return values, s1 if m == 0 else None
 
 
-def _collect_resamples(gen, run_cfg, study: Study) -> tuple:
-    """Run every resample against one evaluation sample drawn from the
-    study seed: n_eval feature points, then, given eval_per_class, a
-    balanced labeled set. Returns (values[M, nc, nw, 4], resample 0's
-    Stage1Result or TrainingDivergenceError): _run_resample's values, one
-    per resample. The true posterior at the evaluation points, and the
-    risk targets built from it, are computed once for the study."""
+def _collect_resamples(gen, run_cfg, study: Study, jobs: int) -> tuple:
+    """Run every resample, on at most `jobs` worker processes (1 or less:
+    in-process), against one evaluation sample drawn from the study seed:
+    n_eval feature points, then, given eval_per_class, a balanced labeled
+    set. Returns (values[M, nc, nw, 4], resample 0's Stage1Result or
+    TrainingDivergenceError): _run_resample's values, one per resample.
+    The true posterior at the evaluation points, and the risk targets
+    built from it, are computed once for the study."""
     rng = np.random.default_rng(study.seed)
     eval_points = gen.sample_features(study.n_eval, rng)
     balanced = None if study.eval_per_class is None else gen.sample_balanced(study.eval_per_class, rng)
@@ -182,7 +182,7 @@ def _collect_resamples(gen, run_cfg, study: Study) -> tuple:
                   eval_points=eval_points, targets=targets, balanced=balanced)
     # One worker per resample at most: a fork-started pool forks every
     # worker when it opens.
-    workers = min(study.jobs, study.m_resamples)
+    workers = min(jobs, study.m_resamples)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(study.m_resamples)))
@@ -208,31 +208,31 @@ def _mean_stderr(values: np.ndarray) -> tuple:
 
 
 class _Resampled:
+    """A report's grid and validity, read from the study behind it."""
+
+    c_values = property(lambda self: self.study.c_values)
+    w_values = property(lambda self: self.study.w_values)
+
     @property
     def valid(self) -> np.ndarray:
         """Cells where at least 80% of the m_resamples succeeded (n_ok)."""
-        return self.n_ok >= 0.8 * self.m_resamples
+        return self.n_ok >= 0.8 * self.study.m_resamples
 
 
 @dataclass
 class OracleReport(_Resampled, Record):
     """Full-grid MC risks next to proxy totals, plus their rank agreement."""
 
-    FORMAT = "tailshare-oracle-report-v1"
+    FORMAT = "tailshare-oracle-report-v2"
 
-    c_values: tuple
-    w_values: tuple
+    study: Study
     risk_mean: np.ndarray
     risk_stderr: np.ndarray
     n_ok: np.ndarray
-    m_resamples: int
     proxy_total: np.ndarray
     spearman_rho: float | None
     oracle_best: tuple | None
     proxy_best: tuple
-    n_train: int
-    n_eval: int
-    seed: int
 
     def to_csv(self, path) -> None:
         write_csv(path, ("C", "w_A", "risk_mean", "risk_stderr", "proxy_total", "n_ok", "valid"),
@@ -263,8 +263,8 @@ def grid_compare(
     if restrict is not True:
         raise ConfigError(f"restrict must be True (the risk is renormalized), got {restrict!r}")
     c_values, w_values = candidate_grid(run_cfg.spec, c_values, w_values)
-    study = Study(c_values, w_values, m_resamples, n_train, seed, n_eval, jobs=jobs)
-    values, first_s1 = _collect_resamples(gen, run_cfg, study)
+    study = Study(c_values, w_values, m_resamples, n_train, seed, n_eval)
+    values, first_s1 = _collect_resamples(gen, run_cfg, study, jobs)
     risk_mean, risk_stderr, n_ok = _mean_stderr(values[..., 0])
 
     # Proxy grid from the first resample's own Stage-1 statistics.
@@ -273,10 +273,8 @@ def grid_compare(
     grid = select_structure(first_s1, n_train, run_cfg.spec, c_values, w_values)
     proxy_total = np.array([row.total for row in grid.table]).reshape(len(c_values), -1)  # c, then w
     report = OracleReport(
-        c_values=c_values, w_values=w_values, risk_mean=risk_mean, risk_stderr=risk_stderr,
-        n_ok=n_ok.astype(np.int64), m_resamples=m_resamples, proxy_total=proxy_total,
-        spearman_rho=None, oracle_best=None, proxy_best=(grid.c_star, grid.w_star),
-        n_train=n_train, n_eval=n_eval, seed=seed,
+        study=study, risk_mean=risk_mean, risk_stderr=risk_stderr, n_ok=n_ok.astype(np.int64),
+        proxy_total=proxy_total, spearman_rho=None, oracle_best=None, proxy_best=(grid.c_star, grid.w_star),
     )
     valid = report.valid
     if valid.any():
@@ -291,10 +289,9 @@ def grid_compare(
 class SweepReport(_Resampled, Record):
     """Per-weight accuracy and risk at a fixed shared depth."""
 
-    FORMAT = "tailshare-sweep-report-v1"
+    FORMAT = "tailshare-sweep-report-v2"
 
-    c: int
-    w_values: tuple
+    study: Study
     overall_mean: np.ndarray
     overall_stderr: np.ndarray
     head_mean: np.ndarray
@@ -304,9 +301,6 @@ class SweepReport(_Resampled, Record):
     risk_mean: np.ndarray
     risk_stderr: np.ndarray
     n_ok: np.ndarray
-    m_resamples: int
-    n_train: int
-    seed: int
 
     def to_csv(self, path) -> None:
         columns = ("overall_mean", "overall_stderr", "head_mean", "head_stderr", "tail_mean",
@@ -335,19 +329,19 @@ def weight_sweep(
     risk uses feature draws from the training marginal. With refine=True
     every assembled model gets the decoder-only fine-tune before being
     measured, which reads the accuracy of the deployable model rather than
-    of the raw splice; with refine_opt.epochs 0 the fine-tune changes
-    nothing.
+    of the raw splice; with refine_opt.epochs 0 the fine-tune is skipped,
+    and the report's study records refine False.
     """
-    (c,), w_values = candidate_grid(run_cfg.spec, (c,), w_values)
-    study = Study((c,), w_values, m_resamples, n_train, seed, n_eval, eval_per_class, refine, jobs)
-    values, _ = _collect_resamples(gen, run_cfg, study)
+    c_values, w_values = candidate_grid(run_cfg.spec, (c,), w_values)
+    study = Study(c_values, w_values, m_resamples, n_train, seed, n_eval, eval_per_class,
+                  refine and run_cfg.refine_opt.epochs > 0)
+    values, _ = _collect_resamples(gen, run_cfg, study, jobs)
     mean, stderr, n_ok = _mean_stderr(values[:, 0])   # (nw, 4) each
     (risk_mean, o_mean, h_mean, t_mean), (risk_se, o_se, h_se, t_se) = mean.T, stderr.T
     return SweepReport(
-        c=c, w_values=w_values,
-        overall_mean=o_mean, overall_stderr=o_se, head_mean=h_mean, head_stderr=h_se,
+        study=study, overall_mean=o_mean, overall_stderr=o_se, head_mean=h_mean, head_stderr=h_se,
         tail_mean=t_mean, tail_stderr=t_se, risk_mean=risk_mean, risk_stderr=risk_se,
-        n_ok=n_ok[:, 0].astype(np.int64), m_resamples=m_resamples, n_train=n_train, seed=seed,
+        n_ok=n_ok[:, 0].astype(np.int64),
     )
 
 

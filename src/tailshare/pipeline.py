@@ -76,8 +76,6 @@ class RunConfig:
     refine_opt: OptConfig
     init_seed: int = 0
     tau: float = 1.0
-    c_values: tuple | None = None
-    w_values: tuple | None = None
 
     def __post_init__(self):
         if self.tau < 0:

@@ -31,6 +31,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def _plain(value):
+    if isinstance(value, Record):
+        return value.as_dict()
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):
@@ -42,7 +44,8 @@ def _plain(value):
 
 class Record:
     """Base of the dataclass reports: fields to a dict and to JSON (arrays
-    and tuples as lists). FORMAT names the JSON document's format."""
+    and tuples as lists, a nested Record as its dict). FORMAT names the
+    JSON document's format."""
 
     FORMAT = None
 

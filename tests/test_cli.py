@@ -67,6 +67,14 @@ class TestVerifyLemma:
         assert result.exit_code == 2, result.output
         assert result.output == f"error[config]: {named}\n"
 
+    def test_residual_at_or_above_the_bound_exits_6(self, runner, monkeypatch):
+        monkeypatch.setattr(cli.infotheory, "residual_sweep", lambda *args: 2e-10)
+        result = runner.invoke(main, ["verify-lemma"])
+        assert result.exit_code == 6, result.output
+        assert "max |residual| over 1000 trials: 2.000e-10" in result.output
+        assert "FAIL: residual above 1e-10" in result.output
+        assert "PASS" not in result.output
+
 
 class TestGenData:
     def test_writes_dataset_sidecar_and_snapshot(self, runner, tmp_path):
@@ -258,6 +266,13 @@ class TestErrorPaths:
         result = runner.invoke(main, ["eval", "--config", str(config)])
         assert result.exit_code == 3
 
+    def test_missing_config_file_exits_3_writing_nothing(self, runner, tmp_path):
+        missing = tmp_path / "missing.json"
+        result = runner.invoke(main, ["stage1", "--config", str(missing), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error[missing-artifact]: config file not found: {missing}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_exit_code(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"not_a_key": 1}))
@@ -433,6 +448,19 @@ class TestErrorPaths:
         assert "dataset_v001.generator.json" in result.output
         assert tree_state(tmp_path) == before
 
+    def test_sidecar_means_one_column_wider_than_the_data_exit_code(self, runner, tmp_path):
+        config, _ = write_config(tmp_path)
+        assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
+        sidecar = tmp_path / "run" / "dataset_v001.generator.json"
+        held = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(dict(held, means=[row + [0.0] for row in held["means"]])))
+        before = tree_state(tmp_path)
+        result = runner.invoke(main, ["stage1", "--config", str(config)])
+        assert result.exit_code == 5, result.output
+        assert (f"error[data]: {sidecar}: generator has 6 classes of dimension 5, "
+                "the data 6 of dimension 4") in result.output
+        assert tree_state(tmp_path) == before
+
     def test_dataset_with_an_empty_class_exit_code(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
         data = tmp_path / "gap.csv"
@@ -486,6 +514,22 @@ class TestOracleCommands:
         for report, name in ((grid, "oracle_grid_v001.csv"), (sweep, "sweep_v001.csv")):
             report.to_csv(tmp_path / name)
             assert (run_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_oracle_summary_holds_the_study_the_cli_resolved(self, runner, tmp_path, monkeypatch):
+        """The summary's study is the oracle.Study that _resolve built, key
+        for key, and holds no worker count: --jobs runs the study beside it."""
+        resolved, real = [], cli._resolve
+        monkeypatch.setattr(cli, "_resolve",
+                            lambda *args, **kw: resolved.append(real(*args, **kw)) or resolved[-1])
+        result = runner.invoke(main, ["oracle", "--config", str(TOY), "--out", str(tmp_path / "run"),
+                                      "--resamples", "2", "--train-size", "200", "--grid-w", "0.3,0.7"])
+        assert result.exit_code == 0, result.output
+        (r,) = resolved
+        summary = json.loads((tmp_path / "run" / "oracle_summary_v001.json").read_text())
+        assert summary["format"] == "tailshare-oracle-report-v2"
+        assert summary["study"] == r.study.as_dict()
+        assert "jobs" not in summary["study"]
+        assert (r.jobs, r.study.seed, r.study.eval_per_class, r.study.refine) == (1, 7 + 7, None, False)
 
     def test_oracle_and_sweep_smoke(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
@@ -546,7 +590,8 @@ class TestOracleCommands:
 
         def one_lucky_weight(gen, run_cfg, c, w_values, m_resamples, n_train, **_):
             acc = np.array([0.5, 0.9, 0.6])
-            return oracle.SweepReport(c, w_values, *([acc] * 8), np.array(n_ok), 2, n_train, 0)
+            return oracle.SweepReport(oracle.Study((c,), w_values, 2, n_train, 0, 1), *([acc] * 8),
+                                      np.array(n_ok))
 
         monkeypatch.setattr(oracle, "weight_sweep", one_lucky_weight)
         result = runner.invoke(main, ["sweep", "--grid-w", "0.2,0.5,0.8", "--resamples", "2",
@@ -848,7 +893,7 @@ class TestInputsResolvedBeforeAnyWrite:
             result = runner.invoke(main, [command, "--config", str(config)])
             assert result.exit_code == 0, (command, result.output)
         summary = json.loads((tmp_path / "run" / "oracle_summary_v001.json").read_text())
-        assert (summary["c_values"], summary["w_values"]) == ([0, 2], [0.3])
+        assert (summary["study"]["c_values"], summary["study"]["w_values"]) == ([0, 2], [0.3])
         with (tmp_path / "run" / "sweep_v001.csv").open(newline="") as fh:
             assert [row["w_A"] for row in csv.DictReader(fh)] == ["0.3"]
 
@@ -970,6 +1015,15 @@ class TestModelContainer:
         result = invoke(runner, assembled, "eval")
         assert result.exit_code == 5, result.output
         assert f"{path}: inconsistent artifact" in result.output and "head widths (3, 3)" in result.output
+        assert run_dir_state(assembled) == before
+
+    def test_trailing_bytes_exit_5_writing_nothing(self, runner, assembled):
+        path = assembled / "model_v001.bin"
+        path.write_bytes(path.read_bytes() + bytes(8))
+        before = run_dir_state(assembled)
+        result = invoke(runner, assembled, "eval")
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {path}: trailing bytes after declared arrays" in result.output
         assert run_dir_state(assembled) == before
 
     def test_container_with_priors_evaluates_as_without(self, runner, assembled):

@@ -201,8 +201,8 @@ class TestWeightSweep:
                            n_train=300, seed=2, n_eval=200, eval_per_class=10)
         import json
         payload = json.loads(rep.to_json())
-        assert payload["c"] == 1
-        assert payload["w_values"] == [0.3, 0.7]
+        assert payload["study"]["c_values"] == [1]
+        assert payload["study"]["w_values"] == [0.3, 0.7]
         assert len(payload["overall_mean"]) == 2
 
 
@@ -413,6 +413,23 @@ class TestResampleEngine:
                       stage1_opt=OptConfig(1e100, epochs=3, batch_size=64, seed=1))
         with pytest.raises(TrainingDivergenceError):
             grid_compare(GEN, bad, (0, 1), (0.5,), m_resamples=2, n_train=300, n_eval=100)
+
+    def test_a_cell_whose_refinement_diverges_counts_as_failed(self):
+        """A decoder fine-tune at learning rate 1e306 diverges: its cell
+        stays NaN, so no weight has a finite risk, n_ok is 0 and no weight
+        is valid, with no warning (warnings fail the suite). Unrefined, the
+        same study is valid at every weight."""
+        cfg = replace(run_config(), spec=ModelSpec(4, (8, 8), (3, 3), activation="relu"),
+                      refine_opt=OptConfig(1e306, epochs=4, batch_size=64, seed=3))
+
+        def sweep(refine):
+            return weight_sweep(GEN, cfg, 1, (0.3, 0.7), m_resamples=2, n_train=300, seed=1, n_eval=100,
+                                eval_per_class=10, refine=refine)
+
+        assert sweep(False).valid.all()
+        rep = sweep(True)
+        assert np.isnan(rep.risk_mean).all() and np.isnan(rep.overall_mean).all()
+        assert rep.n_ok.tolist() == [0, 0] and not rep.valid.any()
 
     def test_divergence_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(TrainingDivergenceError(3, float("inf"))))

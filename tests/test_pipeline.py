@@ -367,11 +367,11 @@ class TestEvaluateArgmax:
 
 def staged_model(cfg, ds):
     """The unrefined model of the stages run in order on ds: Stage 1, the
-    proxy search, Stage 2 at the selected weight and assembly at the
-    selected depth."""
+    proxy search over the default grids, Stage 2 at the selected weight
+    and assembly at the selected depth."""
     td = build_task_data(ds)
     s1 = stage1(cfg, td)
-    sel = select_structure(s1, td.n, cfg.spec, cfg.c_values, cfg.w_values)
+    sel = select_structure(s1, td.n, cfg.spec, c_values=None, w_values=None)
     return assemble(cfg.spec, sel.c_star, stage2(cfg, td, sel.w_star).params, s1, td.split)
 
 
