@@ -409,6 +409,15 @@ def _write_metrics(r: Inputs, model: pipeline.AssembledModel, dataset: datagen.L
     return path
 
 
+def _write_report(r: Inputs, csv_stem: str, json_stem: str, report) -> None:
+    """Write a study report's CSV table and JSON summary, each at its next version; echo both."""
+    csv_path = store.next_version_path(r.out, csv_stem, ".csv")
+    report.to_csv(csv_path)
+    json_path = store.next_version_path(r.out, json_stem, ".json")
+    json_path.write_text(report.to_json())
+    click.echo(f"wrote {csv_path} and {json_path}")
+
+
 @click.group()
 def main():
     """Head/tail task decomposition lab: three-stage training, proxy-based
@@ -544,33 +553,23 @@ def verify_lemma_cmd(trials, seed, max_y, max_outcomes):
 @_command("oracle", "--grid-c", "--grid-w", "--resamples", "--train-size", "--jobs", "--tau", study="oracle")
 def oracle_cmd(r):
     """MC risk over the (C, w_A) grid compared against the proxy by rank."""
-    s = r.study
-    report = oracle.grid_compare(r.gen, r.run, s.c_values, s.w_values, s.m_resamples, s.n_train,
-                                 seed=s.seed, n_eval=s.n_eval, jobs=r.jobs)
-    csv_path = store.next_version_path(r.out, "oracle_grid", ".csv")
-    report.to_csv(csv_path)
-    json_path = store.next_version_path(r.out, "oracle_summary", ".json")
-    json_path.write_text(report.to_json())
+    report = oracle.compare(r.gen, r.run, r.study, r.jobs)
     rho = "undefined" if report.spearman_rho is None else f"{report.spearman_rho:.3f}"
     click.echo(f"spearman={rho} oracle_best={report.oracle_best} proxy_best={report.proxy_best}")
-    click.echo(f"wrote {csv_path} and {json_path}")
+    _write_report(r, "oracle_grid", "oracle_summary", report)
 
 
 @_command("sweep", "--c", "--grid-w", "--resamples", "--train-size", "--jobs", "--tau", study="sweep")
 def sweep_cmd(r):
     """Accuracy/risk versus head weight at a fixed shared depth."""
-    s = r.study
-    report = oracle.weight_sweep(r.gen, r.run, r.c, s.w_values, s.m_resamples, s.n_train, seed=s.seed,
-                                 n_eval=s.n_eval, eval_per_class=s.eval_per_class, jobs=r.jobs)
-    path = store.next_version_path(r.out, "sweep", ".csv")
-    report.to_csv(path)
+    report = oracle.sweep(r.gen, r.run, r.study, r.jobs)
     overall = np.where(report.valid, report.overall_mean, np.nan)
     if np.isnan(overall).all():   # no weight where 80% of the resamples succeeded
         click.echo("best w_A=undefined")
     else:
         best = int(np.nanargmax(overall))
         click.echo(f"best w_A={report.w_values[best]} overall={report.overall_mean[best]:.4f}")
-    click.echo(f"wrote {path}")
+    _write_report(r, "sweep", "sweep_summary", report)
 
 
 if __name__ == "__main__":

@@ -241,36 +241,20 @@ class OracleReport(_Resampled, Record):
                       self.risk_stderr.flat, self.proxy_total.flat, self.n_ok.flat, self.valid.flat))
 
 
-def grid_compare(
-    gen: MixtureGenerator,
-    run_cfg: RunConfig,
-    c_values,
-    w_values,
-    m_resamples: int,
-    n_train: int,
-    seed: int = 0,
-    n_eval: int = 2000,
-    restrict: bool = True,
-    jobs: int = 1,
-) -> OracleReport:
-    """Fill the oracle grid by resampling, compute the proxy grid from the
-    first resample's Stage-1 run, and report Spearman rank agreement.
-
-    Only the report's valid cells enter the correlation and the oracle
-    argmin. The risk is always the renormalized task-wise KL; `restrict`
-    stays only as the benchmark's call shape and must be True.
-    """
-    if restrict is not True:
-        raise ConfigError(f"restrict must be True (the risk is renormalized), got {restrict!r}")
-    c_values, w_values = candidate_grid(run_cfg.spec, c_values, w_values)
-    study = Study(c_values, w_values, m_resamples, n_train, seed, n_eval)
+def compare(gen: MixtureGenerator, run_cfg: RunConfig, study: Study, jobs: int = 1) -> OracleReport:
+    """Fill the study's oracle grid by resampling on at most `jobs` workers,
+    compute the proxy grid from the first resample's Stage-1 run, and
+    report Spearman rank agreement. Only the report's valid cells enter the
+    correlation and the oracle argmin. The risk is always the renormalized
+    task-wise KL, of the refined model when study.refine."""
     values, first_s1 = _collect_resamples(gen, run_cfg, study, jobs)
     risk_mean, risk_stderr, n_ok = _mean_stderr(values[..., 0])
 
     # Proxy grid from the first resample's own Stage-1 statistics.
     if isinstance(first_s1, TrainingDivergenceError):
         raise first_s1
-    grid = select_structure(first_s1, n_train, run_cfg.spec, c_values, w_values)
+    c_values, w_values = study.c_values, study.w_values
+    grid = select_structure(first_s1, study.n_train, run_cfg.spec, c_values, w_values)
     proxy_total = np.array([row.total for row in grid.table]).reshape(len(c_values), -1)  # c, then w
     report = OracleReport(
         study=study, risk_mean=risk_mean, risk_stderr=risk_stderr, n_ok=n_ok.astype(np.int64),
@@ -283,6 +267,26 @@ def grid_compare(
         ci, wi = np.unravel_index(int(masked.argmin()), masked.shape)
         report.oracle_best = (c_values[ci], w_values[wi])
     return report
+
+
+def grid_compare(
+    gen: MixtureGenerator,
+    run_cfg: RunConfig,
+    c_values,
+    w_values,
+    m_resamples: int,
+    n_train: int,
+    seed: int = 0,
+    n_eval: int = 2000,
+    restrict: bool = True,
+    jobs: int = 1,
+) -> OracleReport:
+    """compare on the Study of these settings, its grids resolved by candidate_grid.
+    `restrict` stays only as the benchmark's call shape and must be True."""
+    if restrict is not True:
+        raise ConfigError(f"restrict must be True (the risk is renormalized), got {restrict!r}")
+    c_values, w_values = candidate_grid(run_cfg.spec, c_values, w_values)
+    return compare(gen, run_cfg, Study(c_values, w_values, m_resamples, n_train, seed, n_eval), jobs)
 
 
 @dataclass
@@ -309,6 +313,26 @@ class SweepReport(_Resampled, Record):
                   zip(self.w_values, *(getattr(self, name) for name in columns)))
 
 
+def sweep(gen: MixtureGenerator, run_cfg: RunConfig, study: Study, jobs: int = 1) -> SweepReport:
+    """Accuracy and risk as a function of the head weight at the study's
+    (first) shared depth, resampled on at most `jobs` workers.
+
+    Accuracy is measured on study.eval_per_class balanced rows per class
+    (drawn once), the usual protocol when test-time class frequencies are
+    uniform; risk uses feature draws from the training marginal. With
+    study.refine every assembled model gets the decoder-only fine-tune
+    before being measured: the accuracy of the deployable model, not of
+    the raw splice."""
+    values, _ = _collect_resamples(gen, run_cfg, study, jobs)
+    mean, stderr, n_ok = _mean_stderr(values[:, 0])   # (nw, 4) each
+    (risk_mean, o_mean, h_mean, t_mean), (risk_se, o_se, h_se, t_se) = mean.T, stderr.T
+    return SweepReport(
+        study=study, overall_mean=o_mean, overall_stderr=o_se, head_mean=h_mean, head_stderr=h_se,
+        tail_mean=t_mean, tail_stderr=t_se, risk_mean=risk_mean, risk_stderr=risk_se,
+        n_ok=n_ok[:, 0].astype(np.int64),
+    )
+
+
 def weight_sweep(
     gen: MixtureGenerator,
     run_cfg: RunConfig,
@@ -322,27 +346,11 @@ def weight_sweep(
     jobs: int = 1,
     refine: bool = False,
 ) -> SweepReport:
-    """Accuracy and risk as a function of the head weight at fixed depth.
-
-    Accuracy is measured on a balanced per-class evaluation set (drawn
-    once), the usual protocol when test-time class frequencies are uniform;
-    risk uses feature draws from the training marginal. With refine=True
-    every assembled model gets the decoder-only fine-tune before being
-    measured, which reads the accuracy of the deployable model rather than
-    of the raw splice; with refine_opt.epochs 0 the fine-tune is skipped,
-    and the report's study records refine False.
-    """
+    """sweep on the Study of these settings at depth c, its grids resolved by
+    candidate_grid; with refine_opt.epochs 0 the study records refine False."""
     c_values, w_values = candidate_grid(run_cfg.spec, (c,), w_values)
-    study = Study(c_values, w_values, m_resamples, n_train, seed, n_eval, eval_per_class,
-                  refine and run_cfg.refine_opt.epochs > 0)
-    values, _ = _collect_resamples(gen, run_cfg, study, jobs)
-    mean, stderr, n_ok = _mean_stderr(values[:, 0])   # (nw, 4) each
-    (risk_mean, o_mean, h_mean, t_mean), (risk_se, o_se, h_se, t_se) = mean.T, stderr.T
-    return SweepReport(
-        study=study, overall_mean=o_mean, overall_stderr=o_se, head_mean=h_mean, head_stderr=h_se,
-        tail_mean=t_mean, tail_stderr=t_se, risk_mean=risk_mean, risk_stderr=risk_se,
-        n_ok=n_ok[:, 0].astype(np.int64),
-    )
+    return sweep(gen, run_cfg, Study(c_values, w_values, m_resamples, n_train, seed, n_eval, eval_per_class,
+                                     refine and run_cfg.refine_opt.epochs > 0), jobs)
 
 
 @dataclass

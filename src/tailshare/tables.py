@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +34,17 @@ def write_csv(path, header, rows) -> None:
 def _plain(value):
     if isinstance(value, Record):
         return value.as_dict()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 class Record:
-    """Base of the dataclass reports: fields to a dict and to JSON (arrays
-    and tuples as lists, a nested Record as its dict). FORMAT names the
-    JSON document's format."""
+    """Base of the dataclass reports: fields to a dict and to strict JSON
+    (arrays and tuples as lists, a nested Record as its dict, a non-finite
+    number as None, so null). FORMAT names the JSON document's format."""
 
     FORMAT = None
 
@@ -53,4 +52,4 @@ class Record:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps({"format": self.FORMAT, **self.as_dict()}, sort_keys=True, indent=1)
+        return json.dumps({"format": self.FORMAT, **self.as_dict()}, sort_keys=True, indent=1, allow_nan=False)

@@ -511,25 +511,86 @@ class TestOracleCommands:
         assert (run_dir / "oracle_summary_v001.json").read_text() == grid.to_json()
         sweep = weight_sweep(gen, run, spec.depth, cfg["select"]["w_values"],
                              eval_per_class=cfg["eval_per_class"], **study)
+        assert (run_dir / "sweep_summary_v001.json").read_text() == sweep.to_json()
         for report, name in ((grid, "oracle_grid_v001.csv"), (sweep, "sweep_v001.csv")):
             report.to_csv(tmp_path / name)
             assert (run_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
-    def test_oracle_summary_holds_the_study_the_cli_resolved(self, runner, tmp_path, monkeypatch):
-        """The summary's study is the oracle.Study that _resolve built, key
-        for key, and holds no worker count: --jobs runs the study beside it."""
+    @staticmethod
+    def resolved_study(runner, tmp_path, monkeypatch, command, *args):
+        """Run the toy `command` at 2 resamples of 200 rows and weights 0.3
+        and 0.7; returns the Inputs that _resolve gave it."""
         resolved, real = [], cli._resolve
         monkeypatch.setattr(cli, "_resolve",
                             lambda *args, **kw: resolved.append(real(*args, **kw)) or resolved[-1])
-        result = runner.invoke(main, ["oracle", "--config", str(TOY), "--out", str(tmp_path / "run"),
-                                      "--resamples", "2", "--train-size", "200", "--grid-w", "0.3,0.7"])
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(tmp_path / "run"),
+                                      "--resamples", "2", "--train-size", "200", "--grid-w", "0.3,0.7", *args])
         assert result.exit_code == 0, result.output
         (r,) = resolved
+        return r
+
+    def test_oracle_summary_holds_the_study_the_cli_resolved(self, runner, tmp_path, monkeypatch):
+        """The summary's study is the oracle.Study that _resolve built, key
+        for key, and holds no worker count: --jobs runs the study beside it."""
+        r = self.resolved_study(runner, tmp_path, monkeypatch, "oracle")
         summary = json.loads((tmp_path / "run" / "oracle_summary_v001.json").read_text())
         assert summary["format"] == "tailshare-oracle-report-v2"
         assert summary["study"] == r.study.as_dict()
         assert "jobs" not in summary["study"]
         assert (r.jobs, r.study.seed, r.study.eval_per_class, r.study.refine) == (1, 7 + 7, None, False)
+
+    def test_sweep_summary_holds_the_study_the_cli_resolved(self, runner, tmp_path, monkeypatch):
+        """Like the oracle's, the sweep summary's study is the oracle.Study
+        that _resolve built, at the trunk's depth and the config's
+        eval_per_class, with no worker count."""
+        r = self.resolved_study(runner, tmp_path, monkeypatch, "sweep", "--jobs", "2")
+        summary = json.loads((tmp_path / "run" / "sweep_summary_v001.json").read_text())
+        assert summary["format"] == "tailshare-sweep-report-v2"
+        assert summary["study"] == r.study.as_dict()
+        assert "jobs" not in summary["study"]
+        assert (r.jobs, r.study.c_values, r.study.seed, r.study.eval_per_class, r.study.refine) == (
+            2, (2,), 7 + 7, 50, False)
+
+    @pytest.mark.parametrize("command, engine", [("oracle", "compare"), ("sweep", "sweep")])
+    def test_the_engine_runs_the_study_object_the_cli_resolved(self, runner, tmp_path, monkeypatch,
+                                                                command, engine):
+        """oracle and sweep hand the study engine the very Study that
+        _resolve checked before the config snapshot, and their report
+        carries it."""
+        from tailshare import oracle
+
+        calls, real = [], getattr(oracle, engine)
+
+        def spy(gen, run_cfg, study, jobs):
+            report = real(gen, run_cfg, study, jobs)
+            calls.append((study, jobs, report))
+            return report
+
+        monkeypatch.setattr(oracle, engine, spy)
+        r = self.resolved_study(runner, tmp_path, monkeypatch, command)
+        ((study, jobs, report),) = calls
+        assert study is r.study and report.study is r.study and jobs == r.jobs == 1
+
+    @pytest.mark.parametrize("command", ["oracle", "sweep"])
+    def test_a_summary_is_strict_json_with_null_for_a_non_finite_number(self, runner, tmp_path, command):
+        """One resample leaves every standard error undefined: the summary
+        holds null there, which a parser refusing NaN and Infinity reads,
+        and the CSV keeps nan."""
+        run_dir, grid = tmp_path / "run", command == "oracle"
+        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(run_dir), "--resamples", "1",
+                                      "--train-size", "200", "--grid-w", "0.3,0.7"]
+                               + (["--grid-c", "0,1"] if grid else []))
+        assert result.exit_code == 0, result.output
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        table, stem = ("oracle_grid", "oracle_summary") if grid else ("sweep", "sweep_summary")
+        summary = json.loads((run_dir / f"{stem}_v001.json").read_text(), parse_constant=refuse)
+        assert summary["risk_stderr"] == ([[None, None], [None, None]] if grid else [None, None])
+        assert all(math.isfinite(v) for v in np.ravel(summary["risk_mean"]))
+        with (run_dir / f"{table}_v001.csv").open(newline="") as fh:
+            assert {row["risk_stderr"] for row in csv.DictReader(fh)} == {"nan"}
 
     def test_oracle_and_sweep_smoke(self, runner, tmp_path):
         config, _ = write_config(tmp_path)
@@ -588,12 +649,11 @@ class TestOracleCommands:
         resamples succeeded; one that succeeded on 1 of 2 never wins."""
         from tailshare import oracle
 
-        def one_lucky_weight(gen, run_cfg, c, w_values, m_resamples, n_train, **_):
+        def one_lucky_weight(gen, run_cfg, study, jobs):
             acc = np.array([0.5, 0.9, 0.6])
-            return oracle.SweepReport(oracle.Study((c,), w_values, 2, n_train, 0, 1), *([acc] * 8),
-                                      np.array(n_ok))
+            return oracle.SweepReport(study, *([acc] * 8), np.array(n_ok))
 
-        monkeypatch.setattr(oracle, "weight_sweep", one_lucky_weight)
+        monkeypatch.setattr(oracle, "sweep", one_lucky_weight)
         result = runner.invoke(main, ["sweep", "--grid-w", "0.2,0.5,0.8", "--resamples", "2",
                                       "--config", str(TOY), "--out", str(tmp_path / "run")])
         assert result.exit_code == 0, result.output

@@ -291,6 +291,18 @@ class TestResampleEngine:
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
         assert np.array_equal(rep.overall_mean, (accs[0] + accs[1]) / 2)
 
+    def test_compare_scores_the_refined_cells_that_sweep_scores(self):
+        """The oracle engine honours Study.refine: on one depth, compare's
+        refined risks are sweep's bits (its accuracy draws come after the
+        risk points), and differ from the unrefined study's."""
+        study = Study((1,), (0.3, 0.7), m_resamples=2, n_train=300, seed=1, n_eval=200, refine=True)
+        refined = oracle.compare(GEN, run_config(), study)
+        swept = oracle.sweep(GEN, run_config(), replace(study, eval_per_class=10))
+        assert refined.risk_mean.tobytes() == swept.risk_mean.tobytes()
+        assert refined.study is study and np.isfinite(swept.overall_mean).all()
+        plain = oracle.compare(GEN, run_config(), replace(study, refine=False))
+        assert not np.array_equal(plain.risk_mean, refined.risk_mean)
+
     def test_depth_zero_is_assembled_and_scored_once_per_resample(self, monkeypatch):
         """Per resample, one c = 0 model serves every weight, and each model
         is scored by one taskwise_risk call."""
