@@ -34,9 +34,9 @@ seed = seed + 7.
 """
 from __future__ import annotations
 
+import copy
 import functools
 from collections import namedtuple
-import json
 import math
 import time
 from dataclasses import astuple, dataclass, fields
@@ -47,7 +47,6 @@ import numpy as np
 
 from . import datagen, infotheory, oracle, pipeline, presets, proxy, store, tables
 from .errors import (
-    UNDECODABLE,
     ConfigError,
     DataFormatError,
     DomainError,
@@ -136,12 +135,6 @@ _FLAGS = {
 }
 
 
-def _shown(value) -> str:
-    """`value` as JSON for a message: its first 80 characters, then "..."."""
-    text = json.dumps(value)
-    return text if len(text) <= 80 else text[:80] + "..."
-
-
 def _set(cfg: dict, path: tuple, value) -> None:
     """Store `value` at the key `path` if it has the JSON type of its field.
     Numbers must be finite: Python's json reads NaN and Infinity."""
@@ -153,27 +146,16 @@ def _set(cfg: dict, path: tuple, value) -> None:
         raise ConfigError(f"unknown config key {key!r}")
     if isinstance(field, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"config key {key} must be an object, got {_shown(value)}")
+            raise ConfigError(f"config key {key} must be an object, got {tables.shown(value)}")
         for sub, sval in value.items():
             _set(cfg, path + (sub,), sval)
         return
     if not field.test(value):
-        raise ConfigError(f"config key {key} must be {field.kind}, got {_shown(value)}")
+        raise ConfigError(f"config key {key} must be {field.kind}, got {tables.shown(value)}")
     if any(isinstance(v, float) and not math.isfinite(v)
            for v in (value if isinstance(value, list) else [value])):
-        raise ConfigError(f"config key {key} must be finite, got {_shown(value)}")
+        raise ConfigError(f"config key {key} must be finite, got {tables.shown(value)}")
     node[path[-1]] = value
-
-
-def _json_object(path: Path, error, what: str) -> dict:
-    """The JSON object that the file at `path` holds, else `error` naming the file."""
-    try:
-        held = json.loads(path.read_text())
-    except (OSError, *UNDECODABLE) as exc:  # OSError: a directory, say
-        raise error(f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from None
-    if not isinstance(held, dict):
-        raise error(f"{path}: the {what} must be a JSON object, got {_shown(held)}")
-    return held
 
 
 def _merged(config_path, given: dict) -> dict:
@@ -182,12 +164,12 @@ def _merged(config_path, given: dict) -> dict:
     overrides = {flag: value if _FLAGS[flag].grid is None
                  else _checked(flag, _parse_grid, value, _FLAGS[flag].grid)
                  for flag, value in given.items() if value is not None and _FLAGS[flag].key}
-    cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy of the defaults
+    cfg = copy.deepcopy(_DEFAULTS)
     if config_path:
         path = Path(config_path)
         if not path.exists():
             raise MissingArtifactError(f"config file not found: {path}")
-        for key, value in _json_object(path, ConfigError, "config").items():
+        for key, value in tables.read_json(path, ConfigError, "config").items():
             _set(cfg, (key,), value)
     for flag, value in overrides.items():
         _checked(flag, _set, cfg, tuple(_FLAGS[flag].key.split(".")), value)
@@ -227,7 +209,7 @@ def _selected(spec: ModelSpec, path, held: dict, flags=(None, None)) -> tuple:
                 raise DataFormatError(f"{path}: no {key} in its metadata")
             value, name = held[key], f"{path}: {key}"
             if not field.test(value):
-                raise DataFormatError(f"{name} must be {field.kind}, got {_shown(value)}")
+                raise DataFormatError(f"{name} must be {field.kind}, got {tables.shown(value)}")
         cell.append((name, value))
     (c_name, c), (w_name, w) = cell
     _checked(c_name, spec.encoder_params, c)
@@ -325,7 +307,7 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     elif "--c-star" in given:
         selection = (given["--c-star"], given["--w-star"])
         path = store.latest_version_path(t["out"], "selection", ".json") if None in selection else None
-        held = {} if path is None else _json_object(path, DataFormatError, "selection")
+        held = {} if path is None else tables.read_json(path, DataFormatError, "selection")
         c, w_star = _selected(spec, path, held, selection)
     elif given.get("--c") is None:
         c = spec.depth
@@ -341,7 +323,7 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"{named.get('out', 'out')}: {existing} is not a directory")
-    store.write_config_snapshot(t["out"], cfg)
+    tables.write_json(store.next_version_path(t["out"], "config", ".json"), cfg)
     return Inputs(t["out"], seed, gen, run, grid, t["holdout_fraction"], t["eval_per_class"], dataset,
                   c, w_star, settings, jobs, upstream)
 
@@ -365,13 +347,13 @@ def _write_search(r: Inputs, grid: proxy.GridSearchResult) -> Path:
     The selection holds no wall-clock value, so reruns match byte for byte."""
     csv_path = store.next_version_path(r.out, "proxy_grid", ".csv")
     grid.to_csv(csv_path)
-    store.next_version_path(r.out, "selection", ".json").write_text(json.dumps({
+    tables.write_json(store.next_version_path(r.out, "selection", ".json"), {
         "format": "tailshare-selection-v1",
         "c_star": grid.c_star,
         "w_star": grid.w_star,
         "c_values": list(grid.c_values),
         "w_values": list(grid.w_values),
-    }, sort_keys=True, indent=1))
+    })
     return csv_path
 
 

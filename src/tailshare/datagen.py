@@ -9,13 +9,13 @@ computable for any point.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (UNDECODABLE, ConfigError, DataFormatError, DomainError, MissingArtifactError,
                      StructuralError)
+from .tables import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -290,26 +290,21 @@ def save_csv(dataset: LongTailDataset, path) -> None:
         }
         if gen.config is not None:
             payload["config"] = asdict(gen.config)
-        _sidecar_path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
+        write_json(_sidecar_path(path), payload)
 
 
 def load_generator_sidecar(path) -> MixtureGenerator:
-    """The generator a sidecar describes; undecodable JSON, missing fields,
-    bad config keys, shapes that do not fit and values MixtureGenerator
-    refuses raise DataFormatError naming the file."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"generator sidecar not found: {path}")
+    """The generator a sidecar describes; a file that holds no JSON object, missing fields, bad
+    config keys, shapes that do not fit and values MixtureGenerator refuses raise DataFormatError."""
+    payload = read_json(path, DataFormatError, "generator sidecar")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
         cfg = GenConfig(**payload["config"]) if "config" in payload else None
-        gen = MixtureGenerator(
+        return MixtureGenerator(
             np.asarray(payload["means"], dtype=np.float64), float(payload["noise_sigma"]),
             np.asarray(payload["priors"], dtype=np.float64), cfg,
         )
-    except (OSError, KeyError, TypeError, *UNDECODABLE) as exc:  # OSError: a directory, say
+    except (KeyError, TypeError, *UNDECODABLE) as exc:
         raise DataFormatError(f"{path}: bad generator sidecar ({type(exc).__name__}: {exc})") from None
-    return gen
 
 
 def load_csv(path) -> LongTailDataset:

@@ -32,6 +32,12 @@ def _task_index(task: str) -> int:
     return TASKS.index(task)
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite, by two reductions and no mask: a NaN
+    carries into both, an infinity sets one of them."""
+    return bool(np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0)))
+
+
 class _Block(NamedTuple):
     """`length` values from `offset`: a (fan_in, fan_out) weight matrix,
     row-major, then fan_out biases. The first three are a block_table row."""

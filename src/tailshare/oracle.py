@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, TrainingDivergenceError
 from .datagen import MixtureGenerator, sample_iid, split_classes
 from .infotheory import _risk_targets, taskwise_risk
-from .nn import trunk_activations
+from .nn import _finite, trunk_activations
 from .pipeline import (
     RunConfig,
     assemble,
@@ -68,7 +68,7 @@ def spearman(x, y) -> float | None:
     if x.size != y.size:
         raise ConfigError("rank correlation needs equally long vectors")
     for name, v in (("x", x), ("y", y)):
-        if not np.isfinite(v).all():
+        if not _finite(v):
             raise DomainError(f"rank correlation input {name} has non-finite values")
     if x.size < 2 or x.min() == x.max() or y.min() == y.max():
         return None
@@ -157,7 +157,7 @@ def _run_resample(m: int, study: Study, gen, run_cfg, split, eval_points, target
         for (where, _), model in zip(cells, models):
             if isinstance(model, TrainingDivergenceError):
                 continue
-            acts = encoded(where[1])[:model.c + 1] if model.c else [eval_points]
+            acts = encoded(where[1]) if model.c else [eval_points]
             values[where + (0,)] = taskwise_risk(targets, model.decode(acts))
             if balanced is not None:
                 rep = evaluate(model, *balanced)

@@ -25,6 +25,7 @@ from .nn import (
     ParamVector,
     TrainResult,
     _all_trained,
+    _finite,
     bce_losses,
     forward_from,
     init_params,
@@ -93,7 +94,7 @@ def class_offsets(tau: float, priors) -> np.ndarray | None:
         raise DomainError(f"logit adjustment needs positive class priors that sum to 1, got {priors}")
     with np.errstate(over="ignore"):
         full = tau * np.log(priors)
-    if not np.isfinite(full).all():
+    if not _finite(full):
         raise DomainError(f"the offsets tau * log(prior) overflow at tau {tau} and prior {float(priors.min())}")
     return full
 
@@ -133,7 +134,7 @@ def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
         fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
         fisher_b = estimate_diag_fisher(res_b.params, cfg.spec, td.features, td.z_b, "B", offsets=offs[1])
     for name, fisher in (("fisher_a", fisher_a), ("fisher_b", fisher_b)):
-        if not np.isfinite(fisher.values).all():
+        if not _finite(fisher.values):
             raise DomainError(f"{name} has a non-finite entry: the Stage-1 Fisher overflowed")
     return Stage1Result(res_a.params, res_b.params, fisher_a, fisher_b,
                         res_a.epoch_losses, res_b.epoch_losses)
@@ -206,23 +207,14 @@ class AssembledModel:
             raise StructuralError("branches must share the encoder slice bit-exactly")
         fitted_split(self.spec, self.split)
 
-    def branch_logits(self, features: np.ndarray) -> tuple:
-        """Both branches' logits at `features`: branch A's trunk runs once
-        and branch B continues from its layer-c activations, the shared
-        encoder's output, so trunk layers 1..c run once for both."""
-        return self.decode(trunk_activations(self.branch_a, self.spec, features))
-
     def decode(self, acts: list) -> tuple:
         """Both branches' logits from [x, h_1, ..., h_j], j >= c: the trunk
         activations (as trunk_activations gives them) of a network whose
-        first j trunk blocks are branch A's. Branch A continues from h_j;
-        the list then drops its layers above c, freeing them for branch B,
-        which continues from h_c. Each gets the bits of its own branch's
-        pass from layer 0."""
-        top = len(acts) - 1
-        s_a = forward_from(self.branch_a, self.spec, acts[top], top, "A")
-        del acts[self.c + 1:]
-        return s_a, forward_from(self.branch_b, self.spec, acts[self.c], self.c, "B")
+        first c trunk blocks are the shared encoder. Both branches continue
+        from h_c, the encoder's output, and each gets the bits of its own
+        pass from layer 0; `acts` is left as it is."""
+        return tuple(forward_from(branch, self.spec, acts[self.c], self.c, task)
+                     for branch, task in ((self.branch_a, "A"), (self.branch_b, "B")))
 
 
 def assemble(spec: ModelSpec, c: int, stage2_params: ParamVector, s1: Stage1Result,
@@ -283,7 +275,7 @@ def evaluate(model: AssembledModel, features: np.ndarray, labels: np.ndarray) ->
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     truth = labels.argmax(axis=1)
-    s_a, s_b = model.branch_logits(features)
+    s_a, s_b = model.decode(trunk_activations(model.branch_a, model.spec, features))
     scores = np.empty((features.shape[0], model.split.n_classes))
     scores[:, list(model.split.head_classes)] = s_a
     scores[:, list(model.split.tail_classes)] = s_b

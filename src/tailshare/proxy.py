@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import DataFormatError, DomainError, StructuralError
-from .nn import ModelSpec, ParamVector, _one_task_stack
+from .nn import ModelSpec, ParamVector, _finite, _one_task_stack
 from .tables import write_csv
 
 # Coordinates whose weighted Fisher combination falls below this are treated
@@ -171,12 +171,6 @@ def _quotient_sum(a, b, w_a: float, denom, num, tmp, dead) -> float:
     num /= denom
     np.copyto(num, 0.0, where=dead)
     return float(num.sum())
-
-
-def _finite(values: np.ndarray) -> bool:
-    """Whether every entry is finite, by two reductions and no mask: a NaN
-    carries into both, an infinity sets one of them."""
-    return bool(np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0)))
 
 
 def _selection_key(row: ProxyBreakdown) -> tuple:

@@ -1,4 +1,4 @@
-"""Deterministic on-disk artifacts: checkpoints, config snapshots, versioned run dirs.
+"""Deterministic on-disk artifacts: checkpoints and versioned run dirs.
 
 Checkpoints use a small custom container rather than npz because the zip
 wrapper embeds timestamps; runs re-executed from the same config snapshot
@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import UNDECODABLE, DataFormatError, MissingArtifactError
 from .datagen import TaskSplit
-from .nn import ModelSpec, ParamVector
+from .nn import ModelSpec, ParamVector, _finite
 from .pipeline import AssembledModel, Stage1Result, fitted_split
-from .proxy import DiagFisher, _finite
+from .proxy import DiagFisher
 
 _MAGIC = b"TSCONT01"
 _VERSION = 1
@@ -49,7 +49,7 @@ def save_container(path, meta: dict, arrays: dict) -> None:
 
 def load_container(path) -> tuple:
     """(meta, arrays) of a container; any damage to the file, truncation
-    included, raises DataFormatError.
+    and an array declared twice included, raises DataFormatError.
 
     The file is read once, into one 8-byte-aligned buffer placed so that
     the array section starts on an 8-byte boundary whatever the metadata
@@ -85,6 +85,8 @@ def load_container(path) -> tuple:
     for name, n in entries:
         if not isinstance(name, str) or type(n) is not int or n < 0:
             raise DataFormatError(f"{path}: bad array entry {name!r} of length {n!r}")
+        if name in arrays:
+            raise DataFormatError(f"{path}: array {name!r} is declared twice")
         if offset + 8 * n > size:
             raise DataFormatError(f"{path}: array {name!r} of {n} values runs past the end of the file")
         start = (shift + offset) // 8
@@ -226,8 +228,3 @@ def latest_version_path(run_dir, stem: str, ext: str) -> Path:
         raise MissingArtifactError(f"no {stem}_vNNN{ext} artifact in {run_dir}")
     return path
 
-
-def write_config_snapshot(run_dir, config: dict) -> Path:
-    path = next_version_path(run_dir, "config", ".json")
-    path.write_text(json.dumps(config, sort_keys=True, indent=1))
-    return path

@@ -1,5 +1,5 @@
-"""The one CSV table writer and the one JSON serializer of the package's
-reports and artifacts.
+"""The one CSV table writer and the one JSON writer and reader of the
+package's reports and artifacts.
 
 CSV cells: strings as they are, ints (numpy ints and bools included) with
 str, every other number with repr(float(v)), so numpy scalars print as
@@ -13,6 +13,10 @@ import math
 from pathlib import Path
 
 import numpy as np
+
+from .errors import UNDECODABLE
+
+_STRICT = dict(sort_keys=True, indent=1, allow_nan=False)
 
 
 def _cell(value) -> str:
@@ -29,6 +33,28 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` with sorted keys and a one-space indent; NaN or infinity raises ValueError."""
+    Path(path).write_text(json.dumps(doc, **_STRICT))
+
+
+def read_json(path, error, what: str) -> dict:
+    """The JSON object in the file at `path`, read as UTF-8, else `error` naming the file."""
+    try:
+        held = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, *UNDECODABLE) as exc:  # OSError: a directory, say
+        raise error(f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from None
+    if not isinstance(held, dict):
+        raise error(f"{path}: the {what} must be a JSON object, got {shown(held)}")
+    return held
+
+
+def shown(value) -> str:
+    """`value` as JSON for a message: its first 80 characters, then "..."."""
+    text = json.dumps(value)
+    return text if len(text) <= 80 else text[:80] + "..."
 
 
 def _plain(value):
@@ -52,4 +78,4 @@ class Record:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps({"format": self.FORMAT, **self.as_dict()}, sort_keys=True, indent=1, allow_nan=False)
+        return json.dumps({"format": self.FORMAT, **self.as_dict()}, **_STRICT)

@@ -434,6 +434,7 @@ class TestErrorPaths:
         '{"noise_sigma": 1.0, "priors": [1.0]}',
         '{"means": [[0.0]], "noise_sigma": 1.0, "priors": [0.5, 0.5]}',
         '{"means": [[0.0]], "noise_sigma": 1.0, "priors": [1.0], "config": {"colour": 1}}',
+        pytest.param('{"means": [0.0, 1.0], "noise_sigma": 1.0, "priors": [1.0]}', id="flat-means"),
         pytest.param(DEEP, id="nested-too-deep"),
     ])
     def test_bad_generator_sidecar_exit_code(self, runner, tmp_path, sidecar):
@@ -1086,6 +1087,33 @@ class TestModelContainer:
         assert f"error[data]: {path}: trailing bytes after declared arrays" in result.output
         assert run_dir_state(assembled) == before
 
+    def test_an_array_declared_twice_exits_5_writing_nothing(self, runner, assembled):
+        meta, arrays = load_container(assembled / "model_v001.bin")
+        meta["arrays"].append({"name": "branch_a", "length": int(arrays["branch_a"].size)})
+        blob = json.dumps(meta).encode()
+        path = assembled / "model_v002.bin"
+        path.write_bytes(b"TSCONT01" + struct.pack("<IQ", 1, len(blob)) + blob
+                         + b"".join(arrays[name].tobytes() for name in ("branch_a", "branch_b", "branch_a")))
+        before = run_dir_state(assembled)
+        result = invoke(runner, assembled, "eval")
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {path}: array 'branch_a' is declared twice" in result.output
+        assert run_dir_state(assembled) == before
+
+    def test_branches_that_differ_inside_the_encoder_exit_5_writing_nothing(self, runner, assembled):
+        meta, arrays = load_container(assembled / "model_v001.bin")
+        meta = {k: v for k, v in meta.items() if k != "arrays"} | {"c": max(meta["c"], 1)}
+        branch_b = arrays["branch_b"].copy()
+        branch_b[0] = arrays["branch_a"][0] + 1.0
+        path = assembled / "model_v002.bin"
+        save_container(path, meta, dict(arrays, branch_b=branch_b))
+        before = run_dir_state(assembled)
+        result = invoke(runner, assembled, "eval")
+        assert result.exit_code == 5, result.output
+        assert (f"error[data]: {path}: inconsistent artifact (StructuralError: branches must share the "
+                "encoder slice bit-exactly)") in result.output
+        assert run_dir_state(assembled) == before
+
     def test_container_with_priors_evaluates_as_without(self, runner, assembled):
         meta, arrays = load_container(assembled / "model_v001.bin")
         assert sorted(arrays) == ["branch_a", "branch_b"]
@@ -1346,6 +1374,18 @@ class TestPathInputs:
         assert "error[config]: --data: the path is empty" in result.output
         assert tree_state(tmp_path) == before
 
+    @pytest.mark.parametrize("text, code, named", [
+        ("0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,0.7,1\n", 5, "data.csv: line 3: expected 3 fields, found 4"),
+        ("0.1,0.2,0\n0.3,0.4,0\n", 2, "error[config]: model: need at least 2 classes to split"),
+    ], ids=["ragged-row", "one-class"])
+    def test_dataset_it_cannot_train_on_writes_nothing(self, runner, tmp_path, text, code, named):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        result = invoke(runner, tmp_path / "run", "stage1", "--data", str(data))
+        assert result.exit_code == code, result.output
+        assert named in result.output
+        assert tree_state(tmp_path) == {"data.csv": text.encode()}
+
     @pytest.mark.parametrize("command", ["stage1", "eval"])
     def test_dataset_that_is_a_directory_exits_5(self, runner, tmp_path, command):
         (tmp_path / "data.csv").mkdir()
@@ -1363,7 +1403,7 @@ class TestPathInputs:
         before = tree_state(tmp_path)
         result = invoke(runner, tmp_path / "run", "stage1", "--data", str(data))
         assert result.exit_code == 5, result.output
-        assert f"error[data]: {sidecar}: bad generator sidecar (IsADirectoryError" in result.output
+        assert f"error[data]: {sidecar}: unreadable generator sidecar (IsADirectoryError" in result.output
         assert tree_state(tmp_path) == before
 
     def test_config_that_is_a_directory_exits_2(self, runner, tmp_path):

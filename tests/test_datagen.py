@@ -391,3 +391,18 @@ def test_dataset_validation_rejects_bad_labels():
         LongTailDataset(np.zeros((2, 2)), np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([1, 1]))
     with pytest.raises(StructuralError):
         LongTailDataset(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LongTailDataset(np.zeros(2), np.eye(2), np.array([1, 1])), "features and labels must be 2-D"),
+    (lambda: LongTailDataset(np.zeros((3, 2)), np.eye(2), np.array([1, 1])),
+     "label rows must match feature rows"),
+    (lambda: LongTailDataset(np.zeros((2, 2)), np.eye(2), np.array([1, 1, 0])),
+     "label columns must match class_counts length"),
+    (lambda: project_labels(np.eye(3), TaskSplit((0, 1), (2, 3))),
+     "label columns do not match the split's class count"),
+], ids=["not-2d", "rows", "columns", "project-columns"])
+def test_dataset_of_the_wrong_shape_raises_structural_error_naming_it(build, message):
+    with pytest.raises(StructuralError) as err:
+        build()
+    assert str(err.value) == message

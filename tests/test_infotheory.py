@@ -80,6 +80,10 @@ class TestConditionalMutualInformation:
             table = rng.dirichlet(np.ones(2 * 3 * 2)).reshape(2, 3, 2)
             assert conditional_mutual_information(table) >= -1e-12
 
+    def test_a_table_without_three_axes_is_refused(self):
+        with pytest.raises(StructuralError, match=re.escape("expects axes (Y, U, V)")):
+            conditional_mutual_information(np.full((2, 2), 0.25))
+
 
 class TestDecomposition:
     def test_conditionally_independent_case_splits_exactly(self):

@@ -14,6 +14,7 @@ from tailshare.nn import (
     _block_views,
     _forward_cache,
     _sum_batch,
+    _task_index,
     bce_loss_grad,
     forward_from,
     init_params,
@@ -191,6 +192,29 @@ class TestBatch:
                   np.array([[0.0], [1.0]]))
         assert b.n == 2
 
+
+
+_LAYOUT = (("a", 0, 2), ("b", 2, 4))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ParamVector(np.zeros((2, 3)), _LAYOUT), "parameter values must be a flat 1-D array"),
+    (lambda: ParamVector(np.zeros(6), (("a", 0, 2), ("b", 3, 3))), "block b at offset 3, expected 2"),
+    (lambda: ParamVector(np.zeros(6), (("a", 0, 4),)), "blocks cover 4 values but the flat array holds 6"),
+    (lambda: ParamVector(np.zeros(6), _LAYOUT).block("c"), "no block named 'c'"),
+    (lambda: _task_index("C"), "unknown task 'C', expected 'A' or 'B'"),
+    (lambda: Batch(np.zeros(2), np.ones((2, 1)), np.zeros((2, 1))), "features must be a 2-D matrix"),
+    (lambda: Batch(np.zeros((2, 2)), np.ones(2), np.zeros((2, 1))), "label matrices must be 2-D"),
+    (lambda: Batch(np.zeros((2, 2)), np.ones((3, 1)), np.zeros((3, 1))),
+     "label row counts must match the feature rows"),
+    (lambda: trunk_activations(init_params(ModelSpec(3, (4,), (2, 3)), 0), small_spec(), np.zeros((2, 3))),
+     "parameter block layout does not match the model spec"),
+], ids=["values-not-flat", "block-gap", "short-coverage", "unknown-block", "unknown-task",
+        "features-not-2d", "labels-not-2d", "mismatched-rows", "layout-mismatch"])
+def test_malformed_structure_raises_structural_error_naming_it(build, message):
+    with pytest.raises(StructuralError) as err:
+        build()
+    assert str(err.value) == message
 
 class TestBceLoss:
     def test_zero_logits_gives_log2_per_class(self):

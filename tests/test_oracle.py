@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from tailshare import oracle
 from tailshare.errors import ConfigError, DomainError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, build_generator
-from tailshare.nn import ModelSpec, OptConfig
+from tailshare.nn import ModelSpec, OptConfig, trunk_activations
 from tailshare.oracle import (
     Study,
     _mean_stderr,
@@ -253,7 +253,8 @@ class TestResampleEngine:
                 s2 = stage2(cfg_m, td, w, s1)
                 for ci, c in enumerate(self.C_VALUES):
                     model = assemble(SPEC, c, s2.params, s1, split)
-                    risks[m, ci, wi] = taskwise_risk(targets, model.branch_logits(eval_points))
+                    risks[m, ci, wi] = taskwise_risk(
+                        targets, model.decode(trunk_activations(model.branch_a, SPEC, eval_points)))
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
         grid = select_structure(first_s1, 300, SPEC, self.C_VALUES, self.W_VALUES)
         cells = {(row.c, row.w_a): row.total for row in grid.table}
@@ -286,7 +287,8 @@ class TestResampleEngine:
             for wi, w in enumerate(self.W_VALUES):
                 model = assemble(SPEC, c, stage2(cfg_m, td, w, s1).params, s1, split)
                 model = refine_decoders(model, td, cfg_m)
-                risks[m, wi] = taskwise_risk(targets, model.branch_logits(eval_points))
+                risks[m, wi] = taskwise_risk(
+                    targets, model.decode(trunk_activations(model.branch_a, SPEC, eval_points)))
                 accs[m, wi] = evaluate(model, *balanced).overall_accuracy
         assert np.array_equal(rep.risk_mean, (risks[0] + risks[1]) / 2)
         assert np.array_equal(rep.overall_mean, (accs[0] + accs[1]) / 2)

@@ -6,7 +6,7 @@ import pytest
 from tailshare.errors import DomainError, StructuralError, TrainingDivergenceError
 from tailshare.datagen import GenConfig, LongTailDataset, TaskSplit, generate, project_labels
 from tailshare.nn import (Batch, ModelSpec, OptConfig, ParamVector, _forward_cache, bce_loss_grad, bce_losses,
-                          init_params, train, train_stack)
+                          forward_from, init_params, train, train_stack, trunk_activations)
 from tailshare.pipeline import (
     AssembledModel,
     RunConfig,
@@ -420,10 +420,10 @@ def test_evaluate_runs_each_branch_once(monkeypatch):
     model = staged_model(run_config(), ds)
     calls = count_passes(monkeypatch)
     rep = evaluate(model, ds.features, ds.labels)
-    assert calls == {"trunk": 1, "branches": [("A", SPEC.depth), ("B", model.c)]}
+    assert calls == {"trunk": 1, "branches": [("A", model.c), ("B", model.c)]}
     monkeypatch.undo()
     # The task BCEs are those of the model's own branch logits.
-    s_a, s_b = model.branch_logits(ds.features)
+    s_a, s_b = model.decode(trunk_activations(model.branch_a, SPEC, ds.features))
     z_a, z_b = project_labels(ds.labels, model.split)
     assert rep.bce_a == float(bce_losses(s_a, z_a).mean())
     assert rep.bce_b == float(bce_losses(s_b, z_b).mean())
@@ -433,7 +433,9 @@ def test_evaluate_runs_each_branch_once(monkeypatch):
 def test_branch_logits_equal_two_passes_from_layer_0_with_one_encoder_pass(monkeypatch, activation):
     """At every shared depth the branch logits carry the bits of each
     branch's own pass from layer 0 (_forward_cache's per-layer loop), from
-    one trunk pass: branch A's full trunk, which branch B leaves at c."""
+    one trunk pass: branch A's full trunk, which both branches leave at c."""
+    import tailshare.pipeline as pipeline_mod
+
     spec = ModelSpec(3, (5, 4, 6), (3, 2), activation=activation)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(17, 3))
@@ -443,12 +445,36 @@ def test_branch_logits_equal_two_passes_from_layer_0_with_one_encoder_pass(monke
         branch_b.values[:spec.encoder_params(c)] = branch_a.values[:spec.encoder_params(c)]
         model = AssembledModel(spec, c, TaskSplit((0, 1, 2), (3, 4)), branch_a, branch_b)
         calls = count_passes(monkeypatch)
-        s_a, s_b = model.branch_logits(x)
+        s_a, s_b = model.decode(pipeline_mod.trunk_activations(branch_a, spec, x))
         monkeypatch.undo()
-        assert calls == {"trunk": 1, "branches": [("A", spec.depth), ("B", c)]}
+        assert calls == {"trunk": 1, "branches": [("A", c), ("B", c)]}
         assert s_a.tobytes() == _forward_cache(branch_a, spec, x, "A")[4].tobytes()
         assert s_b.tobytes() == _forward_cache(branch_b, spec, x, "B")[4].tobytes()
 
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_decode_leaves_its_activations_unchanged_and_gives_each_branch_its_own_pass(activation):
+    """decode scores both branches from h_c of a list that runs past c
+    (the full trunk of branch A), gives each branch the bits of its own
+    forward_from at layer 0, and leaves the list's entries and their
+    values as they were."""
+    spec = ModelSpec(3, (5, 4, 6), (3, 2), activation=activation)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(13, 3))
+    for c in range(spec.depth + 1):
+        branch_a, branch_b = (ParamVector(rng.normal(size=spec.param_count), spec.block_table())
+                              for _ in range(2))
+        branch_b.values[:spec.encoder_params(c)] = branch_a.values[:spec.encoder_params(c)]
+        model = AssembledModel(spec, c, TaskSplit((0, 1, 2), (3, 4)), branch_a, branch_b)
+        acts = trunk_activations(branch_a, spec, x)
+        held, held_bytes = list(acts), [h.tobytes() for h in acts]
+        s_a, s_b = model.decode(acts)
+        assert len(acts) == spec.depth + 1
+        assert all(a is h for a, h in zip(acts, held))
+        assert [h.tobytes() for h in acts] == held_bytes
+        assert s_a.tobytes() == forward_from(branch_a, spec, x, 0, "A").tobytes()
+        assert s_b.tobytes() == forward_from(branch_b, spec, x, 0, "B").tobytes()
 
 @pytest.mark.parametrize("entry", ["train", "stage2", "refine_decoders"])
 def test_one_network_entry_points_raise_their_stacks_first_divergence(entry):

@@ -535,6 +535,32 @@ def fsum_closed_form(a, b, delta, w, d, n_train):
     return math.fsum(quot) / (2.0 * n_train), 0.5 * math.fsum(bias)
 
 
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda spec, fa, fb, delta: DiagFisher(np.zeros((2, 2)), 1), StructuralError,
+     "Fisher values must be a flat vector"),
+    (lambda spec, fa, fb, delta: MismatchVector(np.zeros((2, 2)), 1), StructuralError,
+     "mismatch must be a flat vector"),
+    (lambda spec, fa, fb, delta: grid_search(fa, fb, delta, 100, spec, (0,)).best_for_c(1), KeyError,
+     "'no grid rows with c=1'"),
+    (lambda spec, fa, fb, delta: encoder_mismatch(init_params(spec, 0), init_params(spec, 1), 2),
+     StructuralError, "shared depth 2 out of range 0..1"),
+    (lambda spec, fa, fb, delta: proxy_eval(fa, fb, MismatchVector(np.zeros(5), 1), 0.5, 100, spec),
+     StructuralError, "mismatch has 5 entries, encoder slice needs 12"),
+    (lambda spec, fa, fb, delta: grid_search(fa, fb, delta[:11], 100, spec), StructuralError,
+     "trunk mismatch does not cover the deepest candidate slice"),
+    (lambda spec, fa, fb, delta: grid_search(DiagFisher(fa.values[:21], 1), fb, delta, 100, spec),
+     StructuralError, "Fisher vector does not cover the full parameter count"),
+], ids=["fisher-not-flat", "mismatch-not-flat", "absent-depth", "depth-out-of-range", "mismatch-size",
+        "short-mismatch", "short-fisher"])
+def test_malformed_proxy_input_raises_naming_it(build, error, message):
+    """On a one-layer net with 12 encoder parameters of 22."""
+    spec = ModelSpec(3, (3,), (2, 2))
+    fa, fb = fisher_pair(spec, np.ones(12), np.ones(12))
+    with pytest.raises(error) as err:
+        build(spec, fa, fb, np.zeros(12))
+    assert str(err.value) == message
+
 class TestGridSearchProperties:
     @settings(max_examples=150, deadline=None)
     @given(grid_cases())

@@ -165,6 +165,20 @@ class TestDamagedContainer:
         with pytest.raises(DataFormatError, match="metadata"):
             load_container(path)
 
+    def test_an_array_declared_twice_is_refused(self, tmp_path):
+        """A params container with two `params` entries does not load as
+        its second copy."""
+        first, second = np.arange(SPEC.param_count, dtype=float), np.zeros(SPEC.param_count)
+        entry = {"name": "params", "length": SPEC.param_count}
+        meta = {"kind": "params", "spec": {"input_dim": 3, "trunk_widths": [5, 4], "head_dims": [2, 2],
+                                           "activation": "tanh"}, "arrays": [entry, entry]}
+        path = tmp_path / "twice.bin"
+        path.write_bytes(header(json.dumps(meta).encode()) + first.tobytes() + second.tobytes())
+        for load in (load_container, load_params):
+            with pytest.raises(DataFormatError) as err:
+                load(path)
+            assert str(err.value) == f"{path}: array 'params' is declared twice"
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_truncation_or_byte_flip_loads_or_raises_data_format_error(self, tmp_path, data):
