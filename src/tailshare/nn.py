@@ -158,9 +158,9 @@ class Batch:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.z_a = np.asarray(self.z_a, dtype=np.float64)
         self.z_b = np.asarray(self.z_b, dtype=np.float64)
-        n = self.features.shape[0]
         if self.features.ndim != 2:
             raise StructuralError("features must be a 2-D matrix")
+        n = self.features.shape[0]
         if self.z_a.ndim != 2 or self.z_b.ndim != 2:
             raise StructuralError("label matrices must be 2-D")
         if self.z_a.shape[0] != n or self.z_b.shape[0] != n:

@@ -48,8 +48,10 @@ def save_container(path, meta: dict, arrays: dict) -> None:
 
 
 def load_container(path) -> tuple:
-    """(meta, arrays) of a container; any damage to the file, truncation
-    and an array declared twice included, raises DataFormatError.
+    """(meta, arrays) of a container. A missing file raises
+    MissingArtifactError; a path that cannot be opened (a directory, say)
+    and any damage to the file, truncation and an array declared twice
+    included, raise DataFormatError.
 
     The file is read once, into one 8-byte-aligned buffer placed so that
     the array section starts on an 8-byte boundary whatever the metadata
@@ -57,9 +59,13 @@ def load_container(path) -> tuple:
     and no two overlap.
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
-    with path.open("rb") as fh:
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        raise MissingArtifactError(str(path)) from None
+    except OSError as exc:
+        raise DataFormatError(f"{path}: unreadable container ({type(exc).__name__}: {exc})") from None
+    with fh:
         head = fh.read(20)
         if head[:8] != _MAGIC:
             raise DataFormatError(f"{path}: not a tailshare container")
@@ -102,29 +108,26 @@ def save_params(path, spec: ModelSpec, params: ParamVector, extra: dict | None =
 
 
 @contextmanager
-def _artifact(path):
-    """Metadata a container's kind needs but lacks, or values that do not
-    fit together, raise DataFormatError naming the file."""
+def _opened(path, finite: tuple):
+    """(spec, meta, arrays) of a container whose arrays named in `finite`
+    are all finite. Metadata its kind needs but lacks, or values that do
+    not fit together, raise DataFormatError naming the file."""
+    meta, arrays = load_container(path)
     try:
-        yield
+        spec = ModelSpec(**meta["spec"])
+        for name in finite:
+            if not _finite(arrays[name]):
+                raise DataFormatError(f"{path}: {name} has a non-finite entry")
+        yield spec, meta, arrays
     except DataFormatError:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DataFormatError(f"{path}: inconsistent artifact ({type(exc).__name__}: {exc})") from None
 
 
-def _refuse_non_finite(path, arrays: dict, names: tuple) -> None:
-    for name in names:
-        if not _finite(arrays[name]):
-            raise DataFormatError(f"{path}: {name} has a non-finite entry")
-
-
 def load_params(path) -> tuple:
     """The params container; every parameter must be finite."""
-    meta, arrays = load_container(path)
-    with _artifact(path):
-        spec = ModelSpec(**meta["spec"])
-        _refuse_non_finite(path, arrays, ("params",))
+    with _opened(path, ("params",)) as (spec, meta, arrays):
         return spec, ParamVector(arrays["params"], spec.block_table()), meta
 
 
@@ -146,9 +149,7 @@ def load_stage1(path) -> tuple:
     """The stage-1 container; its sample_count is the training-set size N.
     Each Fisher must hold one entry per parameter, every parameter and
     Fisher entry must be finite, and the split must fit the heads."""
-    meta, arrays = load_container(path)
-    with _artifact(path):
-        spec = ModelSpec(**meta["spec"])
+    with _opened(path, ("params_a", "params_b", "fisher_a", "fisher_b")) as (spec, meta, arrays):
         if "sample_count" not in meta:
             raise DataFormatError(f"{path}: no sample_count in the container's metadata")
         n = meta["sample_count"]
@@ -158,7 +159,6 @@ def load_stage1(path) -> tuple:
             if arrays[name].size != spec.param_count:
                 raise DataFormatError(f"{path}: {name} holds {arrays[name].size} entries, "
                                       f"not one per parameter ({spec.param_count})")
-        _refuse_non_finite(path, arrays, ("params_a", "params_b", "fisher_a", "fisher_b"))
         table = spec.block_table()
         s1 = Stage1Result(
             params_a=ParamVector(arrays["params_a"], table),
@@ -180,12 +180,9 @@ def save_model(path, model: AssembledModel, extra: dict | None = None) -> None:
 def load_model(path) -> tuple:
     """The model container; every parameter must be finite, and the priors
     array of an older one is ignored."""
-    meta, arrays = load_container(path)
-    with _artifact(path):
-        spec = ModelSpec(**meta["spec"])
+    with _opened(path, ("branch_a", "branch_b")) as (spec, meta, arrays):
         if type(meta["c"]) is not int:  # JSON's true is not an int
             raise DataFormatError(f"{path}: c must be an int, got {json.dumps(meta['c'])}")
-        _refuse_non_finite(path, arrays, ("branch_a", "branch_b"))
         branches = (ParamVector(arrays[name], spec.block_table()) for name in ("branch_a", "branch_b"))
         return AssembledModel(spec, meta["c"], TaskSplit(**meta["split"]), *branches), meta
 

@@ -688,26 +688,36 @@ def searched(runner, tmp_path):
     return run_dir
 
 
+@pytest.fixture()
+def assembled(runner, searched):
+    """The searched toy run directory through stage2 and assemble."""
+    for step in ("stage2", "assemble"):
+        assert invoke(runner, searched, step).exit_code == 0, step
+    return searched
+
+
 class TestInputsResolvedBeforeAnyWrite:
     """Every config value and flag is checked before the command writes its
     config snapshot or any artifact."""
 
     @pytest.mark.parametrize("args, named", [
-        (["sweep", "--c", "9"], "shared depth 9 out of range 0..2"),
-        (["sweep", "--c", "-1"], "shared depth -1 out of range 0..2"),
-        (["oracle", "--grid-c", "0,99"], "shared depth 99 out of range 0..2"),
-        (["search", "--grid-c", "7"], "shared depth 7 out of range 0..2"),
-        (["search", "--grid-w", "1.5"], "w_a candidates must lie in [0, 1], got 1.5"),
-        (["stage2", "--w-star", "2"], "w_a candidates must lie in [0, 1], got 2.0"),
-        (["stage2", "--c-star", "99"], "shared depth 99 out of range 0..2"),
-        (["stage2", "--c-star", "-1"], "shared depth -1 out of range 0..2"),
+        (["sweep", "--c", "9"], "--c: shared depth 9 out of range 0..2"),
+        (["sweep", "--c", "-1"], "--c: shared depth -1 out of range 0..2"),
+        (["oracle", "--grid-c", "0,99"], "--grid-c: shared depth 99 out of range 0..2"),
+        (["search", "--grid-c", "7"], "--grid-c: shared depth 7 out of range 0..2"),
+        (["search", "--grid-w", "1.5"], "--grid-w: w_a candidates must lie in [0, 1], got 1.5"),
+        (["stage2", "--w-star", "2"], "--w-star: w_a candidates must lie in [0, 1], got 2.0"),
+        (["stage2", "--c-star", "99"], "--c-star: shared depth 99 out of range 0..2"),
+        (["stage2", "--c-star", "-1"], "--c-star: shared depth -1 out of range 0..2"),
+        (["oracle", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["oracle", "--resamples", "0"], "--resamples must be >= 1, got 0"),
+        (["stage1", "--tau", "-1"], "--tau: tau must be >= 0, got -1.0"),
     ])
     def test_flag_out_of_range_leaves_the_run_directory_unchanged(self, runner, searched, args, named):
         before = run_dir_state(searched)
         result = runner.invoke(main, args + ["--config", str(TOY), "--out", str(searched)])
         assert result.exit_code == 2, result.output
-        assert "error[config]" in result.output
-        assert f"{args[1]}: {named}" in result.output
+        assert f"error[config]: {named}" in result.output
         assert run_dir_state(searched) == before
 
     @pytest.mark.parametrize("command", ["oracle", "sweep"])
@@ -850,16 +860,14 @@ class TestInputsResolvedBeforeAnyWrite:
         ("refine", "model"),
         ("eval", "model"),
     ])
-    def test_truncated_container_exits_5_writing_nothing(self, runner, searched, command, stem):
-        for step in ("stage2", "assemble"):
-            assert runner.invoke(main, [step, "--config", str(TOY), "--out", str(searched)]).exit_code == 0
-        path = searched / f"{stem}_v001.bin"
+    def test_truncated_container_exits_5_writing_nothing(self, runner, assembled, command, stem):
+        path = assembled / f"{stem}_v001.bin"
         path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
-        before = run_dir_state(searched)
-        result = runner.invoke(main, [command, "--config", str(TOY), "--out", str(searched)])
+        before = run_dir_state(assembled)
+        result = invoke(runner, assembled, command)
         assert result.exit_code == 5, result.output
         assert "error[data]" in result.output and f"{path}: " in result.output
-        assert run_dir_state(searched) == before
+        assert run_dir_state(assembled) == before
 
     def test_stage1_metadata_nested_too_deep_exits_5_writing_nothing(self, runner, searched):
         path = searched / "stage1_v001.bin"
@@ -1048,12 +1056,6 @@ class TestModelContainer:
     array, as every model container once was, still loads with the priors
     ignored."""
 
-    @pytest.fixture()
-    def assembled(self, runner, searched):
-        for step in ("stage2", "assemble"):
-            assert invoke(runner, searched, step).exit_code == 0, step
-        return searched
-
     @pytest.mark.parametrize("command", ["eval", "refine"])
     @pytest.mark.parametrize("c", [True, 1.0, "1", None])
     def test_depth_that_is_not_an_int_writes_nothing(self, runner, assembled, command, c):
@@ -1168,6 +1170,24 @@ class TestDamagedStage1Container:
         assert result.exit_code == 5, result.output
         assert f"error[data]: {path}: {named}" in result.output
         assert run_dir_state(searched) == before
+
+
+def test_refine_moves_only_the_decoders(runner, tmp_path, searched):
+    """A model of shared depth 1 refined for 3 epochs: each branch keeps
+    the encoder slice and the other task's head bit for bit, and its
+    decoder moves."""
+    toy = json.loads(TOY.read_text())
+    config = toy_copy(tmp_path, "refine3", refine=dict(toy["refine"], epochs=3))
+    for args in (["stage2", "--c-star", "1"], ["assemble"], ["refine"]):
+        result = invoke(runner, searched, *args, config=config)
+        assert result.exit_code == 0, (args, result.output)
+    (start, _), (out, meta) = (load_model(searched / f"model_v00{v}.bin") for v in (1, 2))
+    assert meta["refined"] is True and out.c == start.c == 1
+    d = start.spec.encoder_params(start.c)
+    for got, was, other in ((out.branch_a, start.branch_a, "head_b"), (out.branch_b, start.branch_b, "head_a")):
+        assert got.values[:d].tobytes() == was.values[:d].tobytes(), "the encoder moved"
+        assert got.block(other).tobytes() == was.block(other).tobytes(), f"{other} moved"
+        assert got.values.tobytes() != was.values.tobytes(), "the decoder did not move"
 
 
 class TestRerunFromTheSnapshot:
@@ -1413,6 +1433,17 @@ class TestPathInputs:
         assert result.exit_code == 2, result.output
         assert f"error[config]: {config}: unreadable config (IsADirectoryError" in result.output
         assert tree_state(tmp_path) == {"config.json": None}
+
+    @pytest.mark.parametrize("command, stem", [("search", "stage1"), ("assemble", "stage1"),
+                                               ("assemble", "stage2"), ("refine", "model"), ("eval", "model")])
+    def test_container_that_is_a_directory_exits_5(self, runner, assembled, command, stem):
+        path = assembled / f"{stem}_v009.bin"
+        path.mkdir()
+        before = tree_state(assembled)
+        result = invoke(runner, assembled, command)
+        assert result.exit_code == 5, result.output
+        assert f"error[data]: {path}: unreadable container (IsADirectoryError" in result.output
+        assert tree_state(assembled) == before
 
     def test_selection_that_is_a_directory_exits_5(self, runner, searched):
         (searched / "selection_v002.json").mkdir()

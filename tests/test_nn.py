@@ -204,13 +204,14 @@ _LAYOUT = (("a", 0, 2), ("b", 2, 4))
     (lambda: ParamVector(np.zeros(6), _LAYOUT).block("c"), "no block named 'c'"),
     (lambda: _task_index("C"), "unknown task 'C', expected 'A' or 'B'"),
     (lambda: Batch(np.zeros(2), np.ones((2, 1)), np.zeros((2, 1))), "features must be a 2-D matrix"),
+    (lambda: Batch(np.float64(1.0), np.ones((1, 1)), np.zeros((1, 1))), "features must be a 2-D matrix"),
     (lambda: Batch(np.zeros((2, 2)), np.ones(2), np.zeros((2, 1))), "label matrices must be 2-D"),
     (lambda: Batch(np.zeros((2, 2)), np.ones((3, 1)), np.zeros((3, 1))),
      "label row counts must match the feature rows"),
     (lambda: trunk_activations(init_params(ModelSpec(3, (4,), (2, 3)), 0), small_spec(), np.zeros((2, 3))),
      "parameter block layout does not match the model spec"),
 ], ids=["values-not-flat", "block-gap", "short-coverage", "unknown-block", "unknown-task",
-        "features-not-2d", "labels-not-2d", "mismatched-rows", "layout-mismatch"])
+        "features-not-2d", "features-0d", "labels-not-2d", "mismatched-rows", "layout-mismatch"])
 def test_malformed_structure_raises_structural_error_naming_it(build, message):
     with pytest.raises(StructuralError) as err:
         build()
