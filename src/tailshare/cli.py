@@ -13,7 +13,8 @@ is its stage-2 container's; `_selected` reads both. Every grid
 (--grid-c, --grid-w, select.*) must be nonempty, every depth (--grid-c,
 --c, --c-star, c_star) lie in 0..L for the model's L trunk layers, every
 weight (--grid-w, --w-star, w_star) in [0, 1], --jobs be >= 1, --data be
-nonempty, and the run directory (--out, out) be a directory if it exists.
+nonempty, the run directory (--out, out) be a directory if it exists, and
+no size imply an array of more than `_MAX_ENTRIES` entries.
 A refused input
 exits 2 naming it (its flag, or its file and key), a missing dataset or
 container exits 3, and an unreadable dataset or selection file, a
@@ -80,6 +81,12 @@ def _guarded(fn):
 
 
 _DEFAULTS = presets.toy_config_dict()
+
+# The most entries, 2**28 (2 GiB of float64), that one array a config's
+# sizes imply may hold. `_resolve` refuses a size past it, naming its key,
+# before anything is drawn or written; past it, a desk machine may not
+# hold the array, and the run would end in a traceback midway.
+_MAX_ENTRIES = 1 << 28
 
 
 # A config key's JSON type as messages name it, the test of that type, and
@@ -268,6 +275,23 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
                 ("oracle.train_size", o["train_size"]), ("oracle.eval_points", o["eval_points"])))):
         if not ok:
             raise ConfigError(f"{named.get(key, key)} must {rule}, got {value}")
+    # Each drawn row takes at most `row` entries in any array: its features
+    # and one-hot label, its distances to every class mean (the posterior)
+    # or a layer's activations. Sizes below 1 are refused further on.
+    g = t["generator"]
+    k, d = g["n_classes"], g["input_dim"]
+    row = max(d + k, d * k, *t["model"]["trunk_widths"])
+    sizes = [("generator.n_max * generator.n_classes", g["n_max"], k),
+             ("eval_per_class * generator.n_classes", t["eval_per_class"], k)]
+    if study is not None:
+        sizes += [(named.get(key, key), o[key.split(".")[1]])
+                  for key in ("oracle.train_size", "oracle.eval_points")]
+    for name, *factors in sizes:
+        rows = math.prod(factors)
+        if min(*factors, d) >= 1 and rows * row > _MAX_ENTRIES:
+            raise ConfigError(f"{name} = {rows} rows of up to {row} entries (the largest of "
+                              f"generator.input_dim + generator.n_classes, their product and "
+                              f"model.trunk_widths) exceed the cap of {_MAX_ENTRIES} entries per array")
     gen = _checked("generator", lambda: datagen.build_generator(
         datagen.GenConfig(**t["generator"], seed=seed)))
     opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
@@ -287,6 +311,9 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     n_classes, split = len(counts), _checked("model", datagen.split_classes, counts)
     spec = _checked("model", ModelSpec, input_dim, t["model"]["trunk_widths"],
                     (len(split.head_classes), len(split.tail_classes)), t["model"]["activation"])
+    if spec.param_count > _MAX_ENTRIES:
+        raise ConfigError(f"model.trunk_widths {list(spec.trunk_widths)} give {spec.param_count} parameters, "
+                          f"above the cap of {_MAX_ENTRIES} entries per array")
     if reads:  # the first container's model, which assemble's stage 2 and a dataset must fit
         spec = upstream["model"][0].spec if "model" in upstream else upstream[reads[0]][0]
         if "stage2" in upstream and upstream["stage2"][0] != spec:

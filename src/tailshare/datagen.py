@@ -96,6 +96,11 @@ class MixtureGenerator:
         Stable log-sum-exp evaluation; rows are positive and sum to 1.
         """
         y = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        # One (n, K, D) broadcast, not a loop over the classes. A per-class
+        # loop keeps every bit and peaks 0.4-0.5 MB lower on perfbench's
+        # oracle_ref, but its unit ran 27-41% slower (2-vCPU VM): without
+        # this form's large frees, glibc's heap-trim thresholds stay low,
+        # and the K = 11 Stage-2 steps that follow page-fault.
         sq = ((y[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
         with np.errstate(divide="ignore"):
             logp = np.log(self.priors)[None, :] - sq / (2.0 * self.noise_sigma ** 2)

@@ -16,7 +16,6 @@ data (plus batch order), matching an expectation over training sets.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -184,6 +183,9 @@ def _collect_resamples(gen, run_cfg, study: Study, jobs: int) -> tuple:
     # worker when it opens.
     workers = min(jobs, study.m_resamples)
     if workers > 1:
+        # Imported here: the pool's modules load only when a pool opens.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(study.m_resamples)))
     else:

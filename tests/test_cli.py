@@ -40,6 +40,14 @@ def write_config(tmp_path, **overrides):
 DEEP = "[" * 100_000
 
 
+def strict_json(path):
+    """The JSON document at `path`, read by a parser that refuses NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class TestVerifyLemma:
     def test_passes_on_random_instances(self, runner):
         result = runner.invoke(main, ["verify-lemma", "--trials", "300", "--seed", "1"])
@@ -582,12 +590,8 @@ class TestOracleCommands:
                                       "--train-size", "200", "--grid-w", "0.3,0.7"]
                                + (["--grid-c", "0,1"] if grid else []))
         assert result.exit_code == 0, result.output
-
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
         table, stem = ("oracle_grid", "oracle_summary") if grid else ("sweep", "sweep_summary")
-        summary = json.loads((run_dir / f"{stem}_v001.json").read_text(), parse_constant=refuse)
+        summary = strict_json(run_dir / f"{stem}_v001.json")
         assert summary["risk_stderr"] == ([[None, None], [None, None]] if grid else [None, None])
         assert all(math.isfinite(v) for v in np.ravel(summary["risk_mean"]))
         with (run_dir / f"{table}_v001.csv").open(newline="") as fh:
@@ -676,6 +680,27 @@ TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.json"
 def run_dir_state(run_dir):
     """Name and bytes of every file in the run directory."""
     return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())} if run_dir.exists() else {}
+
+
+def test_every_command_on_the_toy_config_leaves_no_empty_file_and_only_strict_json(runner, tmp_path):
+    """Every command on the toy config, into one run directory: each
+    command's artifacts are there, none of them is empty, and every JSON
+    document (config snapshots, selections, generator sidecars and study
+    summaries) parses without NaN or Infinity."""
+    run_dir = tmp_path / "run"
+    for command in ("gen-data", "stage1", "search", "stage2", "assemble", "refine", "eval", "full-run", "oracle",
+                    "sweep"):
+        result = invoke(runner, run_dir, command)
+        assert result.exit_code == 0, (command, result.output)
+    paths = sorted(run_dir.iterdir())
+    assert {p.name.split("_v")[0] for p in paths} == {
+        "config", "dataset", "stage1", "proxy_grid", "selection", "stage2", "model", "metrics", "oracle_grid",
+        "oracle_summary", "sweep", "sweep_summary"}
+    assert [p.name for p in paths if p.stat().st_size == 0] == []
+    documents = [p.name for p in paths if p.suffix == ".json"]
+    assert {"config_v001.json", "selection_v001.json", "dataset_v001.generator.json"} <= set(documents)
+    for name in documents:
+        strict_json(run_dir / name)
 
 
 @pytest.fixture()
@@ -825,6 +850,39 @@ class TestInputsResolvedBeforeAnyWrite:
         assert result.exit_code == 5, result.output
         assert "error[data]" in result.output and f"selection_v001.json: {named}" in result.output
         assert run_dir_state(searched) == before
+
+    @pytest.mark.parametrize("command, sizes, args, named", [
+        ("gen-data", {"generator": {"n_max": 10**12}}, [], "generator.n_max * generator.n_classes"),
+        ("stage1", {"model": {"trunk_widths": [100_000, 100_000]}}, [], "model.trunk_widths"),
+        ("oracle", {"oracle": {"eval_points": 10**11}}, ["--resamples", "2", "--train-size", "50"],
+         "oracle.eval_points"),
+        ("full-run", {"eval_per_class": 10**11}, [], "eval_per_class * generator.n_classes"),
+    ], ids=["gen-data", "stage1", "oracle", "full-run"])
+    def test_size_past_the_cap_leaves_the_run_directory_unchanged(self, runner, tmp_path, command, sizes,
+                                                                  args, named):
+        """A size whose arrays numpy cannot allocate (18.5 TiB of dataset,
+        74.5 GiB of parameters, 745 GiB of evaluation points, 4.37 TiB of
+        balanced rows) exits 2 naming its key, before the config snapshot."""
+        run_dir = tmp_path / "run"
+        assert invoke(runner, run_dir, "gen-data").exit_code == 0
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(sizes))
+        before = run_dir_state(run_dir)
+        result = invoke(runner, run_dir, command, *args, config=config)
+        assert result.exit_code == 2, result.output
+        assert f"error[config]: {named}" in result.output and f"cap of {cli._MAX_ENTRIES}" in result.output
+        assert run_dir_state(run_dir) == before
+
+    @pytest.mark.parametrize("cap, code", [(17280, 0), (17279, 2)])
+    def test_the_largest_size_may_reach_the_cap(self, runner, tmp_path, monkeypatch, cap, code):
+        """The toy's largest array is its dataset bound: n_max 120 * n_classes
+        6 rows of max(input_dim + n_classes, input_dim * n_classes, 8) = 24
+        entries, 17280 in all."""
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", cap)
+        result = invoke(runner, tmp_path / "run", "gen-data")
+        assert result.exit_code == code, result.output
+        refusal = "generator.n_max * generator.n_classes = 720 rows of up to 24 entries"
+        assert (refusal in result.output) == bool(code)
 
     @pytest.mark.parametrize("command", ["oracle", "sweep"])
     def test_zero_eval_points_writes_nothing(self, runner, tmp_path, command):
@@ -1310,6 +1368,16 @@ class TestFlagTable:
                 listed.append((column, default and default.group(1)))
             assert listed == OPTIONS[name], name
 
+    def test_every_command_renders_its_help(self, runner):
+        """`<command> --help` exits 0 for each of the 11 commands and lists
+        every option of the command."""
+        assert len(OPTIONS) == 11
+        for name, options in OPTIONS.items():
+            result = runner.invoke(main, [name, "--help"])
+            assert result.exit_code == 0, (name, result.output)
+            for column, _ in options:
+                assert column in result.output, (name, column)
+
     def test_every_keyed_flag_names_a_config_key(self):
         from tailshare import cli
 
@@ -1556,10 +1624,10 @@ _RESOLVED = {
               {"study": "sweep"}),
     "full-run": (dict.fromkeys(("--seed", "--data", "--tau", "--no-refine")), {}),
 }
-# Wrong JSON types, null, non-finite numbers and values below each key's
-# minimum; sizes stay small.
+# Wrong JSON types, null, non-finite numbers, values below each key's
+# minimum and huge sizes.
 _MUTATIONS = (st.sampled_from([None, "x", True, [], {}, [1, "x"], [-1], [1.5], 0.5,
-                               float("nan"), float("inf"), float("-inf")])
+                               float("nan"), float("inf"), float("-inf"), 10**12, [10**12]])
               | st.integers(-3, 1) | st.floats(-2.0, 0.0))
 
 
@@ -1569,12 +1637,15 @@ _MUTATIONS = (st.sampled_from([None, "x", True, [], {}, [1, "x"], [-1], [1.5], 0
 @example(command="oracle", key=("oracle", "resamples"), value=0)
 @example(command="sweep", key=("oracle", "train_size"), value=-1)
 @example(command="oracle", key=("generator", "n_classes"), value=1)
+@example(command="full-run", key=("generator", "n_classes"), value=10**12)
+@example(command="sweep", key=("generator", "input_dim"), value=10**12)
+@example(command="oracle", key=("model", "trunk_widths"), value=[10**12])
 def test_one_mutated_config_key_is_resolved_or_refused_by_name(command, key, value):
     """The toy config with one leaf key set to a wrong type, null, a
-    non-finite number or a value below its minimum: resolving the inputs
-    of oracle, sweep or full-run (no training) either succeeds or exits 2
-    naming the key (dotted, or its section and leaf), with nothing
-    written; never exit 1."""
+    non-finite number, a value below its minimum or a huge size: resolving
+    the inputs of oracle, sweep or full-run (no training) either succeeds
+    or exits 2 naming the key (dotted, or its section and leaf), with
+    nothing written; never exit 1."""
     flags, reads = _RESOLVED[command]
     config = json.loads(TOY.read_text())
     node = config

@@ -1,3 +1,5 @@
+import ast
+import concurrent.futures
 from dataclasses import replace
 import json
 import os
@@ -141,12 +143,19 @@ class TestGridCompare:
         assert lines[0] == "C,w_A,risk_mean,risk_stderr,proxy_total,n_ok,valid"
         assert len(lines) == 1 + 9
 
-    def test_parallel_jobs_match_sequential(self):
-        seq = self.build()
-        par = self.build(jobs=2)
-        assert np.array_equal(seq.risk_mean, par.risk_mean, equal_nan=True)
-        assert seq.proxy_best == par.proxy_best
-        assert seq.spearman_rho == par.spearman_rho
+    def test_parallel_jobs_match_sequential(self, tmp_path):
+        """A grid_compare and a weight_sweep on two worker processes give
+        the in-process study's report: its JSON summary and its CSV bytes."""
+        def sweep(jobs):
+            return weight_sweep(GEN, run_config(), 2, (0.2, 0.5, 0.8), m_resamples=4, n_train=300, seed=0,
+                                n_eval=400, eval_per_class=20, jobs=jobs)
+
+        for name, study in (("grid_compare", lambda jobs: self.build(jobs=jobs)), ("weight_sweep", sweep)):
+            reports = {jobs: study(jobs) for jobs in (1, 2)}
+            assert reports[2].to_json() == reports[1].to_json(), name
+            for jobs, report in reports.items():
+                report.to_csv(tmp_path / f"{name}_{jobs}.csv")
+            assert (tmp_path / f"{name}_2.csv").read_bytes() == (tmp_path / f"{name}_1.csv").read_bytes(), name
 
     def test_a_pool_opens_at_most_one_worker_per_resample(self, monkeypatch):
         """jobs=64 over two resamples opens two workers and reports what
@@ -166,7 +175,7 @@ class TestGridCompare:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         alone = self.build(m_resamples=2)
         assert opened == []
         pooled = self.build(m_resamples=2, jobs=64)
@@ -472,6 +481,37 @@ def test_package_import_loads_exactly_the_library_modules():
     assert out.stdout.split() == [
         f"tailshare.{m}" for m in ("datagen", "errors", "infotheory", "nn", "oracle", "pipeline", "proxy",
                                    "tables")]
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    """Only a study run on more than one job opens a pool, so `import
+    tailshare` loads neither concurrent.futures.process nor multiprocessing."""
+    import tailshare
+    src = str(Path(tailshare.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tailshare; "
+         "print(*(m in sys.modules for m in ('concurrent.futures.process', 'multiprocessing')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_only_tables_and_store_import_json():
+    """tables reads and writes every JSON document, and store its container
+    headers: no other module of the package imports json."""
+    import tailshare
+    found = []
+    for path in sorted(Path(tailshare.__file__).parent.glob("*.py")):
+        if path.name in ("tables.py", "store.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "json"]
+    assert found == []
 
 
 def test_toy_grid_compare_leaves_numpy_ma_unloaded():
