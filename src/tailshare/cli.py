@@ -29,9 +29,10 @@ training divergence, 5 data-format error, 6 verification check failed,
 0 trains without offsets.
 
 Seed derivation from the master seed: generator = seed, init = seed + 1,
-stage1 shuffle = seed + 2, stage2 shuffle = seed + 3, refine shuffle =
-seed + 4, holdout = seed + 5, evaluation draws = seed + 6, oracle study
-seed = seed + 7.
+stage1 and stage2 shuffle = seed + 2 (one batch order, so an oracle
+resample trains both stages in one stack), refine shuffle = seed + 4,
+holdout = seed + 5, evaluation draws = seed + 6, oracle study seed =
+seed + 7; seed + 3 is unused.
 """
 from __future__ import annotations
 
@@ -295,7 +296,7 @@ def _resolve(config_path, given: dict, *, reads_data=False, reads=(), study=None
     gen = _checked("generator", lambda: datagen.build_generator(
         datagen.GenConfig(**t["generator"], seed=seed)))
     opts = [_checked(section, OptConfig, **t[section], seed=seed + offset)
-            for section, offset in (("stage1", 2), ("stage2", 3), ("refine", 4))]
+            for section, offset in (("stage1", 2), ("stage2", 2), ("refine", 4))]
     data_path = given.get("--data")
     if data_path == "":
         raise ConfigError("--data: the path is empty")

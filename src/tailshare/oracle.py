@@ -7,7 +7,10 @@ randomness), and the head/tail split implied by the generator's priors.
 Each resample draws a fresh i.i.d. training set and runs the pipeline
 stages at every requested grid point; Stage 1 is shared across the whole
 grid and each Stage-2 run is shared across shared-depth candidates, which
-keeps full-grid studies tractable.
+keeps full-grid studies tractable. When the two stages share one
+optimizer (so one batch order), a resample makes one training call:
+Stage 1's task-A and task-B nets are the Stage-2 stack's w_A = 1 and
+w_A = 0 lanes, added to the stack when the grid lacks them.
 
 Seed layout: the study seed drives the evaluation draws; resample m uses
 data seed = seed + 1000 + m and shifts the stage shuffle seeds by m while
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, TrainingDivergenceError
 from .datagen import MixtureGenerator, sample_iid, split_classes
 from .infotheory import _risk_targets, taskwise_risk
-from .nn import _finite, trunk_activations
+from .nn import _all_trained, _finite, trunk_activations
 from .pipeline import (
     RunConfig,
     assemble,
@@ -33,6 +36,7 @@ from .pipeline import (
     refine_stack,
     select_structure,
     stage1,
+    stage1_result,
     stage2_stack,
 )
 from .proxy import candidate_grid
@@ -111,7 +115,9 @@ class Study(Record):
 
 def _run_resample(m: int, study: Study, gen, run_cfg, split, eval_points, targets, balanced) -> tuple:
     """Resample m: fresh data, shared Stage 1, all Stage-2 weights as one
-    stack, per-c assembly.
+    stack, per-c assembly. With equal stage optimizers Stage 1 is that
+    stack's w_A = 1 and 0 lanes (one the grid lacks is added, and is no
+    cell), and their divergence is Stage 1's.
 
     Returns (values[nc, nw, 4], stage1): each cell's risk, then its overall,
     head and tail accuracy, NaN where the cell failed. stage1 is resample
@@ -130,12 +136,21 @@ def _run_resample(m: int, study: Study, gen, run_cfg, split, eval_points, target
     dataset = sample_iid(gen, study.n_train, study.seed + _RESAMPLE_SEED_OFFSET + m)
     td = build_task_data(dataset, split, gen.priors)
     cfg_m = _per_resample_config(run_cfg, m)
+    w_values = tuple(study.w_values)
     try:
-        s1 = stage1(cfg_m, td)
+        if cfg_m.stage1_opt == cfg_m.stage2_opt:
+            # On one batch order, Stage 2 at w_A = 1 and 0 is Stage 1's
+            # task-A and task-B training, bit for bit: one stack trains both.
+            lanes = w_values + tuple(w for w in (1.0, 0.0) if w not in w_values)
+            trained = stage2_stack(cfg_m, td, lanes)
+            s1 = stage1_result(cfg_m, td, *_all_trained([trained[lanes.index(w)] for w in (1.0, 0.0)]))
+        else:
+            s1 = stage1(cfg_m, td)
+            trained = stage2_stack(cfg_m, td, w_values)
     except TrainingDivergenceError as err:
         return values, err if m == 0 else None
     spec = run_cfg.spec
-    stage2_params = {wi: s2.params for wi, s2 in enumerate(stage2_stack(cfg_m, td, study.w_values))
+    stage2_params = {wi: s2.params for wi, s2 in enumerate(trained[:len(w_values)])
                      if not isinstance(s2, TrainingDivergenceError)}
     cells = []   # (the rows and columns a model fills, model)
     zero_rows = [ci for ci, c in enumerate(study.c_values) if c == 0]

@@ -120,16 +120,24 @@ class Stage1Result:
 
 def stage1(cfg: RunConfig, td: TaskData) -> Stage1Result:
     """Train each task independently from the shared init seed, then
-    estimate the diagonal Fisher at each task's trained parameters.
+    estimate the diagonal Fisher at each task's trained parameters
+    (stage1_result).
 
     Both tasks train as one stack of two. Task-A training never reads z_b
     and vice versa (a zero task weight skips the other branch entirely).
-    A Fisher that overflows raises DomainError, without a warning.
     """
     init = init_params(cfg.spec, cfg.init_seed)
-    offs = _offsets_for(cfg, td)
     res_a, res_b = _all_trained(train_stack(
-        [init, init], cfg.spec, td, [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=offs))
+        [init, init], cfg.spec, td, [(1.0, 0.0), (0.0, 1.0)], cfg.stage1_opt, offsets=_offsets_for(cfg, td)))
+    return stage1_result(cfg, td, res_a, res_b)
+
+
+def stage1_result(cfg: RunConfig, td: TaskData, res_a: TrainResult, res_b: TrainResult) -> Stage1Result:
+    """The Stage1Result of the trained task-A and task-B networks: their
+    parameters and epoch losses, and the diagonal Fisher of each at its
+    own task. A Fisher that overflows raises DomainError, without a
+    warning."""
+    offs = _offsets_for(cfg, td)
     with np.errstate(over="ignore", invalid="ignore"):
         fisher_a = estimate_diag_fisher(res_a.params, cfg.spec, td.features, td.z_a, "A", offsets=offs[0])
         fisher_b = estimate_diag_fisher(res_b.params, cfg.spec, td.features, td.z_b, "B", offsets=offs[1])

@@ -39,7 +39,7 @@ def reference_run_config() -> RunConfig:
     return RunConfig(
         spec=spec,
         stage1_opt=OptConfig(learning_rate=0.3, momentum=0.9, epochs=20, batch_size=128, seed=11),
-        stage2_opt=OptConfig(learning_rate=0.3, momentum=0.9, epochs=20, batch_size=128, seed=12),
+        stage2_opt=OptConfig(learning_rate=0.3, momentum=0.9, epochs=20, batch_size=128, seed=11),
         refine_opt=OptConfig(learning_rate=0.1, momentum=0.9, epochs=10, batch_size=128, seed=14),
         init_seed=13,
         tau=0.0,

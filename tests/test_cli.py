@@ -255,6 +255,21 @@ class TestErrorPaths:
         assert len(result.output) < 300
         assert not (tmp_path / "run").exists()
 
+    def test_an_unmapped_exception_exits_1_with_the_exception(self, runner, tmp_path, monkeypatch):
+        """An exception no exit code maps is not dressed as a refusal: the
+        command exits 1 with the exception itself."""
+        from tailshare import pipeline
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        config, _ = write_config(tmp_path)
+        assert runner.invoke(main, ["gen-data", "--config", str(config)]).exit_code == 0
+        monkeypatch.setattr(pipeline, "stage1", boom)
+        result = runner.invoke(main, ["stage1", "--config", str(config)])
+        assert result.exit_code == 1 and isinstance(result.exception, RuntimeError)
+        assert "error[" not in result.output
+
     def test_stage1_whose_fisher_overflows_writes_no_container(self, runner, tmp_path):
         """Features near 1e200 train, but their squares overflow the Fisher,
         which search would refuse: stage1 refuses it, naming it, and writes
@@ -494,8 +509,9 @@ class TestOracleCommands:
     def test_oracle_and_sweep_write_the_bytes_of_the_direct_library_calls(self, runner, tmp_path):
         """The toy oracle and sweep run the library's grid_compare and
         weight_sweep on the config's generator and model, with the seeds the
-        CLI documents: generator seed, init seed + 1, shuffles seed + 2, + 3
-        and + 4, study seed + 7; sweep's depth is the trunk's."""
+        CLI documents: generator seed, init seed + 1, shuffles seed + 2 for
+        both stages and + 4 for refinement, study seed + 7; sweep's depth is
+        the trunk's."""
         from tailshare.datagen import GenConfig, build_generator, split_classes
         from tailshare.nn import ModelSpec, OptConfig
         from tailshare.oracle import grid_compare, weight_sweep
@@ -511,7 +527,7 @@ class TestOracleCommands:
         split = split_classes(gen.priors)
         spec = ModelSpec(gen.input_dim, tuple(cfg["model"]["trunk_widths"]),
                          (len(split.head_classes), len(split.tail_classes)), cfg["model"]["activation"])
-        opts = [OptConfig(**cfg[section], seed=seed + k) for section, k in (("stage1", 2), ("stage2", 3),
+        opts = [OptConfig(**cfg[section], seed=seed + k) for section, k in (("stage1", 2), ("stage2", 2),
                                                                              ("refine", 4))]
         run = RunConfig(spec, *opts, init_seed=seed + 1, tau=cfg["tau"])
         study = dict(m_resamples=sizes["resamples"], n_train=sizes["train_size"], seed=seed + 7,
@@ -1327,6 +1343,21 @@ def test_reference_config_file_is_the_reference_instance():
     assert ref["oracle"] == {"resamples": presets.REFERENCE_M_RESAMPLES,
                              "train_size": presets.REFERENCE_N_TRAIN,
                              "eval_points": presets.REFERENCE_EVAL_POINTS}
+
+
+@pytest.mark.parametrize("name", ["toy.json", "reference.json"])
+def test_both_stages_train_on_one_batch_order(tmp_path, name):
+    """The reference preset, and the run the CLI resolves from each shipped
+    config, give Stage 1 and Stage 2 one optimizer, seed included: an
+    oracle resample then trains both stages in one stack."""
+    from tailshare import presets
+
+    run = presets.reference_run_config()
+    assert run.stage1_opt == run.stage2_opt
+    flags, reads = _RESOLVED["oracle"]
+    inputs = cli._resolve(str(TOY.parent / name), {**flags, "--out": str(tmp_path / "run"), "--jobs": 1},
+                          **reads)
+    assert inputs.run.stage1_opt == inputs.run.stage2_opt
 
 
 # Each command's options as its --help lists them: the name with the type,

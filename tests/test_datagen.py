@@ -155,10 +155,12 @@ class TestSplitClasses:
                 assert min(counts[list(head)]) >= max(counts[list(tail)])
 
     def test_task_split_validation(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="overlap"):
             TaskSplit((0, 1), (1, 2))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="differ by at most one"):
             TaskSplit((0,), (1, 2))
+        with pytest.raises(StructuralError, match=r"partition 0\.\.K-1"):
+            TaskSplit((0,), (5,))
 
 
 class TestProjectLabels:

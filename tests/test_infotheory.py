@@ -133,10 +133,14 @@ class TestDecomposition:
                 assert cmi.shape == (1,) and cmi[0] == scalar.cmi
 
     def test_validation(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="must sum to 1"):
             _joint_tables(np.full((2, 2, 2), 0.2))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"needs axes \(Y, Z_A, Z_B\)"):
+            _joint_tables(np.full((2, 2), 0.25))
+        with pytest.raises(StructuralError, match="row must sum to 1"):
             _conditional_tables(np.array([[0.5, 0.6]]), "p_a")
+        with pytest.raises(StructuralError, match=r"p_a must be \(\|Y\|, outcomes\)"):
+            _conditional_tables(np.array([0.5, 0.5]), "p_a")
 
 
 def checked_blocks(trials, seed, bounds):

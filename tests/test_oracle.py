@@ -42,6 +42,12 @@ def run_config():
     )
 
 
+def one_order_config():
+    """run_config with Stage 2 on Stage 1's optimizer: one batch order."""
+    cfg = run_config()
+    return replace(cfg, stage2_opt=cfg.stage1_opt)
+
+
 class TestSpearman:
     def test_perfect_agreement(self):
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
@@ -222,7 +228,11 @@ class TestResampleEngine:
     C_VALUES = (0, 1, 2)
     W_VALUES = (0.0, 0.5, 1.0)
 
-    def test_cells_match_public_rebuild(self, monkeypatch):
+    @pytest.mark.parametrize("config", [run_config, one_order_config])
+    def test_cells_match_public_rebuild(self, monkeypatch, config):
+        """Two stage orders train Stage 1 by `stage1`; one order takes it
+        from the Stage-2 stack, and the report is the two-call rebuild's
+        either way."""
         import tailshare.oracle as oracle_mod
         from tailshare.datagen import MixtureGenerator, sample_iid, split_classes
         from tailshare.infotheory import _risk_targets, taskwise_risk
@@ -241,10 +251,11 @@ class TestResampleEngine:
 
         monkeypatch.setattr(oracle_mod, "stage1", counted_stage1)
         monkeypatch.setattr(MixtureGenerator, "posterior", counted_posterior)
-        cfg = run_config()
+        cfg = config()
         rep = grid_compare(GEN, cfg, self.C_VALUES, self.W_VALUES, m_resamples=2,
                            n_train=300, seed=3, n_eval=300)
-        assert counts == {"stage1": 2, "posterior": 1}
+        one_order = cfg.stage1_opt == cfg.stage2_opt
+        assert counts == {"stage1": 0 if one_order else 2, "posterior": 1}
         monkeypatch.undo()
 
         eval_points = GEN.sample_features(300, np.random.default_rng(3))
@@ -271,14 +282,15 @@ class TestResampleEngine:
         assert np.array_equal(rep.proxy_total, np.array(want))
         assert rep.proxy_best == (grid.c_star, grid.w_star)
 
+    @pytest.mark.parametrize("config", [run_config, one_order_config])
     @pytest.mark.parametrize("c", [0, 1])
-    def test_refined_sweep_cells_match_public_rebuild(self, c):
+    def test_refined_sweep_cells_match_public_rebuild(self, c, config):
         from tailshare.datagen import sample_iid, split_classes
         from tailshare.infotheory import _risk_targets, taskwise_risk
         from tailshare.pipeline import (assemble, build_task_data, evaluate, refine_decoders,
                                         stage1, stage2)
 
-        cfg = run_config()
+        cfg = config()
         rep = weight_sweep(GEN, cfg, c, self.W_VALUES, m_resamples=2, n_train=300, seed=3,
                            n_eval=300, eval_per_class=15, refine=True)
         rng = np.random.default_rng(3)
@@ -337,6 +349,53 @@ class TestResampleEngine:
         assert depths.count(0) == 2
         assert depths.count(1) == depths.count(2) == 2 * len(self.W_VALUES)
         assert len(risk_calls) == 2 * (1 + 2 * len(self.W_VALUES))
+
+    @pytest.mark.parametrize("config, w_values, calls", [
+        (one_order_config, None, 1), (one_order_config, (0.3, 0.7), 1), (run_config, None, 2)])
+    def test_a_resample_trains_once_on_one_order(self, monkeypatch, config, w_values, calls):
+        """With equal stage optimizers a resample makes one train_stack
+        call, its Stage-2 stack holding w_A = 1 and 0 whether or not the
+        grid does; with unequal ones, Stage 1 is a second call."""
+        import tailshare.pipeline as pipeline_mod
+
+        stacks = []
+        real = pipeline_mod.train_stack
+
+        def spied(starts, *args, **kwargs):
+            stacks.append(args[2])
+            return real(starts, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "train_stack", spied)
+        rep = grid_compare(GEN, config(), (0, 1), w_values, m_resamples=2, n_train=300, seed=3, n_eval=100)
+        assert len(stacks) == 2 * calls
+        grid = [(w, 1.0 - w) for w in rep.w_values]
+        if calls == 1:
+            added = [(w, 1.0 - w) for w in (1.0, 0.0) if w not in rep.w_values]
+            assert stacks == [grid + added] * 2
+        else:
+            assert stacks == [[(1.0, 0.0), (0.0, 1.0)], grid] * 2
+        assert rep.risk_mean.shape == (2, len(rep.w_values))
+
+    @pytest.mark.parametrize("w_values", [(0.5,), (0.0, 0.5, 1.0)])
+    def test_a_diverged_task_a_lane_is_the_stage1_divergence(self, monkeypatch, w_values):
+        """On one order, a w_A = 1 lane that diverges is Stage 1's
+        divergence, whether it is a cell or an added lane: every value of
+        its resample is NaN, and compare raises that error for resample 0."""
+        err = TrainingDivergenceError(3, float("inf"))
+        real = oracle.stage2_stack
+
+        def task_a_diverges(cfg, td, lanes):
+            results = real(cfg, td, lanes)
+            results[lanes.index(1.0)] = err
+            return results
+
+        monkeypatch.setattr(oracle, "stage2_stack", task_a_diverges)
+        study = Study((0, 1), w_values, m_resamples=2, n_train=300, seed=0, n_eval=100)
+        values, first = oracle._collect_resamples(GEN, one_order_config(), study, jobs=1)
+        assert np.isnan(values).all() and first is err
+        with pytest.raises(TrainingDivergenceError) as raised:
+            oracle.compare(GEN, one_order_config(), study)
+        assert raised.value is err
 
     def test_single_resample_emits_no_warnings(self):
         with warnings.catch_warnings():
@@ -431,9 +490,11 @@ class TestResampleEngine:
             with pytest.raises(ConfigError, match=f"^{setting} .*must be >= 1"):
                 grid_compare(GEN, run_config(), (0,), (0.5,), **sizes)
 
-    def test_stage1_divergence_of_first_resample_raises(self):
+    @pytest.mark.parametrize("one_order", [False, True])
+    def test_stage1_divergence_of_first_resample_raises(self, one_order):
+        diverging = OptConfig(1e100, epochs=3, batch_size=64, seed=1)
         bad = replace(run_config(), spec=ModelSpec(4, (8, 8), (3, 3), activation="relu"),
-                      stage1_opt=OptConfig(1e100, epochs=3, batch_size=64, seed=1))
+                      stage1_opt=diverging, **({"stage2_opt": diverging} if one_order else {}))
         with pytest.raises(TrainingDivergenceError):
             grid_compare(GEN, bad, (0, 1), (0.5,), m_resamples=2, n_train=300, n_eval=100)
 

@@ -19,7 +19,9 @@ from tailshare.pipeline import (
     refine_stack,
     select_structure,
     stage1,
+    stage1_result,
     stage2,
+    stage2_stack,
 )
 
 
@@ -171,13 +173,21 @@ class TestSelectStructure:
 
 
 class TestStage2:
-    def test_pure_head_weights_reproduce_stage1_trajectory(self):
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_pure_head_weight_lanes_are_stage1_bit_for_bit(self, tau):
+        """With one optimizer for both stages, the Stage-2 stack's w_A = 1
+        and w_A = 0 lanes are Stage 1's task-A and task-B networks, beside
+        any other lane: stage1_result of them gives stage1's parameters,
+        epoch losses and Fishers, bit for bit."""
         td = build_task_data(toy_dataset())
         opt = OptConfig(0.3, epochs=10, batch_size=64, seed=7)
-        cfg = run_config(stage1_opt=opt, stage2_opt=opt)
+        cfg = run_config(stage1_opt=opt, stage2_opt=opt, tau=tau)
         s1 = stage1(cfg, td)
-        s2 = stage2(cfg, td, 1.0)
-        assert s2.epoch_losses == s1.losses_a
+        zero, _, one = stage2_stack(cfg, td, (0.0, 0.3, 1.0))
+        lanes = stage1_result(cfg, td, one, zero)
+        for name in ("params_a", "params_b", "fisher_a", "fisher_b"):
+            assert getattr(lanes, name).values.tobytes() == getattr(s1, name).values.tobytes(), name
+        assert (lanes.losses_a, lanes.losses_b) == (s1.losses_a, s1.losses_b)
 
     def test_objective_consistency_full_batch(self):
         td = build_task_data(toy_dataset())

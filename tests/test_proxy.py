@@ -380,11 +380,17 @@ class TestProxyEval:
         assert out.encoder_variance == pytest.approx(1.0 / 200.0, rel=1e-12)
 
     def test_negative_fisher_rejected(self):
+        """Refused when built, and by grid_search when a built Fisher's
+        values turn negative afterwards."""
         spec = ModelSpec(3, (3,), (2, 2))
         bad = np.zeros(spec.param_count)
         bad[0] = -1.0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="Fisher entries must be nonnegative"):
             DiagFisher(bad, 1)
+        fa, fb = DiagFisher(np.ones(spec.param_count), 1), DiagFisher(np.ones(spec.param_count), 1)
+        fb.values[0] = -1.0
+        with pytest.raises(DomainError, match="Fisher entries must be nonnegative"):
+            grid_search(fa, fb, np.zeros(spec.encoder_params(1)), 100, spec)
 
     def test_total_is_sum_of_terms(self):
         rng = np.random.default_rng(11)

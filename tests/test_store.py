@@ -281,10 +281,15 @@ class TestVersioning:
         assert latest_version_path(tmp_path, "thing", ".csv") == p2
         assert p1.read_text() == "a"  # old artifact untouched
 
-    def test_each_call_claims_a_new_version(self, tmp_path):
+    def test_each_call_claims_a_new_version(self, tmp_path, monkeypatch):
+        """Each call claims a new version, also when another writer claimed
+        the scanned next one after the scan: the claim skips it."""
         paths = [next_version_path(tmp_path, "thing", ".csv") for _ in range(2)]
         assert [p.name for p in paths] == ["thing_v001.csv", "thing_v002.csv"]
         assert all(p.exists() and p.stat().st_size == 0 for p in paths)
+        monkeypatch.setattr(store, "_latest_version", lambda *args: (0, None))  # a scan before both claims
+        paths.append(next_version_path(tmp_path, "thing", ".csv"))
+        assert paths[-1].name == "thing_v003.csv" and paths[-1].stat().st_size == 0
 
     def test_concurrent_processes_claim_distinct_paths(self, tmp_path):
         script = ("import sys\n"
